@@ -54,10 +54,10 @@ import numpy as np
 
 from repro.core.values import SiteValues
 from repro.serving.cache import ResultCache
-from repro.serving.coalescer import BatchCoalescer
 from repro.serving.engine import evaluate_one
 from repro.serving.executor import EXECUTOR_MODES
 from repro.serving.requests import MechanismRequest, ServingRequest, SolveRequest, SweepRequest
+from repro.serving.scheduler import ContinuousBatchScheduler
 from repro.utils.envinfo import environment_metadata
 from repro.utils.memo import plan_memo
 
@@ -117,7 +117,7 @@ def run_naive(requests: list[ServingRequest]) -> tuple[float, list[float], list[
 
 
 async def _client(
-    coalescer: BatchCoalescer,
+    scheduler: ContinuousBatchScheduler,
     requests: list[ServingRequest],
     latencies: list[float],
     answers: dict[int, dict],
@@ -126,7 +126,7 @@ async def _client(
     """One closed-loop client: submit, await, record, next."""
     for index in offsets:
         t0 = time.perf_counter()
-        answers[index] = await coalescer.submit(requests[index])
+        answers[index] = await scheduler.submit(requests[index])
         latencies.append(time.perf_counter() - t0)
 
 
@@ -139,7 +139,7 @@ async def run_scheduled(
     executor: str | None = None,
 ) -> tuple[float, list[float], dict[int, dict], dict]:
     """The same workload through the scheduler under closed-loop concurrency."""
-    coalescer = BatchCoalescer(
+    scheduler = ContinuousBatchScheduler(
         max_batch=max_batch, max_wait_ms=max_wait_ms, cache=None, executor=executor
     )
     latencies: list[float] = []
@@ -148,11 +148,11 @@ async def run_scheduled(
     offsets = [list(range(c, len(requests), concurrency)) for c in range(concurrency)]
     start = time.perf_counter()
     await asyncio.gather(
-        *(_client(coalescer, requests, latencies, answers, chunk) for chunk in offsets)
+        *(_client(scheduler, requests, latencies, answers, chunk) for chunk in offsets)
     )
     elapsed = time.perf_counter() - start
-    await coalescer.close()
-    return elapsed, latencies, answers, coalescer.stats()
+    await scheduler.close()
+    return elapsed, latencies, answers, scheduler.stats()
 
 
 async def run_executor_identity(requests: list[ServingRequest]) -> dict:
@@ -160,13 +160,15 @@ async def run_executor_identity(requests: list[ServingRequest]) -> dict:
     answers: dict[str, list[dict]] = {}
     seconds: dict[str, float] = {}
     for mode in EXECUTOR_MODES:
-        coalescer = BatchCoalescer(max_batch=16, max_wait_ms=2.0, cache=None, executor=mode)
+        scheduler = ContinuousBatchScheduler(
+            max_batch=16, max_wait_ms=2.0, cache=None, executor=mode
+        )
         t0 = time.perf_counter()
         answers[mode] = list(
-            await asyncio.gather(*(coalescer.submit(request) for request in requests))
+            await asyncio.gather(*(scheduler.submit(request) for request in requests))
         )
         seconds[mode] = time.perf_counter() - t0
-        await coalescer.close()
+        await scheduler.close()
     for mode in EXECUTOR_MODES[1:]:
         assert answers[mode] == answers["inline"], (
             f"executor mode {mode!r} returned different payloads than inline"
@@ -220,17 +222,17 @@ async def run_cache_phase(n_hits: int) -> dict:
         return MechanismRequest(values, k=CACHE_PROBE_K, policies=CACHE_PROBE_POLICIES)
 
     cache = ResultCache(64)
-    coalescer = BatchCoalescer(max_batch=8, max_wait_ms=0.0, cache=cache)
+    scheduler = ContinuousBatchScheduler(max_batch=8, max_wait_ms=0.0, cache=cache)
     t0 = time.perf_counter()
-    miss_answer = await coalescer.submit(probe())
+    miss_answer = await scheduler.submit(probe())
     miss_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     for _ in range(n_hits):
-        hit_answer = await coalescer.submit(probe())
+        hit_answer = await scheduler.submit(probe())
     hit_seconds = (time.perf_counter() - t0) / n_hits
     assert hit_answer == miss_answer, "cache returned a different answer"
-    await coalescer.close()
+    await scheduler.close()
     return {
         "probe": {
             "m": CACHE_PROBE_M,

@@ -95,10 +95,10 @@ class SweepPointRow:
 
 
 def _coverage_ratio_curve(
-    values: SiteValues, policy: CongestionPolicy, ks: np.ndarray, **solver_kwargs
+    values: SiteValues, policy: CongestionPolicy, ks: np.ndarray
 ) -> np.ndarray:
     """Equilibrium/optimal coverage for one policy over a whole ``k`` grid."""
-    batch = spoa_batch([values], ks, policy, **solver_kwargs)
+    batch = spoa_batch([values], ks, policy)
     optimal = batch.optimal_coverages[0]
     equilibrium = batch.equilibrium_coverages[0]
     return np.where(optimal > 0, equilibrium / np.where(optimal > 0, optimal, 1.0), 0.0)
@@ -191,7 +191,6 @@ def coverage_ratio_sweep(
     policies: Sequence[CongestionPolicy],
     *,
     k_values: Sequence[int] = (2, 3, 4, 6, 8, 12, 16),
-    **solver_kwargs,
 ) -> SweepResult:
     """Equilibrium coverage / optimal coverage, per policy, as ``k`` grows."""
     f = values if isinstance(values, SiteValues) else SiteValues.from_values(values)
@@ -201,7 +200,7 @@ def coverage_ratio_sweep(
         name = policy.name
         if name in curves:
             name = f"{name}-{len(curves)}"
-        curves[name] = _coverage_ratio_curve(f, policy, ks, **solver_kwargs)
+        curves[name] = _coverage_ratio_curve(f, policy, ks)
     return SweepResult(x_label="k", x_values=ks.astype(float), curves=curves)
 
 

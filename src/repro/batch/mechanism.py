@@ -117,7 +117,6 @@ def compare_policies_batch(
     policies: Sequence[CongestionPolicy],
     *,
     backend: Backend | str | None = None,
-    **ifd_kwargs,
 ) -> PolicyComparisonBatch:
     """Evaluate a congestion-policy roster over a whole ``(instances x k)`` grid.
 
@@ -145,7 +144,7 @@ def compare_policies_batch(
 
     eq_coverages, payoffs, supports = [], [], []
     for policy in roster:
-        equilibrium = ifd_batch(padded, ks, policy, closed_form=star, backend=be, **ifd_kwargs)
+        equilibrium = ifd_batch(padded, ks, policy, closed_form=star, backend=be)
         eq_coverages.append(coverage_batch(padded, equilibrium.probabilities, ks, backend=be))
         payoffs.append(equilibrium.values)
         supports.append(equilibrium.support_sizes)
@@ -194,7 +193,6 @@ def best_two_level_batch(
     *,
     c_grid: np.ndarray | Sequence[float] | None = None,
     backend: Backend | str | None = None,
-    **ifd_kwargs,
 ) -> BestTwoLevelBatch:
     """Sweep the two-level family ``C_c`` over a whole ``(instances x k)`` grid.
 
@@ -217,9 +215,7 @@ def best_two_level_batch(
     if c_values.ndim != 1 or c_values.size == 0:
         raise ValueError("c_grid must be a non-empty 1-D sequence")
     roster = [TwoLevelPolicy(float(c)) for c in c_values]
-    comparisons = compare_policies_batch(
-        values, k_grid, roster, backend=backend, **ifd_kwargs
-    )
+    comparisons = compare_policies_batch(values, k_grid, roster, backend=backend)
     best_index = np.argmax(comparisons.equilibrium_coverages, axis=0)  # (B, K)
     best_c = c_values[best_index]
     best_coverages = np.take_along_axis(

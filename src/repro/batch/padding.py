@@ -20,7 +20,7 @@ The per-backend cache is a plain dict keyed by ``(backend name, device, field)``
 The canonical host arrays are immutable (read-only flags), cached transfers
 are pure functions of them, and dict get/set are single atomic bytecode
 operations under the GIL — so concurrent readers (worker threads, or
-requests held across asyncio event-loop turns by the serving coalescer) can
+requests held across asyncio event-loop turns by the serving scheduler) can
 race at worst into building the *same* transfer twice, with last-writer-wins
 on the slot; never into observing a partially built entry.  Long-lived
 holders that migrate a batch off an accelerator can drop the cached copies
@@ -88,7 +88,7 @@ class PaddedValues:
         forces a padded width beyond the longest row: reduction trees over
         the site axis depend on the padded length, so callers that must get
         bit-identical results across different batchings of the same row
-        (the serving coalescer) pin the width per request instead of letting
+        (the serving scheduler) pin the width per request instead of letting
         it float with the batch.
         """
         rows = [

@@ -1,8 +1,7 @@
-"""Batched kernels for the Section-5 scenario extensions and mechanism sweeps.
+"""Batched kernels for the Section-5 scenario extensions.
 
 The scalar scenario code of :mod:`repro.extensions` (travel costs, two-group
-competition, repeated dispersal) and :mod:`repro.mechanism.policy_design`
-(Theorems 4-6 policy sweeps) evaluates one instance per call; experiment
+competition, repeated dispersal) evaluates one instance per call; experiment
 grids re-enter it per cell and are dominated by Python-loop overhead.  This
 module evaluates the same models for whole instance batches at once:
 
@@ -16,11 +15,9 @@ module evaluates the same models for whole instance batches at once:
 * :func:`repeated_dispersal_batch` — a ``T``-step depletion loop over
   ``(B, M)`` expected-value tensors under the constant and adaptive
   ``sigma_star`` schedules, with the per-round visit probabilities taken from
-  :func:`~repro.utils.numerics.binomial_pmf_tensor`;
-* :func:`compare_policies_batch` / :func:`best_two_level_batch` — the
-  mechanism-design sweeps of a congestion-policy roster, re-exported from
-  their new home :mod:`repro.batch.mechanism` (they grew a batched
-  reward-design counterpart and moved in with it).
+  :func:`~repro.utils.numerics.binomial_pmf_tensor`.
+
+The mechanism-design sweeps (Theorems 4-6) live in :mod:`repro.batch.mechanism`.
 
 Conventions match the rest of :mod:`repro.batch`: instance batches ride on a
 host-canonical :class:`~repro.batch.padding.PaddedValues` (rows sorted
@@ -66,10 +63,6 @@ __all__ = [
     "two_group_competition_batch",
     "RepeatedDispersalBatch",
     "repeated_dispersal_batch",
-    "PolicyComparisonBatch",
-    "compare_policies_batch",
-    "BestTwoLevelBatch",
-    "best_two_level_batch",
 ]
 
 
@@ -343,7 +336,6 @@ def _grouped_ifd(
     ks: np.ndarray,
     roster: list[CongestionPolicy],
     be: Backend,
-    **ifd_kwargs,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row IFD for a per-row policy roster, grouped into ``ifd_batch`` calls.
 
@@ -362,7 +354,7 @@ def _grouped_ifd(
         rows_arr = np.asarray(rows, dtype=np.int64)
         sub = PaddedValues(padded.values[rows_arr], padded.sizes[rows_arr])
         unique_ks, columns = _solve_columns(ks[rows_arr])
-        batch = ifd_batch(sub, unique_ks, policies[key], backend=be, **ifd_kwargs)
+        batch = ifd_batch(sub, unique_ks, policies[key], backend=be)
         take = np.arange(rows_arr.size)
         probabilities[rows_arr] = batch.probabilities[take, columns, :]
         equilibrium_values[rows_arr] = batch.values[take, columns]
@@ -377,7 +369,6 @@ def two_group_competition_batch(
     k_second: Sequence[int] | np.ndarray | int | None = None,
     *,
     backend: Backend | str | None = None,
-    **ifd_kwargs,
 ) -> TwoGroupCompetitionBatch:
     """Sequential two-group competition for a whole batch of matchups.
 
@@ -402,8 +393,6 @@ def two_group_competition_batch(
         defaults to ``k_first``).
     backend:
         Array backend forwarded to the wave solvers.
-    **ifd_kwargs:
-        Extra solver options forwarded to :func:`ifd_batch`.
 
     Returns
     -------
@@ -423,7 +412,7 @@ def two_group_competition_batch(
     mask = padded.mask
 
     # First wave on the full values.
-    p1, v1 = _grouped_ifd(padded, ks1, first, be, **ifd_kwargs)
+    p1, v1 = _grouped_ifd(padded, ks1, first, be)
     visit1 = 1.0 - (1.0 - p1) ** ks1[:, None].astype(float)
     first_consumption = np.sum(f_host * visit1 * mask, axis=1)
 
@@ -432,7 +421,7 @@ def two_group_competition_batch(
     # row non-increasing so the padded batch honours the solver convention.
     leftovers = np.maximum(f_host * (1.0 - visit1), 1e-12)
     padded2, order = sorted_padded(leftovers, padded)
-    p2_sorted, v2 = _grouped_ifd(padded2, ks2, second, be, **ifd_kwargs)
+    p2_sorted, v2 = _grouped_ifd(padded2, ks2, second, be)
     p2 = unsort_rows(p2_sorted, order)
 
     visit2 = 1.0 - (1.0 - p2) ** ks2[:, None].astype(float)
@@ -645,17 +634,3 @@ def repeated_dispersal_batch(
         padded=padded,
     )
 
-
-# --------------------------------------------------------------------------
-# mechanism-design sweeps (Theorems 4-6) — moved to repro.batch.mechanism
-# --------------------------------------------------------------------------
-
-# Re-exported for backward compatibility: the congestion-policy roster sweeps
-# grew a reward-design counterpart and now live with it in
-# :mod:`repro.batch.mechanism`.
-from repro.batch.mechanism import (  # noqa: E402  (re-export)
-    BestTwoLevelBatch,
-    PolicyComparisonBatch,
-    best_two_level_batch,
-    compare_policies_batch,
-)

@@ -72,7 +72,6 @@ def spoa_batch(
     policy: CongestionPolicy,
     *,
     backend: Backend | str | None = None,
-    **ifd_kwargs,
 ) -> SPoABatch:
     """Per-instance SPoA of ``policy`` on every ``(instance, k)`` cell.
 
@@ -88,7 +87,7 @@ def spoa_batch(
     optimal = coverage_batch(padded, star.probabilities, ks, backend=be)
     # Reuse the closed-form solve for the equilibria of exclusive columns
     # instead of solving the same grid twice.
-    equilibrium = ifd_batch(padded, ks, policy, closed_form=star, backend=be, **ifd_kwargs)
+    equilibrium = ifd_batch(padded, ks, policy, closed_form=star, backend=be)
     eq_coverage = coverage_batch(padded, equilibrium.probabilities, ks, backend=be)
     positive = eq_coverage > 0
     ratios = np.where(positive, optimal / np.where(positive, eq_coverage, 1.0), np.inf)

@@ -875,7 +875,7 @@ def _run_serve(args: argparse.Namespace) -> str:
     if backend is not None or args.device is not None:
         try:
             # Serving runs in-process, so the resolved (device-pinned) handle
-            # can be handed to the coalescer directly instead of by name.
+            # can be handed to the scheduler directly instead of by name.
             backend = resolve_backend(backend, device=args.device)
         except BackendNotAvailableError as error:
             raise SystemExit(

@@ -46,10 +46,9 @@ def symmetric_equilibrium(
     values: SiteValues | np.ndarray,
     k: int,
     policy: CongestionPolicy,
-    **solver_kwargs,
 ) -> IFDResult:
     """The (unique) symmetric Nash equilibrium — a thin wrapper around the IFD solver."""
-    return ideal_free_distribution(values, k, policy, **solver_kwargs)
+    return ideal_free_distribution(values, k, policy)
 
 
 def verify_symmetric_equilibrium(

@@ -57,13 +57,12 @@ def spoa_instance(
     values: SiteValues | np.ndarray,
     k: int,
     policy: CongestionPolicy,
-    **solver_kwargs,
 ) -> SPoAInstance:
     """``Cover(p_star) / Cover(IFD)`` for one instance (the per-instance SPoA)."""
     k = check_positive_integer(k, "k")
     f = values if isinstance(values, SiteValues) else SiteValues.from_values(values)
     best = optimal_coverage(f, k)
-    equilibrium = ideal_free_distribution(f, k, policy, **solver_kwargs)
+    equilibrium = ideal_free_distribution(f, k, policy)
     eq_coverage = coverage(f, equilibrium.strategy, k)
     if eq_coverage <= 0:
         ratio = np.inf
@@ -138,7 +137,6 @@ def spoa_lower_bound_certificate(
     k: int,
     *,
     m: int | None = None,
-    **solver_kwargs,
 ) -> SPoAInstance:
     """Evaluate the per-instance SPoA on the Theorem 6 adversarial profile.
 
@@ -146,4 +144,4 @@ def spoa_lower_bound_certificate(
     ratio is a certificate that ``SPoA(C) > 1``.
     """
     values = adversarial_values(policy, k, m=m)
-    return spoa_instance(values, k, policy, **solver_kwargs)
+    return spoa_instance(values, k, policy)

@@ -47,7 +47,6 @@ from repro.experiments.executors import (
     TaskPayload,
     executor_names,
     make_executor,
-    register_executor,
 )
 from repro.experiments.store import ExperimentStore, cell_keys_for
 from repro.experiments.registry import (
@@ -74,7 +73,6 @@ __all__ = [
     "TaskPayload",
     "make_executor",
     "executor_names",
-    "register_executor",
     "ExperimentStore",
     "cell_keys_for",
     "ExperimentDefinition",

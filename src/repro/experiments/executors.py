@@ -74,7 +74,6 @@ __all__ = [
     "execute_chunk",
     "make_executor",
     "executor_names",
-    "register_executor",
     "send_message",
     "recv_message",
 ]
@@ -533,7 +532,7 @@ class DistributedExecutor(Executor):
 
 
 # ---------------------------------------------------------------------------
-# Strategy registry
+# Built-in strategies
 # ---------------------------------------------------------------------------
 
 _EXECUTORS: dict[str, Callable[..., Executor]] = {
@@ -546,22 +545,13 @@ _EXECUTORS: dict[str, Callable[..., Executor]] = {
 }
 
 
-def register_executor(name: str, factory: Callable[..., Executor]) -> None:
-    """Register (or override) an executor strategy under ``name``.
-
-    The factory is called as ``factory(workers=..., **options)`` by
-    :func:`make_executor`.
-    """
-    _EXECUTORS[str(name)] = factory
-
-
 def executor_names() -> tuple[str, ...]:
-    """Sorted names of the registered execution strategies."""
+    """Sorted names of the built-in execution strategies."""
     return tuple(sorted(_EXECUTORS))
 
 
 def make_executor(name: str, *, workers: int | None = None, **options: Any) -> Executor:
-    """Instantiate a registered execution strategy by name.
+    """Instantiate a built-in execution strategy by name.
 
     ``workers`` of ``None``/``0`` lets parallel strategies default to
     :func:`repro.utils.envinfo.available_cpus`.

@@ -46,7 +46,6 @@ from repro.utils.rng import spawn_seed_sequences
 __all__ = [
     "run_experiment",
     "coerce_seed",
-    "spawn_task_seeds",
     "chunk_grid",
     "auto_chunk_size",
     "resolve_batch_rows",
@@ -133,16 +132,6 @@ def coerce_seed(rng: np.random.Generator | int | None) -> int:
     if isinstance(rng, np.random.Generator):
         return int(rng.integers(0, 2**63 - 1))
     return int(rng)
-
-
-def spawn_task_seeds(seed: int, n_tasks: int) -> list[np.random.SeedSequence]:
-    """Derive one independent child ``SeedSequence`` per task index.
-
-    Thin alias of :func:`repro.utils.rng.spawn_seed_sequences`, which
-    documents the library-wide seed-derivation policy (root seed -> per-task
-    child streams keyed by grid index, stable under re-chunking).
-    """
-    return spawn_seed_sequences(int(seed), n_tasks)
 
 
 def _flatten(outputs: Iterable[Any]) -> tuple[Any, ...]:
@@ -243,7 +232,7 @@ def run_experiment(
         every cell is recomputed and rewritten.
     """
     workers = resolve_workers(max_workers)
-    seeds = spawn_task_seeds(spec.seed, spec.n_tasks)
+    seeds = spawn_seed_sequences(int(spec.seed), spec.n_tasks)
     task_backend = backend if backend is not None else spec.backend
     task_device = device if device is not None else spec.device
     payloads = [

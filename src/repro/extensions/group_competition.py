@@ -75,7 +75,6 @@ def two_group_competition(
     second_policy: CongestionPolicy,
     k_first: int,
     k_second: int | None = None,
-    **solver_kwargs,
 ) -> GroupCompetitionResult:
     """Sequential competition: ``first`` group feeds, then ``second`` feeds on leftovers.
 
@@ -97,7 +96,7 @@ def two_group_competition(
     f = values.as_array() if isinstance(values, SiteValues) else np.asarray(values, dtype=float)
 
     # First wave: equilibrium of the first group's rule on the full values.
-    first_eq = ideal_free_distribution(f, k_first, first_policy, **solver_kwargs)
+    first_eq = ideal_free_distribution(f, k_first, first_policy)
     visit_first = site_coverage_probabilities(first_eq.strategy, k_first)
     first_consumption = float(np.dot(f, visit_first))
 
@@ -106,9 +105,7 @@ def two_group_competition(
     # one contributes (numerically) nothing either way.
     leftovers = np.maximum(f * (1.0 - visit_first), 1e-12)
     order = np.argsort(-leftovers, kind="stable")
-    second_eq_sorted = ideal_free_distribution(
-        leftovers[order], k_second, second_policy, **solver_kwargs
-    )
+    second_eq_sorted = ideal_free_distribution(leftovers[order], k_second, second_policy)
     second_probs = np.empty_like(leftovers)
     second_probs[order] = second_eq_sorted.strategy.as_array()
     second_strategy = Strategy(second_probs)

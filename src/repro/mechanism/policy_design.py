@@ -47,7 +47,6 @@ def compare_policies(
     values: SiteValues | np.ndarray,
     k: int,
     policies: Sequence[CongestionPolicy],
-    **solver_kwargs,
 ) -> list[PolicyComparison]:
     """Evaluate each policy's IFD coverage against the coverage optimum.
 
@@ -55,7 +54,7 @@ def compare_policies(
     :func:`repro.batch.mechanism.compare_policies_batch`.
     """
     k = check_positive_integer(k, "k")
-    batch = compare_policies_batch([values], [k], list(policies), **solver_kwargs)
+    batch = compare_policies_batch([values], [k], list(policies))
     return [batch.comparison(index, 0, 0) for index in range(len(batch.policy_names))]
 
 
@@ -64,7 +63,6 @@ def best_two_level_policy(
     k: int,
     *,
     c_grid: np.ndarray | None = None,
-    **solver_kwargs,
 ) -> tuple[float, list[PolicyComparison]]:
     """Sweep the collision payoff ``c`` of the two-level family and pick the best.
 
@@ -79,7 +77,7 @@ def best_two_level_policy(
     tie-breaking in grid order).
     """
     k = check_positive_integer(k, "k")
-    batch = best_two_level_batch([values], [k], c_grid=c_grid, **solver_kwargs)
+    batch = best_two_level_batch([values], [k], c_grid=c_grid)
     rows = [
         batch.comparisons.comparison(index, 0, 0)
         for index in range(batch.c_grid.size)

@@ -33,13 +33,9 @@ Layers
     single-flight dedup, queue-depth/latency histograms.
 :mod:`repro.serving.executor`
     Kernel execution strategies: inline, thread pool, warm process pool.
-:mod:`repro.serving.coalescer`
-    The established :class:`BatchCoalescer` name, now a thin alias of the
-    scheduler.
 :mod:`repro.serving.http`
-    Dependency-free asyncio HTTP front (``repro-dispersal serve``).
-:mod:`repro.serving.fastapi_app`
-    The same routes as a FastAPI app (optional ``serve`` extra).
+    The HTTP front: a dependency-free asyncio server (``repro-dispersal
+    serve``).
 
 Benchmarked by ``benchmarks/bench_serving.py`` (``BENCH_serving.json``):
 latency-vs-load curves (low / medium / saturating), coalesced vs naive
@@ -48,7 +44,6 @@ speedup, CI-gated like the other families.
 """
 
 from repro.serving.cache import ResultCache
-from repro.serving.coalescer import BatchCoalescer
 from repro.serving.engine import (
     evaluate_group,
     evaluate_one,
@@ -63,7 +58,6 @@ from repro.serving.executor import (
     ThreadKernelExecutor,
     create_executor,
 )
-from repro.serving.fastapi_app import create_fastapi_app
 from repro.serving.http import EquilibriumService, RunningServer, serve_forever, start_server
 from repro.serving.requests import (
     CoverageTimeRequest,
@@ -76,7 +70,6 @@ from repro.serving.requests import (
 from repro.serving.scheduler import ContinuousBatchScheduler, QueueFullError
 
 __all__ = [
-    "BatchCoalescer",
     "ContinuousBatchScheduler",
     "QueueFullError",
     "ResultCache",
@@ -98,7 +91,6 @@ __all__ = [
     "ThreadKernelExecutor",
     "ProcessKernelExecutor",
     "create_executor",
-    "create_fastapi_app",
     "serve_forever",
     "start_server",
 ]

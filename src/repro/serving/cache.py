@@ -14,7 +14,7 @@ front runs on one event loop, but benchmarks and embedding applications may
 probe from worker threads.
 
 Cached payloads are returned by reference and must be treated as immutable
-(the coalescer only ever stores freshly built JSON-native dicts).
+(the scheduler only ever stores freshly built JSON-native dicts).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Batched evaluation of serving requests — the coalescer's kernel dispatch.
+"""Batched evaluation of serving requests — the scheduler's kernel dispatch.
 
-One flush of the coalescer hands a mixed list of requests to
+One dispatch of the scheduler hands a mixed list of requests to
 :func:`evaluate_requests`: requests are grouped by ``group_key`` (same
 family, policy roster and player-count signature, same padded-width
 bucket), each group is packed into one
@@ -266,5 +266,5 @@ def evaluate_requests(
 
 
 def evaluate_one(request: ServingRequest, *, backend: Backend | str | None = None) -> dict:
-    """The direct (batch-of-one) path — the reference the coalescer must match."""
+    """The direct (batch-of-one) path — the reference the scheduler must match."""
     return evaluate_requests([request], backend=backend)[0]

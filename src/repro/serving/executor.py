@@ -4,10 +4,10 @@ The scheduler (:mod:`repro.serving.scheduler`) turns queued requests into
 homogeneous groups; a :class:`KernelExecutor` decides *where* each group's
 batched kernel call runs:
 
-* :class:`InlineKernelExecutor` — on the event-loop thread, exactly like the
-  original coalescer.  One group at a time; a kernel call blocks the loop
-  for its duration.  Zero overhead, the right default for a single-CPU host
-  and the reference the other modes must match bit for bit.
+* :class:`InlineKernelExecutor` — on the event-loop thread.  One group at a
+  time; a kernel call blocks the loop for its duration.  Zero overhead, the
+  right default for a single-CPU host and the reference the other modes must
+  match bit for bit.
 * :class:`ThreadKernelExecutor` — a ``ThreadPoolExecutor``.  The event loop
   stays responsive (accepting connections, parsing requests and accumulating
   the next batch *while* kernels run), and NumPy's BLAS/ufunc inner loops

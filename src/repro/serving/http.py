@@ -15,19 +15,20 @@ web framework) exposing the scheduler over six routes:
                              and latency histograms + host environment
 ==================  =======  ==================================================
 
-Bodies and responses are JSON.  Malformed requests get ``400`` with an
-``{"error": ...}`` body; unknown routes ``404``.  When the scheduler's
-bounded pending queue is full, admission control answers ``503`` with a
-``Retry-After`` header estimating the drain time — shedding load at the
-door instead of letting queues grow without bound.  Connections are
-keep-alive (closed-loop load generators reuse them), one in-flight request
-per connection — concurrency comes from many connections, which is exactly
-the regime the scheduler packs into shared kernel calls.
-
-For a production deployment behind a real ASGI stack, see
-:func:`repro.serving.fastapi_app.create_fastapi_app` (``pip install
-repro-dispersal[serve]``); this module is the zero-dependency reference
-front used by the CLI (``repro-dispersal serve``) and the benchmark.
+Bodies and responses are strict JSON (no ``NaN``/``Infinity``: a payload
+that cannot be encoded that way is answered ``500``).  Malformed requests
+get ``400`` with an ``{"error": ...}`` body; unknown routes ``404``.  A
+request or header line longer than the stream limit (64 KiB) is answered
+``431``; a request whose headers and body do not arrive within
+``_REQUEST_TIMEOUT_S`` of its request line is answered ``408``.  Both close
+the connection.  When the scheduler's bounded pending queue is full,
+admission control answers ``503`` with a ``Retry-After`` header estimating
+the drain time — shedding load at the door instead of letting queues grow
+without bound.  Connections are keep-alive (closed-loop load generators
+reuse them, and the wait for a connection's next request is not timed), one
+in-flight request per connection — concurrency comes from many
+connections, which is exactly the regime the scheduler packs into shared
+kernel calls.
 """
 
 from __future__ import annotations
@@ -38,23 +39,87 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.serving.cache import ResultCache
-from repro.serving.coalescer import BatchCoalescer
 from repro.serving.executor import create_executor
 from repro.serving.requests import parse_request
-from repro.serving.scheduler import QueueFullError
+from repro.serving.scheduler import ContinuousBatchScheduler, QueueFullError
 from repro.utils.envinfo import environment_metadata
 
 __all__ = ["EquilibriumService", "start_server", "serve_forever"]
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Seconds a client has, once a request line arrived, to send its headers and body.
+_REQUEST_TIMEOUT_S = 10.0
 _POST_KINDS = ("solve", "sweep", "mechanism", "coverage-times")
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
+            408: "Request Timeout", 413: "Payload Too Large",
+            431: "Request Header Fields Too Large", 500: "Internal Server Error",
+            503: "Service Unavailable"}
+
+
+class _Rejected(Exception):
+    """A request answered with ``status`` and an error body, then the connection closes."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class _Deadline:
+    """One request's read deadline: on expiry it cancels the reading task.
+
+    ``expired`` tells that cancellation apart from a server shutdown.
+    """
+
+    __slots__ = ("expired", "_timer")
+
+    def __init__(self, task: asyncio.Task) -> None:
+        self.expired = False
+        self._timer = asyncio.get_running_loop().call_later(
+            _REQUEST_TIMEOUT_S, self._expire, task
+        )
+
+    def _expire(self, task: asyncio.Task) -> None:
+        self.expired = True
+        task.cancel()
+
+    def cancel(self) -> None:
+        self._timer.cancel()
+
+
+async def _read_request(
+    reader: asyncio.StreamReader, request_line: bytes
+) -> tuple[str, str, dict[str, str], bytes]:
+    """Parse one request after its request line: ``(method, path, headers, body)``.
+
+    Bad input raises :exc:`_Rejected`; the only ``ValueError`` that escapes is
+    ``readline``'s for a line over the stream limit.
+    """
+    try:
+        method, path, _version = request_line.decode("latin-1").split(None, 2)
+    except ValueError:
+        raise _Rejected(400, "malformed request line") from None
+    headers: dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    try:
+        length = int(headers.get("content-length", "0") or "0")
+    except ValueError:
+        raise _Rejected(400, "bad Content-Length") from None
+    if length < 0 or length > _MAX_BODY_BYTES:
+        raise _Rejected(413, "body too large")
+    body = await reader.readexactly(length) if length else b""
+    return method, path, headers, body
 
 
 class EquilibriumService:
-    """Routes HTTP requests into a :class:`~repro.serving.coalescer.BatchCoalescer`."""
+    """Routes HTTP requests into a :class:`~repro.serving.scheduler.ContinuousBatchScheduler`."""
 
-    def __init__(self, coalescer: BatchCoalescer) -> None:
-        self.coalescer = coalescer
+    def __init__(self, scheduler: ContinuousBatchScheduler) -> None:
+        self.scheduler = scheduler
 
     # ---------------------------------------------------------------- routing
     async def dispatch(
@@ -66,7 +131,7 @@ class EquilibriumService:
             return 200, {"status": "ok"}, {}
         if method == "GET" and path == "/stats":
             return 200, {
-                "coalescer": self.coalescer.stats(),
+                "coalescer": self.scheduler.stats(),
                 "environment": environment_metadata(),
             }, {}
         kind = path.lstrip("/")
@@ -82,7 +147,7 @@ class EquilibriumService:
             except (TypeError, ValueError) as error:
                 return 400, {"error": str(error)}, {}
             try:
-                return 200, await self.coalescer.submit(request), {}
+                return 200, await self.scheduler.submit(request), {}
             except QueueFullError as error:
                 retry_after = max(1, round(error.retry_after))
                 return 503, {
@@ -98,32 +163,30 @@ class EquilibriumService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Serve one keep-alive connection until the peer closes it."""
+        task = asyncio.current_task()
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line or request_line.strip() == b"":
-                    break
                 try:
-                    method, path, _version = request_line.decode("latin-1").split(None, 2)
-                except ValueError:
-                    await self._respond(writer, 400, {"error": "malformed request line"})
-                    break
-                headers: dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
+                    # The wait for the next request is untimed (keep-alive);
+                    # once its request line is in, one deadline covers the rest.
+                    request_line = await reader.readline()
+                    if not request_line.strip():
                         break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                try:
-                    length = int(headers.get("content-length", "0") or "0")
-                except ValueError:
-                    await self._respond(writer, 400, {"error": "bad Content-Length"})
+                    deadline = _Deadline(task)
+                    try:
+                        method, path, headers, body = await _read_request(reader, request_line)
+                    except asyncio.CancelledError:
+                        if not deadline.expired:
+                            raise
+                        raise _Rejected(408, "request not received in time") from None
+                    finally:
+                        deadline.cancel()
+                except ValueError:  # a line overran the stream limit (LimitOverrunError)
+                    await self._respond(writer, 431, {"error": "request or header line too long"})
                     break
-                if length < 0 or length > _MAX_BODY_BYTES:
-                    await self._respond(writer, 413, {"error": "body too large"})
+                except _Rejected as error:
+                    await self._respond(writer, error.status, {"error": str(error)})
                     break
-                body = await reader.readexactly(length) if length else b""
                 status, payload, extra = await self.dispatch(method.upper(), path, body)
                 keep_alive = headers.get("connection", "").lower() != "close"
                 await self._respond(
@@ -151,15 +214,16 @@ class EquilibriumService:
         keep_alive: bool = False,
         extra_headers: dict[str, str] | None = None,
     ) -> None:
-        reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                   405: "Method Not Allowed", 413: "Payload Too Large",
-                   500: "Internal Server Error", 503: "Service Unavailable"}
-        body = json.dumps(payload).encode("utf-8")
+        try:
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        except (TypeError, ValueError) as error:
+            status, extra_headers = 500, None
+            body = json.dumps({"error": f"answer is not valid JSON: {error}"}).encode("utf-8")
         extras = "".join(
             f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()
         )
         head = (
-            f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}\r\n"
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"{extras}"
@@ -185,7 +249,7 @@ class RunningServer:
     async def close(self) -> None:
         self.server.close()
         await self.server.wait_closed()
-        await self.service.coalescer.close()
+        await self.service.scheduler.close()
 
     async def __aenter__(self) -> "RunningServer":
         return self
@@ -198,7 +262,7 @@ async def start_server(
     host: str = "127.0.0.1",
     port: int = 8080,
     *,
-    coalescer: BatchCoalescer | None = None,
+    scheduler: ContinuousBatchScheduler | None = None,
     max_batch: int = 64,
     max_wait_ms: float = 2.0,
     cache_size: int = 4096,
@@ -209,15 +273,15 @@ async def start_server(
 ) -> RunningServer:
     """Bind the service and return a handle (``port=0`` picks a free port).
 
-    Without an explicit ``coalescer``, one is built from ``max_batch`` /
+    Without an explicit ``scheduler``, one is built from ``max_batch`` /
     ``max_wait_ms`` / ``cache_size`` (``cache_size=0`` disables the cache),
     with a bounded pending queue of ``max_pending`` requests and kernel
     execution on ``executor`` (``"inline"``, ``"thread"`` or ``"process"``;
     ``workers`` sizes the pool, defaulting to the visible CPU count).
     """
-    if coalescer is None:
+    if scheduler is None:
         cache = ResultCache(cache_size) if cache_size > 0 else None
-        coalescer = BatchCoalescer(
+        scheduler = ContinuousBatchScheduler(
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
             cache=cache,
@@ -225,7 +289,7 @@ async def start_server(
             executor=create_executor(executor, max_workers=workers, backend=backend),
             max_pending=max_pending,
         )
-    service = EquilibriumService(coalescer)
+    service = EquilibriumService(scheduler)
     server = await asyncio.start_server(service.handle_connection, host, port)
     return RunningServer(server=server, service=service)
 
@@ -236,7 +300,7 @@ async def serve_forever(host: str, port: int, **options: Any) -> None:
     addresses = ", ".join(
         f"{sock.getsockname()[0]}:{sock.getsockname()[1]}" for sock in running.server.sockets
     )
-    scheduler = running.service.coalescer
+    scheduler = running.service.scheduler
     print(f"repro-dispersal serving on {addresses} "
           f"(max_batch={scheduler.max_batch}, max_wait_ms={scheduler.max_wait_ms}, "
           f"executor={scheduler.executor.mode}, max_pending={scheduler.max_pending})")

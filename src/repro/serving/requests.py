@@ -1,7 +1,7 @@
 """Typed request models of the online equilibrium service.
 
 Three request families mirror the service endpoints (and the three batched
-kernel families the coalescer dispatches to):
+kernel families the scheduler dispatches to):
 
 * :class:`SolveRequest` — one equilibrium: instance + player count + one
   congestion policy (:func:`~repro.batch.ifd.ifd_batch`, which
@@ -16,7 +16,7 @@ Requests canonicalise their payload at construction (values sorted
 non-increasing, grids as sorted unique tuples — see
 :mod:`repro.utils.canonical`), so two requests are equal exactly when they
 denote the same mathematical question; ``cache_key`` is the matching
-content-addressed hash.  ``group_key`` identifies requests the coalescer may
+content-addressed hash.  ``group_key`` identifies requests the scheduler may
 pack into one kernel call: same family, policy roster and player-count
 signature, same padded-width bucket (:attr:`ServingRequest.pad_width`) — a
 group is homogeneous in everything but the instance, so coalescing only ever
@@ -100,7 +100,7 @@ class ServingRequest:
         """The power-of-two padded width this request's group is packed to.
 
         Reduction trees over the site axis (pairwise summation, device
-        reductions) depend on the padded length, so the coalescer only packs
+        reductions) depend on the padded length, so the scheduler only packs
         requests of the same width bucket together and pads the batch to
         exactly that bucket — the direct (batch-of-one) path then reduces
         over identically shaped arrays and answers stay bit-identical no
@@ -216,7 +216,7 @@ class CoverageTimeRequest(ServingRequest):
     The exact kernels enumerate ``2**M`` subsets for non-uniform rows, so a
     non-uniform distribution wider than
     :data:`~repro.batch.coverage_times.DEFAULT_MAX_EXACT_SITES` is refused
-    at construction (the HTTP fronts answer ``400``); exactly-uniform
+    at construction (the HTTP front answers ``400``); exactly-uniform
     distributions take an ``O(M)`` closed-form merge and are accepted at any
     width.
     """

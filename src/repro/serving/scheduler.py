@@ -1,12 +1,9 @@
 """Continuous-batching scheduler: adaptive accumulation + admission control.
 
-The original coalescer held *every* request for a fixed ``max_wait_ms``
-window — great for throughput (batches fill), terrible for light-load
-latency (a lone request waits the full window: ``BENCH_serving.json``
-showed coalescing regress p50 from 0.44 ms to 6.8 ms).  The
-:class:`ContinuousBatchScheduler` replaces the fixed window with the
-vLLM-style rule *dispatch immediately when idle, accumulate only under
-pressure*:
+A fixed ``max_wait_ms`` window that holds *every* request fills batches
+but ruins light-load latency: a lone request waits the full window.  The
+:class:`ContinuousBatchScheduler` follows the vLLM-style rule *dispatch
+immediately when idle, accumulate only under pressure*:
 
 * **Idle → dispatch now.**  When nothing is in flight, the next event-loop
   tick dispatches whatever is queued (usually one request).  A lone request
@@ -26,18 +23,14 @@ pressure*:
   can wait for that target.
 * **Admission control.**  The pending queue is bounded (``max_pending``);
   overflow raises :exc:`QueueFullError` carrying a ``retry_after`` estimate
-  derived from the observed service rate, which the HTTP fronts map to
+  derived from the observed service rate, which the HTTP front maps to
   ``503`` + ``Retry-After``.  Queue-depth and latency histograms are kept
   for ``/stats``.
 
-Everything the bit-identity contract relies on is unchanged: grouping,
-packing and kernel dispatch are exactly
-:func:`~repro.serving.engine.evaluate_group` on canonical host tuples, the
-cache and single-flight layers sit in front of the queue as before, and a
+The bit-identity contract rests on grouping, packing and kernel dispatch
+being exactly :func:`~repro.serving.engine.evaluate_group` on canonical host
+tuples; the cache and single-flight layers sit in front of the queue, and a
 failing group settles only its own callers.
-
-:class:`~repro.serving.coalescer.BatchCoalescer` is now a thin alias of
-this scheduler (inline executor), so existing imports keep working.
 """
 
 from __future__ import annotations
@@ -65,7 +58,7 @@ class QueueFullError(RuntimeError):
     ----------
     retry_after:
         Suggested back-off in seconds, estimated from the observed service
-        rate; the HTTP fronts surface it as a ``Retry-After`` header.
+        rate; the HTTP front surfaces it as a ``Retry-After`` header.
     """
 
     def __init__(self, message: str, *, retry_after: float = 1.0) -> None:
@@ -162,7 +155,7 @@ class ContinuousBatchScheduler:
         self._last_arrival: float | None = None
         self._ewma_interarrival: float | None = None
         self._ewma_service: float | None = None
-        # Lifetime counters (stats() keys are shared with the old coalescer).
+        # Lifetime counters, reported by stats().
         self._n_requests = 0
         self._n_cache_hits = 0
         self._n_singleflight = 0
@@ -381,9 +374,8 @@ class ContinuousBatchScheduler:
     def stats(self) -> dict[str, Any]:
         """Lifetime counters: scheduling, admission, cache and memo behaviour.
 
-        Keys of the original fixed-window coalescer are preserved
-        (``batches`` counts dispatch events, ``largest_batch`` the largest
-        event); new keys cover the executor, admission control, the
+        ``batches`` counts dispatch events and ``largest_batch`` the largest
+        one; further keys cover the executor, admission control, the
         queue-depth/latency histograms and the pmf-plan memo.
         """
         return {

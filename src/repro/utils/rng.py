@@ -1,9 +1,8 @@
 """One home for random-number plumbing: generators, spawning, seed policy.
 
-Every stochastic entry point of the library funnels its randomness through
-this module (it absorbed the old ``repro.simulation.rng`` helpers and the
-``SeedSequence``-spawning logic that lived in the experiment runner), so the
-seed-derivation policy is written down exactly once:
+Every stochastic entry point of the library, the experiment runner's
+per-task ``SeedSequence`` spawning included, funnels its randomness through
+this module, so the seed-derivation policy is written down exactly once:
 
 **Seed-derivation policy.**
 

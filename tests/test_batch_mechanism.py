@@ -138,12 +138,6 @@ class TestOptimalGrantDesignBatch:
 
 
 class TestRosterSweepsMoved:
-    def test_backward_compatible_import_from_scenarios(self):
-        from repro.batch import scenarios
-
-        assert scenarios.compare_policies_batch is compare_policies_batch
-        assert scenarios.best_two_level_batch is best_two_level_batch
-
     def test_compare_policies_batch_matches_scalar(self, rng):
         instances = [SiteValues.zipf(5), SiteValues.random(4, rng)]
         padded = PaddedValues.from_instances(instances)

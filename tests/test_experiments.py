@@ -20,9 +20,10 @@ from repro.experiments import (
     run_experiment,
     run_registered,
 )
-from repro.experiments.runner import resolve_workers, spawn_task_seeds
+from repro.experiments.runner import resolve_workers
 from repro.utils.envinfo import available_cpus
 from repro.utils.io import read_csv
+from repro.utils.rng import spawn_seed_sequences
 
 SMALL_GRID = dict(m_values=(4,), k_values=(2, 3), n_random=1)
 
@@ -93,8 +94,8 @@ class TestRegistry:
 
 class TestRunner:
     def test_seed_spawning_is_deterministic(self):
-        a = [s.generate_state(2).tolist() for s in spawn_task_seeds(7, 4)]
-        b = [s.generate_state(2).tolist() for s in spawn_task_seeds(7, 4)]
+        a = [s.generate_state(2).tolist() for s in spawn_seed_sequences(7, 4)]
+        b = [s.generate_state(2).tolist() for s in spawn_seed_sequences(7, 4)]
         assert a == b
         assert a[0] != a[1]
 

@@ -83,20 +83,3 @@ class TestSpawnGenerators:
     def test_validation(self):
         with pytest.raises(ValueError):
             spawn_generators(0, 1)
-
-
-class TestBackwardCompatibleShim:
-    def test_simulation_rng_reexports(self):
-        from repro.simulation import rng as shim
-
-        assert shim.as_generator is as_generator
-        assert shim.spawn_generators is spawn_generators
-        assert shim.spawn_seed_sequences is spawn_seed_sequences
-
-    def test_runner_spawn_task_seeds_delegates(self):
-        from repro.experiments.runner import spawn_task_seeds
-
-        ours = spawn_seed_sequences(42, 3)
-        theirs = spawn_task_seeds(42, 3)
-        for a, b in zip(ours, theirs):
-            assert np.random.default_rng(a).random() == np.random.default_rng(b).random()

@@ -1,4 +1,4 @@
-"""Tests of the online equilibrium service: hashing, cache, coalescer, HTTP.
+"""Tests of the online equilibrium service: hashing, cache, scheduler, HTTP.
 
 The asyncio pieces run through ``asyncio.run`` inside synchronous tests, so
 the suite needs no async test plugin.  The bit-identity battery is the
@@ -20,7 +20,6 @@ from repro.batch.ifd import ifd_batch
 from repro.core.ifd import ideal_free_distribution
 from repro.core.values import SiteValues
 from repro.serving import (
-    BatchCoalescer,
     ContinuousBatchScheduler,
     CoverageTimeRequest,
     EquilibriumService,
@@ -239,16 +238,16 @@ class TestEngine:
 
 
 # --------------------------------------------------------------------------
-# coalescer
+# scheduler
 # --------------------------------------------------------------------------
 class TestCoalescer:
     def test_concurrent_submits_coalesce_into_one_batch(self):
         async def run():
-            coalescer = BatchCoalescer(max_batch=64, max_wait_ms=5.0)
+            scheduler = ContinuousBatchScheduler(max_batch=64, max_wait_ms=5.0)
             requests = [SolveRequest(random_values(10 + i), k=3) for i in range(8)]
-            answers = await asyncio.gather(*(coalescer.submit(r) for r in requests))
-            await coalescer.close()
-            return answers, coalescer.stats(), [evaluate_one(r) for r in requests]
+            answers = await asyncio.gather(*(scheduler.submit(r) for r in requests))
+            await scheduler.close()
+            return answers, scheduler.stats(), [evaluate_one(r) for r in requests]
 
         answers, stats, direct = asyncio.run(run())
         assert answers == direct
@@ -256,11 +255,11 @@ class TestCoalescer:
 
     def test_max_batch_triggers_immediate_flush(self):
         async def run():
-            coalescer = BatchCoalescer(max_batch=2, max_wait_ms=60_000.0)
+            scheduler = ContinuousBatchScheduler(max_batch=2, max_wait_ms=60_000.0)
             requests = [SolveRequest(random_values(10 + i), k=3) for i in range(4)]
-            answers = await asyncio.gather(*(coalescer.submit(r) for r in requests))
-            await coalescer.close()
-            return answers, coalescer.stats()
+            answers = await asyncio.gather(*(scheduler.submit(r) for r in requests))
+            await scheduler.close()
+            return answers, scheduler.stats()
 
         answers, stats = asyncio.run(run())
         assert len(answers) == 4 and stats["batches"] == 2
@@ -268,14 +267,14 @@ class TestCoalescer:
 
     def test_single_flight_dedup(self):
         async def run():
-            coalescer = BatchCoalescer(max_batch=64, max_wait_ms=5.0)
+            scheduler = ContinuousBatchScheduler(max_batch=64, max_wait_ms=5.0)
             request = SolveRequest(random_values(11), k=3)
             duplicate = SolveRequest(list(reversed(request.values)), k=3)
             answers = await asyncio.gather(
-                *(coalescer.submit(r) for r in (request, duplicate, request))
+                *(scheduler.submit(r) for r in (request, duplicate, request))
             )
-            await coalescer.close()
-            return answers, coalescer.stats()
+            await scheduler.close()
+            return answers, scheduler.stats()
 
         answers, stats = asyncio.run(run())
         assert answers[0] == answers[1] == answers[2]
@@ -283,12 +282,14 @@ class TestCoalescer:
 
     def test_cache_hits_skip_the_queue(self):
         async def run():
-            coalescer = BatchCoalescer(max_batch=64, max_wait_ms=1.0, cache=ResultCache(8))
+            scheduler = ContinuousBatchScheduler(
+                max_batch=64, max_wait_ms=1.0, cache=ResultCache(8)
+            )
             request = SolveRequest(random_values(11), k=3)
-            first = await coalescer.submit(request)
-            second = await coalescer.submit(SolveRequest(request.values, k=3))
-            await coalescer.close()
-            return first, second, coalescer.stats()
+            first = await scheduler.submit(request)
+            second = await scheduler.submit(SolveRequest(request.values, k=3))
+            await scheduler.close()
+            return first, second, scheduler.stats()
 
         first, second, stats = asyncio.run(run())
         assert first == second
@@ -297,21 +298,21 @@ class TestCoalescer:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            BatchCoalescer(max_batch=0)
+            ContinuousBatchScheduler(max_batch=0)
         with pytest.raises(ValueError):
-            BatchCoalescer(max_wait_ms=-1.0)
+            ContinuousBatchScheduler(max_wait_ms=-1.0)
 
     def test_failing_group_does_not_poison_others(self):
         async def run():
-            coalescer = BatchCoalescer(max_batch=64, max_wait_ms=5.0)
+            scheduler = ContinuousBatchScheduler(max_batch=64, max_wait_ms=5.0)
             good = SolveRequest(random_values(9), k=3)
             bad = SolveRequest(random_values(9), k=3, policy="sharing")
             # Sabotage only the sharing group's evaluator path.
             object.__setattr__(bad, "policy", "no-such-policy")
             results = await asyncio.gather(
-                coalescer.submit(good), coalescer.submit(bad), return_exceptions=True
+                scheduler.submit(good), scheduler.submit(bad), return_exceptions=True
             )
-            await coalescer.close()
+            await scheduler.close()
             return results
 
         good_answer, bad_answer = asyncio.run(run())
@@ -564,13 +565,13 @@ class TestHTTPServer:
 
     def test_queue_full_maps_to_503_with_retry_after(self):
         async def run():
-            coalescer = BatchCoalescer(max_batch=4, max_wait_ms=1.0)
+            scheduler = ContinuousBatchScheduler(max_batch=4, max_wait_ms=1.0)
 
             async def always_full(request):
                 raise QueueFullError("pending queue is full", retry_after=2.4)
 
-            coalescer.submit = always_full  # type: ignore[method-assign]
-            async with await start_server("127.0.0.1", 0, coalescer=coalescer) as running:
+            scheduler.submit = always_full  # type: ignore[method-assign]
+            async with await start_server("127.0.0.1", 0, scheduler=scheduler) as running:
                 reader, writer = await asyncio.open_connection("127.0.0.1", running.port)
                 body = json.dumps({"values": [1.0, 0.5], "k": 2}).encode()
                 writer.write(
@@ -601,25 +602,121 @@ class TestHTTPServer:
 
         status, stats = asyncio.run(run())
         assert status == 200
-        coalescer_stats = stats["coalescer"]
-        assert coalescer_stats["max_pending"] == 7
-        assert coalescer_stats["cache"]["max_entries"] == 32
-        assert coalescer_stats["executor"] == {"mode": "thread", "concurrency": 2}
+        scheduler_stats = stats["coalescer"]
+        assert scheduler_stats["max_pending"] == 7
+        assert scheduler_stats["cache"]["max_entries"] == 32
+        assert scheduler_stats["executor"] == {"mode": "thread", "concurrency": 2}
 
 
-class TestFastAPIFront:
-    def test_create_app_or_clear_install_hint(self):
-        try:
-            import fastapi  # noqa: F401
+async def raw_exchange(port: int, data: bytes, timeout: float = 3.0) -> bytes:
+    """Send raw bytes, then read until the server closes (or ``timeout``)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(data)
+    await writer.drain()
+    try:
+        return await asyncio.wait_for(reader.read(), timeout)
+    except asyncio.TimeoutError:
+        return b"<no answer before the client timeout>"
+    finally:
+        writer.close()
 
-            has_fastapi = True
-        except ImportError:
-            has_fastapi = False
-        from repro.serving import create_fastapi_app
 
-        if has_fastapi:
-            app = create_fastapi_app()
-            assert app is not None
-        else:
-            with pytest.raises(RuntimeError, match="serve"):
-                create_fastapi_app()
+def strict_json(raw: bytes) -> dict:
+    """The body of a raw response, parsed as strict JSON (no NaN/Infinity)."""
+
+    def reject(constant: str) -> None:
+        raise ValueError(f"non-JSON constant {constant}")
+
+    _, _, body = raw.partition(b"\r\n\r\n")
+    return json.loads(body, parse_constant=reject)
+
+
+class TestHTTPBoundary:
+    """Slow, oversized and non-finite traffic still gets a status and a JSON body."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=["header-line", "request-line"],
+    )
+    def test_overlong_line_is_a_431(self, data):
+        async def run():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            async with await start_server("127.0.0.1", 0) as running:
+                raw = await raw_exchange(running.port, data)
+            return raw, unhandled
+
+        raw, unhandled = asyncio.run(run())
+        assert raw.startswith(b"HTTP/1.1 431")
+        assert b"Connection: close" in raw
+        assert "too long" in strict_json(raw)["error"]
+        assert unhandled == []
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"POST /solve HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+            b"POST /solve HTTP/1.1\r\nContent-Length: 2\r\n",
+        ],
+        ids=["short-body", "unfinished-headers"],
+    )
+    def test_request_that_never_arrives_is_a_408(self, monkeypatch, data):
+        import repro.serving.http as http
+
+        monkeypatch.setattr(http, "_REQUEST_TIMEOUT_S", 0.2)
+
+        async def run():
+            async with await start_server("127.0.0.1", 0) as running:
+                return await raw_exchange(running.port, data)
+
+        raw = asyncio.run(run())
+        assert raw.startswith(b"HTTP/1.1 408")
+        assert b"Connection: close" in raw
+        assert "in time" in strict_json(raw)["error"]
+
+    def test_idle_keep_alive_connection_is_not_timed(self, monkeypatch):
+        import repro.serving.http as http
+
+        monkeypatch.setattr(http, "_REQUEST_TIMEOUT_S", 0.2)
+
+        async def run():
+            async with await start_server("127.0.0.1", 0) as running:
+                reader, writer = await asyncio.open_connection("127.0.0.1", running.port)
+                writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+                first = await reader.readuntil(b"}")
+                await asyncio.sleep(0.5)
+                writer.write(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                second = await asyncio.wait_for(reader.read(), 3.0)
+                writer.close()
+                return first, second
+
+        first, second = asyncio.run(run())
+        assert first.startswith(b"HTTP/1.1 200")
+        assert second.startswith(b"HTTP/1.1 200")
+
+    def test_non_finite_answer_is_a_500_with_strict_json(self):
+        async def run():
+            scheduler = ContinuousBatchScheduler()
+
+            async def non_finite(request):
+                return {"equilibrium_value": float("nan"), "coverage": float("inf")}
+
+            scheduler.submit = non_finite  # type: ignore[method-assign]
+            async with await start_server("127.0.0.1", 0, scheduler=scheduler) as running:
+                body = json.dumps({"values": [1.0, 0.5], "k": 2}).encode()
+                return await raw_exchange(
+                    running.port,
+                    b"POST /solve HTTP/1.1\r\nConnection: close\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + body,
+                )
+
+        raw = asyncio.run(run())
+        assert raw.startswith(b"HTTP/1.1 500")
+        assert "not valid JSON" in strict_json(raw)["error"]
