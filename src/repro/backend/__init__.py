@@ -30,7 +30,7 @@ Conventions
   arrays flowing between kernels stay backend-native.
 * Randomness always comes from host ``numpy.random`` generators (seeds are
   part of the experiment contract) and is transferred per batch.
-* Genuinely NumPy-only operations (``bincount``, ``einsum``, error-state)
+* Genuinely NumPy-only operations (``bincount``, error-state)
   are isolated in :mod:`repro.backend.adapters`.
 
 Selection order: ``use_backend`` context > :func:`set_default_backend` >
@@ -43,7 +43,6 @@ from repro.backend.adapters import (
     asarray_float,
     batched_bincount,
     bincount,
-    contract_occupancy,
     ensure_numpy,
     errstate_ignore,
     expected_transfer,
@@ -91,7 +90,6 @@ __all__ = [
     "asarray_float",
     "batched_bincount",
     "bincount",
-    "contract_occupancy",
     "ensure_numpy",
     "errstate_ignore",
     "expected_transfer",

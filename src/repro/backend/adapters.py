@@ -38,7 +38,6 @@ __all__ = [
     "asarray_float",
     "batched_bincount",
     "bincount",
-    "contract_occupancy",
     "ensure_numpy",
     "errstate_ignore",
     "expected_transfer",
@@ -244,20 +243,6 @@ def asarray_float(backend: Backend, obj: Any) -> Any:
 
 def _dtype_of(obj: Any) -> Any:
     return getattr(obj, "dtype", None)
-
-
-def contract_occupancy(backend: Backend, pmf: Any, tables: Any) -> Any:
-    """Contract ``(B, M, J)`` occupancy PMFs with per-row ``(B, J)`` tables.
-
-    The NumPy (and any einsum-capable) backend keeps the original
-    ``einsum("bmj,bj->bm")`` formulation, which avoids materialising the
-    ``(B, M, J)`` product; standard-only namespaces fall back to a
-    broadcast multiply plus reduction — same result, one extra temporary.
-    """
-    if backend.supports_einsum:
-        return backend.xp.einsum("bmj,bj->bm", pmf, tables)
-    xp = backend.xp
-    return xp.sum(pmf * tables[:, None, :], axis=2)
 
 
 def take_along_axis(backend: Backend, array: Any, indices: Any, *, axis: int) -> Any:

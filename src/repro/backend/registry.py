@@ -111,9 +111,9 @@ class Backend:
         NumPy fast paths (``einsum``, fancy assignment) byte-identical to the
         pre-backend code.
     supports_einsum:
-        Namespace has ``einsum`` (not part of the Array-API standard);
-        :func:`repro.backend.adapters.contract_occupancy` falls back to a
-        broadcast-multiply-reduce when it is missing.
+        Namespace has ``einsum`` (not part of the Array-API standard); the
+        kernels that use it fall back to a broadcast-multiply-reduce when it
+        is missing.
     supports_fancy_assignment:
         Namespace supports NumPy-style integer-array ``__setitem__``
         (scatter).  The :class:`repro.batch.dynamics.DynamicsEngine` only

@@ -20,8 +20,9 @@ the compilation machinery out of the engine:
 * The compiled callable has the signature ``(rule, states, t) -> (new,
   payoffs)`` and simply dispatches to ``rule.step(states, t, None)`` — the
   full-batch step used by the engine's device-resident loop, which performs
-  no host transfers and therefore traces without graph breaks (see
-  :func:`repro.utils.numerics.make_binomial_pmf_plan`).
+  no host transfers and therefore traces without graph breaks (its
+  congestion factor comes from the evaluator staged at engine construction,
+  :func:`repro.batch.ifd.bernstein_evaluator`).
 
 Agreement with eager stepping is elementwise-tolerance tested in
 ``tests/test_device.py`` over the full rule grid on ragged widths.

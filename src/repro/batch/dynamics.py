@@ -12,7 +12,11 @@ step, record at strides, stop on tolerance or iteration cap.  The
   smoothed best response and the invasion share dynamic;
 * **one ``nu`` per step** — payoff-driven rules receive the batched
   ``site_values`` evaluation exactly once per iteration and derive mean
-  payoff, best response and update direction from it;
+  payoff, best response and update direction from it.  Its congestion
+  factor ``g_b(q)`` comes from the IFD solver's
+  :func:`~repro.batch.ifd.bernstein_evaluator`, built once per engine from
+  the congestion tables (de Casteljau up to ``k = 25``, log-space binomial
+  laws above);
 * **per-row convergence masking** — rows that meet the tolerance (or a rule's
   own halting condition) are frozen and dropped from subsequent kernel
   evaluations, and the loop exits early once every row is done;
@@ -22,10 +26,10 @@ step, record at strides, stop on tolerance or iteration cap.  The
 
 The stepping math is pure Array-API code on the backend resolved at engine
 construction (:mod:`repro.backend`).  On NumPy the engine steps only the
-active row subset and scatters back in place — byte-identical to the
-pre-backend engine.  On every other backend the run is *device-resident*:
-all constants (padded values, masks, congestion tables, the binomial-PMF
-plan, rule-specific shifts) are staged once at construction under an
+active row subset (the evaluator takes the subset's rows) and scatters back
+in place.  On every other backend the run is *device-resident*:
+all constants (padded values, masks, the evaluator's congestion
+coefficients, rule-specific shifts) are staged once at construction under an
 expected-transfer boundary, the full batch is stepped each iteration with
 finished rows frozen by ``where``, and the convergence mask, iteration
 counters and trajectory snapshots live on the device until one documented
@@ -60,15 +64,11 @@ from repro.backend import (
 )
 from repro.batch.compiled import compiled_step_for
 from repro.batch.padding import PaddedValues
-from repro.batch.payoffs import (
-    as_k_vector,
-    congestion_table_batch,
-    occupancy_congestion_factor_batch,
-)
+from repro.batch.ifd import bernstein_evaluator
+from repro.batch.payoffs import as_k_vector, congestion_table_batch
 from repro.batch.solvers import as_padded
 from repro.core.policies import CongestionPolicy
 from repro.core.strategy import Strategy
-from repro.utils.numerics import make_binomial_pmf_plan
 from repro.utils.validation import check_positive_integer, check_probability
 
 __all__ = [
@@ -508,7 +508,6 @@ class DynamicsEngine:
             self.values_dev = self.padded.values_for(self.backend)
             self.mask_dev = self.padded.mask_for(self.backend)
             self.fmask_dev = self.padded.fmask_for(self.backend)
-            self.tables_dev = self.device(self.tables)
             self.sizes_dev = from_numpy(
                 self.backend, self.sizes, dtype=self.backend.int_dtype
             )
@@ -516,13 +515,8 @@ class DynamicsEngine:
             #: land on the default device, not the engine's).
             self.neg_inf_dev = self.device(np.asarray(-np.inf))
             self.zero_dev = self.device(np.asarray(0.0))
-            #: Precomputed binomial-PMF constants for full-batch stepping
-            #: (the NumPy subset path keeps its original plan-free kernel).
-            self._pmf_plan = (
-                None
-                if self.backend.is_numpy
-                else make_binomial_pmf_plan(self.ks - 1, backend=self.backend)
-            )
+            #: ``g_b(q)`` of every row, by the IFD solver's evaluator.
+            self._congestion = bernstein_evaluator(self.tables, self.ks - 1, self.backend)
             self.rule = rule
             rule.bind(self)
         self.compile = bool(compile)
@@ -552,16 +546,7 @@ class DynamicsEngine:
         """
         values = self.rows_of(self.values_dev, rows)
         fmask = self.rows_of(self.fmask_dev, rows)
-        tables = self.rows_of(self.tables_dev, rows)
-        n = (self.ks - 1) if rows is None else (self.ks[rows] - 1)
-        factor = occupancy_congestion_factor_batch(
-            self.policy,
-            states,
-            n,
-            tables=tables,
-            backend=self.backend,
-            plan=self._pmf_plan if rows is None else None,
-        )
+        factor, _ = self._congestion(self.xp.clip(states, 0.0, 1.0), rows, slope=False)
         return values * factor * fmask
 
     def initial_states(self) -> Any:
@@ -594,9 +579,9 @@ class DynamicsEngine:
     def _run_host(self, states: Any) -> DynamicsBatchResult:
         """NumPy path: step only the active row subset, scatter back in place.
 
-        Byte-identical to the pre-backend engine; control flow (masks,
-        counters) is host NumPy like the data, so there is nothing to
-        transfer.
+        Control flow (masks, counters) is host NumPy like the data, so there
+        is nothing to transfer.  A row's arithmetic does not depend on the
+        subset it steps in (see :func:`~repro.batch.ifd.bernstein_evaluator`).
         """
         xp = self.xp
         be = self.backend

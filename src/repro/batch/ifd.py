@@ -13,11 +13,12 @@ visited by everyone still pays more), and ``v`` is tuned until the ``q`` sum
 to one.
 
 :func:`water_filling_batch` solves that for ``R`` independent rows at once,
-each with its own player count and costs, under a fixed budget:
+each with its own player count, costs and congestion table, under a fixed
+budget:
 
-* ``g`` and ``g'`` come from de Casteljau's algorithm for degrees up to
-  :data:`DE_CASTELJAU_MAX_DEGREE` and from log-space binomial laws
-  (:func:`~repro.utils.numerics.binomial_pmf_tensor`) above it; neither
+* ``g`` and ``g'`` come from :func:`bernstein_evaluator` (shared with the
+  dynamics engine): de Casteljau's algorithm for degrees up to
+  :data:`DE_CASTELJAU_MAX_DEGREE`, log-space binomial laws above.  Neither
   expands ``g`` in the power basis, whose alternating coefficients lose all
   precision past ``k ~ 30``;
 * the outer solve bisects the equilibrium payoff for :data:`OUTER_STEPS`
@@ -40,22 +41,23 @@ each with its own player count and costs, under a fixed budget:
   strategy with one log-space binomial evaluation.
 
 No loop exits early and every reduction over the site axis is a sequential
-(cumulative) sum, so a row's answer depends neither on the other rows of the
-batch nor on how wide it was padded; the one exception is the choice of
-``g`` evaluator, which follows the largest ``k`` in the call.  :func:`ifd_batch` (instances x ``k``
-grids), :func:`repro.batch.scenarios.cost_adjusted_ifd_batch`,
+(cumulative) sum, so a row's answer depends neither on the other rows (their
+tables included) nor on its padding, except through the largest ``k`` in the
+call: it picks the ``g`` evaluator and the width of the log-space sums.
+:func:`ifd_batch`, :func:`repro.batch.mechanism.compare_policies_batch` (one
+call per policy roster), :func:`repro.batch.scenarios.cost_adjusted_ifd_batch`,
 :func:`repro.core.ifd.ideal_free_distribution` and
 :func:`repro.extensions.travel_costs.cost_adjusted_ifd` are all thin callers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from repro.backend import Backend, errstate_ignore, from_numpy, resolve_backend, to_numpy
+from repro.backend import Backend, errstate_ignore, from_numpy, resolve_backend, take_rows, to_numpy
 from repro.batch.padding import PaddedValues
 from repro.batch.payoffs import congestion_table_batch
 from repro.batch.solvers import SigmaStarBatch, as_k_grid, as_padded, sigma_star_batch
@@ -63,7 +65,7 @@ from repro.core.policies import CongestionPolicy
 from repro.utils.memo import cached_binomial_pmf_plan
 from repro.utils.numerics import binomial_pmf_tensor
 
-__all__ = ["IFDBatch", "WaterFilling", "ifd_batch", "water_filling_batch"]
+__all__ = ["IFDBatch", "WaterFilling", "bernstein_evaluator", "ifd_batch", "water_filling_batch"]
 
 #: Outer steps on the equilibrium payoff.  Bisection alone shrinks the
 #: bracket to ``2**-46`` of its width (the rounding floor of the residuals)
@@ -117,63 +119,110 @@ def _row_sum(x, xp):
     return xp.cumulative_sum(x, axis=1)[:, -1]
 
 
-def _de_casteljau(coeffs, degrees: np.ndarray, be: Backend):
-    """Evaluator of ``g`` and ``g'`` for per-row Bernstein coefficients.
+def bernstein_evaluator(tables: np.ndarray, degrees: np.ndarray, backend=None):
+    """``evaluate(q, rows=None, slope=True) -> (g, g')`` for ``g_b(q) = E[C_b(1 + Bin(n_b, q))]``.
 
-    ``coeffs`` is the host ``(R, n_max + 1)`` table (zero beyond each row's
-    degree).  A row of degree ``n_b < n_max`` sits out the first
-    ``n_max - n_b`` levels, so its arithmetic is the same as in a batch of
-    its own degree.
+    ``tables`` are the host ``(R, W)`` congestion tables of
+    :func:`~repro.batch.payoffs.congestion_table_batch`, ``degrees`` the host
+    ``(R,)`` counts ``n_b < W``; both are staged once, here.  ``q`` is an
+    ``(R', M)`` backend array for the host index vector ``rows`` (``None``:
+    all rows).  ``g'`` is ``None`` without ``slope`` and otherwise broadcasts
+    against ``q``.  The largest ``n_b`` picks de Casteljau (up to
+    :data:`DE_CASTELJAU_MAX_DEGREE`) or log-space binomial laws; a row's
+    values never depend on the subset it is evaluated in.
+    """
+    be = resolve_backend(backend)
+    coeffs = np.asarray(tables, dtype=float)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    if int(degrees.max()) <= DE_CASTELJAU_MAX_DEGREE:
+        return _de_casteljau(coeffs, degrees, be)
+    return _log_space(coeffs, degrees, be)
+
+
+def _de_casteljau(coeffs: np.ndarray, degrees: np.ndarray, be: Backend):
+    """De Casteljau evaluator (coefficient axis first).
+
+    A row of degree ``n_b`` below the largest degree ``n`` of the rows
+    evaluated sits out the first ``n - n_b`` levels, so its arithmetic is the
+    same in any batch or subset.  A degree-zero row (the constant ``C(1)``) is
+    run as degree one with two equal coefficients.
     """
     xp = be.xp
-    n_max = int(degrees.max())
-    # Coefficient index first: every level then works on contiguous planes.
-    b_first = from_numpy(be, coeffs.T[:, :, None], dtype=be.float_dtype)
-    n = from_numpy(be, degrees[:, None].astype(float), dtype=be.float_dtype)
-    late = [
-        None
-        if np.all(degrees >= n_max - level + 1)
-        else from_numpy(be, (degrees >= n_max - level + 1)[:, None])
-        for level in range(1, n_max)
-    ]
+    fdt = be.float_dtype
+    levels = np.maximum(degrees, 1)
+    width = int(levels.max()) + 1
+    padded = np.zeros((degrees.size, width))
+    padded[:, : coeffs.shape[1]] = coeffs[:, :width]
+    padded[degrees == 0, 1] = padded[degrees == 0, 0]
+    by_row = from_numpy(be, padded[:, :, None], dtype=fdt)  # (R, W, 1)
+    n_all = from_numpy(be, degrees[:, None].astype(float), dtype=fdt)
 
-    def evaluate(q):
-        b = b_first
-        for active in late:
+    def schedule(sub_levels: np.ndarray) -> tuple[int, list]:
+        """A subset's top degree and the rows taking part in each level (``None``: all)."""
+        top = int(sub_levels.max())
+        joins = sub_levels[None, :] >= np.arange(top, 1, -1)[:, None]  # level 1 .. top - 1
+        return top, [
+            None if every else from_numpy(be, joined[:, None])
+            for every, joined in zip(joins.all(axis=1), joins)
+        ]
+
+    top_all, joins_all = schedule(levels)
+    b_all = xp.permute_dims(by_row, (1, 0, 2))
+
+    def evaluate(q, rows=None, slope=True):
+        if rows is None:
+            b, n, top, joins = b_all, n_all, top_all, joins_all
+        else:
+            top, joins = schedule(levels[rows])
+            b = xp.permute_dims(take_rows(be, by_row, rows), (1, 0, 2))[: top + 1]
+            n = take_rows(be, n_all, rows)
+        for active in joins:
             step = b[:-1] + q * (b[1:] - b[:-1])
             b = step if active is None else xp.where(active, step, b[:-1])
         b0, delta = b[0], b[1] - b[0]
-        slope = n * delta
-        if slope.shape != q.shape:  # degree one: the slope is constant
-            slope = xp.broadcast_to(slope, q.shape)
-        return b0 + q * delta, slope
+        return b0 + q * delta, (n * delta if slope else None)
 
     return evaluate
 
 
-def _log_space(coeffs, degrees: np.ndarray, be: Backend):
-    """Evaluator of ``g`` and ``g'`` through log-space binomial laws.
+def _log_space(coeffs: np.ndarray, degrees: np.ndarray, be: Backend):
+    """Evaluator through log-space binomial laws.
 
     ``g(q) = sum_j C(j + 1) P[Bin(n, q) = j]`` and
-    ``g'(q) = n sum_j (C(j + 2) - C(j + 1)) P[Bin(n - 1, q) = j]``.
+    ``g'(q) = n sum_j (C(j + 2) - C(j + 1)) P[Bin(n - 1, q) = j]``.  A row
+    subset keeps the full occupancy width.
     """
     xp = be.xp
     fdt = be.float_dtype
     lower = np.maximum(degrees - 1, 0)
-    width = coeffs.shape[1]
-    diffs = np.where(
-        np.arange(width - 1)[None, :] < degrees[:, None], coeffs[:, 1:] - coeffs[:, :-1], 0.0
-    )
-    table = from_numpy(be, coeffs[:, None, :], dtype=fdt)
-    slope_table = from_numpy(be, diffs[:, None, : int(lower.max()) + 1], dtype=fdt)
-    n = from_numpy(be, degrees[:, None].astype(float), dtype=fdt)
-    plan = cached_binomial_pmf_plan(degrees, backend=be)
-    slope_plan = cached_binomial_pmf_plan(lower, backend=be)
+    width = int(degrees.max()) + 1
+    within = np.arange(width - 1)[None, :] < degrees[:, None]
+    diffs = np.where(within, np.diff(coeffs[:, :width], axis=1), 0.0)
+    table_all = from_numpy(be, coeffs[:, None, :width], dtype=fdt)
+    slope_table_all = from_numpy(be, diffs[:, None, : int(lower.max()) + 1], dtype=fdt)
+    n_all = from_numpy(be, degrees[:, None].astype(float), dtype=fdt)
+    plan_all = cached_binomial_pmf_plan(degrees, backend=be)
+    slope_plan_all = cached_binomial_pmf_plan(lower, backend=be)
 
-    def evaluate(q):
-        pmf = binomial_pmf_tensor(degrees, q, plan=plan)
-        slope_pmf = binomial_pmf_tensor(lower, q, plan=slope_plan)
-        return xp.sum(pmf * table, axis=2), n * xp.sum(slope_pmf * slope_table, axis=2)
+    def subset(plan, rows):
+        return replace(
+            plan,
+            trials=plan.trials[rows],
+            restf=take_rows(be, plan.restf, rows),
+            log_coeffs=take_rows(be, plan.log_coeffs, rows),
+        )
+
+    def evaluate(q, rows=None, slope=True):
+        table, slope_table, n = table_all, slope_table_all, n_all
+        plan, slope_plan = plan_all, slope_plan_all
+        if rows is not None:
+            table, slope_table, n = (take_rows(be, a, rows) for a in (table, slope_table, n))
+            plan, slope_plan = subset(plan, rows), subset(slope_plan, rows)
+        g = xp.sum(binomial_pmf_tensor(plan.trials, q, plan=plan) * table, axis=2)
+        if not slope:
+            return g, None
+        slope_pmf = binomial_pmf_tensor(slope_plan.trials, q, plan=slope_plan)
+        return g, n * xp.sum(slope_pmf * slope_table, axis=2)
 
     return evaluate
 
@@ -182,7 +231,7 @@ def water_filling_batch(
     values: np.ndarray,
     costs: np.ndarray | None,
     k: np.ndarray,
-    policy: CongestionPolicy,
+    tables: np.ndarray,
     *,
     mask: np.ndarray | None = None,
     backend: Backend | str | None = None,
@@ -198,8 +247,10 @@ def water_filling_batch(
         game (``d = 0``).
     k:
         Host ``(R,)`` player counts, each ``>= 1``.
-    policy:
-        Congestion policy shared by every row (validated by the caller).
+    tables:
+        Host ``(R, W >= max(k))`` per-row congestion tables, as
+        :func:`~repro.batch.payoffs.congestion_table_batch` builds them; rows
+        may come from different policies (each validated by the caller).
     mask:
         Host ``(R, M)`` boolean matrix of real sites (``None``: all real).
         Masked-out columns get probability zero and never enter a support.
@@ -224,8 +275,9 @@ def water_filling_batch(
     mask_host = np.ones((r, m), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     ks = np.asarray(k, dtype=np.int64)
     degrees = ks - 1
-
-    tables_host = congestion_table_batch(policy, degrees)  # (R, n_max + 1)
+    tables_host = np.asarray(tables, dtype=float)
+    if tables_host.ndim != 2 or tables_host.shape[0] != r or tables_host.shape[1] < ks.max():
+        raise ValueError(f"tables {tables_host.shape} do not cover {r} rows up to k = {ks.max()}")
     width_mask = np.arange(tables_host.shape[1])[None, :] <= degrees[:, None]
     # Same test as np.allclose(table, table[0], atol=1e-12) row by row.
     flat_host = np.all(
@@ -252,10 +304,7 @@ def water_filling_batch(
 
     sub_degrees = degrees[rows]
     sub_tables = tables_host[rows][:, : int(sub_degrees.max()) + 1]
-    if int(sub_degrees.max()) <= DE_CASTELJAU_MAX_DEGREE:
-        g_and_slope = _de_casteljau(sub_tables, sub_degrees, be)
-    else:
-        g_and_slope = _log_space(sub_tables, sub_degrees, be)
+    g_and_slope = bernstein_evaluator(sub_tables, sub_degrees, be)
 
     F = from_numpy(be, f_host[rows], dtype=fdt)
     D = from_numpy(be, d_host[rows], dtype=fdt)
@@ -271,12 +320,14 @@ def water_filling_batch(
     F2, D2 = xp.concat([F, F], axis=1), xp.concat([D, D], axis=1)
 
     def evaluate(q):
-        """Stacked ``(q, payoff, F g'(q))`` at ``(R, M)`` or paired ``(R, 2M)`` points."""
+        """The triple ``(q, payoff, F g'(q))`` at ``(R, M)`` or paired ``(R, 2M)`` points."""
         f, d = (F, D) if q.shape[1] == m else (F2, D2)
         g, slope = g_and_slope(q)
-        return xp.stack([q, f * g - d, f * slope])
+        point = xp.empty((3, *q.shape), dtype=fdt)
+        point[0], point[1], point[2] = q, f * g - d, f * slope
+        return point
 
-    # A site bound is such a stacked triple; every site starts from the
+    # A site bound is such a triple; every site starts from the
     # trivial bounds q = 0 and q = 1, evaluated once here.
     ends = evaluate(xp.concat([xp.zeros_like(F), maskf], axis=1))
     idle, full = ends[:, :, :m], ends[:, :, m:]
@@ -298,34 +349,33 @@ def water_filling_batch(
         v_col = v[:, None]
         active = mask_dev & (solo > v_col)
         saturated = active & (crowded >= v_col)
-        with errstate_ignore(be):
-            a, b = low[0], high[0]
-            from_a = a - (low[1] - v_col) / low[2]
-            from_b = b - (high[1] - v_col) / high[2]
-            convex = high[2] >= low[2]
-            first = xp.where(convex, from_a, from_b)
-            second = xp.where(convex, from_b, from_a)
-            first_ok = (first >= a) & (first <= b)
-            second_ok = (second >= a) & (second <= b)
-            q = xp.where(first_ok, first, xp.where(second_ok, second, 0.5 * (a + b)))
-            from_low = first_ok == convex
-            step = xp.where(first_ok | second_ok, xp.abs(q - xp.where(from_low, a, b)), zero)
-            slope = xp.where(from_low, low[2], high[2])
-            for _ in range(steps):
-                point = evaluate(q)
-                above = point[1] > v_col  # q(v) lies above q
-                low, high = xp.where(above, point, low), xp.where(above, high, point)
-                a, b, slope = low[0], high[0], point[2]
-                newton = q - (point[1] - v_col) / slope
-                newton_ok = (newton >= a) & (newton <= b)
-                step = xp.where(newton_ok, xp.abs(newton - q), zero)
-                q = xp.where(newton_ok, newton, 0.5 * (a + b))
-            reach = 2.0 * step + ROUNDING_ATOL * (F + xp.abs(D + v_col)) / xp.abs(slope)
-            left = xp.maximum(q - reach, 0.5 * (a + q))
-            probes = evaluate(xp.concat([left, xp.minimum(q + reach, 0.5 * (q + b))], axis=1))
-            left, right = probes[:, :, :m], probes[:, :, m:]
-            low = xp.where(right[1] > v_col, right, xp.where(left[1] > v_col, left, low))
-            high = xp.where(left[1] <= v_col, left, xp.where(right[1] <= v_col, right, high))
+        a, b = low[0], high[0]
+        from_a = a - (low[1] - v_col) / low[2]
+        from_b = b - (high[1] - v_col) / high[2]
+        convex = high[2] >= low[2]
+        first = xp.where(convex, from_a, from_b)
+        second = xp.where(convex, from_b, from_a)
+        first_ok = (first >= a) & (first <= b)
+        second_ok = (second >= a) & (second <= b)
+        q = xp.where(first_ok, first, xp.where(second_ok, second, 0.5 * (a + b)))
+        from_low = first_ok == convex
+        step = xp.where(first_ok | second_ok, xp.abs(q - xp.where(from_low, a, b)), zero)
+        slope = xp.where(from_low, low[2], high[2])
+        for _ in range(steps):
+            point = evaluate(q)
+            above = point[1] > v_col  # q(v) lies above q
+            low, high = xp.where(above, point, low), xp.where(above, high, point)
+            a, b, slope = low[0], high[0], point[2]
+            newton = q - (point[1] - v_col) / slope
+            newton_ok = (newton >= a) & (newton <= b)
+            step = xp.where(newton_ok, xp.abs(newton - q), zero)
+            q = xp.where(newton_ok, newton, 0.5 * (a + b))
+        reach = 2.0 * step + ROUNDING_ATOL * (F + xp.abs(D + v_col)) / xp.abs(slope)
+        left = xp.maximum(q - reach, 0.5 * (a + q))
+        probes = evaluate(xp.concat([left, xp.minimum(q + reach, 0.5 * (q + b))], axis=1))
+        left, right = probes[:, :, :m], probes[:, :, m:]
+        low = xp.where(right[1] > v_col, right, xp.where(left[1] > v_col, left, low))
+        high = xp.where(left[1] <= v_col, left, xp.where(right[1] <= v_col, right, high))
         lower = xp.where(saturated, full, xp.where(active, low, idle))
         upper = xp.where(saturated, full, xp.where(active, high, idle))
         return lower, upper
@@ -340,21 +390,24 @@ def water_filling_batch(
     at_hi, at_lo = idle, full
     v = 0.5 * (v_lo + v_hi)
     start_low, start_high = at_hi, at_lo
-    for _ in range(OUTER_STEPS):
-        lower, upper = site_bounds(v, start_low, start_high, INNER_STEPS)
-        grow = _row_sum(lower[0], xp) >= 1.0
-        shrink = _row_sum(upper[0], xp) < 1.0
-        hold = ~(grow | shrink)
-        v_lo, at_lo = xp.where(grow, v, v_lo), xp.where(grow[:, None], upper, at_lo)
-        v_hi, at_hi = xp.where(shrink, v, v_hi), xp.where(shrink[:, None], lower, at_hi)
-        start_low = xp.where(hold[:, None], lower, at_hi)
-        start_high = xp.where(hold[:, None], upper, at_lo)
-        v = xp.where(hold, v, 0.5 * (v_lo + v_hi))
+    # Newton steps divide by slopes that may vanish; site_bounds discards
+    # whatever they produce outside the bounds.
+    with errstate_ignore(be):
+        for _ in range(OUTER_STEPS):
+            lower, upper = site_bounds(v, start_low, start_high, INNER_STEPS)
+            grow = _row_sum(lower[0], xp) >= 1.0
+            shrink = _row_sum(upper[0], xp) < 1.0
+            hold = ~(grow | shrink)
+            v_lo, at_lo = xp.where(grow, v, v_lo), xp.where(grow[:, None], upper, at_lo)
+            v_hi, at_hi = xp.where(shrink, v, v_hi), xp.where(shrink[:, None], lower, at_hi)
+            start_low = xp.where(hold[:, None], lower, at_hi)
+            start_high = xp.where(hold[:, None], upper, at_lo)
+            v = xp.where(hold, v, 0.5 * (v_lo + v_hi))
 
-    # Re-solve both ends of the final bracket (an end set early keeps that
-    # step's looser bounds), unless the row is still refining one v.
-    sharp_lo = site_bounds(v_lo, at_hi, at_lo, POLISH_STEPS)[1][0]
-    sharp_hi = site_bounds(v_hi, at_hi, at_lo, POLISH_STEPS)[0][0]
+        # Re-solve both ends of the final bracket (an end set early keeps that
+        # step's looser bounds), unless the row is still refining one v.
+        sharp_lo = site_bounds(v_lo, at_hi, at_lo, POLISH_STEPS)[1][0]
+        sharp_hi = site_bounds(v_hi, at_hi, at_lo, POLISH_STEPS)[0][0]
     q_lo = xp.where(hold[:, None], upper[0], sharp_lo)
     q_hi = xp.where(hold[:, None], lower[0], sharp_hi)
     mass_lo, mass_hi = _row_sum(q_lo, xp), _row_sum(q_hi, xp)
@@ -439,51 +492,79 @@ def ifd_batch(
     be = resolve_backend(backend)
     padded = as_padded(values)
     ks = as_k_grid(k_grid)
-    B, M, K = padded.batch_size, padded.width, ks.size
-
-    closed = np.array(
-        [bool(use_closed_form) and k > 1 and policy.is_exclusive(int(k)) for k in ks]
+    probabilities, eq_values, support_sizes, converged = _roster_ifd(
+        padded, ks, [policy], use_closed_form, closed_form, be
     )
-    probabilities = np.zeros((B, K, M))
-    eq_values = np.zeros((B, K))
-    support_sizes = np.zeros((B, K), dtype=np.int64)
-    converged = np.ones((B, K), dtype=bool)
+    return IFDBatch(
+        probabilities=probabilities[:, 0],
+        values=eq_values[:, 0],
+        support_sizes=support_sizes[:, 0],
+        converged=converged[:, 0],
+        k_grid=ks,
+        padded=padded,
+    )
 
-    if np.any(closed):
+
+def _roster_ifd(
+    padded: PaddedValues,
+    ks: np.ndarray,
+    roster: Sequence[CongestionPolicy],
+    use_closed_form: bool,
+    closed_form: SigmaStarBatch | None,
+    be: Backend,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(B, P, K, ...)`` probabilities, payoffs, supports and ``converged`` of a roster.
+
+    Exclusive cells (``k > 1``) take the closed form, reusing ``closed_form``
+    when it covers the same instances and ``k`` grid.  Every other cell is a
+    row of one :func:`water_filling_batch` call; the roster shares one ``k``
+    grid, so each row is solved exactly as in a call for its policy alone.
+    """
+    P, B, K, M = len(roster), padded.batch_size, ks.size, padded.width
+    # Cell p * K + c of the flattened roster axis is policy p at k = ks[c].
+    cell = np.arange(P * K)
+    column = cell % K
+    closed = np.array(
+        [bool(use_closed_form) and k > 1 and p.is_exclusive(int(k)) for p in roster for k in ks]
+    )
+    probabilities = np.zeros((B, P * K, M))
+    values = np.zeros((B, P * K))
+    support_sizes = np.zeros((B, P * K), dtype=np.int64)
+    converged = np.ones((B, P * K), dtype=bool)
+
+    if closed.any():
         reuse = (
             closed_form is not None
             and closed_form.padded is padded
             and np.array_equal(closed_form.k_grid, ks)
         )
-        star = closed_form if reuse else sigma_star_batch(padded, ks[closed], backend=be)
-        columns = closed if reuse else slice(None)
-        probabilities[:, closed] = star.probabilities[:, columns]
-        eq_values[:, closed] = star.equilibrium_values[:, columns]
-        support_sizes[:, closed] = star.support_sizes[:, columns]
+        solved_k = np.arange(K) if reuse else np.flatnonzero(closed.reshape(P, K).any(axis=0))
+        star = closed_form if reuse else sigma_star_batch(padded, ks[solved_k], backend=be)
+        index = np.searchsorted(solved_k, column[closed])
+        probabilities[:, closed] = star.probabilities[:, index]
+        values[:, closed] = star.equilibrium_values[:, index]
+        support_sizes[:, closed] = star.support_sizes[:, index]
 
-    solve = np.flatnonzero(~closed)
-    if solve.size:
-        policy.validate(int(ks[solve].max()))
-        # Row (b, c) of the water-filling batch is instance b at k = ks[solve[c]].
-        c = solve.size
+    open_cells = ~closed
+    if open_cells.any():
+        owner = cell // K
+        for i in np.unique(owner[open_cells]):
+            roster[i].validate(int(ks[column[open_cells & (owner == i)]].max()))
+        tables = np.concatenate([congestion_table_batch(policy, ks - 1) for policy in roster])
+        # Row (b, c) of the water-filling batch is instance b in open cell c.
+        c = int(open_cells.sum())
         solved = water_filling_batch(
             np.repeat(padded.values, c, axis=0),
             None,
-            np.tile(ks[solve], B),
-            policy,
+            np.tile(ks[column[open_cells]], B),
+            np.tile(tables[open_cells], (B, 1)),
             mask=np.repeat(padded.mask, c, axis=0),
             backend=be,
         )
-        probabilities[:, solve] = solved.probabilities.reshape(B, c, M)
-        eq_values[:, solve] = solved.values.reshape(B, c)
-        support_sizes[:, solve] = solved.support_sizes.reshape(B, c)
-        converged[:, solve] = solved.converged.reshape(B, c)
-
-    return IFDBatch(
-        probabilities=probabilities,
-        values=eq_values,
-        support_sizes=support_sizes,
-        converged=converged,
-        k_grid=ks,
-        padded=padded,
-    )
+        probabilities[:, open_cells] = solved.probabilities.reshape(B, c, M)
+        values[:, open_cells] = solved.values.reshape(B, c)
+        support_sizes[:, open_cells] = solved.support_sizes.reshape(B, c)
+        converged[:, open_cells] = solved.converged.reshape(B, c)
+    grid = (B, P, K)
+    values, support_sizes, converged = (a.reshape(grid) for a in (values, support_sizes, converged))
+    return probabilities.reshape(*grid, M), values, support_sizes, converged

@@ -8,8 +8,9 @@ whole ``(instances x k x policy)`` grids at once:
 
 * :func:`compare_policies_batch` — a congestion-policy roster over every
   ``(instance, k)`` cell: one :func:`~repro.batch.solvers.sigma_star_batch`
-  call fixes all coverage optima, one :func:`~repro.batch.ifd.ifd_batch`
-  call per policy solves all equilibria;
+  call fixes all coverage optima (and the exclusive equilibria), one
+  :func:`~repro.batch.ifd.water_filling_batch` call solves every other
+  policy's equilibria;
 * :func:`best_two_level_batch` — the Theorem-6 sweep of the one-parameter
   family ``C_c`` over a whole grid;
 * :func:`design_rewards_batch` — reward vectors making per-row target
@@ -41,9 +42,14 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from repro.backend import Backend, ensure_numpy, resolve_backend
-from repro.batch.ifd import ifd_batch, water_filling_batch
+from repro.batch.ifd import ifd_batch  # noqa: F401  (perfbench/tracing.py wraps this name)
+from repro.batch.ifd import _roster_ifd, water_filling_batch
 from repro.batch.padding import PaddedValues
-from repro.batch.payoffs import as_k_vector, occupancy_congestion_factor_batch
+from repro.batch.payoffs import (
+    as_k_vector,
+    congestion_table_batch,
+    occupancy_congestion_factor_batch,
+)
 from repro.batch.solvers import as_k_grid, as_padded, coverage_batch, sigma_star_batch
 from repro.core.policies import CongestionPolicy, SharingPolicy, TwoLevelPolicy
 
@@ -123,14 +129,17 @@ def compare_policies_batch(
     The batch counterpart of
     :func:`repro.mechanism.policy_design.compare_policies`: one
     :func:`~repro.batch.solvers.sigma_star_batch` call fixes the coverage
-    optimum of every cell (Theorem 4), then each policy's equilibria come
-    from one :func:`~repro.batch.ifd.ifd_batch` call (reusing the
-    closed-form solve on exclusive policies) and one coverage pass.
+    optimum of every cell (Theorem 4) and the equilibrium of every
+    exclusive cell; the rest of the roster is solved in one
+    :func:`~repro.batch.ifd.water_filling_batch` call, and one coverage
+    pass scores all equilibria.
 
     Returns
     -------
     PolicyComparisonBatch
-        Elementwise equal (to solver tolerance) to looping the scalar
+        Bit-identical to one :func:`~repro.batch.ifd.ifd_batch` plus
+        :func:`~repro.batch.solvers.coverage_batch` per policy, and
+        elementwise equal (to solver tolerance) to looping the scalar
         ``compare_policies`` over instances and ``k`` values.
     """
     be = resolve_backend(backend)
@@ -142,13 +151,11 @@ def compare_policies_batch(
     star = sigma_star_batch(padded, ks, backend=be)
     optimal = coverage_batch(padded, star.probabilities, ks, backend=be)
 
-    eq_coverages, payoffs, supports = [], [], []
-    for policy in roster:
-        equilibrium = ifd_batch(padded, ks, policy, closed_form=star, backend=be)
-        eq_coverages.append(coverage_batch(padded, equilibrium.probabilities, ks, backend=be))
-        payoffs.append(equilibrium.values)
-        supports.append(equilibrium.support_sizes)
-    eq = np.stack(eq_coverages, axis=0)
+    probabilities, payoffs, supports, _ = _roster_ifd(padded, ks, roster, True, star, be)
+    B, P, K, M = probabilities.shape
+    # One coverage pass over the roster laid out as a (B, P * K) grid.
+    eq = coverage_batch(padded, probabilities.reshape(B, P * K, M), np.tile(ks, P), backend=be)
+    eq = eq.reshape(B, P, K).swapaxes(0, 1)
     positive = eq > 0
     spoa = np.where(positive, optimal[None, :, :] / np.where(positive, eq, 1.0), np.inf)
     return PolicyComparisonBatch(
@@ -156,8 +163,8 @@ def compare_policies_batch(
         equilibrium_coverages=eq,
         optimal_coverages=optimal,
         spoa=spoa,
-        equilibrium_payoffs=np.stack(payoffs, axis=0),
-        support_sizes=np.stack(supports, axis=0),
+        equilibrium_payoffs=payoffs.swapaxes(0, 1),
+        support_sizes=supports.swapaxes(0, 1),
         k_grid=ks,
         padded=padded,
     )
@@ -443,7 +450,7 @@ def optimal_grant_design_batch(
     # The induced IFDs: one water-filling row per instance at its own k.
     policy.validate(int(ks.max()))
     induced_strategies = water_filling_batch(
-        rewards, None, ks, policy, mask=padded.mask, backend=be
+        rewards, None, ks, congestion_table_batch(policy, ks - 1), mask=padded.mask, backend=be
     ).probabilities
     induced_coverages = coverage_batch(padded, induced_strategies, unique_ks, backend=be)[
         take, columns

@@ -10,17 +10,16 @@ at once:
   :class:`~repro.batch.padding.PaddedValues` value batch (ragged ``M``
   allowed; padding columns carry zero probability and are zeroed in ``nu``);
 * the player count is a scalar or a per-row ``(B,)`` vector, so one batch can
-  mix instances of different ``k`` (the binomial occupancy laws are expanded
-  with one shared log-factorial table via
-  :func:`~repro.utils.numerics.binomial_pmf_tensor`);
+  mix instances of different ``k`` (``g_b(q) = E[C(1 + Binomial(k_b - 1,
+  q))]`` comes from :func:`~repro.batch.ifd.bernstein_evaluator`, the IFD
+  solver's evaluator);
 * the congestion policy enters through a per-row table
   ``[C(1), ..., C(k_b)]`` broadcast as a ``(B, n_max + 1)`` matrix
   (:func:`congestion_table_batch`), which callers stepping many times — the
   :class:`~repro.batch.dynamics.DynamicsEngine` — precompute once.
 
 Every kernel body is pure Array-API code on the backend resolved through
-:mod:`repro.backend`; the occupancy contraction (``einsum`` on NumPy) and the
-policy tabulation are isolated behind backend adapters.  Backend-native
+:mod:`repro.backend`; the policy tabulation is host-side staging.  Backend-native
 strategy inputs produce backend-native ``nu`` outputs (the engine's hot
 path); host inputs produce host NumPy outputs.
 
@@ -37,7 +36,6 @@ import numpy as np
 from repro.backend import (
     Backend,
     asarray_float,
-    contract_occupancy,
     ensure_numpy,
     from_numpy,
     is_native,
@@ -47,8 +45,6 @@ from repro.backend import (
 from repro.batch.padding import PaddedValues
 from repro.batch.solvers import as_k_grid, as_padded
 from repro.core.policies import CongestionPolicy
-from repro.utils.memo import cached_binomial_pmf_plan
-from repro.utils.numerics import BinomialPmfPlan, binomial_pmf_tensor
 
 __all__ = [
     "as_k_vector",
@@ -108,7 +104,6 @@ def occupancy_congestion_factor_batch(
     *,
     tables: np.ndarray | None = None,
     backend: Backend | str | None = None,
-    plan: "BinomialPmfPlan | None" = None,
 ) -> np.ndarray:
     """Expected congestion factors ``E[C(1 + Binomial(n_b, q))]`` for a whole batch.
 
@@ -123,22 +118,17 @@ def occupancy_congestion_factor_batch(
         Number of independent opponents per row (scalar or ``(B,)``).
     tables:
         Optional precomputed :func:`congestion_table_batch` output (at least
-        as wide as the occupancy axis; host or backend-native); steppers
-        reuse one table across thousands of calls instead of re-tabulating
-        the policy.
+        ``max(n_opponents) + 1`` wide; host or backend-native).
     backend:
         Array backend to compute on (``None`` = active backend).
-    plan:
-        Optional :class:`~repro.utils.numerics.BinomialPmfPlan` built for the
-        same ``n_opponents`` and backend; hot loops pass one so the PMF step
-        performs no host transfers or synchronisations.
 
     Returns
     -------
-    ``(B, M)`` matrix; multiplying by ``f`` yields the batched ``nu``.
-    Backend-native when ``opponent_probabilities`` was backend-native, host
-    NumPy otherwise.
+    ``(B, M)`` matrix from :func:`~repro.batch.ifd.bernstein_evaluator`;
+    multiplying by ``f`` yields the batched ``nu``.  Backend-native when
+    ``opponent_probabilities`` was backend-native, host NumPy otherwise.
     """
+    from repro.batch.ifd import bernstein_evaluator  # repro.batch.ifd imports this module
     be = resolve_backend(backend)
     native = is_native(be, opponent_probabilities)
     q = asarray_float(be, opponent_probabilities)
@@ -147,26 +137,13 @@ def occupancy_congestion_factor_batch(
     n = np.broadcast_to(np.asarray(ensure_numpy(n_opponents), dtype=np.int64), (q.shape[0],))
     if np.any(n < 0):
         raise ValueError("n_opponents must be non-negative")
-    if plan is None:
-        # Steppers that do not stage their own plan still reuse the staged
-        # combinatorics across calls via the process-wide memo; the plan
-        # path clips probabilities exactly like the plan-free path and is
-        # elementwise identical to it (see repro.utils.memo).
-        plan = cached_binomial_pmf_plan(n, backend=be)
-    pmf = binomial_pmf_tensor(n, q, backend=be, plan=plan)  # (B, M, n_sub_max + 1)
-    if not is_native(be, pmf):
-        pmf = from_numpy(be, pmf, dtype=be.float_dtype)
-    if tables is None:
-        tables = congestion_table_batch(policy, n)
-    if not is_native(be, tables):
-        tables = from_numpy(be, np.asarray(tables, dtype=float), dtype=be.float_dtype)
-    width = pmf.shape[2]
-    if tables.shape[1] < width:
+    tables = congestion_table_batch(policy, n) if tables is None else ensure_numpy(tables)
+    if tables.shape[1] <= n.max():
         raise ValueError(
             f"congestion tables of width {tables.shape[1]} are too narrow for "
-            f"occupancies up to {width}"
+            f"occupancies up to {n.max() + 1}"
         )
-    factor = contract_occupancy(be, pmf, tables[:, :width])
+    factor, _ = bernstein_evaluator(tables, n, be)(be.xp.clip(q, 0.0, 1.0), slope=False)
     return factor if native else to_numpy(factor)
 
 

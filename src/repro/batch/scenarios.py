@@ -47,7 +47,11 @@ from repro.backend import (
 )
 from repro.batch.ifd import ifd_batch, water_filling_batch
 from repro.batch.padding import PaddedValues, sorted_padded, unsort_rows
-from repro.batch.payoffs import as_k_vector, congestion_table_batch
+from repro.batch.payoffs import (
+    as_k_vector,
+    congestion_table_batch,
+    occupancy_congestion_factor_batch,
+)
 from repro.batch.solvers import as_padded, sigma_star_batch
 from repro.core.policies import CongestionPolicy
 from repro.utils.memo import cached_binomial_pmf_plan
@@ -159,19 +163,6 @@ class CostAdjustedIFDBatch:
     padded: PaddedValues
 
 
-def _per_row_congestion(q, tables, ks: np.ndarray, be: Backend):
-    """``g_b(q) = E[C(1 + Binomial(k_b - 1, q))]`` for a ``(B, M)`` matrix ``q``.
-
-    ``tables`` is the backend-resident ``(B, k_max)`` matrix of per-row
-    congestion tables ``[C(1), ..., C(k_b)]`` zero-padded on the right, so the
-    zero-padded PMF tensor contracts against it for any mix of per-row ``k``.
-    """
-    xp = be.xp
-    plan = cached_binomial_pmf_plan(ks - 1, backend=be)
-    pmf = binomial_pmf_tensor(ks - 1, xp.clip(q, 0.0, 1.0), backend=be, plan=plan)
-    return xp.sum(pmf * tables[:, None, :], axis=2)
-
-
 def cost_adjusted_site_values_batch(
     values: PaddedValues | Sequence | np.ndarray,
     costs: np.ndarray | Sequence | float,
@@ -194,7 +185,6 @@ def cost_adjusted_site_values_batch(
         Host ``(B, M_max)`` matrix of net values.
     """
     be = resolve_backend(backend)
-    xp = be.xp
     padded = as_padded(values)
     ks = as_k_vector(k, padded.batch_size)
     d_host = as_costs_batch(costs, padded)
@@ -204,9 +194,8 @@ def cost_adjusted_site_values_batch(
             f"strategies shape {tuple(p.shape)} must match the padded batch "
             f"{padded.values.shape}"
         )
-    tables = from_numpy(be, congestion_table_batch(policy, ks - 1), dtype=be.float_dtype)
-    d = from_numpy(be, d_host, dtype=be.float_dtype)
-    nu = padded.values_for(be) * _per_row_congestion(p, tables, ks, be) - d
+    g = occupancy_congestion_factor_batch(policy, p, ks - 1, backend=be)
+    nu = padded.values_for(be) * g - from_numpy(be, d_host, dtype=be.float_dtype)
     return to_numpy(nu * padded.fmask_for(be))
 
 
@@ -254,7 +243,12 @@ def cost_adjusted_ifd_batch(
     policy.validate(int(ks.max()))
     d_host = as_costs_batch(costs, padded)
     solved = water_filling_batch(
-        padded.values, d_host, ks, policy, mask=padded.mask, backend=backend
+        padded.values,
+        d_host,
+        ks,
+        congestion_table_batch(policy, ks - 1),
+        mask=padded.mask,
+        backend=backend,
     )
     return CostAdjustedIFDBatch(
         probabilities=solved.probabilities,

@@ -106,6 +106,7 @@ def ideal_free_distribution(
     """
     # Imported here: repro.batch builds on repro.core at import time.
     from repro.batch.ifd import OUTER_STEPS, water_filling_batch
+    from repro.batch.payoffs import congestion_table_batch
 
     k = check_positive_integer(k, "k")
     f = values_array(values)
@@ -115,7 +116,8 @@ def ideal_free_distribution(
         closed = sigma_star(values, k)
         return IFDResult(closed.strategy, closed.equilibrium_value, closed.support_size, True, 0)
 
-    solved = water_filling_batch(f[None, :], None, np.array([k]), policy)
+    tables = congestion_table_batch(policy, k - 1)
+    solved = water_filling_batch(f[None, :], None, np.array([k]), tables)
     return IFDResult(
         Strategy(solved.probabilities[0]),
         float(solved.values[0]),

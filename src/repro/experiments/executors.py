@@ -40,6 +40,7 @@ Four strategies ship built in (see :func:`make_executor`):
 from __future__ import annotations
 
 import contextlib
+import logging
 import os
 import pickle
 import socket
@@ -61,6 +62,8 @@ import numpy as np
 from repro.backend import resolve_backend, use_backend
 from repro.experiments.spec import TaskFunction
 from repro.utils.envinfo import available_cpus
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "TaskPayload",
@@ -122,6 +125,18 @@ def execute_chunk(chunk: Sequence[TaskPayload]) -> list[tuple[int, Any]]:
     back incrementally.
     """
     return [(payload.index, execute_payload(payload)) for payload in chunk]
+
+
+def _log_retry(chunk_id: int, attempt: int, max_retries: int, reason: str) -> None:
+    """One WARNING per retried chunk (``attempt`` counts the retries so far)."""
+    logger.warning(
+        "chunk %d lost its worker (%s); retry %d of max_retries=%d",
+        chunk_id,
+        reason,
+        attempt,
+        max_retries,
+        extra={"chunk": chunk_id, "attempt": attempt, "max_retries": max_retries},
+    )
 
 
 def _chunked(
@@ -254,6 +269,7 @@ class ProcessExecutor(Executor):
                             f"chunk {chunk_id} crashed its worker process "
                             f"{attempts[chunk_id]} times (max_retries={self.max_retries})"
                         )
+                    _log_retry(chunk_id, attempts[chunk_id], self.max_retries, "pool broke")
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +446,7 @@ class DistributedExecutor(Executor):
                                 )
                             )
                         else:
+                            _log_retry(chunk_id, attempt + 1, self.max_retries, repr(error))
                             task_queue.put((chunk_id, chunk, attempt + 1))
                         return
                     kind = reply[0]

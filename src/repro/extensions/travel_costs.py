@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.batch.ifd import water_filling_batch
+from repro.batch.payoffs import congestion_table_batch
 from repro.core.payoffs import occupancy_congestion_factor
 from repro.core.policies import CongestionPolicy
 from repro.core.strategy import Strategy
@@ -100,7 +101,8 @@ def cost_adjusted_ifd(
     f = values_array(values)
     d = _costs_array(costs, f.size)
     policy.validate(k)
-    solved = water_filling_batch(f[None, :], d[None, :], np.array([k]), policy)
+    tables = congestion_table_batch(policy, k - 1)
+    solved = water_filling_batch(f[None, :], d[None, :], np.array([k]), tables)
     return CostAdjustedEquilibrium(
         Strategy(solved.probabilities[0]),
         float(solved.values[0]),

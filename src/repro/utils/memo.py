@@ -1,32 +1,17 @@
-"""Cross-call memoization of staged kernel constants.
+"""Cross-call memo of binomial-PMF plans.
 
-The hot batch kernels re-derive the same host-side combinatorics on every
-call: :func:`~repro.utils.numerics.binomial_pmf_tensor` rebuilds log
-binomial coefficients and exponent tables from scratch for each
-``(trial counts, batch size)`` pair, even though a dynamics run evaluates
-the identical tables once per step and a serving process answers millions
-of requests over a handful of distinct ``(k, B)`` shapes.  :class:`PlanMemo` is the bounded,
-backend/device-keyed LRU that carries those
-:class:`~repro.utils.numerics.BinomialPmfPlan` objects *across* calls:
+A :class:`~repro.utils.numerics.BinomialPmfPlan` stages the log binomial
+coefficients of one ``(backend, trial counts)`` pair.  The IFD solver, the
+payoff and scenario kernels and the serving engine stage a plan once per
+call; :class:`PlanMemo` lets calls with equal keys share it.  Keys pin the
+backend name, device, float dtype and the per-row trial counts (a constant
+roster keys on ``(value, size)``), so a hit is exactly the plan a fresh
+:func:`~repro.utils.numerics.make_binomial_pmf_plan` call would build and
+outputs are elementwise identical with the memo on or off.  The counters
+feed the serving ``/stats`` endpoint and the benchmarks.
 
-* keys pin everything the staged tensors depend on — backend name, device,
-  float dtype, batch size and the per-row trial counts (constant rosters
-  collapse to a scalar key, ragged rosters hash their bytes) — so a hit is
-  exactly the plan a fresh :func:`~repro.utils.numerics.make_binomial_pmf_plan`
-  call would have built;
-* the plan path of ``binomial_pmf_tensor`` evaluates the same expressions in
-  the same order as the plan-free path, so memoization is **bit-transparent**:
-  kernel outputs are elementwise identical with the memo on or off
-  (``tests/test_utils_numerics.py`` asserts this, and the serving layer's
-  bit-identity contract relies on it);
-* hit/miss/eviction counters are exposed via :meth:`PlanMemo.stats` for the
-  serving ``/stats`` endpoint and ``BENCH_serving.json``.
-
-A :class:`threading.Lock` guards the LRU (thread-pool executors solve groups
-concurrently); process-pool workers each hold their own memo, warmed on
-first use.  The module-level :data:`plan_memo` is the shared instance the
-batch kernels consult through :func:`cached_binomial_pmf_plan`; tests can
-suspend it with :meth:`PlanMemo.disabled`.
+A lock guards the LRU (thread-pool executors solve groups concurrently);
+process-pool workers each warm their own :data:`plan_memo`.
 """
 
 from __future__ import annotations
@@ -45,12 +30,7 @@ __all__ = ["PlanMemo", "plan_memo", "cached_binomial_pmf_plan"]
 
 
 def _plan_key(backend: Any, trials: np.ndarray) -> tuple:
-    """Everything a cached plan's device tensors depend on, as a dict key.
-
-    A constant roster (the common case: one scalar ``k`` broadcast over the
-    batch) keys on ``(value, size)`` instead of the full byte string, so the
-    memo stays tiny under homogeneous-``k`` serving traffic.
-    """
+    """Everything a cached plan's device tensors depend on, as a dict key."""
     if trials.size and int(trials.min()) == int(trials.max()):
         shape: tuple = ("const", int(trials[0]), trials.size)
     else:
@@ -59,15 +39,7 @@ def _plan_key(backend: Any, trials: np.ndarray) -> tuple:
 
 
 class PlanMemo:
-    """Bounded LRU of :class:`~repro.utils.numerics.BinomialPmfPlan` objects.
-
-    Parameters
-    ----------
-    max_entries:
-        Capacity bound; the least recently used plan is evicted beyond it.
-        Each entry holds ``O(B * n_max)`` floats, so the default keeps the
-        memo a few megabytes even for large batches.
-    """
+    """Bounded LRU of plans; the least recently used one goes beyond ``max_entries``."""
 
     def __init__(self, max_entries: int = 64) -> None:
         if max_entries < 1:
@@ -76,25 +48,15 @@ class PlanMemo:
         self._entries: "OrderedDict[tuple, BinomialPmfPlan]" = OrderedDict()
         self._lock = threading.Lock()
         self.enabled = True
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.bypasses = 0
+        self.hits = self.misses = self.evictions = self.bypasses = 0
 
-    # ------------------------------------------------------------------ lookup
     def get(
-        self,
-        n: np.ndarray | int,
-        *,
-        batch_size: int | None = None,
-        backend: Any = None,
+        self, n: np.ndarray | int, *, batch_size: int | None = None, backend: Any = None
     ) -> "BinomialPmfPlan":
-        """The memoized plan for trial counts ``n``, built on first use.
+        """The plan for trial counts ``n`` (arguments as in ``make_binomial_pmf_plan``).
 
-        Arguments mirror :func:`~repro.utils.numerics.make_binomial_pmf_plan`
-        exactly; a miss delegates to it and caches the result.  With the memo
-        disabled every call builds a fresh plan (counted as a bypass), which
-        is how the on-vs-off identity tests exercise both paths.
+        A miss builds and caches it; with the memo disabled every call builds
+        a fresh plan and counts a bypass.
         """
         from repro.backend import resolve_backend
         from repro.utils.numerics import make_binomial_pmf_plan
@@ -117,8 +79,7 @@ class PlanMemo:
                 self.hits += 1
                 return plan
             self.misses += 1
-        # Build outside the lock: plan staging may upload device tensors.
-        plan = make_binomial_pmf_plan(trials, backend=be)
+        plan = make_binomial_pmf_plan(trials, backend=be)  # may upload: outside the lock
         with self._lock:
             self._entries[key] = plan
             self._entries.move_to_end(key)
@@ -127,22 +88,19 @@ class PlanMemo:
                 self.evictions += 1
         return plan
 
-    # --------------------------------------------------------------- lifecycle
     def clear(self) -> None:
-        """Drop every cached plan (counters keep describing the lifetime)."""
+        """Drop every cached plan (the counters keep describing the lifetime)."""
         with self._lock:
             self._entries.clear()
 
     def reset_counters(self) -> None:
-        """Zero the hit/miss/eviction/bypass counters (benchmark phases)."""
         with self._lock:
             self.hits = self.misses = self.evictions = self.bypasses = 0
 
     @contextmanager
     def disabled(self) -> Iterator[None]:
-        """Temporarily bypass the memo (every call builds a fresh plan)."""
-        previous = self.enabled
-        self.enabled = False
+        """Bypass the memo inside the block (every call builds a fresh plan)."""
+        previous, self.enabled = self.enabled, False
         try:
             yield
         finally:
@@ -151,9 +109,7 @@ class PlanMemo:
     def __len__(self) -> int:
         return len(self._entries)
 
-    # ------------------------------------------------------------------- stats
     def stats(self) -> dict[str, Any]:
-        """Counters for ``/stats`` and the serving benchmark artifact."""
         lookups = self.hits + self.misses
         return {
             "entries": len(self._entries),
@@ -167,18 +123,12 @@ class PlanMemo:
         }
 
 
-#: The process-wide memo the batch kernels consult.  Thread-safe; process-pool
-#: workers warm their own copy.
+#: The process-wide memo the batch kernels consult.
 plan_memo = PlanMemo()
 
 
 def cached_binomial_pmf_plan(
     n: np.ndarray | int, *, batch_size: int | None = None, backend: Any = None
 ) -> "BinomialPmfPlan":
-    """The shared-memo counterpart of :func:`~repro.utils.numerics.make_binomial_pmf_plan`.
-
-    Hot paths (payoff/scenario kernels, the IFD solver's final evaluation,
-    the serving engine) call this instead of rebuilding the plan; outputs are elementwise
-    identical either way — see :mod:`repro.utils.memo`.
-    """
+    """:func:`~repro.utils.numerics.make_binomial_pmf_plan` through :data:`plan_memo`."""
     return plan_memo.get(n, batch_size=batch_size, backend=backend)

@@ -20,7 +20,6 @@ from repro.backend import (
     available_backends,
     backend_failures,
     bincount,
-    contract_occupancy,
     ensure_numpy,
     from_numpy,
     get_backend,
@@ -204,25 +203,6 @@ class TestAdapters:
         strategy = Strategy(np.array([0.5, 0.5]))
         out = ensure_numpy(strategy)
         np.testing.assert_allclose(out, [0.5, 0.5])
-
-    def test_contract_occupancy_matches_einsum(self, rng):
-        backend = load_backend("numpy")
-        pmf = rng.random((4, 3, 5))
-        tables = rng.random((4, 5))
-        expected = np.einsum("bmj,bj->bm", pmf, tables)
-        np.testing.assert_allclose(contract_occupancy(backend, pmf, tables), expected)
-        # The standard-only fallback computes the same contraction.
-        no_einsum = Backend(
-            name="numpy-no-einsum",
-            xp=np,
-            float_dtype=np.float64,
-            int_dtype=np.int64,
-            bool_dtype=np.bool_,
-            is_numpy=True,
-            supports_einsum=False,
-            supports_fancy_assignment=True,
-        )
-        np.testing.assert_allclose(contract_occupancy(no_einsum, pmf, tables), expected)
 
     def test_take_and_scatter_rows(self):
         backend = load_backend("numpy")

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import backend_params
-from repro.backend import use_backend
+from repro.backend import from_numpy, resolve_backend, to_numpy, use_backend
 from repro.batch import (
     PaddedValues,
     best_response_batch,
@@ -35,6 +35,7 @@ from repro.batch import (
     site_values_batch,
 )
 from repro.batch.dynamics import DynamicsEngine
+from repro.batch.ifd import DE_CASTELJAU_MAX_DEGREE, bernstein_evaluator
 from repro.batch.payoffs import as_k_vector
 from repro.core.payoffs import (
     best_response_value,
@@ -46,6 +47,7 @@ from repro.core.payoffs import (
 from repro.core.policies import (
     AggressivePolicy,
     ExclusivePolicy,
+    PowerLawPolicy,
     SharingPolicy,
     TwoLevelPolicy,
 )
@@ -113,6 +115,55 @@ class TestBinomialPmfTensor:
             binomial_pmf_tensor(2, np.array([0.5]))
         with pytest.raises(ValueError):
             binomial_pmf_tensor(2, np.array([[1.5]]))
+
+
+class TestBernsteinEvaluator:
+    """The shared ``g``/``g'`` evaluator of the IFD solver and the dynamics engine."""
+
+    @staticmethod
+    def reference(tables, degrees, q):
+        """``g`` and ``g'`` contracted from the binomial laws on the host."""
+        pmf = binomial_pmf_tensor(degrees, q)
+        g = np.sum(pmf * tables[:, None, : pmf.shape[2]], axis=2)
+        lower = np.maximum(degrees - 1, 0)
+        slope_pmf = binomial_pmf_tensor(lower, q)
+        width = slope_pmf.shape[2]
+        diffs = tables[:, 1 : width + 1] - tables[:, :width]
+        diffs = np.where(np.arange(width)[None, :] < degrees[:, None], diffs, 0.0)
+        return g, degrees[:, None] * np.sum(slope_pmf * diffs[:, None, :], axis=2)
+
+    # The largest k of the batch picks de Casteljau (k <= 25) or log-space.
+    @pytest.mark.parametrize("k_max", [DE_CASTELJAU_MAX_DEGREE + 1, 60])
+    @pytest.mark.parametrize(
+        "policy", [SharingPolicy(), AggressivePolicy(0.5), TwoLevelPolicy(0.4), PowerLawPolicy(2.0)]
+    )
+    def test_matches_pmf_contraction_on_batch_and_subsets(self, k_max, policy):
+        rng = np.random.default_rng(k_max)
+        degrees = rng.permutation(np.arange(0, k_max))  # k = 1 .. k_max
+        tables = congestion_table_batch(policy, degrees)
+        q = rng.random((degrees.size, 7))
+        q[:, 0], q[:, 1] = 0.0, 1.0
+        be = resolve_backend(None)
+        evaluate = bernstein_evaluator(tables, degrees, be)
+        expected_g, expected_slope = self.reference(tables, degrees, q)
+
+        g, slope = evaluate(from_numpy(be, q, dtype=be.float_dtype))
+        g = to_numpy(g)
+        slope = np.broadcast_to(to_numpy(slope), q.shape)
+        np.testing.assert_allclose(g, expected_g, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(slope, expected_slope, rtol=0, atol=1e-13)
+
+        for rows in (np.array([3]), np.sort(rng.choice(degrees.size, 9, replace=False)),
+                     rng.permutation(degrees.size)[:12]):
+            sub_g, sub_slope = evaluate(from_numpy(be, q[rows], dtype=be.float_dtype), rows)
+            sub_g = to_numpy(sub_g)
+            np.testing.assert_array_equal(sub_g, g[rows])
+            np.testing.assert_array_equal(
+                np.broadcast_to(to_numpy(sub_slope), sub_g.shape), slope[rows]
+            )
+            only_g, none = evaluate(from_numpy(be, q[rows], dtype=be.float_dtype), rows, slope=False)
+            assert none is None
+            np.testing.assert_array_equal(to_numpy(only_g), g[rows])
 
 
 class TestBatchedPayoffKernel:

@@ -10,7 +10,10 @@ The core contracts:
 * infeasible targets fail with the scalar error message and name the
   offending rows;
 * the roster sweeps that moved here from ``repro.batch.scenarios`` remain
-  importable from their old home and unchanged in behaviour.
+  importable from their old home and unchanged in behaviour;
+* a roster solved in one water-filling call is bit-identical to one
+  ``ifd_batch`` per policy, and a row of a mixed-table water-filling call
+  equals the same row solved alone.
 
 The whole module runs once per available array backend through the autouse
 fixture, mirroring the other batch suites.
@@ -28,9 +31,19 @@ from repro.batch import (
     design_rewards_batch,
     optimal_grant_design_batch,
 )
+from repro.batch.ifd import DE_CASTELJAU_MAX_DEGREE, ifd_batch, water_filling_batch
 from repro.batch.mechanism import best_two_level_batch, compare_policies_batch
+from repro.batch.payoffs import congestion_table_batch
+from repro.batch.solvers import coverage_batch
 from repro.core.optimal_coverage import optimal_coverage
-from repro.core.policies import AggressivePolicy, ExclusivePolicy, SharingPolicy
+from repro.core.policies import (
+    AggressivePolicy,
+    ConstantPolicy,
+    ExclusivePolicy,
+    PowerLawPolicy,
+    SharingPolicy,
+    TwoLevelPolicy,
+)
 from repro.core.sigma_star import sigma_star
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
@@ -160,3 +173,55 @@ class TestRosterSweepsMoved:
         assert float(batch.best_c[0, 0]) == pytest.approx(best_c, abs=1e-12)
         assert len(rows) == c_grid.size
         assert best_c == pytest.approx(0.0, abs=1e-9)
+
+
+ROSTER = [
+    ExclusivePolicy(),
+    SharingPolicy(),
+    ConstantPolicy(),
+    AggressivePolicy(0.5),
+    TwoLevelPolicy(0.4),
+    PowerLawPolicy(2.0),
+]
+
+
+class TestFusedRoster:
+    @pytest.mark.parametrize("k_grid", [(1, 2, 4, 8), (3, 30)])
+    def test_roster_equals_one_ifd_batch_per_policy(self, rng, k_grid):
+        instances, _ = ragged_instances(rng)
+        padded = PaddedValues.from_instances(instances)
+        batch = compare_policies_batch(padded, k_grid, ROSTER)
+        for index, policy in enumerate(ROSTER):
+            alone = ifd_batch(padded, k_grid, policy)
+            np.testing.assert_array_equal(
+                batch.equilibrium_coverages[index],
+                coverage_batch(padded, alone.probabilities, k_grid),
+            )
+            np.testing.assert_array_equal(batch.equilibrium_payoffs[index], alone.values)
+            np.testing.assert_array_equal(batch.support_sizes[index], alone.support_sizes)
+
+    # One k per call: the g evaluator follows the largest k of a call, and
+    # the final IFD check sums over the call's occupancy width.
+    @pytest.mark.parametrize("k", [7, DE_CASTELJAU_MAX_DEGREE + 1, DE_CASTELJAU_MAX_DEGREE + 7])
+    def test_mixed_table_rows_equal_rows_solved_alone(self, rng, k):
+        rows = 2 * len(ROSTER)
+        values = rng.random((rows, 9)) + 0.05
+        mask = np.arange(9)[None, :] < rng.integers(2, 10, size=rows)[:, None]
+        tables = np.concatenate(
+            [congestion_table_batch(ROSTER[r % len(ROSTER)], k - 1) for r in range(rows)]
+        )
+        ks = np.full(rows, k)
+        mixed = water_filling_batch(values, None, ks, tables, mask=mask)
+        assert not np.all(mixed.closed_form)
+        for r in range(rows):
+            alone = water_filling_batch(
+                values[r : r + 1], None, ks[r : r + 1], tables[r : r + 1], mask=mask[r : r + 1]
+            )
+            for field in ("probabilities", "values", "support_sizes", "converged", "closed_form"):
+                np.testing.assert_array_equal(getattr(mixed, field)[r], getattr(alone, field)[0])
+
+    def test_tables_must_cover_every_row(self):
+        with pytest.raises(ValueError, match="tables"):
+            water_filling_batch(
+                np.ones((2, 3)), None, np.array([3, 4]), congestion_table_batch(SharingPolicy(), 2)
+            )

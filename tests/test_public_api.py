@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,51 @@ class TestPublicAPI:
         assert equilibrium.strategy.as_array().sum() == pytest.approx(1.0)
         ratio = repro.spoa_instance(values, 4, repro.SharingPolicy()).ratio
         assert 1.0 <= ratio <= 2.0
+
+
+#: Every program name ``perfbench/tracing.py`` replaces or reads when it traces
+#: a run, as ``module:attribute.path``.  The benchmark looks them up where
+#: they are called, so renaming or dropping one breaks only the traced
+#: benchmark run, which this suite does not collect.
+TRACED_NAMES = (
+    # sweep workers and the sweep process
+    "repro.batch.ifd:binomial_pmf_tensor",
+    "repro.batch.mechanism:ifd_batch",
+    "repro.analysis.stochastic_experiments:compare_policies_batch",
+    "repro.analysis.stochastic_experiments:expected_coverage_time_batch",
+    "repro.analysis.stochastic_experiments:coverage_time_cdf_batch",
+    "repro.analysis.stochastic_experiments:partial_coverage_time_batch",
+    "repro.analysis.figure1:ideal_free_distribution",
+    "repro.analysis.figure1:welfare_optimal_strategy",
+    "repro.analysis.sweeps:DynamicsEngine.run",
+    "repro.utils.memo:plan_memo.stats",
+    "repro.experiments.executors:execute_chunk",
+    "repro.experiments.executors:execute_payload",
+    "repro.experiments.executors:ProcessExecutor.run",
+    "repro.experiments.executors:ProcessPoolExecutor",
+    "repro.experiments.store:ExperimentStore.put",
+    "repro.experiments.store:ExperimentStore.path_for",
+    # the served path
+    "repro.serving.engine:ifd_batch",
+    "repro.serving.engine:sigma_star_batch",
+    "repro.serving.engine:coverage_batch",
+    "repro.serving.http:EquilibriumService.dispatch",
+    "repro.serving.http:EquilibriumService._respond",
+    "repro.serving.http:json",
+    "repro.serving.http:parse_request",
+    "repro.serving.requests:content_key",
+    "repro.serving.cache:ResultCache.get",
+    "repro.serving.scheduler:ContinuousBatchScheduler.submit",
+    "repro.serving.executor:InlineKernelExecutor.run",
+    "repro.serving.executor:evaluate_group",
+    "repro.batch.padding:PaddedValues.from_instances",
+)
+
+
+@pytest.mark.parametrize("name", TRACED_NAMES)
+def test_benchmark_tracing_hooks_resolve(name):
+    module_name, path = name.split(":")
+    target = importlib.import_module(module_name)
+    for attribute in path.split("."):
+        target = getattr(target, attribute)
+    assert target is not None

@@ -18,6 +18,8 @@ The contracts under test:
 
 from __future__ import annotations
 
+import dataclasses
+import logging
 import os
 import pickle
 import signal
@@ -356,6 +358,28 @@ class TestFaultTolerance:
         assert not marker.exists()  # the crash really happened
         baseline = run_experiment(spec, executor="serial")
         assert result.to_json(timing=False) == baseline.to_json(timing=False)
+
+    @pytest.mark.parametrize("strategy", ["process", "distributed"])
+    def test_each_retried_chunk_logs_a_warning(self, tmp_path, caplog, strategy):
+        marker = tmp_path / "crash-once"
+        marker.touch()
+        spec = dataclasses.replace(
+            simple_grid_spec(crash_if_marker_task, n=6, marker=str(marker), victim=4),
+            chunk_size=1,
+        )
+        executor = (
+            ProcessExecutor(workers=2)
+            if strategy == "process"
+            else DistributedExecutor(workers=2, spawn="process")
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.executors"):
+            run_experiment(spec, max_workers=2, executor=executor)
+        assert not marker.exists()
+        retries = [r for r in caplog.records if r.name == "repro.experiments.executors"]
+        assert retries and all(r.levelno == logging.WARNING for r in retries)
+        assert 4 in {r.chunk for r in retries}  # chunk 4 holds the victim
+        assert {(r.attempt, r.max_retries) for r in retries} == {(1, 3)}
+        assert len({r.chunk for r in retries}) == len(retries)  # one record per chunk
 
     def test_process_pool_gives_up_after_bounded_retries(self, tmp_path):
         executor = ProcessExecutor(workers=2, max_retries=1)
