@@ -527,17 +527,26 @@ def _roster_ifd(
     closed = np.array(
         [bool(use_closed_form) and k > 1 and p.is_exclusive(int(k)) for p in roster for k in ks]
     )
+    reuse = (
+        closed_form is not None
+        and closed_form.padded is padded
+        and np.array_equal(closed_form.k_grid, ks)
+    )
+    if closed.all():
+        # Every cell is in closed form: the sigma_star arrays are the answer.
+        star = closed_form if reuse else sigma_star_batch(padded, ks, backend=be)
+        return (
+            np.repeat(star.probabilities[:, None], P, axis=1),
+            np.repeat(star.equilibrium_values[:, None], P, axis=1),
+            np.repeat(star.support_sizes[:, None], P, axis=1),
+            np.ones((B, P, K), dtype=bool),
+        )
     probabilities = np.zeros((B, P * K, M))
     values = np.zeros((B, P * K))
     support_sizes = np.zeros((B, P * K), dtype=np.int64)
     converged = np.ones((B, P * K), dtype=bool)
 
     if closed.any():
-        reuse = (
-            closed_form is not None
-            and closed_form.padded is padded
-            and np.array_equal(closed_form.k_grid, ks)
-        )
         solved_k = np.arange(K) if reuse else np.flatnonzero(closed.reshape(P, K).any(axis=0))
         star = closed_form if reuse else sigma_star_batch(padded, ks[solved_k], backend=be)
         index = np.searchsorted(solved_k, column[closed])

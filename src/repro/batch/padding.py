@@ -63,9 +63,9 @@ class PaddedValues:
             raise ValueError("values must be a 2-D (B, M_max) matrix")
         if sizes.shape != (values.shape[0],):
             raise ValueError("sizes must be a (B,) vector matching values")
-        if np.any(sizes < 1) or np.any(sizes > values.shape[1]):
+        if (sizes < 1).any() or (sizes > values.shape[1]).any():
             raise ValueError("sizes must lie in [1, M_max]")
-        if np.any(values <= 0):
+        if (values <= 0).any():
             raise ValueError("site values (including padding) must be strictly positive")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sizes", sizes)

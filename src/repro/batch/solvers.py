@@ -84,12 +84,12 @@ def as_k_grid(k_grid: Sequence[int] | np.ndarray | int) -> np.ndarray:
     ks = np.atleast_1d(np.asarray(k_grid))
     if ks.ndim != 1 or ks.size == 0:
         raise ValueError("k_grid must be a non-empty 1-D sequence of integers")
-    if not np.issubdtype(ks.dtype, np.integer):
+    if ks.dtype.kind not in "iu":
         rounded = np.rint(np.asarray(ks, dtype=float)).astype(np.int64)
         if not np.allclose(ks, rounded):
             raise ValueError("k_grid entries must be integers")
         ks = rounded
-    if np.any(ks < 1):
+    if (ks < 1).any():
         raise ValueError("k_grid entries must be >= 1")
     return ks.astype(np.int64)
 
@@ -137,23 +137,28 @@ class SigmaStarBatch:
         )
 
 
-def _int_power_column(xp, base, exponent: int):
-    """``base ** exponent`` for an integer ``exponent >= 0`` by binary exponentiation.
+def _int_power_columns(be: Backend, base, exponents: np.ndarray):
+    """``base ** exponents`` per column, for host integer ``exponents >= 0``.
 
-    Plain multiplies are correctly rounded on every backend, so unlike ``**``
-    — whose inner-loop dispatch (and last-ulp rounding) can depend on how the
-    operands are shaped and strided — the result is independent of the batch
-    shape.  The serving layer's bit-identity contract relies on this for the
-    equilibrium values.
+    Binary exponentiation over the bits of every column at once: at each bit
+    the accumulator takes one more multiply by the current power where the
+    bit is set, then the power is squared.  Plain multiplies are correctly
+    rounded on every backend, so unlike ``**`` — whose inner-loop dispatch
+    (and last-ulp rounding) can depend on how the operands are shaped and
+    strided — the result is independent of the batch shape.  The serving
+    layer's bit-identity contract relies on this for the equilibrium values.
+    Powers past a column's top bit may overflow; they are never selected.
     """
-    result = None
-    while exponent:
-        if exponent & 1:
-            result = base if result is None else result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return xp.ones_like(base) if result is None else result
+    xp = be.xp
+    bits = int(exponents.max()).bit_length()
+    is_set = from_numpy(be, ((exponents[None, :] >> np.arange(bits)[:, None]) & 1).astype(bool))
+    result = xp.ones_like(base)
+    with np.errstate(over="ignore"):
+        for bit in range(bits):
+            if bit:
+                base = base * base
+            result = xp.where(is_set[bit, :], result * base, result)
+    return result
 
 
 def _sigma_star_chunk(F, mask, ks_dev, ks_host: np.ndarray, be: Backend):
@@ -190,13 +195,7 @@ def _sigma_star_chunk(F, mask, ks_dev, ks_host: np.ndarray, be: Backend):
     totals = xp.sum(probabilities, axis=2)
     probabilities = probabilities / xp.where(totals > 0, totals, xp.ones_like(totals))[:, :, None]
 
-    equilibrium = xp.stack(
-        [
-            _int_power_column(xp, alpha[:, column], int(k) - 1)
-            for column, k in enumerate(ks_host)
-        ],
-        axis=1,
-    )
+    equilibrium = _int_power_columns(be, alpha, ks_host - 1)
 
     # Single-site supports: all mass on the top site; several colliding players
     # earn zero under the exclusive policy.
@@ -206,11 +205,12 @@ def _sigma_star_chunk(F, mask, ks_dev, ks_host: np.ndarray, be: Backend):
     equilibrium = xp.where(single, xp.zeros_like(equilibrium), equilibrium)
 
     # k = 1 columns: one player exploits the most valuable site.
-    solo = (ks_dev == 1)[None, :]  # (1, K)
-    probabilities = xp.where(solo[:, :, None], onehot[None, None, :], probabilities)
-    support = xp.where(solo, xp.ones_like(support), support)
-    alpha = xp.where(solo, xp.zeros_like(alpha), alpha)
-    equilibrium = xp.where(solo, F[:, :1], equilibrium)
+    if (ks_host == 1).any():
+        solo = (ks_dev == 1)[None, :]  # (1, K)
+        probabilities = xp.where(solo[:, :, None], onehot[None, None, :], probabilities)
+        support = xp.where(solo, xp.ones_like(support), support)
+        alpha = xp.where(solo, xp.zeros_like(alpha), alpha)
+        equilibrium = xp.where(solo, F[:, :1], equilibrium)
 
     return probabilities, support, alpha, equilibrium
 

@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.scenario_experiments import policy_from_name
-from repro.backend import Backend
+from repro.backend import Backend, resolve_backend
 from repro.batch.coverage_times import (
     coverage_time_cdf_batch,
     expected_coverage_time_batch,
@@ -102,7 +102,10 @@ def _evaluate_solve(batch: Sequence[SolveRequest], backend) -> list[dict]:
     ks = sorted({request.k for request in batch})
     policy = batch[0].policy_object()
     equilibrium = ifd_batch(padded, ks, policy, backend=backend)
-    coverages = coverage_batch(padded, equilibrium.probabilities, ks, backend=backend)
+    coverages = coverage_batch(padded, equilibrium.probabilities, ks, backend=backend).tolist()
+    values, support_sizes, converged = (
+        a.tolist() for a in (equilibrium.values, equilibrium.support_sizes, equilibrium.converged)
+    )
     k_index = {k: column for column, k in enumerate(ks)}
     payloads = []
     for row, request in enumerate(batch):
@@ -113,13 +116,11 @@ def _evaluate_solve(batch: Sequence[SolveRequest], backend) -> list[dict]:
                 "m": request.m,
                 "k": request.k,
                 "policy": request.policy,
-                "probabilities": [
-                    float(p) for p in equilibrium.probabilities[row, column, : request.m]
-                ],
-                "equilibrium_value": float(equilibrium.values[row, column]),
-                "support_size": int(equilibrium.support_sizes[row, column]),
-                "coverage": float(coverages[row, column]),
-                "converged": bool(equilibrium.converged[row, column]),
+                "probabilities": equilibrium.probabilities[row, column, : request.m].tolist(),
+                "equilibrium_value": values[row][column],
+                "support_size": support_sizes[row][column],
+                "coverage": coverages[row][column],
+                "converged": converged[row][column],
             }
         )
     return payloads
@@ -139,9 +140,9 @@ def _evaluate_sweep(batch: Sequence[SweepRequest], backend) -> list[dict]:
                 "kind": "sweep",
                 "m": request.m,
                 "k_grid": list(request.k_grid),
-                "support_sizes": [int(star.support_sizes[row, c]) for c in columns],
-                "equilibrium_values": [float(star.equilibrium_values[row, c]) for c in columns],
-                "coverages": [float(coverages[row, c]) for c in columns],
+                "support_sizes": star.support_sizes[row, columns].tolist(),
+                "equilibrium_values": star.equilibrium_values[row, columns].tolist(),
+                "coverages": coverages[row, columns].tolist(),
             }
         )
     return payloads
@@ -163,23 +164,11 @@ def _evaluate_mechanism(batch: Sequence[MechanismRequest], backend) -> list[dict
                 "m": request.m,
                 "k": request.k,
                 "policies": list(roster_names),
-                "equilibrium_coverages": [
-                    float(comparison.equilibrium_coverages[p, row, column])
-                    for p in range(len(roster_names))
-                ],
-                "optimal_coverage": float(comparison.optimal_coverages[row, column]),
-                "spoa": [
-                    _finite_or_none(comparison.spoa[p, row, column])
-                    for p in range(len(roster_names))
-                ],
-                "equilibrium_payoffs": [
-                    float(comparison.equilibrium_payoffs[p, row, column])
-                    for p in range(len(roster_names))
-                ],
-                "support_sizes": [
-                    int(comparison.support_sizes[p, row, column])
-                    for p in range(len(roster_names))
-                ],
+                "equilibrium_coverages": comparison.equilibrium_coverages[:, row, column].tolist(),
+                "optimal_coverage": comparison.optimal_coverages[row, column].item(),
+                "spoa": [_finite_or_none(r) for r in comparison.spoa[:, row, column].tolist()],
+                "equilibrium_payoffs": comparison.equilibrium_payoffs[:, row, column].tolist(),
+                "support_sizes": comparison.support_sizes[:, row, column].tolist(),
             }
         )
     return payloads
@@ -219,13 +208,13 @@ def _evaluate_coverage(batch: Sequence[CoverageTimeRequest], backend) -> list[di
             "kind": "coverage-times",
             "m": request.m,
             "k": request.k,
-            "distribution": [float(p) for p in request.values],
+            "distribution": list(request.values),
             "coverable": bool(math.isfinite(expected[row])),
             "expected_rounds": _finite_or_none(expected[row]),
         }
         if cdf is not None:
             payload["times"] = list(times)
-            payload["cdf"] = [float(value) for value in cdf[row, :]]
+            payload["cdf"] = cdf[row, :].tolist()
         if partial is not None:
             payload["j"] = request.j
             payload["partial_expected_rounds"] = _finite_or_none(partial[row])
@@ -250,7 +239,8 @@ def evaluate_group(
     kinds = {request.group_key for request in batch}
     if len(kinds) != 1:
         raise ValueError(f"cannot evaluate a mixed group: {sorted(kinds)}")
-    return _EVALUATORS[batch[0].kind](batch, backend)
+    # Resolved once here: every kernel call of the group then skips the lookup.
+    return _EVALUATORS[batch[0].kind](batch, resolve_backend(backend))
 
 
 def evaluate_requests(

@@ -41,6 +41,7 @@ from repro.utils.canonical import (
     canonical_values,
     content_key,
 )
+from repro.utils.validation import check_integer
 
 __all__ = [
     "ServingRequest",
@@ -52,15 +53,20 @@ __all__ = [
 ]
 
 
-def _coerce_values(values: Any) -> tuple[float, ...]:
-    if values is None:
-        raise ValueError("request is missing the site-value profile 'values'")
-    return canonical_values(values)
+def _integer(value: Any, name: str, minimum: int) -> int:
+    """``value`` as an int: integral floats pass; bools, strings and fractions do not."""
+    try:
+        return check_integer(value, name, minimum)
+    except TypeError as error:
+        raise ValueError(str(error)) from None
 
 
 @dataclass(frozen=True)
 class ServingRequest:
     """Base of the three request families.
+
+    The validated :class:`~repro.core.values.SiteValues` is built once, at
+    construction, and reused by the cache key and the kernel packing.
 
     Attributes
     ----------
@@ -74,12 +80,16 @@ class ServingRequest:
     kind = "abstract"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _coerce_values(self.values))
+        if self.values is None:
+            raise ValueError("request is missing the site-value profile 'values'")
+        site_values = canonical_values(self.values)
+        object.__setattr__(self, "_site_values", site_values)
+        object.__setattr__(self, "values", tuple(site_values.as_array().tolist()))
 
     @property
     def site_values(self) -> SiteValues:
         """The instance as a :class:`~repro.core.values.SiteValues` (already sorted)."""
-        return SiteValues.from_values(np.asarray(self.values))
+        return self.__dict__["_site_values"]
 
     @property
     def m(self) -> int:
@@ -91,7 +101,9 @@ class ServingRequest:
         """Content-addressed key: equal for all spellings of the same request."""
         key = self.__dict__.get("_cache_key")
         if key is None:
-            key = content_key(self.kind, self.values, **self._params())
+            # Coverage-time requests hold a distribution, not site values.
+            instance = self.__dict__.get("_site_values", self.values)
+            key = content_key(self.kind, instance, **self._params())
             object.__setattr__(self, "_cache_key", key)
         return key
 
@@ -128,10 +140,8 @@ class SolveRequest(ServingRequest):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _integer(self.k, "k", 1))
         object.__setattr__(self, "policy", str(self.policy))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
         if self.policy not in POLICY_FACTORIES:
             available = ", ".join(sorted(POLICY_FACTORIES))
             raise ValueError(f"unknown policy {self.policy!r}; available: {available}")
@@ -179,9 +189,7 @@ class MechanismRequest(ServingRequest):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "k", int(self.k))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        object.__setattr__(self, "k", _integer(self.k, "k", 1))
         roster = tuple(str(name) for name in self.policies)
         if not roster:
             raise ValueError("policies roster must not be empty")
@@ -231,17 +239,15 @@ class CoverageTimeRequest(ServingRequest):
         # Deliberately NOT the base coercion: distributions admit zeros,
         # which SiteValues (strictly positive site values) rejects.
         object.__setattr__(self, "values", canonical_distribution(self.values))
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "j", int(self.j))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        object.__setattr__(self, "k", _integer(self.k, "k", 1))
+        object.__setattr__(self, "j", _integer(self.j, "j", 0))
         raw_times = self.times
         if isinstance(raw_times, (int, np.integer)):
             times = canonical_times(raw_times)
         else:
             times = canonical_times(raw_times) if len(tuple(raw_times)) else ()
         object.__setattr__(self, "times", times)
-        if self.j < 0 or self.j > self.m:
+        if self.j > self.m:
             raise ValueError(f"coverage target j must satisfy 0 <= j <= {self.m} (0 = off)")
         uniform = self.values[0] == self.values[-1]
         if not uniform and self.m > DEFAULT_MAX_EXACT_SITES:

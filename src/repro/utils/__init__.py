@@ -7,7 +7,6 @@ every other subpackage.  Nothing in here is specific to the dispersal game.
 from repro.utils.canonical import (
     canonical_distribution,
     canonical_k_grid,
-    canonical_request,
     canonical_times,
     canonical_values,
     content_key,
@@ -48,7 +47,6 @@ __all__ = [
     "environment_metadata",
     "canonical_distribution",
     "canonical_k_grid",
-    "canonical_request",
     "canonical_times",
     "canonical_values",
     "content_key",

@@ -10,12 +10,13 @@ that canonical form:
 
 * site values are routed through :class:`~repro.core.values.SiteValues`, so
   they inherit its validation and non-increasing sort (the paper's
-  ``f(x) >= f(x + 1)`` convention) and come out as a plain float tuple;
+  ``f(x) >= f(x + 1)`` convention), and one ``SiteValues`` is the result;
 * player-count grids become sorted tuples of unique ints;
-* the key is a SHA-256 digest of an unambiguous byte encoding in which
-  floats are rendered with :meth:`float.hex` — exact round-trip, so values
-  differing in the last bit get different keys and equal values always get
-  the same one.
+* the request key is a SHA-256 digest of an unambiguous byte encoding: the
+  kind and parameters type-tagged and length-prefixed, the canonical values
+  as their little-endian float64 bytes after a length prefix — exact, so
+  values differing in the last bit get different keys and equal values
+  always get the same one.
 
 Nothing here touches the array backend: canonicalisation is host-side
 staging work, exactly like :class:`~repro.batch.padding.PaddedValues`.
@@ -30,6 +31,11 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
+# ``repro.core.values`` imports ``repro.utils`` (validation helpers), so this
+# module is first loaded while that one is still initialising: bind the
+# module object now and look ``SiteValues`` up on it at call time.
+import repro.core.values as _values
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.values import SiteValues
 
@@ -38,31 +44,36 @@ __all__ = [
     "canonical_distribution",
     "canonical_k_grid",
     "canonical_times",
-    "canonical_request",
     "content_key",
     "canonical_task_params",
     "cell_key",
 ]
 
 
-def canonical_values(values: "SiteValues | Sequence[float] | np.ndarray") -> tuple[float, ...]:
-    """The canonical (validated, non-increasing) float tuple of an instance.
+def _numbers(values: Any, what: str) -> np.ndarray:
+    """``values`` as a host float array; strings, bools and other objects are refused."""
+    if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
+        raise ValueError(f"{what} must be numbers")
+    if not isinstance(values, np.ndarray) and hasattr(values, "__array_namespace__"):
+        from repro.backend import ensure_numpy
+
+        values = ensure_numpy(values)
+    array = np.asarray(values)
+    if array.dtype.kind not in "fiu":
+        raise ValueError(f"{what} must be numbers")
+    return array.astype(float, copy=False)
+
+
+def canonical_values(values: "SiteValues | Sequence[float] | np.ndarray") -> "SiteValues":
+    """The validated, non-increasing :class:`~repro.core.values.SiteValues` of an instance.
 
     Accepts anything :meth:`PaddedValues.from_instances
     <repro.batch.padding.PaddedValues.from_instances>` accepts for one row,
     plus backend-native arrays (brought to the host first).
     """
-    # Imported lazily: ``repro.core.values`` itself imports ``repro.utils``
-    # (validation helpers), so a module-level import here would be circular.
-    from repro.core.values import SiteValues
-
-    if not isinstance(values, SiteValues):
-        if not isinstance(values, np.ndarray) and hasattr(values, "__array_namespace__"):
-            from repro.backend import ensure_numpy
-
-            values = ensure_numpy(values)
-        values = SiteValues.from_values(np.asarray(values, dtype=float))
-    return tuple(float(v) for v in values.as_array())
+    if isinstance(values, _values.SiteValues):
+        return values
+    return _values.SiteValues.from_values(_numbers(values, "site values"))
 
 
 def canonical_distribution(
@@ -82,11 +93,7 @@ def canonical_distribution(
     """
     if weights is None:
         raise ValueError("request is missing the visit distribution 'values'")
-    if not isinstance(weights, np.ndarray) and hasattr(weights, "__array_namespace__"):
-        from repro.backend import ensure_numpy
-
-        weights = ensure_numpy(weights)
-    array = np.asarray(weights, dtype=float)
+    array = _numbers(weights, "visit-distribution entries")
     if array.ndim != 1 or array.size == 0:
         raise ValueError("a visit distribution must be a non-empty 1-D vector")
     if not np.all(np.isfinite(array)):
@@ -96,8 +103,23 @@ def canonical_distribution(
     total = float(array.sum())
     if total <= 0:
         raise ValueError("a visit distribution must have positive total mass")
-    array = array / total
-    return tuple(float(v) for v in np.sort(array)[::-1])
+    # ``+ 0.0`` turns -0.0 into 0.0: one canonical zero for the key and the echo.
+    return tuple((np.sort(array / total)[::-1] + 0.0).tolist())
+
+
+def _count_set(values: Any, name: str, what: str, minimum: int) -> tuple[int, ...]:
+    """A sorted tuple of unique ints ``>= minimum``; integral floats pass."""
+    counts = np.unique(np.atleast_1d(np.asarray(values)))
+    if counts.size == 0:
+        raise ValueError(f"{name} must contain at least one {what}")
+    if not np.issubdtype(counts.dtype, np.integer):
+        rounded = np.rint(np.asarray(counts, dtype=float)).astype(np.int64)
+        if not np.allclose(counts, rounded):
+            raise ValueError(f"{name} entries must be integers")
+        counts = np.unique(rounded)
+    if (counts < minimum).any():
+        raise ValueError(f"{name} entries must be >= {minimum}")
+    return tuple(counts.tolist())
 
 
 def canonical_times(times: Sequence[int] | np.ndarray | int) -> tuple[int, ...]:
@@ -107,17 +129,7 @@ def canonical_times(times: Sequence[int] | np.ndarray | int) -> tuple[int, ...]:
     is well defined at zero rounds), for the ``times`` grid of the
     ``/coverage-times`` endpoint.
     """
-    ts = np.unique(np.atleast_1d(np.asarray(times)))
-    if ts.size == 0:
-        raise ValueError("times must contain at least one round count")
-    if not np.issubdtype(ts.dtype, np.integer):
-        rounded = np.rint(np.asarray(ts, dtype=float)).astype(np.int64)
-        if not np.allclose(ts, rounded):
-            raise ValueError("times entries must be integers")
-        ts = np.unique(rounded)
-    if np.any(ts < 0):
-        raise ValueError("times entries must be >= 0")
-    return tuple(int(t) for t in ts)
+    return _count_set(times, "times", "round count", 0)
 
 
 def canonical_k_grid(k_grid: Sequence[int] | np.ndarray | int) -> tuple[int, ...]:
@@ -127,68 +139,34 @@ def canonical_k_grid(k_grid: Sequence[int] | np.ndarray | int) -> tuple[int, ...
     (responses are reported per ``k``), so ``[3, 2, 3]`` and ``(2, 3)`` are
     the same request and must share a cache key.
     """
-    ks = np.unique(np.atleast_1d(np.asarray(k_grid)))
-    if ks.size == 0:
-        raise ValueError("k_grid must contain at least one player count")
-    if not np.issubdtype(ks.dtype, np.integer):
-        rounded = np.rint(np.asarray(ks, dtype=float)).astype(np.int64)
-        if not np.allclose(ks, rounded):
-            raise ValueError("k_grid entries must be integers")
-        ks = np.unique(rounded)
-    if np.any(ks < 1):
-        raise ValueError("k_grid entries must be >= 1")
-    return tuple(int(k) for k in ks)
-
-
-def canonical_request(
-    kind: str, values: SiteValues | Sequence[float] | np.ndarray, **params: Any
-) -> tuple:
-    """The canonical nested-tuple form of one serving request.
-
-    ``params`` are sorted by name; every value must be an int, float, bool,
-    string, or a (possibly nested) sequence of those.  The result is
-    hashable and equality-comparable, and :func:`content_key` digests it.
-    """
-    items = tuple(
-        (name, _canonical_param(params[name])) for name in sorted(params)
-    )
-    return (str(kind), canonical_values(values), items)
-
-
-def _canonical_param(value: Any) -> Any:
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        return tuple(_canonical_param(item) for item in value)
-    raise TypeError(f"cannot canonicalise request parameter of type {type(value).__name__}")
+    return _count_set(k_grid, "k_grid", "player count", 1)
 
 
 def _encode(value: Any, out: list[str]) -> None:
-    """Render a canonical tuple unambiguously (type-tagged, length-prefixed)."""
-    if isinstance(value, bool):
+    """Render a value unambiguously (type-tagged, length-prefixed).
+
+    Scalars, strings and (nested) sequences — lists, tuples and NumPy arrays
+    alike, with NumPy scalars as their Python counterparts — so a request
+    parameter and its canonical tuple spelling encode the same.
+    """
+    if isinstance(value, (tuple, list)):
+        out.append(f"t{len(value)}(")
+        for item in value:
+            _encode(item, out)
+        out.append(")")
+    elif isinstance(value, str):
+        out.append(f"s{len(value)}:{value}")
+    elif isinstance(value, bool):
         out.append(f"b{int(value)}")
     elif isinstance(value, int):
         out.append(f"i{value}")
     elif isinstance(value, float):
         # float.hex round-trips exactly; no repr-precision ambiguity.
         out.append(f"f{value.hex()}")
-    elif isinstance(value, str):
-        out.append(f"s{len(value)}:{value}")
-    elif isinstance(value, tuple):
-        out.append(f"t{len(value)}(")
-        for item in value:
-            _encode(item, out)
-        out.append(")")
-    else:  # pragma: no cover - _canonical_param already rejects these
-        raise TypeError(f"cannot encode {type(value).__name__}")
+    elif isinstance(value, (np.ndarray, np.generic)):
+        _encode(value.tolist(), out)
+    else:
+        raise TypeError(f"cannot encode request parameter of type {type(value).__name__}")
 
 
 def content_key(
@@ -196,14 +174,28 @@ def content_key(
 ) -> str:
     """SHA-256 hex key of a request's canonical form.
 
+    The kind and the parameters (sorted by name; ints, floats, bools,
+    strings or nested sequences of those) are encoded type-tagged and
+    length-prefixed; the values, sorted non-increasing, are digested as their
+    little-endian float64 bytes behind a length prefix, in one update.
+    Validating the values is the request model's job: this only hashes them.
+
     >>> content_key("solve", [0.3, 1.0], k=3) == content_key(
     ...     "solve", np.array([1.0, 0.3]), k=3
     ... )
     True
     """
+    if isinstance(values, _values.SiteValues):
+        array = values.as_array()
+    else:
+        array = np.sort(_numbers(values, "request values"))[::-1]
+    kind = str(kind)
+    digest = hashlib.sha256(f"s{len(kind)}:{kind}v{array.size}:".encode("utf-8"))
+    digest.update(np.ascontiguousarray(array, dtype="<f8"))
     out: list[str] = []
-    _encode(canonical_request(kind, values, **params), out)
-    return hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
+    _encode(tuple(sorted(params.items())), out)
+    digest.update("".join(out).encode("utf-8"))
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -130,11 +130,11 @@ def check_value_vector(
         raise ValueError(f"{name} must be a 1-D array, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must contain only finite entries")
-    if require_positive and np.any(arr <= 0):
+    if require_positive and (arr <= 0).any():
         raise ValueError(f"{name} must be strictly positive")
-    if not require_positive and np.any(arr < 0):
+    if not require_positive and (arr < 0).any():
         raise ValueError(f"{name} must be non-negative")
     if require_sorted and np.any(np.diff(arr) > 1e-12):
         raise ValueError(f"{name} must be non-increasing")

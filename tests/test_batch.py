@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import backend_params
-from repro.backend import load_backend, use_backend
+from repro.backend import from_numpy, load_backend, resolve_backend, to_numpy, use_backend
 from repro.batch import (
     PaddedValues,
     coverage_batch,
@@ -23,6 +23,7 @@ from repro.batch import (
     spoa_batch,
     support_size_batch,
 )
+from repro.batch.solvers import _int_power_columns
 from repro.core.coverage import coverage
 from repro.core.ifd import ideal_free_distribution
 from repro.core.optimal_coverage import optimal_coverage
@@ -264,6 +265,57 @@ class TestIFDBatch:
         star = sigma_star_batch(ragged_instances, (2, 3))
         np.testing.assert_array_equal(closed.probabilities, star.probabilities)
         np.testing.assert_array_equal(closed.support_sizes, star.support_sizes)
+
+
+def _int_power_column(xp, base, exponent: int):
+    """Reference: ``base ** exponent`` for one column by binary exponentiation."""
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return xp.ones_like(base) if result is None else result
+
+
+class TestKernelContracts:
+    """Rewrites of the closed-form path that must not move a single bit."""
+
+    def test_vectorised_power_matches_per_column_loop(self):
+        be = resolve_backend(None)
+        rng = np.random.default_rng(7)
+        alphas = np.concatenate(
+            [
+                rng.uniform(0.0, 1.5, size=12),
+                [0.0, 1.0, 0.5, 2.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e-300, 1e10],
+            ]
+        )
+        exponents = np.arange(2000, dtype=np.int64)  # k = 1 .. 2000
+        base = from_numpy(be, np.repeat(alphas[:, None], exponents.size, axis=1))
+        with np.errstate(over="ignore"):
+            vectorised = to_numpy(_int_power_columns(be, base, exponents))
+            reference = np.stack(
+                [
+                    to_numpy(_int_power_column(be.xp, base[:, column], int(e)))
+                    for column, e in enumerate(exponents)
+                ],
+                axis=1,
+            )
+        np.testing.assert_array_equal(vectorised, reference)
+
+    def test_exclusive_ifd_is_sigma_star_field_for_field(self, ragged_instances):
+        rng = np.random.default_rng(11)
+        instances = list(ragged_instances) + [SiteValues.random(m, rng) for m in (40, 65, 127)]
+        ks = (2, 3, 5, 8, 40, 300)
+        ifd = ifd_batch(instances, ks, ExclusivePolicy())
+        star = sigma_star_batch(instances, ks)
+        np.testing.assert_array_equal(ifd.probabilities, star.probabilities)
+        np.testing.assert_array_equal(ifd.values, star.equilibrium_values)
+        np.testing.assert_array_equal(ifd.support_sizes, star.support_sizes)
+        np.testing.assert_array_equal(ifd.k_grid, star.k_grid)
+        assert ifd.converged.shape == star.support_sizes.shape
+        assert bool(ifd.converged.all())
 
 
 class TestSPoABatch:

@@ -39,6 +39,25 @@ class TestExclusive:
         assert TwoLevelPolicy(0.0).is_exclusive(5)
         assert not TwoLevelPolicy(1e-3).is_exclusive(5)
 
+    @given(
+        head=st.sampled_from(
+            [1.0, 1.0 + 1e-5, 1.0 - 1e-5, 1.0 + 1e-5 + 1e-12, 1.0 + 2e-5, np.nan, np.inf]
+        ),
+        tail=st.lists(
+            st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 2e-12, 1e-13, 1e-9, np.nan, -np.inf]),
+            max_size=6,
+        ),
+        atol=st.sampled_from([1e-12, 0.0, 1e-9]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_is_exclusive_decides_like_allclose(self, head, tail, atol):
+        table = [head, *tail]
+        policy = TabulatedPolicy(table, validate=False)
+        expected = np.zeros(len(table))
+        expected[0] = 1.0
+        decision = bool(np.allclose(policy.table(len(table)), expected, atol=atol))
+        assert policy.is_exclusive(len(table), atol=atol) is decision
+
     def test_rejects_zero_occupancy(self):
         with pytest.raises(ValueError):
             ExclusivePolicy().congestion(0)

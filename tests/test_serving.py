@@ -51,7 +51,7 @@ def random_values(m: int) -> np.ndarray:
 class TestCanonical:
     def test_values_order_independent(self):
         assert canonical_values([0.3, 1.0, 0.7]) == canonical_values([1.0, 0.7, 0.3])
-        assert canonical_values(np.array([0.5, 0.25])) == (0.5, 0.25)
+        assert canonical_values(np.array([0.5, 0.25])).as_array().tolist() == [0.5, 0.25]
 
     def test_values_validation(self):
         with pytest.raises(ValueError):
