@@ -5,9 +5,10 @@ Array-API-compatible namespace ``xp`` instead of importing NumPy at module
 scope.  This module owns the mapping from a backend *name* to a resolved
 :class:`Backend` handle:
 
-* ``numpy`` — always available; NumPy >= 2.0 implements the standard names
-  (``cumulative_sum``, ``pow``, ``take_along_axis``, ...) in its main
-  namespace, so no wrapper is needed;
+* ``numpy`` — always available; NumPy >= 2.1 (the package's floor)
+  implements the standard names (``cumulative_sum``, ``concat``,
+  ``permute_dims``, ...) in its main namespace, so no wrapper is needed.
+  An older NumPy is reported with the names it lacks;
 * ``array_api_strict`` — auto-detected when importable;
 * ``torch`` / ``cupy`` — auto-detected when importable *and* a
   standard-conforming namespace resolves (via ``array_api_compat`` for
@@ -76,6 +77,7 @@ _REQUIRED_FUNCTIONS = (
     "log",
     "maximum",
     "minimum",
+    "permute_dims",
     "pow",
     "searchsorted",
     "stack",
@@ -151,6 +153,7 @@ def _check_namespace(name: str, xp: Any) -> None:
 def _load_numpy() -> Backend:
     import numpy as np
 
+    _check_namespace("numpy", np)
     return Backend(
         name="numpy",
         xp=np,

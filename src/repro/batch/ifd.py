@@ -13,8 +13,12 @@ visited by everyone still pays more), and ``v`` is tuned until the ``q`` sum
 to one.
 
 :func:`water_filling_batch` solves that for ``R`` independent rows at once,
-each with its own player count, costs and congestion table, under a fixed
-budget:
+each with its own player count, costs and congestion table.  Three kinds of
+row have closed forms: ``k = 1`` (a point mass on the best site), a table
+constant on ``{1..k}`` (uniform over the best sites) and ``k = 2``, where
+``g(q) = C(1) - (C(1) - C(2)) q`` is linear, so each site's response is
+linear in ``v`` between its clip points and the mass is solved exactly on
+its sorted breakpoints.  Every other row runs under a fixed budget:
 
 * ``g`` and ``g'`` come from :func:`bernstein_evaluator` (shared with the
   dynamics engine): de Casteljau's algorithm for degrees up to
@@ -38,12 +42,14 @@ budget:
   support site pays within the bracket (plus the bounds' slack) with no
   renormalisation;
 * ``converged`` is the IFD conditions themselves, checked on the final
-  strategy with one log-space binomial evaluation.
+  strategy with one log-space binomial evaluation (the ``k = 2`` rows get
+  the same check).
 
 No loop exits early and every reduction over the site axis is a sequential
 (cumulative) sum, so a row's answer depends neither on the other rows (their
-tables included) nor on its padding, except through the largest ``k`` in the
-call: it picks the ``g`` evaluator and the width of the log-space sums.
+tables included) nor on its padding.  The one exception is an iterative row
+(``k >= 3``): the largest ``k`` among those rows picks the ``g`` evaluator
+and the width of the log-space sums.  Closed-form rows never depend on it.
 :func:`ifd_batch`, :func:`repro.batch.mechanism.compare_policies_batch` (one
 call per policy roster), :func:`repro.batch.scenarios.cost_adjusted_ifd_batch`,
 :func:`repro.core.ifd.ideal_free_distribution` and
@@ -103,8 +109,8 @@ class WaterFilling:
         ``(R,)`` whether the strategy meets both IFD conditions within
         :data:`CONVERGED_ATOL`.
     closed_form:
-        ``(R,)`` whether the row was resolved in closed form (``k = 1`` or a
-        constant congestion table) rather than by the iteration.
+        ``(R,)`` whether the row was resolved in closed form (``k = 1``,
+        ``k = 2`` or a constant congestion table) rather than by the iteration.
     """
 
     probabilities: np.ndarray
@@ -263,8 +269,10 @@ def water_filling_batch(
         Rows with ``k = 1`` are a point mass on the first best site (largest
         ``f - d``).  Rows whose congestion table is constant on
         ``{1..k}`` pay ``f - d`` whatever the others do; their mass spreads
-        uniformly over the best sites.  Every other row is solved
-        numerically (see the module docstring).
+        uniformly over the best sites.  Other rows with ``k = 2`` are solved
+        exactly by :func:`_linear_water_filling`, and every other row
+        numerically (see the module docstring).  ``converged`` is the IFD
+        check on every row but those of the first two kinds.
     """
     be = resolve_backend(backend)
     xp = be.xp
@@ -297,18 +305,46 @@ def water_filling_batch(
     probabilities = top / np.maximum(support_sizes, 1)[:, None]
     out_values = best.copy()
     converged = np.ones(r, dtype=bool)
+    linear = ~flat_host & (ks == 2)
+    closed = flat_host | linear
 
-    rows = np.flatnonzero(~flat_host)
+    def settle(rows, F, D, mask_dev, p, bound):
+        """Store strategies ``p`` of ``rows`` with their realised payoffs and IFD check."""
+        value, counts, ok = _ifd_check(
+            p, F, D, mask_dev, tables_host[rows], degrees[rows], bound, be
+        )
+        probabilities[rows] = to_numpy(p)
+        out_values[rows] = to_numpy(value)
+        support_sizes[rows] = to_numpy(counts).astype(np.int64)
+        converged[rows] = to_numpy(ok)
+
+    def stage(rows):
+        """Site values, costs and mask of ``rows`` on the backend."""
+        return (
+            from_numpy(be, f_host[rows], dtype=fdt),
+            from_numpy(be, d_host[rows], dtype=fdt),
+            from_numpy(be, mask_host[rows]),
+        )
+
+    if linear.any():
+        # k = 2: g(q) = C(1) - (C(1) - C(2)) q is linear, so water filling is exact.
+        rows = np.flatnonzero(linear)
+        c1, c2 = tables_host[rows, :1], tables_host[rows, 1:2]
+        v, p = _linear_water_filling(
+            f_host[rows] * c1 - d_host[rows], f_host[rows] * (c1 - c2), mask_host[rows]
+        )
+        p, bound = from_numpy(be, p, dtype=fdt), from_numpy(be, np.abs(v), dtype=fdt)
+        settle(rows, *stage(rows), p, bound)
+
+    rows = np.flatnonzero(~closed)
     if rows.size == 0:
-        return WaterFilling(probabilities, out_values, support_sizes, converged, flat_host)
+        return WaterFilling(probabilities, out_values, support_sizes, converged, closed)
 
     sub_degrees = degrees[rows]
     sub_tables = tables_host[rows][:, : int(sub_degrees.max()) + 1]
     g_and_slope = bernstein_evaluator(sub_tables, sub_degrees, be)
 
-    F = from_numpy(be, f_host[rows], dtype=fdt)
-    D = from_numpy(be, d_host[rows], dtype=fdt)
-    mask_dev = from_numpy(be, mask_host[rows])
+    F, D, mask_dev = stage(rows)
     maskf = xp.astype(mask_dev, fdt)
     g_one = from_numpy(be, sub_tables[np.arange(rows.size), sub_degrees], dtype=fdt)
     zero = xp.asarray(0.0, dtype=fdt)
@@ -416,27 +452,78 @@ def water_filling_batch(
     t = (mass_lo - 1.0) / (mass_lo - mass_hi)
     p = q_lo + t[:, None] * (q_hi - q_lo)
 
-    # One final evaluation of the realised site values checks the IFD.
-    plan = cached_binomial_pmf_plan(sub_degrees, backend=be)
-    pmf = binomial_pmf_tensor(sub_degrees, p, plan=plan)
-    table = from_numpy(be, sub_tables[:, None, :], dtype=fdt)
+    settle(rows, F, D, mask_dev, p, xp.maximum(xp.abs(v_lo), xp.abs(v_hi)))
+    return WaterFilling(probabilities, out_values, support_sizes, converged, closed)
+
+
+def _linear_water_filling(s: np.ndarray, a: np.ndarray, mask: np.ndarray):
+    """Exact water filling for ``k = 2`` rows: ``(v, q)`` as host arrays.
+
+    Against one opponent a site pays ``s - a q`` with ``s = f C(1) - d`` and
+    ``a = f (C(1) - C(2)) > 0``, so its response to the payoff ``v`` is
+    ``q(v) = clip((s - v) / a, 0, 1)``.  The mass ``sum_x q_x(v)`` is then
+    continuous, piecewise linear and non-increasing, with breakpoints where a
+    site enters (``v = s_x``) and saturates (``v = s_x - a_x``).  Walking the
+    sorted breakpoints down, prefix sums of the slope and intercept changes
+    give the mass at each; ``v`` interpolates the piece on which it reaches
+    one.  Each row is sorted and summed on its own, and masked columns sort
+    last, so a row's answer depends neither on its batch nor on its padding.
+    """
+    r, m = s.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(mask, 1.0 / a, 0.0)
+        ratio = np.where(mask, s * inv, 0.0)
+        points = np.where(np.tile(mask, 2), np.concatenate([s, s - a], axis=1), -np.inf)
+        order = np.argsort(-points, axis=1, kind="stable")
+
+        def walk(enter, saturate):
+            """Prefix sums, in breakpoint order, of per-site changes at entry and saturation."""
+            changes = np.concatenate([enter, saturate], axis=1)
+            return np.cumsum(np.take_along_axis(changes, order, axis=1), axis=1)
+
+        points = np.take_along_axis(points, order, axis=1)
+        mass = walk(ratio, np.where(mask, 1.0 - ratio, 0.0)) - points * walk(inv, -inv)
+    # The mass is ~0 at the first breakpoint and the number of real sites at the
+    # last one; rounding can only hide a crossing there.
+    last = 2 * mask.sum(axis=1) - 1
+    index = np.arange(2 * m)
+    crossed = (mass >= 1.0) & (index >= 1) & (index <= last[:, None])
+    end = np.where(crossed.any(axis=1), np.argmax(crossed, axis=1), last)
+    row = np.arange(r)
+    start = end - 1
+    t = np.clip((mass[row, end] - 1.0) / (mass[row, end] - mass[row, start]), 0.0, 1.0)
+    v = points[row, end] + t * (points[row, start] - points[row, end])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(mask, np.clip((s - v[:, None]) / a, 0.0, 1.0), 0.0)
+    return v, q
+
+
+def _ifd_check(p, F, D, mask, tables: np.ndarray, degrees: np.ndarray, bound, be: Backend):
+    """Realised payoffs, support sizes and IFD conditions of strategies ``p``.
+
+    One log-space binomial evaluation of the site values ``F g(p) - D``.  A
+    row is ``converged`` when its support pays within :data:`CONVERGED_ATOL`
+    (relative to ``max(bound, 1)``) of its mean, no other site pays more and
+    its mass is one.  Returns backend ``(value, counts, ok)``.
+    """
+    xp = be.xp
+    fdt = be.float_dtype
+    zero = xp.asarray(0.0, dtype=fdt)
+    neg_inf = xp.asarray(-np.inf, dtype=fdt)
+    pos_inf = xp.asarray(np.inf, dtype=fdt)
+    table = from_numpy(be, tables[:, None, : int(degrees.max()) + 1], dtype=fdt)
+    pmf = binomial_pmf_tensor(degrees, p, plan=cached_binomial_pmf_plan(degrees, backend=be))
     nu = F * xp.sum(pmf * table, axis=2) - D
-    support = mask_dev & (p > SUPPORT_ATOL)
+    support = mask & (p > SUPPORT_ATOL)
     counts = _row_sum(xp.astype(support, fdt), xp)
     value = _row_sum(xp.where(support, nu, zero), xp) / xp.maximum(counts, xp.ones_like(counts))
     spread = xp.max(xp.where(support, nu, neg_inf), axis=1) - xp.min(
         xp.where(support, nu, pos_inf), axis=1
     )
-    advantage = xp.max(xp.where(mask_dev & ~support, nu, neg_inf), axis=1) - value
-    tol = CONVERGED_ATOL * xp.maximum(xp.abs(v_lo), xp.maximum(xp.abs(v_hi), xp.ones_like(v_hi)))
+    advantage = xp.max(xp.where(mask & ~support, nu, neg_inf), axis=1) - value
+    tol = CONVERGED_ATOL * xp.maximum(bound, xp.ones_like(bound))
     ok = (spread <= tol) & (advantage <= tol)
-    ok = ok & (xp.abs(_row_sum(p, xp) - 1.0) <= CONVERGED_ATOL)
-
-    probabilities[rows] = to_numpy(p)
-    out_values[rows] = to_numpy(value)
-    support_sizes[rows] = to_numpy(counts).astype(np.int64)
-    converged[rows] = to_numpy(ok)
-    return WaterFilling(probabilities, out_values, support_sizes, converged, flat_host)
+    return value, counts, ok & (xp.abs(_row_sum(p, xp) - 1.0) <= CONVERGED_ATOL)
 
 
 @dataclass(frozen=True)

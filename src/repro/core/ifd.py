@@ -48,7 +48,8 @@ class IFDResult:
         :data:`repro.batch.ifd.CONVERGED_ATOL`).
     iterations:
         Outer water-filling steps run (the fixed
-        :data:`repro.batch.ifd.OUTER_STEPS`; 0 for closed forms).
+        :data:`repro.batch.ifd.OUTER_STEPS`; 0 for closed forms, which
+        include every ``k <= 2`` game).
     """
 
     strategy: Strategy
@@ -94,11 +95,14 @@ def ideal_free_distribution(
         validated for ``k`` players.
     use_closed_form:
         When the policy is the exclusive policy, use the paper's closed form
-        ``sigma_star`` instead of the numerical solver.
+        ``sigma_star`` instead of the water-filling solver.  It governs only
+        that route: the solver's own closed forms below apply either way.
 
     Notes
     -----
     * ``k = 1``: the single player's best response is the most valuable site.
+    * ``k = 2``: ``g`` is linear, so the water filling is solved exactly
+      (``iterations = 0``); ``converged`` still comes from the IFD check.
     * If the congestion table is constant on ``{1, ..., k}`` (no congestion
       cost at all), the unique-IFD argument of Observation 2 does not apply;
       the solver returns the natural equilibrium in which players spread

@@ -51,7 +51,7 @@ __all__ = [
 
 
 def _numbers(values: Any, what: str) -> np.ndarray:
-    """``values`` as a host float array; strings, bools and other objects are refused."""
+    """``values`` as a host int or float array; strings, bools and other objects are refused."""
     if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
         raise ValueError(f"{what} must be numbers")
     if not isinstance(values, np.ndarray) and hasattr(values, "__array_namespace__"):
@@ -61,7 +61,7 @@ def _numbers(values: Any, what: str) -> np.ndarray:
     array = np.asarray(values)
     if array.dtype.kind not in "fiu":
         raise ValueError(f"{what} must be numbers")
-    return array.astype(float, copy=False)
+    return array
 
 
 def canonical_values(values: "SiteValues | Sequence[float] | np.ndarray") -> "SiteValues":
@@ -93,7 +93,7 @@ def canonical_distribution(
     """
     if weights is None:
         raise ValueError("request is missing the visit distribution 'values'")
-    array = _numbers(weights, "visit-distribution entries")
+    array = _numbers(weights, "visit-distribution entries").astype(float, copy=False)
     if array.ndim != 1 or array.size == 0:
         raise ValueError("a visit distribution must be a non-empty 1-D vector")
     if not np.all(np.isfinite(array)):
@@ -108,15 +108,22 @@ def canonical_distribution(
 
 
 def _count_set(values: Any, name: str, what: str, minimum: int) -> tuple[int, ...]:
-    """A sorted tuple of unique ints ``>= minimum``; integral floats pass."""
-    counts = np.unique(np.atleast_1d(np.asarray(values)))
+    """A sorted tuple of unique ints ``>= minimum``; integral floats pass, bools do not.
+
+    A float passes only when it is exactly an int64 (as in
+    :func:`~repro.utils.validation.check_integer`): ``2.000001`` and ``nan``
+    are refused, not rounded.
+    """
+    counts = np.unique(np.atleast_1d(_numbers(values, f"{name} entries")))
     if counts.size == 0:
         raise ValueError(f"{name} must contain at least one {what}")
-    if not np.issubdtype(counts.dtype, np.integer):
-        rounded = np.rint(np.asarray(counts, dtype=float)).astype(np.int64)
-        if not np.allclose(counts, rounded):
+    if counts.dtype.kind == "f":
+        # Distinct integral floats truncate to distinct ints, in the same order.
+        with np.errstate(invalid="ignore"):
+            integral = counts.astype(np.int64)
+        if not (integral == counts).all():
             raise ValueError(f"{name} entries must be integers")
-        counts = np.unique(rounded)
+        counts = integral
     if (counts < minimum).any():
         raise ValueError(f"{name} entries must be >= {minimum}")
     return tuple(counts.tolist())

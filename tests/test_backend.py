@@ -10,6 +10,9 @@ The property suites in ``tests/test_batch*.py`` separately re-run under
 
 from __future__ import annotations
 
+import sys
+import types
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,16 @@ class TestRegistry:
         assert backend.is_numpy
         assert backend.xp is np
         assert backend.supports_einsum and backend.supports_fancy_assignment
+
+    def test_numpy_lacking_standard_names_is_reported(self, monkeypatch):
+        # NumPy < 2.1 has no cumulative_sum (and < 2.0 no permute_dims): the
+        # loader names what is missing instead of failing mid-solve.
+        names = set(registry._REQUIRED_FUNCTIONS) - {"cumulative_sum", "permute_dims"}
+        stub = types.SimpleNamespace(**{name: getattr(np, name) for name in names})
+        monkeypatch.setitem(sys.modules, "numpy", stub)
+        missing = "'numpy'.*: cumulative_sum, permute_dims$"
+        with pytest.raises(BackendNotAvailableError, match=missing):
+            registry._load_numpy()
 
     def test_unknown_backend_raises(self):
         with pytest.raises(BackendNotAvailableError, match="unknown backend"):

@@ -13,7 +13,10 @@ The core contracts:
   importable from their old home and unchanged in behaviour;
 * a roster solved in one water-filling call is bit-identical to one
   ``ifd_batch`` per policy, and a row of a mixed-table water-filling call
-  equals the same row solved alone.
+  equals the same row solved alone;
+* ``k = 2`` rows are solved in closed form: exclusive rows equal
+  ``sigma_star_batch``, every row meets the brute-force payoff oracle, and a
+  ``k = 2`` row of a mixed-``k`` call equals the same row solved alone.
 
 The whole module runs once per available array backend through the autouse
 fixture, mirroring the other batch suites.
@@ -34,7 +37,7 @@ from repro.batch import (
 from repro.batch.ifd import DE_CASTELJAU_MAX_DEGREE, ifd_batch, water_filling_batch
 from repro.batch.mechanism import best_two_level_batch, compare_policies_batch
 from repro.batch.payoffs import congestion_table_batch
-from repro.batch.solvers import coverage_batch
+from repro.batch.solvers import coverage_batch, sigma_star_batch
 from repro.core.optimal_coverage import optimal_coverage
 from repro.core.policies import (
     AggressivePolicy,
@@ -53,6 +56,7 @@ from repro.mechanism import (
     design_rewards_for_target,
     optimal_grant_design,
 )
+from test_ifd import assert_oracle_ifd
 
 
 @pytest.fixture(autouse=True, params=backend_params())
@@ -225,3 +229,74 @@ class TestFusedRoster:
             water_filling_batch(
                 np.ones((2, 3)), None, np.array([3, 4]), congestion_table_batch(SharingPolicy(), 2)
             )
+
+
+def padded_rows(rows):
+    """``(values, costs, mask)`` host matrices for ragged ``(values, costs)`` rows."""
+    width = max(len(values) for values, _ in rows)
+    values = np.zeros((len(rows), width))
+    costs = np.zeros_like(values)
+    mask = np.zeros_like(values, dtype=bool)
+    for r, (f, d) in enumerate(rows):
+        values[r, : len(f)], costs[r, : len(f)], mask[r, : len(f)] = f, d, True
+    return values, costs, mask
+
+
+class TestLinearWaterFilling:
+    """``k = 2`` rows: ``g`` is linear, so water filling is solved exactly."""
+
+    def test_exclusive_rows_match_sigma_star(self, rng):
+        instances, _ = ragged_instances(rng, count=8, m_range=(1, 12))
+        padded = PaddedValues.from_instances(instances)
+        tables = np.tile(congestion_table_batch(ExclusivePolicy(), 1), (len(instances), 1))
+        solved = water_filling_batch(
+            padded.values, None, np.full(len(instances), 2), tables, mask=padded.mask
+        )
+        star = sigma_star_batch(padded, (2,))
+        assert solved.closed_form.all() and solved.converged.all()
+        np.testing.assert_allclose(
+            solved.probabilities, star.probabilities[:, 0], rtol=0, atol=1e-14
+        )
+        np.testing.assert_array_equal(solved.support_sizes, star.support_sizes[:, 0])
+
+    def test_rows_meet_the_brute_force_oracle(self, rng):
+        random = [SiteValues.random(int(m), rng).as_array() for m in (2, 5, 9)]
+        rows = [
+            ((1.0, 0.01), (0.0, 0.0), SharingPolicy()),  # site 1 saturates
+            ((0.5, 0.5, 0.5), (0.0, 0.0, 0.0), SharingPolicy()),  # tied values
+            ((1.0, 1.0, 0.3), (0.0, 0.0, 0.0), TwoLevelPolicy(0.4)),
+            ((1.0, 0.8, 0.6, 0.6), (0.0,) * 4, TwoLevelPolicy(0.95)),
+            ((1.0,), (0.0,), PowerLawPolicy(2.0)),
+        ]
+        for f in random:
+            for policy in (TwoLevelPolicy(0.95), AggressivePolicy(0.5), PowerLawPolicy(2.0)):
+                rows.append((f, np.zeros_like(f), policy))
+                rows.append((f, rng.uniform(0.0, 0.4, f.size) * f, policy))  # cost-adjusted
+        values, costs, mask = padded_rows([(f, d) for f, d, _ in rows])
+        tables = np.concatenate([congestion_table_batch(policy, 1) for _, _, policy in rows])
+        solved = water_filling_batch(values, costs, np.full(len(rows), 2), tables, mask=mask)
+        assert solved.closed_form.all() and solved.converged.all()
+        np.testing.assert_array_equal(solved.probabilities[0, :2], [1.0, 0.0])
+        np.testing.assert_array_equal(solved.probabilities[~mask], 0.0)
+        for r, (f, d, policy) in enumerate(rows):
+            assert_oracle_ifd(f, d, solved.probabilities[r, : len(f)], 2, policy)
+
+    def test_row_of_a_mixed_k_call_equals_the_row_solved_alone(self, rng):
+        roster = [SharingPolicy(), TwoLevelPolicy(0.95), AggressivePolicy(0.5)]
+        ks = np.array([2, 5, 30] * len(roster))
+        values = rng.random((ks.size, 9)) + 0.05
+        costs = rng.uniform(0.0, 0.2, values.shape)
+        mask = np.arange(9)[None, :] < rng.integers(2, 10, size=ks.size)[:, None]
+        tables = np.zeros((ks.size, 30))
+        for r, k in enumerate(ks):
+            tables[r, :k] = roster[r // 3].table(int(k))
+        mixed = water_filling_batch(values, costs, ks, tables, mask=mask)
+        assert not mixed.closed_form[ks != 2].any()
+        for r in np.flatnonzero(ks == 2):
+            alone = water_filling_batch(
+                values[r : r + 1], costs[r : r + 1], ks[r : r + 1], tables[r : r + 1, :2],
+                mask=mask[r : r + 1],
+            )
+            assert mixed.closed_form[r] and alone.closed_form[0]
+            for field in ("probabilities", "values", "support_sizes", "converged"):
+                np.testing.assert_array_equal(getattr(mixed, field)[r], getattr(alone, field)[0])

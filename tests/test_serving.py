@@ -36,7 +36,12 @@ from repro.serving import (
     parse_request,
     start_server,
 )
-from repro.utils.canonical import canonical_k_grid, canonical_values, content_key
+from repro.utils.canonical import (
+    canonical_k_grid,
+    canonical_times,
+    canonical_values,
+    content_key,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -64,6 +69,21 @@ class TestCanonical:
             canonical_k_grid([0, 2])
         with pytest.raises(ValueError):
             canonical_k_grid([2.5])
+
+    @pytest.mark.parametrize(
+        "bad", [[True, 3], True, np.array([True, False]), [2.000001, 3], [float("nan")], [1e19]]
+    )
+    def test_count_grids_refuse_bools_and_near_integers(self, bad):
+        with pytest.raises(ValueError, match="k_grid"):
+            canonical_k_grid(bad)
+        with pytest.raises(ValueError, match="times"):
+            canonical_times(bad)
+
+    def test_count_grids_accept_exact_integral_floats(self):
+        assert canonical_k_grid([3.0, 2, 3]) == (2, 3)
+        assert canonical_times([0, 1.0, np.int64(4)]) == (0, 1, 4)
+        with pytest.raises(ValueError, match="integers"):
+            canonical_times([0, 1.0000001])
 
     def test_content_key_equal_across_spellings(self):
         a = content_key("solve", [0.3, 1.0], k=3, policy="exclusive")
@@ -177,6 +197,12 @@ def mixed_workload() -> list:
         SweepRequest(random_values(16), k_grid=(2, 3, 5)),
         MechanismRequest(random_values(10), k=4, policies=("exclusive", "sharing")),
         MechanismRequest(random_values(13), k=4, policies=("exclusive", "sharing")),
+        # k = 2 takes the closed-form water filling; at k = 2 every table is
+        # two-level (aggressive: C(2) = -0.5, power-law: C(2) = 0.25).
+        SolveRequest(random_values(12), k=2, policy="sharing"),
+        SolveRequest(random_values(15), k=2, policy="sharing"),
+        SolveRequest(random_values(13), k=2, policy="aggressive"),
+        SolveRequest(random_values(10), k=2, policy="power-law"),
     ]
 
 
@@ -543,6 +569,21 @@ class TestHTTPServer:
         assert bad[0] == 400 and "unknown field" in bad[1]["error"]
         assert missing[0] == 404
         assert wrong_method[0] == 405
+
+    def test_non_integral_count_grids_are_a_400(self):
+        async def run():
+            async with await start_server("127.0.0.1", 0, max_wait_ms=1.0) as running:
+                port = running.port
+                sweeps = [
+                    await http_request(port, "POST", "/sweep", {"values": [1.0], "k_grid": grid})
+                    for grid in ([True, 3], [2.000001, 3])
+                ]
+                times = {"values": [0.5, 0.5], "times": [0, 1.0000001]}
+                return sweeps + [await http_request(port, "POST", "/coverage-times", times)]
+
+        for status, body in asyncio.run(run()):
+            assert status == 400, body
+            assert "k_grid" in body["error"] or "times" in body["error"]
 
     def test_invalid_json_is_a_400(self):
         async def run():
