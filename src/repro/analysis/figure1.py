@@ -166,7 +166,7 @@ def build_figure1_spec(
     """Spec builder of the ``figure1`` experiment (one task per panel point)."""
     k = check_positive_integer(k, "k")
     if c_grid is None:
-        c_grid = np.linspace(-0.5, 0.5, int(points))
+        c_grid = np.linspace(-0.5, 0.5, check_positive_integer(points, "points"))
     c_grid = np.asarray(c_grid, dtype=float)
     grid: list[dict[str, Any]] = []
     for panel_index, second in enumerate(second_values):

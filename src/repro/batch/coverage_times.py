@@ -63,14 +63,13 @@ import numpy as np
 
 from repro.backend import (
     Backend,
-    ensure_numpy,
     expected_transfer,
     from_numpy,
     resolve_backend,
     to_numpy,
 )
-from repro.batch.search import _as_searcher_counts, simulate_search_batch
-from repro.utils.validation import check_positive_integer
+from repro.batch.search import simulate_search_batch
+from repro.utils.validation import check_counts, check_positive_integer, check_probability_rows
 
 __all__ = [
     "DEFAULT_MAX_EXACT_SITES",
@@ -119,9 +118,11 @@ def as_visit_distribution_batch(
         Optional per-row real-site counts.  With matrix input the default is
         the full width; explicit sizes must not cut off positive mass
         (columns at or beyond a row's size are padding and must be zero).
-        With ragged sequence input the sizes are inferred from the row
-        lengths — a trailing zero *inside* a row therefore counts as a real
+        With ragged sequence input the sizes default to the row lengths — a
+        trailing zero *inside* a row therefore counts as a real
         zero-probability site (the degenerate-row contract), not padding.
+        Sizes follow the count rule: bools are refused and integral floats
+        are accepted exactly (``2.9`` is refused, not truncated).
 
     Returns
     -------
@@ -130,63 +131,9 @@ def as_visit_distribution_batch(
         their real sites (padding columns exactly zero), and the ``(B,)``
         ``int64`` real-site counts.
     """
-    if isinstance(distributions, np.ndarray) or hasattr(
-        distributions, "__array_namespace__"
-    ):
-        matrix = np.array(ensure_numpy(distributions), dtype=float)
-        if matrix.ndim != 2 or matrix.size == 0:
-            raise ValueError("distributions must form a non-empty (B, M) matrix")
-    else:
-        rows = []
-        for row in distributions:
-            if hasattr(row, "as_array"):
-                row = row.as_array()
-            rows.append(np.asarray(ensure_numpy(getattr(row, "prior", row)), dtype=float).ravel())
-        if not rows:
-            raise ValueError("cannot pack an empty batch of visit distributions")
-        if sizes is not None:
-            raise ValueError(
-                "sizes are inferred from ragged sequence input; pass sizes only "
-                "with matrix input"
-            )
-        sizes = np.asarray([row.size for row in rows], dtype=np.int64)
-        width = max(int(size) for size in sizes)
-        matrix = np.zeros((len(rows), width))
-        for index, row in enumerate(rows):
-            matrix[index, : row.size] = row
-    b, m = matrix.shape
-    if sizes is None:
-        counts = np.full(b, m, dtype=np.int64)
-    else:
-        counts = np.atleast_1d(np.asarray(ensure_numpy(sizes)))
-        if counts.shape == (1,) and b > 1:
-            counts = np.full(b, int(counts[0]), dtype=np.int64)
-        if counts.shape != (b,):
-            raise ValueError(f"sizes must be a ({b},) roster, got shape {counts.shape}")
-        counts = counts.astype(np.int64)
-        if np.any(counts < 1) or np.any(counts > m):
-            raise ValueError(f"sizes must lie in [1, {m}]")
-    if np.any(matrix < 0) or not np.all(np.isfinite(matrix)):
-        raise ValueError("visit probabilities must be finite and non-negative")
-    padding = np.arange(m)[None, :] >= counts[:, None]
-    if np.any(matrix[padding] != 0):
-        raise ValueError("columns at or beyond a row's size must carry zero mass")
-    sums = matrix.sum(axis=1)
-    if np.any(sums <= 0):
-        raise ValueError("every visit distribution must have positive mass")
-    return matrix / sums[:, None], counts
-
-
-def _as_times(times: Sequence[int] | np.ndarray | int) -> tuple[np.ndarray, bool]:
-    """Validate a round-count grid (non-negative integers); report scalarness."""
-    scalar = np.ndim(times) == 0
-    grid = np.atleast_1d(np.asarray(ensure_numpy(times)))
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("times must be a non-negative integer or a 1-D grid of them")
-    values = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(values)) or np.any(values < 0) or np.any(values != np.rint(values)):
-        raise ValueError(f"times must be non-negative integers, got {grid!r}")
-    return values.astype(np.int64), scalar
+    return check_probability_rows(
+        distributions, "visit distributions", sizes=sizes, normalize=True
+    )
 
 
 @lru_cache(maxsize=32)
@@ -339,7 +286,7 @@ def expected_coverage_time_batch(
     """
     be = resolve_backend(backend)
     probs, counts = as_visit_distribution_batch(distributions, sizes)
-    ks = _as_searcher_counts(k, probs.shape[0])
+    ks = check_counts(k, "k", size=probs.shape[0])
     result = np.full(probs.shape[0], np.inf)
     coverable = _positive_site_counts(probs) >= counts
     for m, is_uniform, rows in _group_rows(probs, counts, _resolve_max_sites(max_sites)):
@@ -381,8 +328,8 @@ def coverage_time_cdf_batch(
     """
     be = resolve_backend(backend)
     probs, counts = as_visit_distribution_batch(distributions, sizes)
-    ks = _as_searcher_counts(k, probs.shape[0])
-    grid, scalar = _as_times(times)
+    ks = check_counts(k, "k", size=probs.shape[0])
+    grid = check_counts(times, "times", minimum=0)
     result = np.zeros((probs.shape[0], grid.size))
     coverable = _positive_site_counts(probs) >= counts
     for m, is_uniform, rows in _group_rows(probs, counts, _resolve_max_sites(max_sites)):
@@ -393,7 +340,7 @@ def coverage_time_cdf_batch(
             result[live, :] = _uniform_cdf(be, m, ks[live], grid)
         else:
             result[live, :] = _enumerated_cdf(be, probs[live, :m], ks[live], m, grid)
-    return result[:, 0] if scalar else result
+    return result[:, 0] if np.ndim(times) == 0 else result
 
 
 def partial_coverage_time_batch(
@@ -426,15 +373,9 @@ def partial_coverage_time_batch(
     be = resolve_backend(backend)
     probs, counts = as_visit_distribution_batch(distributions, sizes)
     b = probs.shape[0]
-    ks = _as_searcher_counts(k, b)
-    js = np.atleast_1d(np.asarray(ensure_numpy(j)))
-    if js.size == 1:
-        js = np.full(b, int(js[0]), dtype=np.int64)
-    if js.shape != (b,):
-        raise ValueError(f"j must be an integer or a ({b},) roster, got shape {js.shape}")
-    if np.any(js != np.rint(np.asarray(js, dtype=float))):
-        raise ValueError(f"coverage targets j must be integers, got {js!r}")
-    js = js.astype(np.int64)
+    ks = check_counts(k, "k", size=b)
+    # ``1 <= j <= M_row`` depends on the row, so it is checked here, whole.
+    js = check_counts(j, "j", minimum=0, size=b)
     if np.any(js < 1) or np.any(js > counts):
         raise ValueError("coverage targets j must satisfy 1 <= j <= row size")
     result = np.full(b, np.inf)
@@ -740,10 +681,10 @@ def estimate_coverage_time_mc(
     max_rounds = check_positive_integer(max_rounds, "max_rounds")
     probs, counts = as_visit_distribution_batch(distributions, sizes)
     b = probs.shape[0]
-    ks = _as_searcher_counts(k, b)
+    ks = check_counts(k, "k", size=b)
     grid = None
     if times is not None:
-        grid, _ = _as_times(times)
+        grid = check_counts(times, "times", minimum=0)
     coverable = _positive_site_counts(probs) >= counts
 
     merged_priors: list[np.ndarray] = []

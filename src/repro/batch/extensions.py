@@ -26,7 +26,6 @@ import numpy as np
 from repro.backend import (
     Backend,
     asarray_float,
-    ensure_numpy,
     from_numpy,
     is_native,
     resolve_backend,
@@ -36,6 +35,7 @@ from repro.batch.padding import PaddedValues
 from repro.batch.payoffs import as_k_vector
 from repro.batch.solvers import as_padded
 from repro.utils.numerics import binomial_pmf_tensor
+from repro.utils.validation import check_site_parameters
 
 __all__ = [
     "as_requirements_batch",
@@ -53,26 +53,13 @@ def as_requirements_batch(
     Accepts a scalar (every site of every row), an ``(M_max,)`` vector
     (shared by every row) or a full ``(B, M_max)`` matrix.  Padding columns
     may carry any requirement ``>= 1``; they never contribute (their strategy
-    mass is zero).
+    mass is zero).  Entries follow the count rule of
+    :func:`~repro.utils.validation.check_counts`: bools are refused and
+    integral floats are accepted exactly (``1.5`` is refused, not truncated).
     """
-    arr = np.asarray(ensure_numpy(requirements))
-    if arr.ndim == 0:
-        arr = np.full((batch_size, width), int(arr))
-    elif arr.ndim == 1:
-        if arr.shape != (width,):
-            raise ValueError(
-                f"per-site requirements must have length {width}, got {arr.shape[0]}"
-            )
-        arr = np.broadcast_to(arr, (batch_size, width))
-    elif arr.shape != (batch_size, width):
-        raise ValueError(
-            f"requirements must be scalar, ({width},) or ({batch_size}, {width}); "
-            f"got {arr.shape}"
-        )
-    arr = arr.astype(np.int64)
-    if np.any(arr < 1):
-        raise ValueError("requirements must be >= 1 visitor per site")
-    return arr
+    return check_site_parameters(
+        requirements, "requirements", (batch_size, width), minimum=1, integer=True
+    )
 
 
 def capacity_coverage_batch(

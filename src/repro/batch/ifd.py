@@ -66,10 +66,11 @@ import numpy as np
 from repro.backend import Backend, errstate_ignore, from_numpy, resolve_backend, take_rows, to_numpy
 from repro.batch.padding import PaddedValues
 from repro.batch.payoffs import congestion_table_batch
-from repro.batch.solvers import SigmaStarBatch, as_k_grid, as_padded, sigma_star_batch
+from repro.batch.solvers import SigmaStarBatch, as_padded, sigma_star_batch
 from repro.core.policies import CongestionPolicy
 from repro.utils.memo import cached_binomial_pmf_plan
 from repro.utils.numerics import binomial_pmf_tensor
+from repro.utils.validation import check_counts
 
 __all__ = ["IFDBatch", "WaterFilling", "bernstein_evaluator", "ifd_batch", "water_filling_batch"]
 
@@ -281,7 +282,7 @@ def water_filling_batch(
     r, m = f_host.shape
     d_host = np.zeros_like(f_host) if costs is None else np.asarray(costs, dtype=float)
     mask_host = np.ones((r, m), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    ks = np.asarray(k, dtype=np.int64)
+    ks = check_counts(k, "k", size=r)
     degrees = ks - 1
     tables_host = np.asarray(tables, dtype=float)
     if tables_host.ndim != 2 or tables_host.shape[0] != r or tables_host.shape[1] < ks.max():
@@ -578,7 +579,7 @@ def ifd_batch(
     """
     be = resolve_backend(backend)
     padded = as_padded(values)
-    ks = as_k_grid(k_grid)
+    ks = check_counts(k_grid, "k_grid")
     probabilities, eq_values, support_sizes, converged = _roster_ifd(
         padded, ks, [policy], use_closed_form, closed_form, be
     )

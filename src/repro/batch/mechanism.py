@@ -50,8 +50,9 @@ from repro.batch.payoffs import (
     congestion_table_batch,
     occupancy_congestion_factor_batch,
 )
-from repro.batch.solvers import as_k_grid, as_padded, coverage_batch, sigma_star_batch
+from repro.batch.solvers import as_padded, coverage_batch, sigma_star_batch
 from repro.core.policies import CongestionPolicy, SharingPolicy, TwoLevelPolicy
+from repro.utils.validation import check_counts, check_probability_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scalar -> batch)
     from repro.mechanism.kleinberg_oren import GrantDesign
@@ -144,7 +145,7 @@ def compare_policies_batch(
     """
     be = resolve_backend(backend)
     padded = as_padded(values)
-    ks = as_k_grid(k_grid)
+    ks = check_counts(k_grid, "k_grid")
     roster = list(policies)
     if not roster:
         raise ValueError("policies roster must not be empty")
@@ -241,31 +242,6 @@ def best_two_level_batch(
 # --------------------------------------------------------------------------
 
 
-def _as_target_batch(targets: np.ndarray | Sequence[Any]) -> np.ndarray:
-    """Validate a batch of target distributions into a host ``(B, M_max)`` matrix."""
-    if isinstance(targets, np.ndarray) or hasattr(targets, "__array_namespace__"):
-        matrix = np.asarray(ensure_numpy(targets), dtype=float)
-        if matrix.ndim != 2 or matrix.size == 0:
-            raise ValueError("targets must form a non-empty (B, M) matrix")
-    else:
-        rows = [np.asarray(ensure_numpy(row), dtype=float).ravel() for row in targets]
-        if not rows:
-            raise ValueError("cannot pack an empty batch of targets")
-        width = max(row.size for row in rows)
-        matrix = np.zeros((len(rows), width))
-        for index, row in enumerate(rows):
-            matrix[index, : row.size] = row
-    if np.any(matrix < 0):
-        raise ValueError("target probabilities must be non-negative")
-    sums = matrix.sum(axis=1)
-    if not np.allclose(sums, 1.0, atol=1e-6):
-        bad = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValueError(
-            f"every target row must sum to one; row {bad} sums to {sums[bad]!r}"
-        )
-    return matrix
-
-
 def design_rewards_batch(
     targets: np.ndarray | Sequence[Any],
     k: Sequence[int] | np.ndarray | int,
@@ -323,7 +299,7 @@ def design_rewards_batch(
         raise ValueError("equilibrium_value must be positive")
     if not 0 < off_support_fraction < 1:
         raise ValueError("off_support_fraction must lie in (0, 1)")
-    matrix = _as_target_batch(targets)
+    matrix, _ = check_probability_rows(targets, "targets")
     ks = as_k_vector(k, matrix.shape[0])
     policy.validate(int(ks.max()))
 
@@ -436,8 +412,7 @@ def optimal_grant_design_batch(
     padded = as_padded(values)
     b = padded.batch_size
     ks = as_k_vector(k, b)
-    unique_ks = np.unique(ks)
-    columns = np.searchsorted(unique_ks, ks)
+    unique_ks, columns = np.unique(ks, return_inverse=True)
     take = np.arange(b)
 
     star = sigma_star_batch(padded, unique_ks, backend=be)

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.backend import Backend, ensure_numpy, from_numpy
 from repro.core.values import SiteValues
+from repro.utils.validation import check_counts
 
 __all__ = ["PaddedValues", "sorted_padded", "unsort_rows"]
 
@@ -58,12 +59,10 @@ class PaddedValues:
 
     def __post_init__(self) -> None:
         values = np.ascontiguousarray(np.asarray(ensure_numpy(self.values), dtype=float))
-        sizes = np.ascontiguousarray(np.asarray(ensure_numpy(self.sizes), dtype=np.int64))
         if values.ndim != 2:
             raise ValueError("values must be a 2-D (B, M_max) matrix")
-        if sizes.shape != (values.shape[0],):
-            raise ValueError("sizes must be a (B,) vector matching values")
-        if (sizes < 1).any() or (sizes > values.shape[1]).any():
+        sizes = np.ascontiguousarray(check_counts(self.sizes, "sizes", size=values.shape[0]))
+        if (sizes > values.shape[1]).any():
             raise ValueError("sizes must lie in [1, M_max]")
         if (values <= 0).any():
             raise ValueError("site values (including padding) must be strictly positive")

@@ -43,8 +43,9 @@ from repro.backend import (
     to_numpy,
 )
 from repro.batch.padding import PaddedValues
-from repro.batch.solvers import as_k_grid, as_padded
+from repro.batch.solvers import as_padded
 from repro.core.policies import CongestionPolicy
+from repro.utils.validation import check_counts
 
 __all__ = [
     "as_k_vector",
@@ -58,19 +59,13 @@ __all__ = [
 
 
 def as_k_vector(k: Sequence[int] | np.ndarray | int, batch_size: int) -> np.ndarray:
-    """Coerce a player-count argument into a validated per-row ``(B,)`` vector.
+    """A validated per-row ``(B,)`` player-count roster (``>= 1`` each).
 
     A scalar is broadcast to every row; a vector must have one entry per row.
-    Player counts are host-side (they steer table widths and chunking).
+    The rule is :func:`~repro.utils.validation.check_counts`: bools are
+    refused and integral floats are accepted exactly.
     """
-    ks = as_k_grid(k)
-    if ks.size == 1:
-        return np.full(batch_size, int(ks[0]), dtype=np.int64)
-    if ks.size != batch_size:
-        raise ValueError(
-            f"per-row k vector has {ks.size} entries for a batch of {batch_size}"
-        )
-    return ks
+    return check_counts(k, "k", size=batch_size)
 
 
 def congestion_table_batch(
@@ -87,9 +82,7 @@ def congestion_table_batch(
     Tabulating a policy is host-side staging (policies are Python objects);
     steppers transfer the result to their backend once and reuse it.
     """
-    n = np.atleast_1d(np.asarray(ensure_numpy(n_opponents), dtype=np.int64))
-    if np.any(n < 0):
-        raise ValueError("n_opponents must be non-negative")
+    n = check_counts(n_opponents, "n_opponents", minimum=0)
     n_max = int(n.max())
     table = policy.table(n_max + 1)  # C(1), ..., C(n_max + 1)
     out = np.tile(table, (n.size, 1))
@@ -134,9 +127,7 @@ def occupancy_congestion_factor_batch(
     q = asarray_float(be, opponent_probabilities)
     if q.ndim != 2:
         raise ValueError("opponent_probabilities must be a 2-D (B, M) matrix")
-    n = np.broadcast_to(np.asarray(ensure_numpy(n_opponents), dtype=np.int64), (q.shape[0],))
-    if np.any(n < 0):
-        raise ValueError("n_opponents must be non-negative")
+    n = check_counts(n_opponents, "n_opponents", minimum=0, size=q.shape[0])
     tables = congestion_table_batch(policy, n) if tables is None else ensure_numpy(tables)
     if tables.shape[1] <= n.max():
         raise ValueError(

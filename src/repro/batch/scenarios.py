@@ -56,7 +56,11 @@ from repro.batch.solvers import as_padded, sigma_star_batch
 from repro.core.policies import CongestionPolicy
 from repro.utils.memo import cached_binomial_pmf_plan
 from repro.utils.numerics import binomial_pmf_tensor
-from repro.utils.validation import check_positive_integer
+from repro.utils.validation import (
+    check_positive_integer,
+    check_probability_rows,
+    check_site_parameters,
+)
 
 __all__ = [
     "CostAdjustedIFDBatch",
@@ -68,17 +72,6 @@ __all__ = [
     "RepeatedDispersalBatch",
     "repeated_dispersal_batch",
 ]
-
-
-# --------------------------------------------------------------------------
-# shared staging helpers
-# --------------------------------------------------------------------------
-
-
-def _solve_columns(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct player counts to solve as one grid, plus each row's column."""
-    unique_ks = np.unique(ks)
-    return unique_ks, np.searchsorted(unique_ks, ks)
 
 
 # --------------------------------------------------------------------------
@@ -107,25 +100,9 @@ def as_costs_batch(
     numpy.ndarray
         Host ``(B, M_max)`` cost matrix with zeroed padding columns.
     """
-    arr = np.asarray(ensure_numpy(costs), dtype=float)
-    b, m = padded.batch_size, padded.width
-    if arr.ndim == 0:
-        arr = np.full((b, m), float(arr))
-    elif arr.ndim == 1:
-        if arr.shape != (m,):
-            raise ValueError(f"per-site costs must have length {m}, got {arr.shape[0]}")
-        arr = np.broadcast_to(arr, (b, m)).copy()
-    elif arr.shape != (b, m):
-        raise ValueError(
-            f"costs must be scalar, ({m},) or ({b}, {m}); got {arr.shape}"
-        )
-    else:
-        arr = arr.copy()
-    real = arr[padded.mask]
-    if np.any(real < 0) or not np.all(np.isfinite(real)):
-        raise ValueError("costs must be finite and non-negative")
-    arr[~padded.mask] = 0.0
-    return arr
+    return check_site_parameters(
+        costs, "costs", (padded.batch_size, padded.width), mask=padded.mask
+    )
 
 
 @dataclass(frozen=True)
@@ -347,7 +324,7 @@ def _grouped_ifd(
     for key, rows in groups.items():
         rows_arr = np.asarray(rows, dtype=np.int64)
         sub = PaddedValues(padded.values[rows_arr], padded.sizes[rows_arr])
-        unique_ks, columns = _solve_columns(ks[rows_arr])
+        unique_ks, columns = np.unique(ks[rows_arr], return_inverse=True)
         batch = ifd_batch(sub, unique_ks, policies[key], backend=be)
         take = np.arange(rows_arr.size)
         probabilities[rows_arr] = batch.probabilities[take, columns, :]
@@ -476,23 +453,6 @@ class RepeatedDispersalBatch:
     padded: PaddedValues
 
 
-def _as_depletion_vector(depletion, batch_size: int) -> np.ndarray:
-    """Validate a scalar or ``(B,)`` depletion argument into ``[0, 1)``."""
-    arr = np.atleast_1d(np.asarray(ensure_numpy(depletion), dtype=float))
-    if arr.size == 1:
-        arr = np.full(batch_size, float(arr[0]))
-    if arr.shape != (batch_size,):
-        raise ValueError(
-            f"depletion must be a scalar or a ({batch_size},) vector, got {arr.shape}"
-        )
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise ValueError(
-            f"depletion must lie in [0, 1) — 0 means a visited patch is fully "
-            f"consumed; got {arr}"
-        )
-    return arr
-
-
 def _sigma_star_rows(remaining: np.ndarray, padded: PaddedValues, ks: np.ndarray, be: Backend, floor: float) -> np.ndarray:
     """Per-row ``sigma_star`` on the current expected remaining values.
 
@@ -504,7 +464,7 @@ def _sigma_star_rows(remaining: np.ndarray, padded: PaddedValues, ks: np.ndarray
     """
     clamped = np.maximum(remaining, floor)
     clamped_padded, order = sorted_padded(clamped, padded)
-    unique_ks, columns = _solve_columns(ks)
+    unique_ks, columns = np.unique(ks, return_inverse=True)
     star = sigma_star_batch(clamped_padded, unique_ks, backend=be)
     solved = star.probabilities[np.arange(padded.batch_size), columns, :]
     return unsort_rows(solved, order)
@@ -572,7 +532,7 @@ def repeated_dispersal_batch(
     b = padded.batch_size
     ks = as_k_vector(k, b)
     rounds = check_positive_integer(rounds, "rounds")
-    depletion_vec = _as_depletion_vector(depletion, b)
+    depletion_vec = check_site_parameters(depletion, "depletion", (b,), below=1.0)
     if schedule not in ("adaptive", "constant"):
         raise ValueError(f"schedule must be 'adaptive' or 'constant', got {schedule!r}")
 
@@ -581,12 +541,9 @@ def repeated_dispersal_batch(
         if strategies is None:
             fixed = _sigma_star_rows(padded.values, padded, ks, be, floor)
         else:
-            fixed = np.asarray(ensure_numpy(strategies), dtype=float)
-            if fixed.shape != padded.values.shape:
-                raise ValueError(
-                    f"strategies shape {fixed.shape} must match the padded batch "
-                    f"{padded.values.shape}"
-                )
+            fixed, _ = check_probability_rows(
+                strategies, "strategies", sizes=padded.sizes, shape=padded.values.shape
+            )
     elif strategies is not None:
         raise ValueError("strategies is only meaningful with schedule='constant'")
 

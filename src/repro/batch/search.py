@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.backend import (
     Backend,
-    ensure_numpy,
     expected_transfer,
     from_numpy,
     resolve_backend,
@@ -49,7 +48,7 @@ from repro.backend import (
 )
 from repro.utils.rng import as_generator
 from repro.utils.sampling import STACK_SPACING, stacked_flat_cdfs
-from repro.utils.validation import check_positive_integer
+from repro.utils.validation import check_counts, check_positive_integer, check_probability_rows
 
 __all__ = [
     "SearchSimulationBatch",
@@ -81,31 +80,10 @@ def as_prior_batch(priors: np.ndarray | Sequence[Any]) -> np.ndarray:
     -------
     numpy.ndarray
         Host ``(B, M_max)`` float matrix; short rows are zero-padded (a
-        padding box can never hold the treasure) and every row sums to one.
+        padding box can never hold the treasure) and every row sums to one
+        (rules: :func:`~repro.utils.validation.check_probability_rows`).
     """
-    if isinstance(priors, np.ndarray) or hasattr(priors, "__array_namespace__"):
-        matrix = np.asarray(ensure_numpy(priors), dtype=float)
-        if matrix.ndim != 2 or matrix.size == 0:
-            raise ValueError("priors must form a non-empty (B, M) matrix")
-    else:
-        rows = [
-            np.asarray(
-                ensure_numpy(getattr(row, "prior", row)), dtype=float
-            ).ravel()
-            for row in priors
-        ]
-        if not rows:
-            raise ValueError("cannot pack an empty batch of priors")
-        width = max(row.size for row in rows)
-        matrix = np.zeros((len(rows), width))
-        for index, row in enumerate(rows):
-            matrix[index, : row.size] = row
-    if np.any(matrix < 0) or not np.all(np.isfinite(matrix)):
-        raise ValueError("priors must be finite and non-negative")
-    sums = matrix.sum(axis=1)
-    if np.any(sums <= 0):
-        raise ValueError("every prior row must have positive mass")
-    return matrix / sums[:, None]
+    return check_probability_rows(priors, "priors", normalize=True)[0]
 
 
 def as_search_strategy_batch(
@@ -118,59 +96,7 @@ def as_search_strategy_batch(
     rows are zero-padded to the priors' width.  Every row must be a
     distribution over its problem's boxes (same order as the prior row).
     """
-    b, m = priors.shape
-    if isinstance(strategies, np.ndarray) or hasattr(strategies, "__array_namespace__"):
-        matrix = np.asarray(ensure_numpy(strategies), dtype=float)
-        if matrix.shape != (b, m):
-            raise ValueError(
-                f"strategies must form a ({b}, {m}) matrix over the problems' "
-                f"boxes, got {matrix.shape}"
-            )
-    else:
-        rows = [np.asarray(ensure_numpy(row), dtype=float).ravel() for row in strategies]
-        if len(rows) != b:
-            raise ValueError(f"expected {b} strategies, got {len(rows)}")
-        matrix = np.zeros((b, m))
-        for index, row in enumerate(rows):
-            if row.size > m:
-                raise ValueError(
-                    f"strategy {index} covers {row.size} boxes; problem has {m}"
-                )
-            matrix[index, : row.size] = row
-    if np.any(matrix < 0):
-        raise ValueError("strategy probabilities must be non-negative")
-    sums = matrix.sum(axis=1)
-    if not np.allclose(sums, 1.0, atol=1e-6):
-        bad = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValueError(
-            f"every strategy row must sum to one; row {bad} sums to {sums[bad]!r}"
-        )
-    return matrix
-
-
-def _as_searcher_counts(k: Sequence[int] | np.ndarray | int, batch_size: int) -> np.ndarray:
-    """Validate a scalar or per-row searcher-count roster (clear ``k <= 0`` error)."""
-    ks = np.atleast_1d(np.asarray(ensure_numpy(k)))
-    if ks.ndim != 1 or ks.size == 0:
-        raise ValueError("k must be a positive integer or a (B,) roster of them")
-    if not np.issubdtype(ks.dtype, np.integer):
-        rounded = np.rint(np.asarray(ks, dtype=float)).astype(np.int64)
-        if not np.allclose(ks, rounded):
-            raise ValueError(f"searcher counts k must be integers, got {ks!r}")
-        ks = rounded
-    ks = ks.astype(np.int64)
-    if np.any(ks < 1):
-        raise ValueError(
-            f"searcher counts k must be >= 1 (a search needs at least one "
-            f"searcher); got {int(ks.min())}"
-        )
-    if ks.size == 1:
-        return np.full(batch_size, int(ks[0]), dtype=np.int64)
-    if ks.size != batch_size:
-        raise ValueError(
-            f"per-row k roster has {ks.size} entries for a batch of {batch_size}"
-        )
-    return ks
+    return check_probability_rows(strategies, "strategies", shape=priors.shape)[0]
 
 
 # --------------------------------------------------------------------------
@@ -202,7 +128,7 @@ def success_probability_batch(
     xp = be.xp
     q_host = as_prior_batch(priors)
     p_host = as_search_strategy_batch(strategies, q_host)
-    ks = _as_searcher_counts(k, q_host.shape[0])
+    ks = check_counts(k, "k", size=q_host.shape[0])
     with expected_transfer():  # input staging
         q = from_numpy(be, q_host, dtype=be.float_dtype)
         p = from_numpy(be, p_host, dtype=be.float_dtype)
@@ -239,7 +165,7 @@ def expected_discovery_time_batch(
     xp = be.xp
     q_host = as_prior_batch(priors)
     p_host = as_search_strategy_batch(strategies, q_host)
-    ks = _as_searcher_counts(k, q_host.shape[0])
+    ks = check_counts(k, "k", size=q_host.shape[0])
     with expected_transfer():  # input staging
         q = from_numpy(be, q_host, dtype=be.float_dtype)
         p = from_numpy(be, p_host, dtype=be.float_dtype)
@@ -372,7 +298,7 @@ def simulate_search_batch(
     q = as_prior_batch(priors)
     p = as_search_strategy_batch(strategies, q)
     b, m = q.shape
-    ks = _as_searcher_counts(k, b)
+    ks = check_counts(k, "k", size=b)
 
     # Hide the treasures: one stacked inverse-CDF pass over the B priors.
     # The geometric path runs that pass (and everything after it) on the

@@ -67,7 +67,7 @@ from repro.batch.solvers import as_padded
 from repro.core.policies import CongestionPolicy
 from repro.utils.rng import as_generator
 from repro.utils.sampling import STACK_SPACING, stacked_flat_cdfs
-from repro.utils.validation import check_positive_integer
+from repro.utils.validation import check_positive_integer, check_probability_rows
 
 __all__ = [
     "DEFAULT_MAX_CHUNK_DRAWS",
@@ -111,41 +111,12 @@ def as_strategy_batch(
         Host ``(B, M_max)`` float matrix; padding columns are exactly zero
         and every row sums to one over its real sites.
     """
-    b, m = padded.batch_size, padded.width
-    arr = strategies
-    if not isinstance(arr, np.ndarray):
-        if hasattr(arr, "__array_namespace__"):
-            arr = ensure_numpy(arr)
-        else:
-            rows = list(arr)
-            if len(rows) != b:
-                raise ValueError(f"expected {b} strategies, got {len(rows)}")
-            out = np.zeros((b, m))
-            for index, row in enumerate(rows):
-                vec = np.asarray(ensure_numpy(row), dtype=float).ravel()
-                size = int(padded.sizes[index])
-                if vec.size not in (size, m):
-                    raise ValueError(
-                        f"strategy {index} has {vec.size} entries; instance has "
-                        f"{size} sites (padded width {m})"
-                    )
-                out[index, : vec.size] = vec
-            arr = out
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != (b, m):
-        raise ValueError(f"strategies must form a ({b}, {m}) matrix, got {arr.shape}")
-    if np.any(arr < 0):
-        raise ValueError("strategy probabilities must be non-negative")
-    if np.any(np.abs(arr * ~padded.mask) > 1e-12):
-        raise ValueError("strategies must place zero probability on padding columns")
-    arr = np.where(padded.mask, arr, 0.0)
-    sums = arr.sum(axis=1)
-    if not np.allclose(sums, 1.0, atol=1e-6):
-        bad = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValueError(
-            f"every strategy row must sum to one; row {bad} sums to {sums[bad]!r}"
-        )
-    return arr
+    return check_probability_rows(
+        strategies,
+        "strategies",
+        sizes=padded.sizes,
+        shape=(padded.batch_size, padded.width),
+    )[0]
 
 
 def _draw_choices(
@@ -393,17 +364,15 @@ def simulate_profile_batch(
         if len(rows) != b:
             raise ValueError(f"expected {b} profile rows, got {len(rows)}")
         ks = as_k_vector([len(row) for row in rows] if k is None else k, b)
+        tensor = np.zeros((b, int(ks.max()), m))
         for index, row in enumerate(rows):
             if len(row) != int(ks[index]):
                 raise ValueError(
                     f"profile row {index} has {len(row)} strategies for k={int(ks[index])}"
                 )
-        tensor = np.zeros((b, int(ks.max()), m))
-        for index, row in enumerate(rows):
-            tensor[index, : len(row), :] = as_strategy_batch(
-                row, PaddedValues(np.tile(padded.values[index], (len(row), 1)),
-                                  np.full(len(row), padded.sizes[index])),
-            )
+            tensor[index, : len(row), :] = check_probability_rows(
+                row, "strategies", sizes=padded.sizes[index], shape=(len(row), m)
+            )[0]
     k_max = int(ks.max())
     if tensor.shape[1] < k_max:
         raise ValueError(f"profiles provide {tensor.shape[1]} player slots for k_max={k_max}")
@@ -420,9 +389,9 @@ def simulate_profile_batch(
         tensor.reshape(b * k_max, m),
         dummy[None, :],
     )
-    expanded_sizes = np.repeat(padded.sizes, k_max)
-    expanded = PaddedValues(np.repeat(padded.values, k_max, axis=0), expanded_sizes)
-    flat_rows = as_strategy_batch(flat_rows, expanded)
+    flat_rows, _ = check_probability_rows(
+        flat_rows, "strategies", sizes=np.repeat(padded.sizes, k_max)
+    )
 
     row_offsets = (
         np.arange(b, dtype=np.int64)[:, None] * k_max

@@ -38,6 +38,7 @@ from repro.batch.padding import PaddedValues
 from repro.core.sigma_star import SigmaStarResult
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
+from repro.utils.validation import check_counts
 
 __all__ = [
     "SigmaStarBatch",
@@ -71,27 +72,6 @@ def as_padded(values: PaddedValues | Sequence | np.ndarray) -> PaddedValues:
     if isinstance(values, (SiteValues, np.ndarray)):
         return PaddedValues.from_instances([values])
     return PaddedValues.from_instances(values)
-
-
-def as_k_grid(k_grid: Sequence[int] | np.ndarray | int) -> np.ndarray:
-    """Validate and coerce a player-count grid into a host 1-D integer array.
-
-    Player counts steer control flow (chunking, table widths), so they are
-    host-side by design regardless of the active backend.
-    """
-    if hasattr(k_grid, "__array_namespace__") and not isinstance(k_grid, np.ndarray):
-        k_grid = ensure_numpy(k_grid)
-    ks = np.atleast_1d(np.asarray(k_grid))
-    if ks.ndim != 1 or ks.size == 0:
-        raise ValueError("k_grid must be a non-empty 1-D sequence of integers")
-    if ks.dtype.kind not in "iu":
-        rounded = np.rint(np.asarray(ks, dtype=float)).astype(np.int64)
-        if not np.allclose(ks, rounded):
-            raise ValueError("k_grid entries must be integers")
-        ks = rounded
-    if (ks < 1).any():
-        raise ValueError("k_grid entries must be >= 1")
-    return ks.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -250,7 +230,7 @@ def sigma_star_batch(
     be = resolve_backend(backend)
     xp = be.xp
     padded = as_padded(values)
-    ks = as_k_grid(k_grid)
+    ks = check_counts(k_grid, "k_grid")
     B, M, K = padded.batch_size, padded.width, ks.size
 
     F = padded.values_for(be)
@@ -321,7 +301,7 @@ def coverage_batch(
     be = resolve_backend(backend)
     xp = be.xp
     padded = as_padded(values)
-    ks = as_k_grid(k_grid)
+    ks = check_counts(k_grid, "k_grid")
     P = asarray_float(be, strategies)
     if P.ndim == 2:
         P = P[:, None, :]
@@ -351,6 +331,6 @@ def optimal_coverage_batch(
     """
     be = resolve_backend(backend)
     padded = as_padded(values)
-    ks = as_k_grid(k_grid)
+    ks = check_counts(k_grid, "k_grid")
     star = sigma_star_batch(padded, ks, max_elements=max_elements, backend=be)
     return coverage_batch(padded, star.probabilities, ks, backend=be)

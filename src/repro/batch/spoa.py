@@ -22,9 +22,10 @@ import numpy as np
 from repro.backend import Backend, resolve_backend
 from repro.batch.ifd import ifd_batch
 from repro.batch.padding import PaddedValues
-from repro.batch.solvers import as_k_grid, as_padded, coverage_batch, sigma_star_batch
+from repro.batch.solvers import as_padded, coverage_batch, sigma_star_batch
 from repro.core.policies import CongestionPolicy
 from repro.core.spoa import SPoAInstance
+from repro.utils.validation import check_counts
 
 __all__ = ["SPoABatch", "spoa_batch"]
 
@@ -82,7 +83,7 @@ def spoa_batch(
     """
     be = resolve_backend(backend)
     padded = as_padded(values)
-    ks = as_k_grid(k_grid)
+    ks = check_counts(k_grid, "k_grid")
     star = sigma_star_batch(padded, ks, backend=be)
     optimal = coverage_batch(padded, star.probabilities, ks, backend=be)
     # Reuse the closed-form solve for the equilibria of exclusive columns

@@ -22,21 +22,9 @@ from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.utils.coercion import values_array
 from repro.utils.numerics import binomial_pmf_matrix, simplex_projection
-from repro.utils.validation import check_positive_integer
+from repro.utils.validation import check_positive_integer, check_site_parameters
 
 __all__ = ["capacity_coverage", "capacity_coverage_gradient", "maximize_capacity_coverage"]
-
-
-def _requirements_array(requirements: np.ndarray | int, m: int) -> np.ndarray:
-    arr = np.asarray(requirements)
-    if arr.ndim == 0:
-        arr = np.full(m, int(arr))
-    if arr.shape != (m,):
-        raise ValueError(f"requirements must be a scalar or a length-{m} vector")
-    arr = arr.astype(int)
-    if np.any(arr < 1):
-        raise ValueError("requirements must be >= 1 visitor per site")
-    return arr
 
 
 def _consumption_fractions(k: int, probabilities: np.ndarray, requirements: np.ndarray) -> np.ndarray:
@@ -69,7 +57,7 @@ def capacity_coverage(
     """
     k = check_positive_integer(k, "k")
     f = values_array(values)
-    r = _requirements_array(requirements, f.size)
+    r = check_site_parameters(requirements, "requirements", (f.size,), minimum=1, integer=True)
     p = strategy.as_array() if isinstance(strategy, Strategy) else np.asarray(strategy, dtype=float)
     return float(np.dot(f, _consumption_fractions(k, p, r)))
 
@@ -87,7 +75,7 @@ def capacity_coverage_gradient(
     """
     k = check_positive_integer(k, "k")
     f = values_array(values)
-    r = _requirements_array(requirements, f.size)
+    r = check_site_parameters(requirements, "requirements", (f.size,), minimum=1, integer=True)
     p = strategy.as_array() if isinstance(strategy, Strategy) else np.asarray(strategy, dtype=float)
     pmf = binomial_pmf_matrix(k - 1, p) if k > 1 else np.ones((f.size, 1))
     counts = np.arange(pmf.shape[1])[None, :]
@@ -114,7 +102,7 @@ def maximize_capacity_coverage(
     """
     k = check_positive_integer(k, "k")
     f = values_array(values)
-    r = _requirements_array(requirements, f.size)
+    r = check_site_parameters(requirements, "requirements", (f.size,), minimum=1, integer=True)
     m = f.size
     if step_size is None:
         step_size = 1.0 / max(k * k * float(f.max()), 1e-12)

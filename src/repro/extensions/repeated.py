@@ -29,7 +29,7 @@ from repro.core.sigma_star import sigma_star
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_positive_integer
+from repro.utils.validation import check_positive_integer, check_site_parameters
 
 __all__ = [
     "ExpectedDispersalResult",
@@ -50,18 +50,6 @@ __all__ = [
 #: Schedules may keep internal state, but the expected-value argument already
 #: carries everything the greedy adaptive schedules need.
 Schedule = Callable[[int, np.ndarray], Strategy]
-
-
-def _check_depletion(depletion: float) -> float:
-    """Validate the depletion factor with an explicit-contract error message."""
-    value = float(depletion)
-    if not np.isfinite(value) or value < 0.0 or value >= 1.0:
-        raise ValueError(
-            f"depletion must lie in [0, 1) — it is the fraction of a visited "
-            f"patch's value that survives the visit (0 = fully consumed, "
-            f"values approaching 1 = nearly indestructible); got {depletion!r}"
-        )
-    return value
 
 
 @dataclass(frozen=True)
@@ -150,7 +138,7 @@ def simulate_repeated_dispersal(
     k = check_positive_integer(k, "k")
     rounds = check_positive_integer(rounds, "rounds")
     n_trials = check_positive_integer(n_trials, "n_trials")
-    depletion = _check_depletion(depletion)
+    depletion = float(check_site_parameters(depletion, "depletion", (), below=1.0))
     generator = as_generator(rng)
 
     f0 = values.as_array() if isinstance(values, SiteValues) else np.asarray(values, dtype=float)
@@ -249,7 +237,7 @@ def expected_repeated_dispersal(
     """
     k = check_positive_integer(k, "k")
     rounds = check_positive_integer(rounds, "rounds")
-    depletion = _check_depletion(depletion)
+    depletion = float(check_site_parameters(depletion, "depletion", (), below=1.0))
     f0 = values.as_array() if isinstance(values, SiteValues) else np.asarray(values, dtype=float)
 
     expected_remaining = f0.copy()

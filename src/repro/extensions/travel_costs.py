@@ -24,7 +24,7 @@ from repro.core.policies import CongestionPolicy
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.utils.coercion import values_array
-from repro.utils.validation import check_positive_integer
+from repro.utils.validation import check_positive_integer, check_site_parameters
 
 __all__ = ["CostAdjustedEquilibrium", "cost_adjusted_site_values", "cost_adjusted_ifd"]
 
@@ -51,17 +51,6 @@ class CostAdjustedEquilibrium:
     converged: bool
 
 
-def _costs_array(costs: np.ndarray | float, m: int) -> np.ndarray:
-    arr = np.asarray(costs, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(m, float(arr))
-    if arr.shape != (m,):
-        raise ValueError(f"costs must be a scalar or a length-{m} vector")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("costs must be finite and non-negative")
-    return arr
-
-
 def cost_adjusted_site_values(
     values: SiteValues | np.ndarray,
     costs: np.ndarray | float,
@@ -72,7 +61,7 @@ def cost_adjusted_site_values(
     """Net site values ``nu_p(x) = f(x) * g(p(x)) - d(x)`` of the extended game."""
     k = check_positive_integer(k, "k")
     f = values_array(values)
-    d = _costs_array(costs, f.size)
+    d = check_site_parameters(costs, "costs", (f.size,))
     p = strategy.as_array() if isinstance(strategy, Strategy) else np.asarray(strategy, dtype=float)
     return f * occupancy_congestion_factor(policy, p, k - 1) - d
 
@@ -99,7 +88,7 @@ def cost_adjusted_ifd(
     """
     k = check_positive_integer(k, "k")
     f = values_array(values)
-    d = _costs_array(costs, f.size)
+    d = check_site_parameters(costs, "costs", (f.size,))
     policy.validate(k)
     tables = congestion_table_batch(policy, k - 1)
     solved = water_filling_batch(f[None, :], d[None, :], np.array([k]), tables)

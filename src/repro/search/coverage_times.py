@@ -34,15 +34,6 @@ __all__ = [
 ]
 
 
-def _as_row(distribution) -> np.ndarray:
-    if hasattr(distribution, "as_array"):
-        distribution = distribution.as_array()
-    row = np.asarray(getattr(distribution, "prior", distribution), dtype=float).ravel()
-    if row.size == 0:
-        raise ValueError("the visit distribution must cover at least one site")
-    return row[None, :]
-
-
 def expected_coverage_time(distribution, k: int) -> float:
     """Exact expected rounds until all sites have been visited.
 
@@ -52,7 +43,7 @@ def expected_coverage_time(distribution, k: int) -> float:
     :func:`repro.batch.coverage_times.expected_coverage_time_batch`.
     """
     k = check_positive_integer(k, "k")
-    return float(expected_coverage_time_batch(_as_row(distribution), k)[0])
+    return float(expected_coverage_time_batch([distribution], k)[0])
 
 
 def coverage_time_cdf(
@@ -65,7 +56,7 @@ def coverage_time_cdf(
     :func:`repro.batch.coverage_times.coverage_time_cdf_batch`.
     """
     k = check_positive_integer(k, "k")
-    values = coverage_time_cdf_batch(_as_row(distribution), k, times)
+    values = coverage_time_cdf_batch([distribution], k, times)
     if values.ndim == 1:
         return float(values[0])
     return np.asarray(values[0], dtype=float)
@@ -80,4 +71,4 @@ def partial_coverage_time(distribution, k: int, j: int) -> float:
     """
     k = check_positive_integer(k, "k")
     j = check_positive_integer(j, "j")
-    return float(partial_coverage_time_batch(_as_row(distribution), k, j)[0])
+    return float(partial_coverage_time_batch([distribution], k, j)[0])

@@ -74,13 +74,6 @@ class SearchOutcome:
     rounds: np.ndarray
 
 
-def _check_strategy(problem: BayesianSearchProblem, strategy: Strategy) -> np.ndarray:
-    p = strategy.as_array()
-    if p.size != problem.prior.size:
-        raise ValueError("strategy must be over the problem's boxes")
-    return p
-
-
 def single_round_success_probability(
     problem: BayesianSearchProblem, strategy: Strategy, k: int
 ) -> float:
@@ -90,7 +83,7 @@ def single_round_success_probability(
     :func:`repro.batch.search.success_probability_batch`.
     """
     k = check_positive_integer(k, "k")
-    p = _check_strategy(problem, strategy)
+    p = strategy.as_array()  # the batch staging checks it covers the boxes
     return float(
         success_probability_batch(problem.prior[None, :], p[None, :], k)[0]
     )
@@ -108,7 +101,7 @@ def expected_discovery_time(
     :func:`repro.batch.search.expected_discovery_time_batch`.
     """
     k = check_positive_integer(k, "k")
-    p = _check_strategy(problem, strategy)
+    p = strategy.as_array()
     return float(
         expected_discovery_time_batch(problem.prior[None, :], p[None, :], k)[0]
     )
@@ -138,7 +131,7 @@ def simulate_search(
     to simulating every individual box opening).
     """
     k = check_positive_integer(k, "k")
-    p = _check_strategy(problem, strategy)
+    p = strategy.as_array()
     batch = simulate_search_batch(
         problem.prior[None, :],
         p[None, :],
@@ -186,7 +179,7 @@ def compare_search_strategies(
         strategies.update(extra_strategies)
     names = list(strategies)
     priors = np.tile(problem.prior, (len(names), 1))
-    matrix = np.stack([_check_strategy(problem, strategies[name]) for name in names])
+    matrix = np.stack([strategies[name].as_array() for name in names])
     successes = success_probability_batch(priors, matrix, k)
     rounds = expected_discovery_time_batch(priors, matrix, k)
     return {

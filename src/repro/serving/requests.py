@@ -241,11 +241,7 @@ class CoverageTimeRequest(ServingRequest):
         object.__setattr__(self, "values", canonical_distribution(self.values))
         object.__setattr__(self, "k", _integer(self.k, "k", 1))
         object.__setattr__(self, "j", _integer(self.j, "j", 0))
-        raw_times = self.times
-        if isinstance(raw_times, (int, np.integer)):
-            times = canonical_times(raw_times)
-        else:
-            times = canonical_times(raw_times) if len(tuple(raw_times)) else ()
+        times = canonical_times(self.times) if np.size(self.times) else ()  # () = no CDF
         object.__setattr__(self, "times", times)
         if self.j > self.m:
             raise ValueError(f"coverage target j must satisfy 0 <= j <= {self.m} (0 = off)")

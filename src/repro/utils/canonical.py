@@ -35,6 +35,8 @@ import numpy as np
 # module is first loaded while that one is still initialising: bind the
 # module object now and look ``SiteValues`` up on it at call time.
 import repro.core.values as _values
+from repro.backend import ensure_numpy
+from repro.utils.validation import check_counts, check_probability_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.values import SiteValues
@@ -55,8 +57,6 @@ def _numbers(values: Any, what: str) -> np.ndarray:
     if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
         raise ValueError(f"{what} must be numbers")
     if not isinstance(values, np.ndarray) and hasattr(values, "__array_namespace__"):
-        from repro.backend import ensure_numpy
-
         values = ensure_numpy(values)
     array = np.asarray(values)
     if array.dtype.kind not in "fiu":
@@ -93,40 +93,12 @@ def canonical_distribution(
     """
     if weights is None:
         raise ValueError("request is missing the visit distribution 'values'")
-    array = _numbers(weights, "visit-distribution entries").astype(float, copy=False)
-    if array.ndim != 1 or array.size == 0:
+    array = _numbers(weights, "visit-distribution entries")
+    if array.ndim != 1:
         raise ValueError("a visit distribution must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(array)):
-        raise ValueError("visit-distribution entries must be finite")
-    if np.any(array < 0):
-        raise ValueError("visit-distribution entries must be non-negative")
-    total = float(array.sum())
-    if total <= 0:
-        raise ValueError("a visit distribution must have positive total mass")
+    (row,), _ = check_probability_rows(array[None, :], "visit distributions", normalize=True)
     # ``+ 0.0`` turns -0.0 into 0.0: one canonical zero for the key and the echo.
-    return tuple((np.sort(array / total)[::-1] + 0.0).tolist())
-
-
-def _count_set(values: Any, name: str, what: str, minimum: int) -> tuple[int, ...]:
-    """A sorted tuple of unique ints ``>= minimum``; integral floats pass, bools do not.
-
-    A float passes only when it is exactly an int64 (as in
-    :func:`~repro.utils.validation.check_integer`): ``2.000001`` and ``nan``
-    are refused, not rounded.
-    """
-    counts = np.unique(np.atleast_1d(_numbers(values, f"{name} entries")))
-    if counts.size == 0:
-        raise ValueError(f"{name} must contain at least one {what}")
-    if counts.dtype.kind == "f":
-        # Distinct integral floats truncate to distinct ints, in the same order.
-        with np.errstate(invalid="ignore"):
-            integral = counts.astype(np.int64)
-        if not (integral == counts).all():
-            raise ValueError(f"{name} entries must be integers")
-        counts = integral
-    if (counts < minimum).any():
-        raise ValueError(f"{name} entries must be >= {minimum}")
-    return tuple(counts.tolist())
+    return tuple((np.sort(row)[::-1] + 0.0).tolist())
 
 
 def canonical_times(times: Sequence[int] | np.ndarray | int) -> tuple[int, ...]:
@@ -136,17 +108,20 @@ def canonical_times(times: Sequence[int] | np.ndarray | int) -> tuple[int, ...]:
     is well defined at zero rounds), for the ``times`` grid of the
     ``/coverage-times`` endpoint.
     """
-    return _count_set(times, "times", "round count", 0)
+    return tuple(np.unique(check_counts(times, "times", minimum=0)).tolist())
 
 
 def canonical_k_grid(k_grid: Sequence[int] | np.ndarray | int) -> tuple[int, ...]:
     """Player-count grids as sorted tuples of unique positive ints.
 
+    Entries follow :func:`~repro.utils.validation.check_counts`: bools are
+    refused and integral floats are accepted exactly.
+
     The serving sweep endpoint treats the grid as a *set* of player counts
     (responses are reported per ``k``), so ``[3, 2, 3]`` and ``(2, 3)`` are
     the same request and must share a cache key.
     """
-    return _count_set(k_grid, "k_grid", "player count", 1)
+    return tuple(np.unique(check_counts(k_grid, "k_grid")).tolist())
 
 
 def _encode(value: Any, out: list[str]) -> None:

@@ -13,6 +13,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from repro.utils.validation import check_counts
+
 __all__ = [
     "assert_shape",
     "BinomialPmfPlan",
@@ -209,16 +211,9 @@ def make_binomial_pmf_plan(
     from repro.backend import expected_transfer, from_numpy, resolve_backend
 
     be = resolve_backend(backend)
-    trials = np.asarray(n, dtype=np.int64)
-    if trials.ndim == 0:
-        if batch_size is None:
-            raise ValueError("a scalar n requires batch_size")
-        trials = np.broadcast_to(trials, (int(batch_size),))
-    trials = np.ascontiguousarray(trials)
-    if trials.ndim != 1:
-        raise ValueError("n must be a scalar or a (B,) vector")
-    if np.any(trials < 0):
-        raise ValueError("n must be non-negative")
+    if np.ndim(n) == 0 and batch_size is None:
+        raise ValueError("a scalar n requires batch_size")
+    trials = np.ascontiguousarray(check_counts(n, "n", minimum=0, size=batch_size))
     n_max = int(trials.max(initial=0))
 
     j = np.arange(n_max + 1, dtype=np.int64)
@@ -295,8 +290,7 @@ def binomial_pmf_tensor(
         raise ValueError("probs must be a 2-D (B, M) matrix")
 
     if plan is None:
-        host_n = to_numpy(n) if hasattr(n, "__array_namespace__") else n
-        trials = np.broadcast_to(np.asarray(host_n, dtype=np.int64), (P.shape[0],))
+        trials = check_counts(n, "n", minimum=0, size=P.shape[0])
         if bool(xp.any((P < -1e-12) | (P > 1 + 1e-12))):
             raise ValueError("probs must lie in [0, 1]")
         plan = make_binomial_pmf_plan(trials, backend=be)

@@ -45,6 +45,7 @@ from repro.batch import (
     replicator_batch,
     sigma_star_batch,
 )
+from repro.batch.extensions import as_requirements_batch
 from repro.core.policies import SharingPolicy
 from repro.core.values import SiteValues
 from repro.experiments.spec import ExperimentSpec
@@ -325,6 +326,11 @@ class TestCapacityBatch:
         assert capacity_payoff_batch is capacity_coverage_batch
         with pytest.raises(ValueError, match=">= 1"):
             capacity_coverage_batch(padded, states, ks, 0)
+        # Requirements are counts: 1.5 is refused, not truncated to 1.
+        with pytest.raises(ValueError, match="integers"):
+            capacity_coverage_batch(padded, states, ks, 1.5)
+        with pytest.raises(ValueError, match="integers"):
+            as_requirements_batch(1.5, padded.batch_size, padded.width)
         with pytest.raises(ValueError, match="must match the padded batch"):
             capacity_coverage_batch(padded, states[:, :2], ks, 1)
 

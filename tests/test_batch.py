@@ -16,9 +16,12 @@ from conftest import backend_params
 from repro.backend import from_numpy, load_backend, resolve_backend, to_numpy, use_backend
 from repro.batch import (
     PaddedValues,
+    capacity_coverage_batch,
     coverage_batch,
+    expected_coverage_time_batch,
     ifd_batch,
     optimal_coverage_batch,
+    partial_coverage_time_batch,
     sigma_star_batch,
     spoa_batch,
     support_size_batch,
@@ -38,6 +41,8 @@ from repro.core.sigma_star import sigma_star
 from repro.core.spoa import spoa_instance
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
+from repro.extensions.capacity import capacity_coverage
+from repro.search.coverage_times import expected_coverage_time, partial_coverage_time
 
 K_GRID = (1, 2, 3, 5, 11)
 
@@ -199,6 +204,10 @@ class TestSigmaStarBatch:
             sigma_star_batch([SiteValues.uniform(3)], [])
         with pytest.raises(ValueError):
             sigma_star_batch([SiteValues.uniform(3)], [1.5])
+        # Bools and near-integers are refused, not rounded to a player count.
+        for bad in ([2.000001], [True, 3], True):
+            with pytest.raises(ValueError, match="k_grid"):
+                sigma_star_batch([SiteValues.uniform(3)], bad)
 
     def test_scalar_k_accepted(self):
         batch = sigma_star_batch([SiteValues.zipf(5)], 3)
@@ -344,3 +353,37 @@ class TestSPoABatch:
         batch = spoa_batch(ragged_instances, (2, 3), SharingPolicy())
         b, j = batch.argmax()
         assert batch.ratios[b, j] == batch.ratios.max()
+
+
+_VALUES = SiteValues.zipf(3)
+_VISITS = np.array([0.5, 0.3, 0.2])
+
+#: Scalar front and batch kernel of each count argument, as functions of the count.
+COUNT_FRONTS = {
+    "sigma_star k": (
+        lambda bad: sigma_star(_VALUES, bad),
+        lambda bad: sigma_star_batch([_VALUES], bad),
+    ),
+    "expected_coverage_time k": (
+        lambda bad: expected_coverage_time(_VISITS, bad),
+        lambda bad: expected_coverage_time_batch([_VISITS], bad),
+    ),
+    "partial_coverage_time j": (
+        lambda bad: partial_coverage_time(_VISITS, 2, bad),
+        lambda bad: partial_coverage_time_batch([_VISITS], 2, bad),
+    ),
+    "capacity_coverage requirements": (
+        lambda bad: capacity_coverage(_VALUES, Strategy.uniform(3), 2, bad),
+        lambda bad: capacity_coverage_batch([_VALUES], np.full((1, 3), 1 / 3), 2, bad),
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 2.000001, float("nan"), 0])
+@pytest.mark.parametrize("front", sorted(COUNT_FRONTS))
+def test_scalar_front_and_batch_kernel_refuse_the_same_bad_counts(front, bad):
+    scalar, batch = COUNT_FRONTS[front]
+    with pytest.raises((TypeError, ValueError)):
+        scalar(bad)
+    with pytest.raises((TypeError, ValueError)):
+        batch(bad)

@@ -237,6 +237,9 @@ class TestBatchedPayoffKernel:
             as_k_vector([2, 3], 5)
         with pytest.raises(ValueError):
             as_k_vector(0, 3)
+        for bad in (True, [2, 2.000001, 3]):
+            with pytest.raises(ValueError, match="integers"):
+                as_k_vector(bad, 3)
 
 
 def scalar_replicator(values, k, **kwargs):

@@ -127,6 +127,9 @@ class TestClosedForms:
             expected_discovery_time_batch(priors, strategies, [-2])
         with pytest.raises(ValueError, match="roster"):
             success_probability_batch(priors, strategies, [2, 3])
+        for bad in (True, 2.000001, [2.5]):
+            with pytest.raises(ValueError, match="integers"):
+                expected_discovery_time_batch(priors, strategies, bad)
 
 
 class TestSimulation:

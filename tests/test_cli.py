@@ -123,6 +123,11 @@ class TestCommands:
         assert "CSV written" in captured.out
         assert list(tmp_path.glob("figure1_*.csv"))
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_figure1_refuses_non_positive_points(self, points, tmp_path):
+        with pytest.raises(ValueError, match="points must be >= 1"):
+            main(["figure1", "--points", points, "--output-dir", str(tmp_path), "--no-plot"])
+
     def test_observation1_command(self, capsys):
         assert main(["observation1"]) == 0
         assert "1 - 1/e" in capsys.readouterr().out

@@ -150,6 +150,9 @@ class TestStaging:
             as_visit_distribution_batch(np.array([[0.5, 0.5]]), sizes=[1])
         with pytest.raises(ValueError, match="sizes"):
             as_visit_distribution_batch(np.eye(2), sizes=[1, 2, 3])
+        # Sizes are counts: 2.9 is refused, not truncated to 2.
+        with pytest.raises(ValueError, match="sizes"):
+            as_visit_distribution_batch(np.array([[0.5, 0.5, 0.0]]), sizes=[2.9])
 
     def test_times_and_j_validation(self):
         row = np.array([[0.5, 0.5]])
@@ -161,6 +164,12 @@ class TestStaging:
             partial_coverage_time_batch(row, 1, 0)
         with pytest.raises(ValueError, match=r"\(1,\) roster"):
             partial_coverage_time_batch(row, 1, [1, 2])
+        # Bools and non-integral counts are refused, not cast to k = 1 or j = 2.
+        for bad in (True, 2.000001):
+            with pytest.raises(ValueError, match="integers"):
+                expected_coverage_time_batch(row, bad)
+        with pytest.raises(ValueError, match="integers"):
+            partial_coverage_time_batch(row, 2, 2.5)
 
     def test_non_uniform_rows_beyond_max_sites_refuse(self):
         wide = np.linspace(1.0, 2.0, DEFAULT_MAX_EXACT_SITES + 1)

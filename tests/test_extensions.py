@@ -170,6 +170,8 @@ class TestCapacityCoverage:
             capacity_coverage(small_values, Strategy.uniform(4), 2, 0)
         with pytest.raises(ValueError):
             capacity_coverage(small_values, Strategy.uniform(4), 2, np.array([1, 2]))
+        with pytest.raises(ValueError, match="integers"):
+            capacity_coverage(small_values, Strategy.uniform(4), 2, 2.7)
 
 
 class TestRepeatedDispersal:
