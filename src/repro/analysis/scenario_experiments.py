@@ -141,8 +141,7 @@ def travel_cost_task(
     # Coverage of the cost-adjusted equilibrium against the cost-free optimum:
     # both solved for the distinct player counts in one batched pass, then
     # each row gathers its own k column.
-    unique_ks = np.unique(ks)
-    columns = np.searchsorted(unique_ks, ks)
+    unique_ks, columns = np.unique(ks, return_inverse=True)
     take = np.arange(padded.batch_size)
     optimal = optimal_coverage_batch(padded, unique_ks)[take, columns]
     coverages = coverage_batch(padded, batch.probabilities, unique_ks)[take, columns]

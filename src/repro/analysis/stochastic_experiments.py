@@ -46,7 +46,6 @@ from repro.batch import (
     estimate_coverage_time_mc,
     expected_coverage_time_batch,
     expected_discovery_time_batch,
-    optimal_grant_design_batch,
     partial_coverage_time_batch,
     simulate_search_batch,
     success_probability_batch,
@@ -444,9 +443,8 @@ def mechanism_task(
     """Runner task: one chunk of cells through the batched mechanism kernels.
 
     One :func:`~repro.batch.mechanism.compare_policies_batch` call covers the
-    whole ``(chunk x k x policy)`` grid; one
-    :func:`~repro.batch.mechanism.optimal_grant_design_batch` call designs
-    grants for every cell with its own ``k``.
+    whole ``(chunk x k x policy)`` grid and designs grants for every cell
+    with its own ``k``, all in one water-filling loop.
     """
     cells = tuple(params["cells"])
     roster = [str(name) for name in params["policies"]]
@@ -455,13 +453,14 @@ def mechanism_task(
     instances = [make_family(str(family), int(m), rng) for family, m, _ in cells]
     padded = PaddedValues.from_instances(instances)
     ks = np.asarray([int(k) for _, _, k in cells], dtype=np.int64)
-    unique_ks = np.unique(ks)
-    columns = np.searchsorted(unique_ks, ks)
+    unique_ks, columns = np.unique(ks, return_inverse=True)
     take = np.arange(padded.batch_size)
 
     policies = [policy_from_name(name) for name in roster]
-    comparisons = compare_policies_batch(padded, unique_ks, policies)
-    grants = optimal_grant_design_batch(padded, ks, policy_from_name(design_name))
+    comparisons = compare_policies_batch(
+        padded, unique_ks, policies, grant_design=(policy_from_name(design_name), ks)
+    )
+    grants = comparisons.grants
 
     rows: list[MechanismPolicyRow | GrantDesignRow] = []
     for policy_index, name in enumerate(roster):

@@ -18,7 +18,7 @@ the compilation machinery out of the engine:
   symbolic within a bucket; rule hyper-parameters are plain Python floats
   and are baked in by Dynamo's own guards.
 * The compiled callable has the signature ``(rule, states, t) -> (new,
-  payoffs)`` and simply dispatches to ``rule.step(states, t, None)`` — the
+  payoffs)`` and simply dispatches to ``rule.step(states, t)`` — the
   full-batch step used by the engine's device-resident loop, which performs
   no host transfers and therefore traces without graph breaks (its
   congestion factor comes from the evaluator staged at engine construction,
@@ -57,7 +57,7 @@ def clear_graph_cache() -> None:
 
 def _rule_step_dispatch(rule: Any, states: Any, t: int) -> Any:
     """The traced entry point: one full-batch step of ``rule``."""
-    return rule.step(states, t, None)
+    return rule.step(states, t)
 
 
 def compiled_step_for(engine: Any) -> Callable[..., Any] | None:

@@ -179,7 +179,7 @@ def _group_rows(
     first = probs[:, :1]
     uniform = np.all(np.where(real, probs == first, True), axis=1)
     groups: list[tuple[int, bool, np.ndarray]] = []
-    for m in np.unique(counts):
+    for m in sorted(set(counts.tolist())):
         of_size = counts == m
         for is_uniform in (True, False):
             rows = np.nonzero(of_size & (uniform == is_uniform))[0]

@@ -26,8 +26,10 @@ step, record at strides, stop on tolerance or iteration cap.  The
 
 The stepping math is pure Array-API code on the backend resolved at engine
 construction (:mod:`repro.backend`).  On NumPy the engine steps only the
-active row subset (the evaluator takes the subset's rows) and scatters back
-in place.  On every other backend the run is *device-resident*:
+active row subset and scatters back in place; the evaluator, values, masks
+and rule constants are restricted to that subset once per change of it
+(:meth:`DynamicsEngine.restrict`), not once per step.  On every other
+backend the run is *device-resident*:
 all constants (padded values, masks, the evaluator's congestion
 coefficients, rule-specific shifts) are staged once at construction under an
 expected-transfer boundary, the full batch is stepped each iteration with
@@ -69,7 +71,7 @@ from repro.batch.payoffs import as_k_vector, congestion_table_batch
 from repro.batch.solvers import as_padded
 from repro.core.policies import CongestionPolicy
 from repro.core.strategy import Strategy
-from repro.utils.validation import check_positive_integer, check_probability
+from repro.utils.validation import check_positive_integer, check_probability_rows
 
 __all__ = [
     "UpdateRule",
@@ -98,7 +100,8 @@ class UpdateRule(abc.ABC):
     and a precomputed congestion table, so rules never re-tabulate anything
     inside the loop.  ``states`` are arrays of the engine's backend; per-row
     constants a rule precomputes in :meth:`bind` should be staged on the host
-    and transferred once via ``engine.device``.
+    and transferred once via ``engine.device``, then sliced to the stepped
+    rows in :meth:`restrict`.
     """
 
     #: Registry/report name of the rule.
@@ -108,20 +111,25 @@ class UpdateRule(abc.ABC):
         """Attach the rule to an engine and precompute per-row constants."""
         self.engine = engine
 
-    @abc.abstractmethod
-    def step(
-        self, states: Any, t: int, rows: np.ndarray | None
-    ) -> tuple[Any, Any | None]:
-        """Advance the given (already row-sliced) states one iteration.
+    def restrict(self, rows: np.ndarray | None) -> None:
+        """Slice the per-row constants to the rows stepped from now on.
 
-        ``rows`` is a host index vector of the rows being stepped, or ``None``
-        when the full batch is stepped (the non-scatter backend path).
-        Returns the new states plus, for rules that track it, the mean payoff
-        of the *pre-update* states (used for strided payoff recording) —
-        ``None`` otherwise.
+        ``rows`` is a host index vector, or ``None`` for the full batch.  The
+        engine calls this whenever the stepped row set changes, never per
+        step; rules without per-row constants keep this no-op.
         """
 
-    def finished(self, states: Any, rows: np.ndarray | None) -> Any | None:
+    @abc.abstractmethod
+    def step(self, states: Any, t: int) -> tuple[Any, Any | None]:
+        """Advance the states of the stepped rows one iteration.
+
+        ``states`` are already sliced to the rows of the last
+        :meth:`restrict`.  Returns the new states plus, for rules that track
+        it, the mean payoff of the *pre-update* states (used for strided
+        payoff recording) — ``None`` otherwise.
+        """
+
+    def finished(self, states: Any) -> Any | None:
         """Optional extra halting condition (e.g. threshold crossing).
 
         Evaluated on the *post-update* states of the stepped rows; ``None``
@@ -145,25 +153,21 @@ class PayoffRule(UpdateRule):
     #: Whether the engine should keep a mean-payoff history for this rule.
     records_payoffs: bool = False
 
-    def step(
-        self, states: Any, t: int, rows: np.ndarray | None
-    ) -> tuple[Any, Any | None]:
+    def step(self, states: Any, t: int) -> tuple[Any, Any | None]:
         xp = self.engine.xp
-        nu = self.engine.site_values(states, rows)
+        nu = self.engine.site_values(states)
         payoffs = xp.sum(states * nu, axis=1) if self.records_payoffs else None
-        return self.respond(states, nu, t, rows), payoffs
+        return self.respond(states, nu, t), payoffs
 
     def final_payoffs(self, states: Any) -> Any | None:
         if not self.records_payoffs:
             return None
         xp = self.engine.xp
-        nu = self.engine.site_values(states, None)
+        nu = self.engine.site_values(states)
         return xp.sum(states * nu, axis=1)
 
     @abc.abstractmethod
-    def respond(
-        self, states: Any, nu: Any, t: int, rows: np.ndarray | None
-    ) -> Any:
+    def respond(self, states: Any, nu: Any, t: int) -> Any:
         """New states given the (single) ``nu`` evaluation of this step."""
 
 
@@ -187,11 +191,12 @@ class DiscreteReplicatorRule(PayoffRule):
         shift = np.maximum(0.0, -worst_congestion * f_max) + 1e-3 * f_max
         self.shift = engine.device(shift)
 
-    def respond(
-        self, states: Any, nu: Any, t: int, rows: np.ndarray | None
-    ) -> Any:
+    def restrict(self, rows: np.ndarray | None) -> None:
+        self.stepped_shift = self.engine.rows_of(self.shift, rows)[:, None]
+
+    def respond(self, states: Any, nu: Any, t: int) -> Any:
         xp = self.engine.xp
-        fitness = nu + self.engine.rows_of(self.shift, rows)[:, None]
+        fitness = nu + self.stepped_shift
         denominator = xp.sum(states * fitness, axis=1, keepdims=True)
         return states * fitness / denominator
 
@@ -207,9 +212,7 @@ class EulerReplicatorRule(PayoffRule):
             raise ValueError("step_size must be positive")
         self.step_size = float(step_size)
 
-    def respond(
-        self, states: Any, nu: Any, t: int, rows: np.ndarray | None
-    ) -> Any:
+    def respond(self, states: Any, nu: Any, t: int) -> Any:
         xp = self.engine.xp
         mean = xp.sum(states * nu, axis=1, keepdims=True)
         new = xp.clip(states + self.step_size * states * (nu - mean), 0.0, None)
@@ -240,14 +243,13 @@ class LogitRule(PayoffRule):
         self.damping = float(damping)
         self.step_decay = float(step_decay)
 
-    def respond(
-        self, states: Any, nu: Any, t: int, rows: np.ndarray | None
-    ) -> Any:
+    def respond(self, states: Any, nu: Any, t: int) -> Any:
         xp = self.engine.xp
         # Padding sites get -inf logits so the softmax never leaks mass onto
         # them (their nu of zero could otherwise beat negative real payoffs).
-        mask = self.engine.rows_of(self.engine.mask_dev, rows)
-        logits = xp.where(mask, self.rationality * nu, self.engine.neg_inf_dev)
+        logits = xp.where(
+            self.engine.stepped_mask, self.rationality * nu, self.engine.neg_inf_dev
+        )
         logits = logits - xp.max(logits, axis=1, keepdims=True)
         weights = xp.exp(logits)
         response = weights / xp.sum(weights, axis=1, keepdims=True)
@@ -272,13 +274,10 @@ class SmoothedBestResponseRule(PayoffRule):
         self.step_decay = float(step_decay)
         self.tie_atol = float(tie_atol)
 
-    def respond(
-        self, states: Any, nu: Any, t: int, rows: np.ndarray | None
-    ) -> Any:
+    def respond(self, states: Any, nu: Any, t: int) -> Any:
         xp = self.engine.xp
         fdt = self.engine.backend.float_dtype
-        mask = self.engine.rows_of(self.engine.mask_dev, rows)
-        masked_nu = xp.where(mask, nu, self.engine.neg_inf_dev)
+        masked_nu = xp.where(self.engine.stepped_mask, nu, self.engine.neg_inf_dev)
         best = masked_nu >= xp.max(masked_nu, axis=1, keepdims=True) - self.tie_atol
         bestf = xp.astype(best, fdt)
         response = bestf / xp.sum(bestf, axis=1, keepdims=True)
@@ -328,21 +327,22 @@ class InvasionRule(UpdateRule):
         # share step is dimensionless (values are positive, so max == max|.|).
         self.scale = engine.device(engine.values.max(axis=1))
 
-    def step(
-        self, states: Any, t: int, rows: np.ndarray | None
-    ) -> tuple[Any, Any | None]:
+    def restrict(self, rows: np.ndarray | None) -> None:
+        self.stepped_resident, self.stepped_mutant, self.stepped_scale = (
+            self.engine.rows_of(a, rows) for a in (self.resident, self.mutant, self.scale)
+        )
+
+    def step(self, states: Any, t: int) -> tuple[Any, Any | None]:
         xp = self.engine.xp
         share = states[:, 0]
-        resident = self.engine.rows_of(self.resident, rows)
-        mutant = self.engine.rows_of(self.mutant, rows)
+        resident, mutant = self.stepped_resident, self.stepped_mutant
         mixed = (1.0 - share)[:, None] * resident + share[:, None] * mutant
-        nu = self.engine.site_values(mixed, rows)  # one kernel pass per step
-        scale = self.engine.rows_of(self.scale, rows)
-        delta = xp.sum((mutant - resident) * nu, axis=1) / scale
+        nu = self.engine.site_values(mixed)  # one kernel pass per step
+        delta = xp.sum((mutant - resident) * nu, axis=1) / self.stepped_scale
         new = share + self.selection_strength * share * (1.0 - share) * delta
         return xp.clip(new, 0.0, 1.0)[:, None], None
 
-    def finished(self, states: Any, rows: np.ndarray | None) -> Any:
+    def finished(self, states: Any) -> Any:
         share = states[:, 0]
         return (share <= self.extinction_threshold) | (share >= self.fixation_threshold)
 
@@ -449,7 +449,7 @@ class DynamicsEngine:
         Player count — a scalar for the whole batch or a per-row ``(B,)``
         vector.
     policy:
-        Congestion policy shared by every row (validated once per distinct
+        Congestion policy shared by every row (validated at the largest
         ``k``).
     rule:
         The :class:`UpdateRule` to iterate.
@@ -493,8 +493,7 @@ class DynamicsEngine:
         self.sizes = self.padded.sizes
         self.ks = as_k_vector(k, self.padded.batch_size)
         self.policy = policy
-        for distinct_k in np.unique(self.ks):
-            policy.validate(int(distinct_k))
+        policy.validate(int(self.ks.max()))  # covers every smaller k
         self.max_iter = check_positive_integer(max_iter, "max_iter")
         self.tol = None if tol is None else float(tol)
         self.record_every = check_positive_integer(record_every, "record_every")
@@ -534,20 +533,33 @@ class DynamicsEngine:
                           dtype=self.backend.float_dtype)
 
     def rows_of(self, array: Any, rows: np.ndarray | None) -> Any:
-        """Slice backend-resident per-row constants to the stepped rows."""
+        """Slice backend-resident per-row constants to ``rows`` (``None``: all)."""
         return take_rows(self.backend, array, rows)
 
-    # ------------------------------------------------------------ payoff kernel
-    def site_values(self, states: Any, rows: np.ndarray | None) -> Any:
-        """Batched ``nu`` for the given rows, reusing the precomputed tables.
+    def restrict(self, rows: np.ndarray | None) -> None:
+        """Stage the per-row constants of ``rows`` (``None``: all) for the next steps.
 
-        ``states`` is an array of the engine's backend; the result stays on
-        the backend (rules consume it in place).
+        Slices the values, masks and congestion evaluator here and the rule's
+        own constants through :meth:`UpdateRule.restrict`, so a step touches
+        no per-row constant outside its rows.  The NumPy loop calls this only
+        when its active row set shrinks.
         """
-        values = self.rows_of(self.values_dev, rows)
-        fmask = self.rows_of(self.fmask_dev, rows)
-        factor, _ = self._congestion(self.xp.clip(states, 0.0, 1.0), rows, slope=False)
-        return values * factor * fmask
+        self.stepped_values = self.rows_of(self.values_dev, rows)
+        self.stepped_fmask = self.rows_of(self.fmask_dev, rows)
+        self.stepped_mask = self.rows_of(self.mask_dev, rows)
+        self._stepped_congestion = self._congestion.restrict(rows)
+        self.rule.restrict(rows)
+
+    # ------------------------------------------------------------ payoff kernel
+    def site_values(self, states: Any) -> Any:
+        """Batched ``nu`` of the stepped rows, reusing the precomputed tables.
+
+        ``states`` is an array of the engine's backend holding the rows of
+        the last :meth:`restrict`; the result stays on the backend (rules
+        consume it in place).
+        """
+        factor, _ = self._stepped_congestion(self.xp.clip(states, 0.0, 1.0), slope=False)
+        return self.stepped_values * factor * self.stepped_fmask
 
     def initial_states(self) -> Any:
         """Per-row uniform distributions (zero on padding columns), backend-resident."""
@@ -559,6 +571,7 @@ class DynamicsEngine:
     # -------------------------------------------------------------------- loop
     def run(self, initial: np.ndarray | None = None) -> DynamicsBatchResult:
         """Iterate the rule until every row converges, halts, or hits the cap."""
+        self.restrict(None)
         if initial is None:
             states = self.initial_states()
         else:
@@ -569,6 +582,11 @@ class DynamicsEngine:
                 raise ValueError(
                     f"initial states have {host.shape[0]} rows for a batch "
                     f"of {self.batch_size}"
+                )
+            if isinstance(self.rule, PayoffRule):
+                # Payoff rules evolve strategies: zero on padding, mass one.
+                host, _ = check_probability_rows(
+                    host, "initial", sizes=self.sizes, shape=self.values.shape
                 )
             with expected_transfer():
                 states = self.device(host)
@@ -596,12 +614,11 @@ class DynamicsEngine:
 
         for t in range(1, self.max_iter + 1):
             sub = take_rows(be, states, active)
-            new_sub, payoffs = self.rule.step(sub, t, active)
+            new_sub, payoffs = self.rule.step(sub, t)
             change = to_numpy(xp.sum(xp.abs(new_sub - sub), axis=1))
             scatter_rows(be, states, active, new_sub)
-            post = new_sub
             payoffs_host = None if payoffs is None else to_numpy(payoffs)
-            halted = self.rule.finished(post, active)
+            halted = self.rule.finished(new_sub)
             halted_host = None if halted is None else to_numpy(halted)
 
             recording = t % self.record_every == 0
@@ -620,6 +637,8 @@ class DynamicsEngine:
                 converged[finished_rows] = True
                 iterations[finished_rows] = t
                 active = active[~done]
+                if active.size:
+                    self.restrict(active)
 
             if recording:
                 record_times.append(t)
@@ -628,6 +647,7 @@ class DynamicsEngine:
             if active.size == 0:
                 break
 
+        self.restrict(None)
         final = self.rule.final_payoffs(states)
         return DynamicsBatchResult(
             states=np.array(to_numpy(states), copy=True),
@@ -677,12 +697,12 @@ class DynamicsEngine:
         for t in range(1, self.max_iter + 1):
             step_index = step_index + step_one  # device-side iteration counter
             if step_fn is None:
-                new_full, payoffs = self.rule.step(states, t, None)
+                new_full, payoffs = self.rule.step(states, t)
             else:
                 new_full, payoffs = step_fn(self.rule, states, t)
             change = xp.sum(xp.abs(new_full - states), axis=1)
             states = xp.where(active[:, None], new_full, states)
-            halted = self.rule.finished(states, None)
+            halted = self.rule.finished(states)
 
             recording = t % self.record_every == 0
             if recording and payoffs is not None:
@@ -874,6 +894,6 @@ def invasion_batch(
     shares = np.broadcast_to(
         np.asarray(initial_shares, dtype=float), (padded.batch_size,)
     )
-    for share in np.unique(shares):
-        check_probability(float(share), "initial_share")
+    if not ((shares >= 0.0) & (shares <= 1.0)).all():
+        raise ValueError(f"initial_share must lie in [0, 1], got {shares}")
     return engine.run(shares[:, None])

@@ -51,7 +51,8 @@ tables included) nor on its padding.  The one exception is an iterative row
 (``k >= 3``): the largest ``k`` among those rows picks the ``g`` evaluator
 and the width of the log-space sums.  Closed-form rows never depend on it.
 :func:`ifd_batch`, :func:`repro.batch.mechanism.compare_policies_batch` (one
-call per policy roster), :func:`repro.batch.scenarios.cost_adjusted_ifd_batch`,
+call per policy roster, grant-design rows included),
+:func:`repro.batch.scenarios.cost_adjusted_ifd_batch`,
 :func:`repro.core.ifd.ideal_free_distribution` and
 :func:`repro.extensions.travel_costs.cost_adjusted_ifd` are all thin callers.
 """
@@ -126,28 +127,48 @@ def _row_sum(x, xp):
     return xp.cumulative_sum(x, axis=1)[:, -1]
 
 
-def bernstein_evaluator(tables: np.ndarray, degrees: np.ndarray, backend=None):
-    """``evaluate(q, rows=None, slope=True) -> (g, g')`` for ``g_b(q) = E[C_b(1 + Bin(n_b, q))]``.
+class BernsteinEvaluator:
+    """``g_b(q) = E[C_b(1 + Bin(n_b, q))]`` and ``g_b'(q)`` of a batch of rows.
+
+    ``evaluate(q, rows=None, slope=True) -> (g, g')`` takes an ``(R', M)``
+    backend array ``q`` for the host index vector ``rows`` (``None``: all
+    rows); ``g'`` is ``None`` without ``slope`` and otherwise broadcasts
+    against ``q``.  :meth:`restrict` stages a row subset once, for callers
+    that evaluate the same subset many times.  A row's values never depend
+    on the subset it is evaluated in.
+    """
+
+    def __init__(self, stage):
+        self._stage = stage
+        self._all = stage(None)
+
+    def restrict(self, rows: np.ndarray | None):
+        """``evaluate(q, slope=True)`` on the rows ``rows`` (``None``: all), staged once."""
+        return self._all if rows is None else self._stage(rows)
+
+    def __call__(self, q, rows: np.ndarray | None = None, slope: bool = True):
+        return self.restrict(rows)(q, slope)
+
+
+def bernstein_evaluator(tables: np.ndarray, degrees: np.ndarray, backend=None) -> BernsteinEvaluator:
+    """The :class:`BernsteinEvaluator` of congestion tables ``tables``.
 
     ``tables`` are the host ``(R, W)`` congestion tables of
     :func:`~repro.batch.payoffs.congestion_table_batch`, ``degrees`` the host
-    ``(R,)`` counts ``n_b < W``; both are staged once, here.  ``q`` is an
-    ``(R', M)`` backend array for the host index vector ``rows`` (``None``:
-    all rows).  ``g'`` is ``None`` without ``slope`` and otherwise broadcasts
-    against ``q``.  The largest ``n_b`` picks de Casteljau (up to
-    :data:`DE_CASTELJAU_MAX_DEGREE`) or log-space binomial laws; a row's
-    values never depend on the subset it is evaluated in.
+    ``(R,)`` counts ``n_b < W``; both are staged once, here.  The largest
+    ``n_b`` picks de Casteljau (up to :data:`DE_CASTELJAU_MAX_DEGREE`) or
+    log-space binomial laws.
     """
     be = resolve_backend(backend)
     coeffs = np.asarray(tables, dtype=float)
     degrees = np.asarray(degrees, dtype=np.int64)
     if int(degrees.max()) <= DE_CASTELJAU_MAX_DEGREE:
-        return _de_casteljau(coeffs, degrees, be)
-    return _log_space(coeffs, degrees, be)
+        return BernsteinEvaluator(_de_casteljau(coeffs, degrees, be))
+    return BernsteinEvaluator(_log_space(coeffs, degrees, be))
 
 
 def _de_casteljau(coeffs: np.ndarray, degrees: np.ndarray, be: Backend):
-    """De Casteljau evaluator (coefficient axis first).
+    """``stage(rows) -> evaluate(q, slope=True)`` by de Casteljau (coefficient axis first).
 
     A row of degree ``n_b`` below the largest degree ``n`` of the rows
     evaluated sits out the first ``n - n_b`` levels, so its arithmetic is the
@@ -164,36 +185,34 @@ def _de_casteljau(coeffs: np.ndarray, degrees: np.ndarray, be: Backend):
     by_row = from_numpy(be, padded[:, :, None], dtype=fdt)  # (R, W, 1)
     n_all = from_numpy(be, degrees[:, None].astype(float), dtype=fdt)
 
-    def schedule(sub_levels: np.ndarray) -> tuple[int, list]:
-        """A subset's top degree and the rows taking part in each level (``None``: all)."""
+    def stage(rows):
+        # The subset's top degree and the rows taking part in each level
+        # 1 .. top - 1 (``None``: all of them).
+        sub_levels = levels if rows is None else levels[rows]
         top = int(sub_levels.max())
-        joins = sub_levels[None, :] >= np.arange(top, 1, -1)[:, None]  # level 1 .. top - 1
-        return top, [
+        joins = sub_levels[None, :] >= np.arange(top, 1, -1)[:, None]
+        schedule = [
             None if every else from_numpy(be, joined[:, None])
             for every, joined in zip(joins.all(axis=1), joins)
         ]
+        b_top = xp.permute_dims(take_rows(be, by_row, rows), (1, 0, 2))[: top + 1]
+        n = take_rows(be, n_all, rows)
 
-    top_all, joins_all = schedule(levels)
-    b_all = xp.permute_dims(by_row, (1, 0, 2))
+        def evaluate(q, slope=True):
+            b = b_top
+            for active in schedule:
+                step = b[:-1] + q * (b[1:] - b[:-1])
+                b = step if active is None else xp.where(active, step, b[:-1])
+            b0, delta = b[0], b[1] - b[0]
+            return b0 + q * delta, (n * delta if slope else None)
 
-    def evaluate(q, rows=None, slope=True):
-        if rows is None:
-            b, n, top, joins = b_all, n_all, top_all, joins_all
-        else:
-            top, joins = schedule(levels[rows])
-            b = xp.permute_dims(take_rows(be, by_row, rows), (1, 0, 2))[: top + 1]
-            n = take_rows(be, n_all, rows)
-        for active in joins:
-            step = b[:-1] + q * (b[1:] - b[:-1])
-            b = step if active is None else xp.where(active, step, b[:-1])
-        b0, delta = b[0], b[1] - b[0]
-        return b0 + q * delta, (n * delta if slope else None)
+        return evaluate
 
-    return evaluate
+    return stage
 
 
 def _log_space(coeffs: np.ndarray, degrees: np.ndarray, be: Backend):
-    """Evaluator through log-space binomial laws.
+    """``stage(rows) -> evaluate(q, slope=True)`` through log-space binomial laws.
 
     ``g(q) = sum_j C(j + 1) P[Bin(n, q) = j]`` and
     ``g'(q) = n sum_j (C(j + 2) - C(j + 1)) P[Bin(n - 1, q) = j]``.  A row
@@ -212,6 +231,8 @@ def _log_space(coeffs: np.ndarray, degrees: np.ndarray, be: Backend):
     slope_plan_all = cached_binomial_pmf_plan(lower, backend=be)
 
     def subset(plan, rows):
+        if rows is None:
+            return plan
         return replace(
             plan,
             trials=plan.trials[rows],
@@ -219,19 +240,20 @@ def _log_space(coeffs: np.ndarray, degrees: np.ndarray, be: Backend):
             log_coeffs=take_rows(be, plan.log_coeffs, rows),
         )
 
-    def evaluate(q, rows=None, slope=True):
-        table, slope_table, n = table_all, slope_table_all, n_all
-        plan, slope_plan = plan_all, slope_plan_all
-        if rows is not None:
-            table, slope_table, n = (take_rows(be, a, rows) for a in (table, slope_table, n))
-            plan, slope_plan = subset(plan, rows), subset(slope_plan, rows)
-        g = xp.sum(binomial_pmf_tensor(plan.trials, q, plan=plan) * table, axis=2)
-        if not slope:
-            return g, None
-        slope_pmf = binomial_pmf_tensor(slope_plan.trials, q, plan=slope_plan)
-        return g, n * xp.sum(slope_pmf * slope_table, axis=2)
+    def stage(rows):
+        table, slope_table, n = (take_rows(be, a, rows) for a in (table_all, slope_table_all, n_all))
+        plan, slope_plan = subset(plan_all, rows), subset(slope_plan_all, rows)
 
-    return evaluate
+        def evaluate(q, slope=True):
+            g = xp.sum(binomial_pmf_tensor(plan.trials, q, plan=plan) * table, axis=2)
+            if not slope:
+                return g, None
+            slope_pmf = binomial_pmf_tensor(slope_plan.trials, q, plan=slope_plan)
+            return g, n * xp.sum(slope_pmf * slope_table, axis=2)
+
+        return evaluate
+
+    return stage
 
 
 def water_filling_batch(
@@ -580,7 +602,7 @@ def ifd_batch(
     be = resolve_backend(backend)
     padded = as_padded(values)
     ks = check_counts(k_grid, "k_grid")
-    probabilities, eq_values, support_sizes, converged = _roster_ifd(
+    probabilities, eq_values, support_sizes, converged, _ = _roster_ifd(
         padded, ks, [policy], use_closed_form, closed_form, be
     )
     return IFDBatch(
@@ -600,13 +622,17 @@ def _roster_ifd(
     use_closed_form: bool,
     closed_form: SigmaStarBatch | None,
     be: Backend,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    extra: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """``(B, P, K, ...)`` probabilities, payoffs, supports and ``converged`` of a roster.
 
     Exclusive cells (``k > 1``) take the closed form, reusing ``closed_form``
     when it covers the same instances and ``k`` grid.  Every other cell is a
     row of one :func:`water_filling_batch` call; the roster shares one ``k``
     grid, so each row is solved exactly as in a call for its policy alone.
+    ``extra`` holds the ``(values, k, tables)`` of one more row per instance
+    (on its mask, its policy validated by the caller), solved in the same
+    call; their ``(B, M)`` strategies come back last (``None`` without them).
     """
     P, B, K, M = len(roster), padded.batch_size, ks.size, padded.width
     # Cell p * K + c of the flattened roster axis is policy p at k = ks[c].
@@ -620,7 +646,7 @@ def _roster_ifd(
         and closed_form.padded is padded
         and np.array_equal(closed_form.k_grid, ks)
     )
-    if closed.all():
+    if closed.all() and extra is None:
         # Every cell is in closed form: the sigma_star arrays are the answer.
         star = closed_form if reuse else sigma_star_batch(padded, ks, backend=be)
         return (
@@ -628,6 +654,7 @@ def _roster_ifd(
             np.repeat(star.equilibrium_values[:, None], P, axis=1),
             np.repeat(star.support_sizes[:, None], P, axis=1),
             np.ones((B, P, K), dtype=bool),
+            None,
         )
     probabilities = np.zeros((B, P * K, M))
     values = np.zeros((B, P * K))
@@ -643,25 +670,36 @@ def _roster_ifd(
         support_sizes[:, closed] = star.support_sizes[:, index]
 
     open_cells = ~closed
-    if open_cells.any():
+    c = int(open_cells.sum())
+    extra_probabilities = None
+    if c or extra is not None:
         owner = cell // K
-        for i in np.unique(owner[open_cells]):
+        for i in sorted(set(owner[open_cells].tolist())):
             roster[i].validate(int(ks[column[open_cells & (owner == i)]].max()))
         tables = np.concatenate([congestion_table_batch(policy, ks - 1) for policy in roster])
-        # Row (b, c) of the water-filling batch is instance b in open cell c.
-        c = int(open_cells.sum())
-        solved = water_filling_batch(
-            np.repeat(padded.values, c, axis=0),
-            None,
-            np.tile(ks[column[open_cells]], B),
-            np.tile(tables[open_cells], (B, 1)),
-            mask=np.repeat(padded.mask, c, axis=0),
-            backend=be,
-        )
-        probabilities[:, open_cells] = solved.probabilities.reshape(B, c, M)
-        values[:, open_cells] = solved.values.reshape(B, c)
-        support_sizes[:, open_cells] = solved.support_sizes.reshape(B, c)
-        converged[:, open_cells] = solved.converged.reshape(B, c)
+        # Row (b, c) of the water-filling batch is instance b in open cell c;
+        # the extra rows follow, one per instance.
+        f = np.repeat(padded.values, c, axis=0)
+        k_rows = np.tile(ks[column[open_cells]], B)
+        table_rows = np.tile(tables[open_cells], (B, 1))
+        mask = np.repeat(padded.mask, c, axis=0)
+        if extra is not None:
+            extra_f, extra_k, extra_tables = extra
+            width = max(table_rows.shape[1], extra_tables.shape[1])
+            f = np.concatenate([f, extra_f])
+            k_rows = np.concatenate([k_rows, extra_k])
+            table_rows = np.concatenate(
+                [np.pad(t, ((0, 0), (0, width - t.shape[1]))) for t in (table_rows, extra_tables)]
+            )
+            mask = np.concatenate([mask, padded.mask])
+        solved = water_filling_batch(f, None, k_rows, table_rows, mask=mask, backend=be)
+        n = B * c
+        probabilities[:, open_cells] = solved.probabilities[:n].reshape(B, c, M)
+        values[:, open_cells] = solved.values[:n].reshape(B, c)
+        support_sizes[:, open_cells] = solved.support_sizes[:n].reshape(B, c)
+        converged[:, open_cells] = solved.converged[:n].reshape(B, c)
+        if extra is not None:
+            extra_probabilities = solved.probabilities[n:]
     grid = (B, P, K)
     values, support_sizes, converged = (a.reshape(grid) for a in (values, support_sizes, converged))
-    return probabilities.reshape(*grid, M), values, support_sizes, converged
+    return probabilities.reshape(*grid, M), values, support_sizes, converged, extra_probabilities

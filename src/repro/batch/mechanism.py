@@ -10,7 +10,8 @@ whole ``(instances x k x policy)`` grids at once:
   ``(instance, k)`` cell: one :func:`~repro.batch.solvers.sigma_star_batch`
   call fixes all coverage optima (and the exclusive equilibria), one
   :func:`~repro.batch.ifd.water_filling_batch` call solves every other
-  policy's equilibria;
+  policy's equilibria (and, on request, the induced equilibria of a grant
+  design);
 * :func:`best_two_level_batch` — the Theorem-6 sweep of the one-parameter
   family ``C_c`` over a whole grid;
 * :func:`design_rewards_batch` — reward vectors making per-row target
@@ -93,6 +94,9 @@ class PolicyComparisonBatch:
         ``(P, B, K)`` equilibrium payoffs and support sizes.
     k_grid, padded:
         Axes of the grid.
+    grants:
+        The grant designs of ``compare_policies_batch(..., grant_design=...)``
+        (``None`` when none were asked for).
     """
 
     policy_names: tuple[str, ...]
@@ -103,6 +107,7 @@ class PolicyComparisonBatch:
     support_sizes: np.ndarray
     k_grid: np.ndarray
     padded: PaddedValues
+    grants: GrantDesignBatch | None = None
 
     def comparison(self, policy_index: int, instance: int, k_index: int) -> "PolicyComparison":
         """Hydrate one grid cell into the scalar :class:`~repro.mechanism.policy_design.PolicyComparison`."""
@@ -123,6 +128,7 @@ def compare_policies_batch(
     k_grid: Sequence[int] | np.ndarray | int,
     policies: Sequence[CongestionPolicy],
     *,
+    grant_design: tuple[CongestionPolicy, Sequence[int] | np.ndarray | int] | None = None,
     backend: Backend | str | None = None,
 ) -> PolicyComparisonBatch:
     """Evaluate a congestion-policy roster over a whole ``(instances x k)`` grid.
@@ -135,13 +141,24 @@ def compare_policies_batch(
     :func:`~repro.batch.ifd.water_filling_batch` call, and one coverage
     pass scores all equilibria.
 
+    ``grant_design=(policy, k)`` also designs grants under ``policy`` for
+    every instance at its own player count ``k[b]`` (scalar or ``(B,)``),
+    as :func:`optimal_grant_design_batch` does; the induced equilibria of
+    the re-priced games join the roster's water-filling call, so the whole
+    comparison costs one fixed-budget loop.  Only those ``B`` cells are
+    designed, whatever the ``k`` grid.
+
     Returns
     -------
     PolicyComparisonBatch
         Bit-identical to one :func:`~repro.batch.ifd.ifd_batch` plus
         :func:`~repro.batch.solvers.coverage_batch` per policy, and
         elementwise equal (to solver tolerance) to looping the scalar
-        ``compare_policies`` over instances and ``k`` values.
+        ``compare_policies`` over instances and ``k`` values.  ``grants``
+        equals :func:`optimal_grant_design_batch` bit for bit unless the
+        roster's iterative rows (``k >= 3``) reach a larger ``k`` than the
+        design's own (see :mod:`repro.batch.ifd`); a grid with no ``k``
+        above the design's largest rules that out.
     """
     be = resolve_backend(backend)
     padded = as_padded(values)
@@ -149,10 +166,16 @@ def compare_policies_batch(
     roster = list(policies)
     if not roster:
         raise ValueError("policies roster must not be empty")
+    design = None
+    if grant_design is not None:
+        design_policy, design_k = grant_design
+        design = _GrantRows(padded, as_k_vector(design_k, padded.batch_size), design_policy, be)
     star = sigma_star_batch(padded, ks, backend=be)
     optimal = coverage_batch(padded, star.probabilities, ks, backend=be)
 
-    probabilities, payoffs, supports, _ = _roster_ifd(padded, ks, roster, True, star, be)
+    probabilities, payoffs, supports, _, induced = _roster_ifd(
+        padded, ks, roster, True, star, be, None if design is None else design.rows
+    )
     B, P, K, M = probabilities.shape
     # One coverage pass over the roster laid out as a (B, P * K) grid.
     eq = coverage_batch(padded, probabilities.reshape(B, P * K, M), np.tile(ks, P), backend=be)
@@ -168,6 +191,7 @@ def compare_policies_batch(
         support_sizes=supports.swapaxes(0, 1),
         k_grid=ks,
         padded=padded,
+        grants=None if design is None else design.outcome(induced),
     )
 
 
@@ -407,36 +431,48 @@ def optimal_grant_design_batch(
         ``optimal_grant_design`` over the rows.
     """
     be = resolve_backend(backend)
-    if policy is None:
-        policy = SharingPolicy()
     padded = as_padded(values)
-    b = padded.batch_size
-    ks = as_k_vector(k, b)
-    unique_ks, columns = np.unique(ks, return_inverse=True)
-    take = np.arange(b)
-
-    star = sigma_star_batch(padded, unique_ks, backend=be)
-    targets = star.probabilities[take, columns, :]
-    # Padding columns of sigma_star are exactly zero, so they read as
-    # off-support sites and receive the (positive) off-support grant; the
-    # solver masks them out.
-    rewards = design_rewards_batch(targets, ks, policy, backend=be)
-
-    # The induced IFDs: one water-filling row per instance at its own k.
-    policy.validate(int(ks.max()))
-    induced_strategies = water_filling_batch(
-        rewards, None, ks, congestion_table_batch(policy, ks - 1), mask=padded.mask, backend=be
-    ).probabilities
-    induced_coverages = coverage_batch(padded, induced_strategies, unique_ks, backend=be)[
-        take, columns
-    ]
-    max_deviations = np.max(np.abs(induced_strategies - targets), axis=1)
-    return GrantDesignBatch(
-        rewards=rewards,
-        induced_strategies=induced_strategies,
-        induced_coverages=induced_coverages,
-        target_strategies=targets,
-        max_deviations=max_deviations,
-        k=ks,
-        padded=padded,
+    design = _GrantRows(
+        padded, as_k_vector(k, padded.batch_size), SharingPolicy() if policy is None else policy, be
     )
+    # The induced IFDs: one water-filling row per instance at its own k.
+    rewards, ks, tables = design.rows
+    induced = water_filling_batch(rewards, None, ks, tables, mask=padded.mask, backend=be)
+    return design.outcome(induced.probabilities)
+
+
+class _GrantRows:
+    """Targets, designed grants and water-filling rows of a grant design.
+
+    Shared by :func:`optimal_grant_design_batch` and
+    ``compare_policies_batch(..., grant_design=...)``: ``rows`` are the
+    ``(values, k, tables)`` of one water-filling row per instance, and
+    :meth:`outcome` scores the strategies they induce.
+    """
+
+    def __init__(self, padded: PaddedValues, ks: np.ndarray, policy: CongestionPolicy, be: Backend):
+        self.padded, self.ks, self.be = padded, ks, be
+        self.unique_ks, self.columns = np.unique(ks, return_inverse=True)
+        star = sigma_star_batch(padded, self.unique_ks, backend=be)
+        self.targets = star.probabilities[np.arange(padded.batch_size), self.columns, :]
+        # Padding columns of sigma_star are exactly zero, so they read as
+        # off-support sites and receive the (positive) off-support grant; the
+        # solver masks them out.  design_rewards_batch validates the policy.
+        self.rewards = design_rewards_batch(self.targets, ks, policy, backend=be)
+        self.rows = (self.rewards, ks, congestion_table_batch(policy, ks - 1))
+
+    def outcome(self, induced_strategies: np.ndarray) -> GrantDesignBatch:
+        """The :class:`GrantDesignBatch` of the induced equilibria."""
+        padded = self.padded
+        induced_coverages = coverage_batch(
+            padded, induced_strategies, self.unique_ks, backend=self.be
+        )[np.arange(padded.batch_size), self.columns]
+        return GrantDesignBatch(
+            rewards=self.rewards,
+            induced_strategies=induced_strategies,
+            induced_coverages=induced_coverages,
+            target_strategies=self.targets,
+            max_deviations=np.max(np.abs(induced_strategies - self.targets), axis=1),
+            k=self.ks,
+            padded=padded,
+        )

@@ -108,7 +108,7 @@ def canonical_times(times: Sequence[int] | np.ndarray | int) -> tuple[int, ...]:
     is well defined at zero rounds), for the ``times`` grid of the
     ``/coverage-times`` endpoint.
     """
-    return tuple(np.unique(check_counts(times, "times", minimum=0)).tolist())
+    return tuple(sorted(set(check_counts(times, "times", minimum=0).tolist())))
 
 
 def canonical_k_grid(k_grid: Sequence[int] | np.ndarray | int) -> tuple[int, ...]:
@@ -121,7 +121,7 @@ def canonical_k_grid(k_grid: Sequence[int] | np.ndarray | int) -> tuple[int, ...
     (responses are reported per ``k``), so ``[3, 2, 3]`` and ``(2, 3)`` are
     the same request and must share a cache key.
     """
-    return tuple(np.unique(check_counts(k_grid, "k_grid")).tolist())
+    return tuple(sorted(set(check_counts(k_grid, "k_grid").tolist())))
 
 
 def _encode(value: Any, out: list[str]) -> None:

@@ -413,6 +413,79 @@ class TestConvergenceMasking:
         assert batch.iterations.max() <= 2
 
 
+class TestRowSubsetStaging:
+    """The NumPy loop re-stages its per-row constants only when rows finish."""
+
+    @pytest.mark.parametrize("run", [replicator_batch, logit_batch], ids=["discrete", "logit"])
+    def test_each_row_equals_the_row_run_alone(self, run):
+        rng = np.random.default_rng(23)
+        instances = [SiteValues.random(int(m), rng) for m in (5, 3, 7, 4, 6, 3)]
+        ks = np.array([3, 5, 5, 3, 5, 3], dtype=np.int64)
+        padded = PaddedValues.from_instances(instances)
+        options = dict(max_iter=6_000, record_every=40)
+        batch = run(padded, ks, SharingPolicy(), **options)
+        # Rows finish at different steps, so the active set shrinks repeatedly.
+        assert len(set(batch.iterations.tolist())) >= 4
+        for row, values in enumerate(instances):
+            # Alone at the batch's width: same padding, so the same arithmetic.
+            alone = run(
+                PaddedValues.from_instances([values], width=padded.width),
+                int(ks[row]),
+                SharingPolicy(),
+                **options,
+            )
+            n = alone.record_times.size
+            np.testing.assert_array_equal(batch.states[row], alone.states[0])
+            np.testing.assert_array_equal(batch.iterations[row], alone.iterations[0])
+            np.testing.assert_array_equal(batch.converged[row], alone.converged[0])
+            np.testing.assert_array_equal(batch.records[:n, row], alone.records[:, 0])
+            np.testing.assert_array_equal(
+                batch.payoff_records[: n - 1, row], alone.payoff_records[:, 0]
+            )
+            if alone.final_payoffs is not None:
+                np.testing.assert_array_equal(batch.final_payoffs[row], alone.final_payoffs[0])
+
+
+class TestInitialStates:
+    """Payoff-rule initial states are probability rows over each row's sites."""
+
+    VALUES = [[1.0, 0.6, 0.3]]
+    RULES = [replicator_batch, logit_batch, best_response_batch]
+
+    @pytest.mark.parametrize("run", RULES)
+    def test_nan_entry_is_refused(self, run):
+        with pytest.raises(ValueError, match="initial"):
+            run(self.VALUES, 3, SharingPolicy(), initial=np.array([np.nan, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("run", RULES)
+    def test_negative_entry_is_refused(self, run):
+        with pytest.raises(ValueError, match="initial"):
+            run(self.VALUES, 3, SharingPolicy(), initial=np.array([-0.2, 0.7, 0.5]))
+
+    @pytest.mark.parametrize("run", RULES)
+    def test_wrong_width_is_refused_by_name(self, run):
+        with pytest.raises(ValueError, match="initial"):
+            run(self.VALUES, 3, SharingPolicy(), initial=np.array([0.5, 0.5]))
+
+    def test_padding_mass_and_row_sums_are_checked(self):
+        padded = PaddedValues.from_instances([[1.0, 0.5], [1.0, 0.8, 0.6]])
+        with pytest.raises(ValueError, match="padding"):
+            replicator_batch(
+                padded, 3, SharingPolicy(), initial=np.array([[0.5, 0.3, 0.2], [0.4, 0.3, 0.3]])
+            )
+        with pytest.raises(ValueError, match="sum to one"):
+            replicator_batch(
+                padded, 3, SharingPolicy(), initial=np.array([[0.5, 0.4, 0.0], [0.4, 0.3, 0.3]])
+            )
+
+    def test_invasion_shares_keep_their_unit_interval_check(self):
+        padded = PaddedValues.from_instances([[1.0, 0.5], [1.0, 0.8]])
+        uniform = np.full((2, 2), 0.5)
+        for shares in ([0.1, 1.5], [np.nan, 0.1], -0.1):
+            with pytest.raises(ValueError, match="initial_share"):
+                invasion_batch(padded, uniform, uniform, 2, SharingPolicy(), initial_shares=shares)
+
+
 class TestEngineValidation:
     def test_unknown_rule_name(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,9 @@ The core contracts:
   equals the same row solved alone;
 * ``k = 2`` rows are solved in closed form: exclusive rows equal
   ``sigma_star_batch``, every row meets the brute-force payoff oracle, and a
-  ``k = 2`` row of a mixed-``k`` call equals the same row solved alone.
+  ``k = 2`` row of a mixed-``k`` call equals the same row solved alone;
+* a ``mechanism`` sweep task solves its roster and its grant design in one
+  water-filling call, with rows bit-identical to two separate calls.
 
 The whole module runs once per available array backend through the autouse
 fixture, mirroring the other batch suites.
@@ -27,7 +29,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.batch.ifd as batch_ifd
+import repro.batch.mechanism as batch_mechanism
 from conftest import backend_params
+from repro.analysis.observation1 import make_family
+from repro.analysis.scenario_experiments import policy_from_name
+from repro.analysis.stochastic_experiments import (
+    GrantDesignRow,
+    MechanismPolicyRow,
+    build_mechanism_spec,
+    mechanism_task,
+)
 from repro.backend import use_backend
 from repro.batch import (
     PaddedValues,
@@ -300,3 +312,94 @@ class TestLinearWaterFilling:
             assert mixed.closed_form[r] and alone.closed_form[0]
             for field in ("probabilities", "values", "support_sizes", "converged"):
                 np.testing.assert_array_equal(getattr(mixed, field)[r], getattr(alone, field)[0])
+
+
+class TestOneSolvePerMechanismCell:
+    """``mechanism_task`` designs grants inside the roster's water-filling call."""
+
+    @staticmethod
+    def separate_calls(params, rng):
+        """The roster and the grant design of one task, solved by two calls."""
+        cells = params["cells"]
+        padded = PaddedValues.from_instances([make_family(f, m, rng) for f, m, _ in cells])
+        ks = np.array([k for _, _, k in cells], dtype=np.int64)
+        unique_ks, columns = np.unique(ks, return_inverse=True)
+        roster = [policy_from_name(name) for name in params["policies"]]
+        comparisons = compare_policies_batch(padded, unique_ks, roster)
+        grants = optimal_grant_design_batch(padded, ks, policy_from_name(params["design_policy"]))
+        return comparisons, grants, columns
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return water_filling_batch(*args, **kwargs)
+
+        for module in (batch_ifd, batch_mechanism):
+            monkeypatch.setattr(module, "water_filling_batch", counting)
+        return calls
+
+    def assert_rows_match_separate_calls(self, params, seed, monkeypatch):
+        expected, grants, columns = self.separate_calls(params, np.random.default_rng(seed))
+        calls = self.count_solves(monkeypatch)
+        rows = mechanism_task(params, np.random.default_rng(seed))
+        assert len(calls) == 1
+        b = len(params["cells"])
+        policy_rows = [row for row in rows if isinstance(row, MechanismPolicyRow)]
+        grant_rows = [row for row in rows if isinstance(row, GrantDesignRow)]
+        assert len(policy_rows) == b * len(params["policies"]) and len(grant_rows) == b
+        for index, row in enumerate(policy_rows):
+            p, i = divmod(index, b)
+            cell = (p, i, columns[i])
+            assert (
+                row.equilibrium_coverage,
+                row.optimal_coverage,
+                row.spoa,
+                row.equilibrium_payoff,
+                row.support_size,
+            ) == (
+                expected.equilibrium_coverages[cell],
+                expected.optimal_coverages[i, columns[i]],
+                expected.spoa[cell],
+                expected.equilibrium_payoffs[cell],
+                expected.support_sizes[cell],
+            )
+        for i, row in enumerate(grant_rows):
+            optimal = expected.optimal_coverages[i, columns[i]]
+            assert row.induced_coverage == grants.induced_coverages[i]
+            assert row.max_deviation == grants.max_deviations[i]
+            assert row.coverage_gap == optimal - grants.induced_coverages[i]
+
+    @pytest.mark.parametrize("batch_rows", [1, 3])
+    def test_rows_equal_separate_calls_with_one_solve_per_task(self, batch_rows, monkeypatch):
+        spec = build_mechanism_spec(k_values=(2, 4, 8, 30), batch_rows=batch_rows)
+        for seed, params in enumerate(spec.grid):
+            with monkeypatch.context() as patch:
+                self.assert_rows_match_separate_calls(params, seed, patch)
+
+    def test_aggressive_design_is_not_asked_of_unrequested_cells(self, monkeypatch):
+        # Uniform M = 3 admits an aggressive design at k = 2 but not at k = 8,
+        # the other instance's k: designing the full (instance x k) grid raises.
+        params = {
+            "cells": (("uniform", 12, 8), ("uniform", 3, 2)),
+            "policies": ("exclusive", "sharing"),
+            "design_policy": "aggressive",
+        }
+        small = PaddedValues.from_instances([make_family("uniform", 3, np.random.default_rng(0))])
+        with pytest.raises(ValueError, match="not implementable"):
+            optimal_grant_design_batch(small, 8, policy_from_name("aggressive"))
+        self.assert_rows_match_separate_calls(params, 0, monkeypatch)
+
+    def test_grant_design_keyword_matches_optimal_grant_design_batch(self, rng):
+        instances, ks = ragged_instances(rng)
+        padded = PaddedValues.from_instances(instances)
+        assert compare_policies_batch(padded, np.unique(ks), ROSTER).grants is None
+        grants = compare_policies_batch(
+            padded, np.unique(ks), ROSTER, grant_design=(SharingPolicy(), ks)
+        ).grants
+        alone = optimal_grant_design_batch(padded, ks, SharingPolicy())
+        for field in ("rewards", "induced_strategies", "induced_coverages",
+                      "target_strategies", "max_deviations", "k"):
+            np.testing.assert_array_equal(getattr(grants, field), getattr(alone, field))

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from repro.utils.envinfo import available_cpus
 from repro.utils.io import read_csv
 from repro.utils.rng import spawn_seed_sequences
 
+REPO = Path(__file__).resolve().parent.parent
 SMALL_GRID = dict(m_values=(4,), k_values=(2, 3), n_random=1)
 
 
@@ -218,3 +223,35 @@ class TestCLIIntegration:
         out = capsys.readouterr().out
         for name in ("figure1", "observation1", "spoa", "ess", "sweep"):
             assert name in out
+
+
+class TestColdWorker:
+    def test_sweep_cells_never_import_numpy_ma(self):
+        # NumPy's plain np.unique imports numpy.ma (~13 ms, ~0.85 MiB) on
+        # first use; a fresh worker running one cell of each sweep family,
+        # or the served grid canonicalisers, must not pay for it.
+        script = textwrap.dedent(
+            f"""
+            import sys
+            sys.path.insert(0, {str(REPO / "src")!r})
+            import numpy as np
+            from repro.experiments import build_experiment
+            from repro.utils.canonical import canonical_k_grid, canonical_times
+            for name, options in (
+                ("figure1", {{"c_grid": (0.0,)}}),
+                ("mechanism", {{"k_values": (4,), "batch_rows": 1}}),
+                ("dynamics", {{"k_values": (3,)}}),
+                ("coverage-times", {{}}),
+            ):
+                spec = build_experiment(name, seed=1, **options)
+                spec.task(spec.grid[0], np.random.default_rng(0))
+            assert canonical_k_grid([3, 2, 3]) == (2, 3)
+            assert canonical_times([4, 0, 4]) == (0, 4)
+            print("numpy.ma" in sys.modules)
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
