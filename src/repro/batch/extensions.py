@@ -103,12 +103,7 @@ def capacity_coverage_batch(
     native = is_native(be, strategies)
     padded = as_padded(values)
     ks = as_k_vector(k, padded.batch_size)
-    P = asarray_float(be, strategies)
-    if tuple(P.shape) != padded.values.shape:
-        raise ValueError(
-            f"strategies shape {tuple(P.shape)} must match the padded batch "
-            f"{padded.values.shape}"
-        )
+    P = padded.check_strategies(asarray_float(be, strategies))
     r = as_requirements_batch(requirements, padded.batch_size, padded.width)
     r_dev = from_numpy(be, r.astype(float), dtype=be.float_dtype)
 
@@ -151,12 +146,7 @@ def capacity_coverage_gradient_batch(
     native = is_native(be, strategies)
     padded = as_padded(values)
     ks = as_k_vector(k, padded.batch_size)
-    P = asarray_float(be, strategies)
-    if tuple(P.shape) != padded.values.shape:
-        raise ValueError(
-            f"strategies shape {tuple(P.shape)} must match the padded batch "
-            f"{padded.values.shape}"
-        )
+    P = padded.check_strategies(asarray_float(be, strategies))
     r = as_requirements_batch(requirements, padded.batch_size, padded.width)
     r_dev = from_numpy(be, r.astype(float), dtype=fdt)
 

@@ -181,6 +181,15 @@ class PaddedValues:
         size = int(self.sizes[index])
         return SiteValues.from_values(self.values[index, :size])
 
+    def check_strategies(self, strategies: Any) -> Any:
+        """Return ``strategies`` after checking it holds one row per padded instance."""
+        if tuple(strategies.shape) != self.values.shape:
+            raise ValueError(
+                f"strategies shape {tuple(strategies.shape)} must match the padded batch "
+                f"{self.values.shape}"
+            )
+        return strategies
+
     def __len__(self) -> int:
         return self.batch_size
 

@@ -157,12 +157,7 @@ def site_values_batch(
     native = is_native(be, strategies)
     padded = as_padded(values)
     ks = as_k_vector(k, padded.batch_size)
-    P = asarray_float(be, strategies)
-    if tuple(P.shape) != padded.values.shape:
-        raise ValueError(
-            f"strategies shape {tuple(P.shape)} must match the padded batch "
-            f"{padded.values.shape}"
-        )
+    P = padded.check_strategies(asarray_float(be, strategies))
     factor = occupancy_congestion_factor_batch(
         policy, P, ks - 1, tables=tables, backend=be
     )

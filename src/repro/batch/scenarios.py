@@ -165,12 +165,9 @@ def cost_adjusted_site_values_batch(
     padded = as_padded(values)
     ks = as_k_vector(k, padded.batch_size)
     d_host = as_costs_batch(costs, padded)
-    p = from_numpy(be, np.asarray(ensure_numpy(strategies), dtype=float), dtype=be.float_dtype)
-    if tuple(p.shape) != padded.values.shape:
-        raise ValueError(
-            f"strategies shape {tuple(p.shape)} must match the padded batch "
-            f"{padded.values.shape}"
-        )
+    p = padded.check_strategies(
+        from_numpy(be, np.asarray(ensure_numpy(strategies), dtype=float), dtype=be.float_dtype)
+    )
     g = occupancy_congestion_factor_batch(policy, p, ks - 1, backend=be)
     nu = padded.values_for(be) * g - from_numpy(be, d_host, dtype=be.float_dtype)
     return to_numpy(nu * padded.fmask_for(be))

@@ -124,6 +124,11 @@ class ExclusivePolicy(CongestionPolicy):
         self._check_ell(arr)
         return np.where(arr == 1, 1.0, 0.0) if arr.ndim else float(arr == 1)
 
+    def is_exclusive(self, k: int, *, atol: float = 1e-12) -> bool:
+        """Always ``True``, without tabulating ``C`` up to a possibly huge ``k``."""
+        check_positive_integer(k, "k")
+        return True
+
     @staticmethod
     def _check_ell(arr: np.ndarray) -> None:
         if np.any(arr < 1):

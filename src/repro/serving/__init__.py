@@ -37,10 +37,8 @@ Layers
     The HTTP front: a dependency-free asyncio server (``repro-dispersal
     serve``).
 
-Benchmarked by ``benchmarks/bench_serving.py`` (``BENCH_serving.json``):
-latency-vs-load curves (low / medium / saturating), coalesced vs naive
-throughput, executor-mode identity, plan-memo hit rate and warm-cache
-speedup, CI-gated like the other families.
+Benchmarked by perfbench's ``serve-light`` workload (``perfbench/run.py``):
+latency and throughput over HTTP, gated by the bounds in ``BENCHMARK.json``.
 """
 
 from repro.serving.cache import ResultCache

@@ -160,10 +160,10 @@ def test_sweeps_guide_documents_the_fabric_contract():
         assert flag in text, f"sweeps.md does not document {flag}"
     assert "repro-dispersal worker" in text
     assert "--connect" in text
-    # Store layout, resume semantics, and the CI artifact gating it all.
+    # Store layout, resume semantics, and the benchmark workload timing it all.
     assert "cell_key" in text
     assert "FORMAT" in text
-    assert "BENCH_sweep.json" in text
+    assert "perfbench" in text and "`sweep` workload" in text
     assert "mermaid" in text, "sweeps.md must include the fabric diagram"
 
 

@@ -104,8 +104,9 @@ class TestLogit:
 
 
 class TestBestResponseDynamics:
-    def test_exploitability_shrinks(self, small_values):
-        result = best_response_dynamics(small_values, 3, SharingPolicy(), max_iter=5_000)
+    @pytest.mark.parametrize("policy", [SharingPolicy(), ExclusivePolicy()], ids=["sharing", "exclusive"])
+    def test_exploitability_shrinks(self, small_values, policy):
+        result = best_response_dynamics(small_values, 3, policy, max_iter=5_000)
         assert result.exploitability < 0.01
 
     def test_approaches_sigma_star_under_exclusive(self, small_values):

@@ -42,12 +42,16 @@ class TestTravelCosts:
             assert extended.strategy.total_variation(core.strategy) < 1e-7
             assert extended.value == pytest.approx(core.value, abs=1e-7)
 
-    def test_costs_shift_mass_away_from_expensive_sites(self, small_values):
-        # Make the top site expensive to reach: its equilibrium probability drops.
-        costs = np.array([0.3, 0.0, 0.0, 0.0])
+    @pytest.mark.parametrize(
+        "costs", [[0.3, 0.0, 0.0, 0.0], np.linspace(0.2, 0.0, 4)], ids=["top-site", "ramp"]
+    )
+    def test_costs_shift_mass_away_from_expensive_sites(self, small_values, costs):
+        # Make the top site expensive to reach: its equilibrium probability
+        # drops, and so does the coverage.
         free = ideal_free_distribution(small_values, 3, ExclusivePolicy())
-        priced = cost_adjusted_ifd(small_values, costs, 3, ExclusivePolicy())
+        priced = cost_adjusted_ifd(small_values, np.asarray(costs), 3, ExclusivePolicy())
         assert priced.strategy.as_array()[0] < free.strategy.as_array()[0]
+        assert coverage(small_values, priced.strategy, 3) < coverage(small_values, free.strategy, 3)
 
     def test_equal_payoffs_on_support(self, small_values):
         costs = np.array([0.2, 0.1, 0.05, 0.0])
@@ -154,6 +158,7 @@ class TestCapacityCoverage:
             sigma_star(small_values, k).strategy,
         ):
             assert result.coverage >= capacity_coverage(small_values, baseline, k, requirements) - 1e-8
+        assert result.coverage <= optimal_coverage(small_values, k) + 1e-9
 
     def test_requirements_shift_mass_towards_demanding_valuable_sites(self):
         # A valuable site that needs 2 visitors draws more probability than it

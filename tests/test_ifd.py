@@ -31,7 +31,7 @@ from repro.core.sigma_star import sigma_star
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.extensions.travel_costs import cost_adjusted_ifd
-from repro.serving import SolveRequest, evaluate_one
+from repro.serving import SolveRequest, evaluate_one, parse_request
 
 #: Payoff tolerance of the oracle checks.
 ORACLE_ATOL = 1e-9
@@ -280,3 +280,14 @@ class TestLargePlayerCounts:
         text = json.dumps(payload, allow_nan=False)
         assert json.loads(text)["converged"] is True
         assert np.isfinite(payload["equilibrium_value"])
+
+    def test_served_exclusive_answers_at_huge_k(self):
+        # Recognising the exclusive policy must not tabulate C up to k.
+        solve = evaluate_one(
+            parse_request("solve", {"values": [3, 2, 1], "k": 10**18, "policy": "exclusive"})
+        )
+        assert solve["converged"] is True
+        np.testing.assert_allclose(solve["probabilities"], 1 / 3, rtol=1e-12)
+        sweep = evaluate_one(parse_request("sweep", {"values": [3, 2, 1], "k_grid": [2, 10**18]}))
+        assert sweep["support_sizes"] == [2, 3]
+        json.dumps([solve, sweep], allow_nan=False)

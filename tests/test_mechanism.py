@@ -110,12 +110,21 @@ class TestPolicyDesign:
         for row in rows:
             assert row.optimal_coverage >= row.equilibrium_coverage > 0
 
-    def test_best_two_level_policy_is_exclusive(self, figure1_left):
-        best_c, rows = best_two_level_policy(
-            figure1_left, 2, c_grid=np.linspace(-0.5, 0.5, 21)
-        )
+    @pytest.mark.parametrize(
+        "values, k",
+        [
+            (SiteValues.two_sites(0.3), 2),
+            (SiteValues.from_values([1.0, 0.6, 0.35, 0.2]), 4),
+            (SiteValues.zipf(15, exponent=0.9), 5),
+        ],
+        ids=["figure1-left", "four-sites", "zipf15"],
+    )
+    def test_best_two_level_policy_is_exclusive(self, values, k):
+        best_c, rows = best_two_level_policy(values, k, c_grid=np.linspace(-0.5, 0.5, 21))
         assert best_c == pytest.approx(0.0, abs=1e-9)
         assert len(rows) == 21
+        coverages = [row.equilibrium_coverage for row in rows]
+        assert max(coverages) == pytest.approx(optimal_coverage(values, k), abs=1e-7)
 
     def test_best_two_level_policy_right_panel(self, figure1_right):
         best_c, _ = best_two_level_policy(

@@ -131,6 +131,8 @@ class TestObservation1:
         values = SiteValues.uniform(50)
         for k in (2, 10, 50):
             assert observation1_holds(values, k)
+        bound = 1 - 1 / np.e
+        assert bound < optimal_coverage(values, 50) / values.top(50) < bound + 0.01
 
     @given(
         seed=st.integers(min_value=0, max_value=2000),

@@ -19,6 +19,7 @@ The contracts under test:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import os
 import pickle
@@ -314,9 +315,19 @@ class TestExperimentStore:
         assert not list(Path(tmp_path / "cells").rglob("*.tmp"))
 
     def test_runner_accepts_a_path_and_reports_hit_counts(self, tmp_path):
-        spec = small_spec()
+        calls = []
+        task = small_spec().task
+
+        @functools.wraps(task)  # same qualified name, so the same cell keys
+        def counted(params, rng):
+            calls.append(params)
+            return task(params, rng)
+
+        spec = dataclasses.replace(small_spec(), task=counted)
         cold = run_experiment(spec, store=tmp_path / "cells")
+        assert len(calls) == spec.n_tasks
         warm = run_experiment(spec, store=tmp_path / "cells")
+        assert len(calls) == spec.n_tasks  # the warm rerun calls the task zero times
         assert cold.metadata["runtime"]["store"] == {
             "path": str(tmp_path / "cells"), "hits": 0, "misses": spec.n_tasks,
         }
