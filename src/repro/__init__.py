@@ -44,9 +44,10 @@ array([0.547, 0.359, 0.094])
 True
 """
 
-from repro.core import *  # noqa: F401,F403 -- re-export the stable public API
 from repro.core import __all__ as _core_all
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = list(_core_all) + ["__version__"]
+# Re-export the stable public API of repro.core.
+__all__ = [*lazy_exports(__name__, dict.fromkeys(_core_all, "repro.core")), "__version__"]

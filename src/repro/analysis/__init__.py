@@ -23,89 +23,47 @@ heavy lifting happens in the batched solvers of :mod:`repro.batch`):
 * :mod:`repro.analysis.reporting` / :mod:`repro.analysis.ascii_plot` — text
   tables and ASCII plots (the offline environment has no plotting backend).
 
-Importing this package registers every built-in experiment, so
-``repro.experiments.run_registered("spoa", quick=True)`` works immediately.
+Each module registers its experiments when it is imported; the registry
+imports all of them on its first lookup, so
+``repro.experiments.run_registered("spoa", quick=True)`` works from a cold
+start.
 """
 
-from repro.analysis.figure1 import (
-    Figure1Data,
-    assemble_figure1_panels,
-    figure1_data,
-    figure1_panels,
-    write_figure1_csv,
-    write_panels_csv,
-)
-from repro.analysis.observation1 import (
-    Observation1Row,
-    default_value_families,
-    observation1_experiment,
-)
-from repro.analysis.spoa_experiments import (
-    CertificateRow,
-    SharingBoundRow,
-    SPoARow,
-    spoa_experiment,
-    theorem6_certificates,
-)
-from repro.analysis.ess_experiments import ESSRow, ess_experiment
-from repro.analysis.sweeps import (
-    SweepPointRow,
-    SweepResult,
-    assemble_sweep,
-    coverage_ratio_sweep,
-    support_size_sweep,
-)
-from repro.analysis.scenario_experiments import (
-    GroupCompetitionRow,
-    RepeatedDispersalRow,
-    TravelCostRow,
-    build_group_competition_spec,
-    build_repeated_spec,
-    build_travel_costs_spec,
-)
-from repro.analysis.stochastic_experiments import (
-    GrantDesignRow,
-    MechanismPolicyRow,
-    SearchRow,
-    build_mechanism_spec,
-    build_search_spec,
-)
-from repro.analysis.reporting import render_report
-from repro.analysis.ascii_plot import ascii_line_plot
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Figure1Data",
-    "figure1_data",
-    "figure1_panels",
-    "write_figure1_csv",
-    "write_panels_csv",
-    "assemble_figure1_panels",
-    "Observation1Row",
-    "observation1_experiment",
-    "default_value_families",
-    "SPoARow",
-    "CertificateRow",
-    "SharingBoundRow",
-    "spoa_experiment",
-    "theorem6_certificates",
-    "ESSRow",
-    "ess_experiment",
-    "SweepResult",
-    "SweepPointRow",
-    "assemble_sweep",
-    "coverage_ratio_sweep",
-    "support_size_sweep",
-    "TravelCostRow",
-    "build_travel_costs_spec",
-    "GroupCompetitionRow",
-    "build_group_competition_spec",
-    "RepeatedDispersalRow",
-    "build_repeated_spec",
-    "SearchRow",
-    "build_search_spec",
-    "MechanismPolicyRow",
-    "GrantDesignRow",
-    "build_mechanism_spec",
-    "render_report",
-    "ascii_line_plot",
-]
+__all__ = lazy_exports(__name__, {
+    "Figure1Data": ".figure1",
+    "figure1_data": ".figure1",
+    "figure1_panels": ".figure1",
+    "write_figure1_csv": ".figure1",
+    "write_panels_csv": ".figure1",
+    "assemble_figure1_panels": ".figure1",
+    "Observation1Row": ".observation1",
+    "observation1_experiment": ".observation1",
+    "default_value_families": ".observation1",
+    "SPoARow": ".spoa_experiments",
+    "CertificateRow": ".spoa_experiments",
+    "SharingBoundRow": ".spoa_experiments",
+    "spoa_experiment": ".spoa_experiments",
+    "theorem6_certificates": ".spoa_experiments",
+    "ESSRow": ".ess_experiments",
+    "ess_experiment": ".ess_experiments",
+    "SweepResult": ".sweeps",
+    "SweepPointRow": ".sweeps",
+    "assemble_sweep": ".sweeps",
+    "coverage_ratio_sweep": ".sweeps",
+    "support_size_sweep": ".sweeps",
+    "TravelCostRow": ".scenario_experiments",
+    "build_travel_costs_spec": ".scenario_experiments",
+    "GroupCompetitionRow": ".scenario_experiments",
+    "build_group_competition_spec": ".scenario_experiments",
+    "RepeatedDispersalRow": ".scenario_experiments",
+    "build_repeated_spec": ".scenario_experiments",
+    "SearchRow": ".stochastic_experiments",
+    "build_search_spec": ".stochastic_experiments",
+    "MechanismPolicyRow": ".stochastic_experiments",
+    "GrantDesignRow": ".stochastic_experiments",
+    "build_mechanism_spec": ".stochastic_experiments",
+    "render_report": ".reporting",
+    "ascii_line_plot": ".ascii_plot",
+})

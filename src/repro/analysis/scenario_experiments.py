@@ -39,22 +39,13 @@ from repro.batch import (
     repeated_dispersal_batch,
     two_group_competition_batch,
 )
-from repro.core.policies import (
-    AggressivePolicy,
-    CongestionPolicy,
-    ConstantPolicy,
-    ExclusivePolicy,
-    PowerLawPolicy,
-    SharingPolicy,
-)
+from repro.core.policies import CongestionPolicy, policy_from_name
 from repro.experiments.registry import register_experiment
 from repro.experiments.runner import chunk_grid, resolve_batch_rows
 from repro.experiments.spec import ExperimentSpec
 from repro.utils.validation import check_positive_integer
 
 __all__ = [
-    "POLICY_FACTORIES",
-    "policy_from_name",
     "TravelCostRow",
     "travel_cost_task",
     "build_travel_costs_spec",
@@ -65,26 +56,6 @@ __all__ = [
     "repeated_dispersal_task",
     "build_repeated_spec",
 ]
-
-#: Named congestion-policy factories shared by the scenario experiments and
-#: the CLI (names are stable identifiers used in specs and reports).
-POLICY_FACTORIES = {
-    "exclusive": ExclusivePolicy,
-    "sharing": SharingPolicy,
-    "constant": ConstantPolicy,
-    "aggressive": lambda: AggressivePolicy(0.5),
-    "power-law": lambda: PowerLawPolicy(2.0),
-}
-
-
-def policy_from_name(name: str) -> CongestionPolicy:
-    """Resolve a stable policy name into a fresh policy object."""
-    try:
-        return POLICY_FACTORIES[str(name)]()
-    except KeyError:
-        available = ", ".join(sorted(POLICY_FACTORIES))
-        raise ValueError(f"unknown policy {name!r}; available: {available}") from None
-
 
 # --------------------------------------------------------------------------
 # travel costs

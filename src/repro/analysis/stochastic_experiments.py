@@ -37,7 +37,6 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.analysis.observation1 import make_family
-from repro.analysis.scenario_experiments import policy_from_name
 from repro.batch import (
     PaddedValues,
     as_visit_distribution_batch,
@@ -51,20 +50,15 @@ from repro.batch import (
     success_probability_batch,
 )
 from repro.batch.search import as_prior_batch, as_search_strategy_batch
+from repro.core.policies import policy_from_name
 from repro.experiments.registry import register_experiment
 from repro.experiments.runner import chunk_grid, resolve_batch_rows
 from repro.experiments.spec import ExperimentSpec
 from repro.search.boxes import BayesianSearchProblem
-from repro.search.strategies import (
-    greedy_top_k_strategy,
-    proportional_strategy,
-    sigma_star_strategy,
-    uniform_strategy,
-)
+from repro.search.strategies import SEARCH_STRATEGY_FACTORIES
 from repro.utils.validation import check_positive_integer
 
 __all__ = [
-    "SEARCH_STRATEGY_FACTORIES",
     "SearchRow",
     "search_task",
     "build_search_spec",
@@ -76,17 +70,6 @@ __all__ = [
     "mechanism_task",
     "build_mechanism_spec",
 ]
-
-#: Named round-strategy factories of the ``search`` experiment (stable
-#: identifiers used in specs and reports); each maps ``(problem, k)`` to a
-#: :class:`~repro.core.strategy.Strategy` over the problem's boxes.
-SEARCH_STRATEGY_FACTORIES = {
-    "sigma_star": sigma_star_strategy,
-    "uniform": lambda problem, k: uniform_strategy(problem),
-    "proportional": lambda problem, k: proportional_strategy(problem),
-    "greedy_top_k": greedy_top_k_strategy,
-}
-
 
 # --------------------------------------------------------------------------
 # search

@@ -38,68 +38,36 @@ Selection order: ``use_backend`` context > :func:`set_default_backend` >
 choice as ``repro-dispersal <command> --backend NAME``.
 """
 
-from repro.backend.adapters import (
-    TransferStats,
-    asarray_float,
-    batched_bincount,
-    bincount,
-    ensure_numpy,
-    errstate_ignore,
-    expected_transfer,
-    from_numpy,
-    is_native,
-    random_uniform,
-    resolve_namespace,
-    scatter_rows,
-    take_along_axis,
-    take_rows,
-    to_numpy,
-    track_transfers,
-)
-from repro.backend.registry import (
-    DEVICE_ENV_VAR,
-    ENV_VAR,
-    Backend,
-    BackendNotAvailableError,
-    available_backends,
-    backend_failures,
-    get_backend,
-    load_backend,
-    register_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-    with_device,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Backend",
-    "BackendNotAvailableError",
-    "DEVICE_ENV_VAR",
-    "ENV_VAR",
-    "available_backends",
-    "backend_failures",
-    "get_backend",
-    "load_backend",
-    "register_backend",
-    "resolve_backend",
-    "set_default_backend",
-    "use_backend",
-    "with_device",
-    "TransferStats",
-    "asarray_float",
-    "batched_bincount",
-    "bincount",
-    "ensure_numpy",
-    "errstate_ignore",
-    "expected_transfer",
-    "from_numpy",
-    "is_native",
-    "random_uniform",
-    "resolve_namespace",
-    "scatter_rows",
-    "take_along_axis",
-    "take_rows",
-    "to_numpy",
-    "track_transfers",
-]
+__all__ = lazy_exports(__name__, {
+    "Backend": ".registry",
+    "BackendNotAvailableError": ".registry",
+    "DEVICE_ENV_VAR": ".registry",
+    "ENV_VAR": ".registry",
+    "available_backends": ".registry",
+    "backend_failures": ".registry",
+    "get_backend": ".registry",
+    "load_backend": ".registry",
+    "register_backend": ".registry",
+    "resolve_backend": ".registry",
+    "set_default_backend": ".registry",
+    "use_backend": ".registry",
+    "with_device": ".registry",
+    "TransferStats": ".adapters",
+    "asarray_float": ".adapters",
+    "batched_bincount": ".adapters",
+    "bincount": ".adapters",
+    "ensure_numpy": ".adapters",
+    "errstate_ignore": ".adapters",
+    "expected_transfer": ".adapters",
+    "from_numpy": ".adapters",
+    "is_native": ".adapters",
+    "random_uniform": ".adapters",
+    "resolve_namespace": ".adapters",
+    "scatter_rows": ".adapters",
+    "take_along_axis": ".adapters",
+    "take_rows": ".adapters",
+    "to_numpy": ".adapters",
+    "track_transfers": ".adapters",
+})

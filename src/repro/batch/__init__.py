@@ -64,140 +64,67 @@ Every ``*_batch`` function agrees elementwise with its scalar counterpart
 runner of :mod:`repro.experiments` builds on.
 """
 
-from repro.batch.padding import PaddedValues
-from repro.batch.solvers import (
-    SigmaStarBatch,
-    coverage_batch,
-    optimal_coverage_batch,
-    sigma_star_batch,
-    support_size_batch,
-)
-from repro.batch.ifd import IFDBatch, WaterFilling, ifd_batch, water_filling_batch
-from repro.batch.spoa import SPoABatch, spoa_batch
-from repro.batch.payoffs import (
-    best_response_value_batch,
-    congestion_table_batch,
-    exploitability_batch,
-    expected_payoff_batch,
-    occupancy_congestion_factor_batch,
-    site_values_batch,
-)
-from repro.batch.dynamics import (
-    DynamicsBatchResult,
-    DynamicsEngine,
-    best_response_batch,
-    invasion_batch,
-    logit_batch,
-    make_rule,
-    replicator_batch,
-)
-from repro.batch.extensions import (
-    capacity_coverage_batch,
-    capacity_coverage_gradient_batch,
-    capacity_payoff_batch,
-)
-from repro.batch.scenarios import (
-    CostAdjustedIFDBatch,
-    RepeatedDispersalBatch,
-    TwoGroupCompetitionBatch,
-    cost_adjusted_ifd_batch,
-    cost_adjusted_site_values_batch,
-    repeated_dispersal_batch,
-    two_group_competition_batch,
-)
-from repro.batch.mechanism import (
-    BestTwoLevelBatch,
-    GrantDesignBatch,
-    PolicyComparisonBatch,
-    best_two_level_batch,
-    compare_policies_batch,
-    design_rewards_batch,
-    optimal_grant_design_batch,
-)
-from repro.batch.simulation import (
-    DispersalSimulationBatch,
-    ProfileSimulationBatch,
-    as_strategy_batch,
-    simulate_dispersal_batch,
-    simulate_profile_batch,
-)
-from repro.batch.search import (
-    SearchSimulationBatch,
-    as_prior_batch,
-    as_search_strategy_batch,
-    expected_discovery_time_batch,
-    simulate_search_batch,
-    success_probability_batch,
-)
-from repro.batch.coverage_times import (
-    DEFAULT_MAX_EXACT_SITES,
-    CoverageTimeEstimate,
-    as_visit_distribution_batch,
-    coverage_time_cdf_batch,
-    estimate_coverage_time_mc,
-    expected_coverage_time_batch,
-    partial_coverage_time_batch,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "PaddedValues",
-    "SigmaStarBatch",
-    "sigma_star_batch",
-    "support_size_batch",
-    "coverage_batch",
-    "optimal_coverage_batch",
-    "IFDBatch",
-    "ifd_batch",
-    "WaterFilling",
-    "water_filling_batch",
-    "SPoABatch",
-    "spoa_batch",
-    "congestion_table_batch",
-    "occupancy_congestion_factor_batch",
-    "site_values_batch",
-    "expected_payoff_batch",
-    "best_response_value_batch",
-    "exploitability_batch",
-    "DynamicsEngine",
-    "DynamicsBatchResult",
-    "make_rule",
-    "replicator_batch",
-    "logit_batch",
-    "best_response_batch",
-    "invasion_batch",
-    "capacity_coverage_batch",
-    "capacity_coverage_gradient_batch",
-    "capacity_payoff_batch",
-    "CostAdjustedIFDBatch",
-    "cost_adjusted_site_values_batch",
-    "cost_adjusted_ifd_batch",
-    "TwoGroupCompetitionBatch",
-    "two_group_competition_batch",
-    "RepeatedDispersalBatch",
-    "repeated_dispersal_batch",
-    "PolicyComparisonBatch",
-    "compare_policies_batch",
-    "BestTwoLevelBatch",
-    "best_two_level_batch",
-    "GrantDesignBatch",
-    "design_rewards_batch",
-    "optimal_grant_design_batch",
-    "DispersalSimulationBatch",
-    "ProfileSimulationBatch",
-    "as_strategy_batch",
-    "simulate_dispersal_batch",
-    "simulate_profile_batch",
-    "SearchSimulationBatch",
-    "as_prior_batch",
-    "as_search_strategy_batch",
-    "success_probability_batch",
-    "expected_discovery_time_batch",
-    "simulate_search_batch",
-    "DEFAULT_MAX_EXACT_SITES",
-    "CoverageTimeEstimate",
-    "as_visit_distribution_batch",
-    "coverage_time_cdf_batch",
-    "expected_coverage_time_batch",
-    "partial_coverage_time_batch",
-    "estimate_coverage_time_mc",
-]
+__all__ = lazy_exports(__name__, {
+    "PaddedValues": ".padding",
+    "SigmaStarBatch": ".solvers",
+    "sigma_star_batch": ".solvers",
+    "support_size_batch": ".solvers",
+    "coverage_batch": ".solvers",
+    "optimal_coverage_batch": ".solvers",
+    "IFDBatch": ".ifd",
+    "ifd_batch": ".ifd",
+    "WaterFilling": ".ifd",
+    "water_filling_batch": ".ifd",
+    "SPoABatch": ".spoa",
+    "spoa_batch": ".spoa",
+    "congestion_table_batch": ".payoffs",
+    "occupancy_congestion_factor_batch": ".payoffs",
+    "site_values_batch": ".payoffs",
+    "expected_payoff_batch": ".payoffs",
+    "best_response_value_batch": ".payoffs",
+    "exploitability_batch": ".payoffs",
+    "DynamicsEngine": ".dynamics",
+    "DynamicsBatchResult": ".dynamics",
+    "make_rule": ".dynamics",
+    "replicator_batch": ".dynamics",
+    "logit_batch": ".dynamics",
+    "best_response_batch": ".dynamics",
+    "invasion_batch": ".dynamics",
+    "capacity_coverage_batch": ".extensions",
+    "capacity_coverage_gradient_batch": ".extensions",
+    "capacity_payoff_batch": ".extensions",
+    "CostAdjustedIFDBatch": ".scenarios",
+    "cost_adjusted_site_values_batch": ".scenarios",
+    "cost_adjusted_ifd_batch": ".scenarios",
+    "TwoGroupCompetitionBatch": ".scenarios",
+    "two_group_competition_batch": ".scenarios",
+    "RepeatedDispersalBatch": ".scenarios",
+    "repeated_dispersal_batch": ".scenarios",
+    "PolicyComparisonBatch": ".mechanism",
+    "compare_policies_batch": ".mechanism",
+    "BestTwoLevelBatch": ".mechanism",
+    "best_two_level_batch": ".mechanism",
+    "GrantDesignBatch": ".mechanism",
+    "design_rewards_batch": ".mechanism",
+    "optimal_grant_design_batch": ".mechanism",
+    "DispersalSimulationBatch": ".simulation",
+    "ProfileSimulationBatch": ".simulation",
+    "as_strategy_batch": ".simulation",
+    "simulate_dispersal_batch": ".simulation",
+    "simulate_profile_batch": ".simulation",
+    "SearchSimulationBatch": ".search",
+    "as_prior_batch": ".search",
+    "as_search_strategy_batch": ".search",
+    "success_probability_batch": ".search",
+    "expected_discovery_time_batch": ".search",
+    "simulate_search_batch": ".search",
+    "DEFAULT_MAX_EXACT_SITES": ".coverage_times",
+    "CoverageTimeEstimate": ".coverage_times",
+    "as_visit_distribution_batch": ".coverage_times",
+    "coverage_time_cdf_batch": ".coverage_times",
+    "expected_coverage_time_batch": ".coverage_times",
+    "partial_coverage_time_batch": ".coverage_times",
+    "estimate_coverage_time_mc": ".coverage_times",
+})

@@ -68,7 +68,6 @@ from repro.backend import (
     resolve_backend,
     to_numpy,
 )
-from repro.batch.search import simulate_search_batch
 from repro.utils.validation import check_counts, check_positive_integer, check_probability_rows
 
 __all__ = [
@@ -677,6 +676,10 @@ def estimate_coverage_time_mc(
     censoring can be pushed arbitrarily low).  Censored or degenerate rows
     are flagged: see :class:`CoverageTimeEstimate`.
     """
+    # Only this estimator simulates; the exact laws (and the service) never
+    # need the search kernels.
+    from repro.batch.search import simulate_search_batch
+
     n_trials = check_positive_integer(n_trials, "n_trials")
     max_rounds = check_positive_integer(max_rounds, "max_rounds")
     probs, counts = as_visit_distribution_batch(distributions, sizes)

@@ -61,44 +61,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.ess_experiments import build_ess_spec
-from repro.analysis.figure1 import assemble_figure1_panels, build_figure1_spec, write_panels_csv
-from repro.analysis.observation1 import build_observation1_spec
-from repro.analysis.reporting import figure1_report, render_report, rows_to_table
-from repro.analysis.spoa_experiments import (
-    CertificateRow,
-    SharingBoundRow,
-    SPoARow,
-    build_spoa_spec,
-)
-from repro.analysis.scenario_experiments import (
-    POLICY_FACTORIES as _POLICY_FACTORIES,
-    build_group_competition_spec,
-    build_repeated_spec,
-    build_travel_costs_spec,
-)
-from repro.analysis.stochastic_experiments import (
-    SEARCH_STRATEGY_FACTORIES as _SEARCH_STRATEGIES,
-    GrantDesignRow,
-    MechanismPolicyRow,
-    build_coverage_times_spec,
-    build_mechanism_spec,
-    build_search_spec,
-)
-from repro.analysis.sweeps import assemble_sweep, build_dynamics_spec, build_sweep_spec
 from repro.backend import BackendNotAvailableError, available_backends, resolve_backend
-from repro.experiments.executors import DistributedExecutor, executor_names
-from repro.experiments.registry import experiment_names, get_experiment
-from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import resolve_workers, run_experiment
+from repro.core.policies import POLICY_FACTORIES as _POLICY_FACTORIES
+from repro.search.strategies import SEARCH_STRATEGY_FACTORIES as _SEARCH_STRATEGIES
 from repro.utils.tables import format_table
 
+if TYPE_CHECKING:
+    from repro.experiments.result import ExperimentResult
+
+# Each sub-command imports the experiment modules it runs, so parsing the
+# command line (and `serve`) never loads the experiment fabric.
+
 __all__ = ["main", "build_parser"]
+
+#: ``repro.experiments.executors.executor_names()``, spelled out so that
+#: parsing does not import the executors (a test keeps the two equal).
+_EXECUTOR_NAMES = ("async", "distributed", "process", "serial")
 
 #: Preset grid densities of the ``dynamics`` sub-command (``--grid``).
 _DYNAMICS_GRIDS = {
@@ -115,6 +99,20 @@ _DYNAMICS_GRIDS = {
         "inits": ("uniform", "proportional", "random"),
     },
 }
+
+
+def _bounded(kind: Callable[[str], float], low: float, high: float = math.inf):
+    """An argparse ``type`` parsing ``kind`` and refusing values outside ``[low, high]``."""
+
+    def parse(text: str) -> float:
+        value = kind(text)
+        if not low <= value <= high:
+            bounds = f"in [{low}, {high}]" if high < math.inf else f">= {low}"
+            raise argparse.ArgumentTypeError(f"{value!r} is not {bounds}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value" errors
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--executor",
         default=None,
-        choices=executor_names(),
+        choices=_EXECUTOR_NAMES,
         help=(
             "Execution strategy (default: serial below two --workers, process "
             "pool otherwise); every strategy is bit-identical."
@@ -422,29 +420,31 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument("--host", default="127.0.0.1", help="Interface to bind.")
-    serve.add_argument("--port", type=int, default=8080, help="TCP port (0 = ephemeral).")
+    serve.add_argument(
+        "--port", type=_bounded(int, 0, 65535), default=8080, help="TCP port (0 = ephemeral)."
+    )
     serve.add_argument(
         "--max-batch",
-        type=int,
+        type=_bounded(int, 1),
         default=64,
         help="Flush the coalescing window once this many requests are queued.",
     )
     serve.add_argument(
         "--max-wait-ms",
-        type=float,
+        type=_bounded(float, 0),
         default=2.0,
         help="Accumulation backstop: no admitted request waits longer than this "
         "for co-batchable traffic while kernels are busy.",
     )
     serve.add_argument(
         "--cache-size",
-        type=int,
+        type=_bounded(int, 0),
         default=4096,
         help="LRU result-cache capacity in entries (0 disables caching).",
     )
     serve.add_argument(
         "--max-pending",
-        type=int,
+        type=_bounded(int, 1),
         default=1024,
         help="Bounded pending-queue depth; beyond it requests get 503 + Retry-After.",
     )
@@ -457,9 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers",
-        type=int,
+        type=_bounded(int, 0),
         default=None,
-        help="Pool size for --executor thread/process (default: visible CPU count).",
+        help="Pool size for --executor thread/process (0 or unset: visible CPU count).",
     )
     serve.add_argument(
         "--backend",
@@ -508,6 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _execute(spec, args: argparse.Namespace) -> ExperimentResult:
+    from repro.experiments.executors import DistributedExecutor
+    from repro.experiments.runner import resolve_workers, run_experiment
+
     backend = getattr(args, "backend", None)
     device = getattr(args, "device", None)
     if backend is not None or device is not None:
@@ -552,6 +555,9 @@ def _execute(spec, args: argparse.Namespace) -> ExperimentResult:
 
 
 def _run_figure1(args: argparse.Namespace) -> str:
+    from repro.analysis.figure1 import assemble_figure1_panels, build_figure1_spec, write_panels_csv
+    from repro.analysis.reporting import figure1_report
+
     spec = build_figure1_spec(points=args.points, seed=args.seed)
     result = _execute(spec, args)
     panels = assemble_figure1_panels(result.rows)
@@ -567,6 +573,9 @@ def _run_figure1(args: argparse.Namespace) -> str:
 
 
 def _run_observation1(args: argparse.Namespace) -> str:
+    from repro.analysis.observation1 import build_observation1_spec
+    from repro.analysis.reporting import render_report, rows_to_table
+
     spec = build_observation1_spec(seed=args.seed)
     result = _execute(spec, args)
     if args.json:
@@ -582,6 +591,14 @@ def _run_observation1(args: argparse.Namespace) -> str:
 
 
 def _run_spoa(args: argparse.Namespace) -> str:
+    from repro.analysis.reporting import render_report, rows_to_table
+    from repro.analysis.spoa_experiments import (
+        CertificateRow,
+        SharingBoundRow,
+        SPoARow,
+        build_spoa_spec,
+    )
+
     spec = build_spoa_spec(quick=args.quick, seed=args.seed)
     result = _execute(spec, args)
     if args.json:
@@ -622,6 +639,9 @@ def _run_spoa(args: argparse.Namespace) -> str:
 
 
 def _run_ess(args: argparse.Namespace) -> str:
+    from repro.analysis.ess_experiments import build_ess_spec
+    from repro.analysis.reporting import render_report, rows_to_table
+
     spec = build_ess_spec(n_random_mutants=args.mutants, seed=args.seed)
     result = _execute(spec, args)
     if args.json:
@@ -637,6 +657,9 @@ def _run_ess(args: argparse.Namespace) -> str:
 
 
 def _run_sweep(args: argparse.Namespace) -> str:
+    from repro.analysis.reporting import render_report
+    from repro.analysis.sweeps import assemble_sweep, build_sweep_spec
+
     policies = [_POLICY_FACTORIES[name]() for name in args.policy]
     spec = build_sweep_spec(policies=policies, m=args.m, seed=args.seed)
     result = _execute(spec, args)
@@ -654,6 +677,9 @@ def _run_sweep(args: argparse.Namespace) -> str:
 
 
 def _run_dynamics(args: argparse.Namespace) -> str:
+    from repro.analysis.reporting import render_report, rows_to_table
+    from repro.analysis.sweeps import build_dynamics_spec
+
     spec = build_dynamics_spec(
         rule=args.rule,
         policy=_POLICY_FACTORIES[args.policy](),
@@ -681,6 +707,9 @@ def _run_dynamics(args: argparse.Namespace) -> str:
 
 
 def _run_travel_costs(args: argparse.Namespace) -> str:
+    from repro.analysis.reporting import render_report, rows_to_table
+    from repro.analysis.scenario_experiments import build_travel_costs_spec
+
     spec = build_travel_costs_spec(
         policy=args.policy,
         cost_scales=args.cost_scales,
@@ -713,6 +742,9 @@ def _run_travel_costs(args: argparse.Namespace) -> str:
 
 
 def _run_group_competition(args: argparse.Namespace) -> str:
+    from repro.analysis.reporting import render_report, rows_to_table
+    from repro.analysis.scenario_experiments import build_group_competition_spec
+
     spec = build_group_competition_spec(
         policies=args.policies,
         k=args.k,
@@ -739,6 +771,9 @@ def _run_group_competition(args: argparse.Namespace) -> str:
 
 
 def _run_repeated(args: argparse.Namespace) -> str:
+    from repro.analysis.reporting import render_report, rows_to_table
+    from repro.analysis.scenario_experiments import build_repeated_spec
+
     spec = build_repeated_spec(
         schedules=args.schedules,
         rounds=args.rounds,
@@ -764,6 +799,9 @@ def _run_repeated(args: argparse.Namespace) -> str:
 
 
 def _run_search(args: argparse.Namespace) -> str:
+    from repro.analysis.reporting import render_report, rows_to_table
+    from repro.analysis.stochastic_experiments import build_search_spec
+
     spec = build_search_spec(
         strategies=args.strategies,
         n_trials=args.trials,
@@ -794,6 +832,9 @@ def _run_search(args: argparse.Namespace) -> str:
 
 
 def _run_coverage_times(args: argparse.Namespace) -> str:
+    from repro.analysis.reporting import render_report, rows_to_table
+    from repro.analysis.stochastic_experiments import build_coverage_times_spec
+
     spec = build_coverage_times_spec(
         strategies=args.strategies,
         n_trials=args.trials,
@@ -825,6 +866,13 @@ def _run_coverage_times(args: argparse.Namespace) -> str:
 
 
 def _run_mechanism(args: argparse.Namespace) -> str:
+    from repro.analysis.reporting import render_report, rows_to_table
+    from repro.analysis.stochastic_experiments import (
+        GrantDesignRow,
+        MechanismPolicyRow,
+        build_mechanism_spec,
+    )
+
     spec = build_mechanism_spec(
         policies=args.policies,
         design_policy=args.design_policy,
@@ -909,6 +957,9 @@ def _run_worker(args: argparse.Namespace) -> str:
 
 
 def _run_experiments(args: argparse.Namespace) -> str:
+    from repro.analysis.reporting import render_report
+    from repro.experiments.registry import experiment_names, get_experiment
+
     definitions = [get_experiment(name) for name in experiment_names()]
     if args.json:
         return json.dumps(

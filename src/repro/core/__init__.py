@@ -6,151 +6,78 @@ closed-form ``sigma_star``, coverage/welfare optimisation, ESS machinery, and
 the symmetric price of anarchy.
 """
 
-from repro.core.values import SiteValues
-from repro.core.strategy import Strategy
-from repro.core.game import DispersalGame
-from repro.core.policies import (
-    AggressivePolicy,
-    CallablePolicy,
-    CongestionPolicy,
-    ConstantPolicy,
-    CooperativeSharingPolicy,
-    ExclusivePolicy,
-    ExponentialPolicy,
-    PowerLawPolicy,
-    SharingPolicy,
-    TabulatedPolicy,
-    TwoLevelPolicy,
-)
-from repro.core.coverage import (
-    coverage,
-    coverage_gradient,
-    expected_sites_visited,
-    full_coordination_coverage,
-    missed_value,
-    site_coverage_probabilities,
-)
-from repro.core.payoffs import (
-    best_response_sites,
-    best_response_value,
-    exploitability,
-    expected_payoff,
-    mixture_payoff,
-    mixture_payoff_expanded,
-    payoff_against_groups,
-    site_values,
-)
-from repro.core.sigma_star import SigmaStarResult, sigma_star, support_size
-from repro.core.ifd import IFDReport, IFDResult, ideal_free_distribution, verify_ifd
-from repro.core.optimal_coverage import (
-    CoverageOptimum,
-    maximize_coverage_projected_gradient,
-    maximize_coverage_waterfilling,
-    observation1_holds,
-    observation1_lower_bound,
-    optimal_coverage,
-    optimal_coverage_strategy,
-)
-from repro.core.welfare import (
-    WelfareOptimum,
-    expected_welfare,
-    individual_payoff,
-    welfare_optimal_strategy,
-)
-from repro.core.ess import (
-    ESSComparison,
-    ESSReport,
-    equilibrium_payoff,
-    ess_conditions_against,
-    ess_report,
-    invasion_barrier,
-    is_symmetric_nash,
-)
-from repro.core.equilibrium import (
-    EquilibriumReport,
-    count_pure_equilibria,
-    pure_equilibrium_occupancies,
-    symmetric_equilibrium,
-    verify_symmetric_equilibrium,
-)
-from repro.core.spoa import (
-    SPoAInstance,
-    adversarial_values,
-    spoa_instance,
-    spoa_lower_bound_certificate,
-    spoa_search,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
+__all__ = lazy_exports(__name__, {
     # values / strategies / facade
-    "SiteValues",
-    "Strategy",
-    "DispersalGame",
+    "SiteValues": ".values",
+    "Strategy": ".strategy",
+    "DispersalGame": ".game",
     # policies
-    "CongestionPolicy",
-    "ExclusivePolicy",
-    "SharingPolicy",
-    "ConstantPolicy",
-    "TwoLevelPolicy",
-    "PowerLawPolicy",
-    "ExponentialPolicy",
-    "AggressivePolicy",
-    "CooperativeSharingPolicy",
-    "TabulatedPolicy",
-    "CallablePolicy",
+    "CongestionPolicy": ".policies",
+    "ExclusivePolicy": ".policies",
+    "SharingPolicy": ".policies",
+    "ConstantPolicy": ".policies",
+    "TwoLevelPolicy": ".policies",
+    "PowerLawPolicy": ".policies",
+    "ExponentialPolicy": ".policies",
+    "AggressivePolicy": ".policies",
+    "CooperativeSharingPolicy": ".policies",
+    "TabulatedPolicy": ".policies",
+    "CallablePolicy": ".policies",
     # coverage
-    "coverage",
-    "missed_value",
-    "coverage_gradient",
-    "site_coverage_probabilities",
-    "expected_sites_visited",
-    "full_coordination_coverage",
+    "coverage": ".coverage",
+    "missed_value": ".coverage",
+    "coverage_gradient": ".coverage",
+    "site_coverage_probabilities": ".coverage",
+    "expected_sites_visited": ".coverage",
+    "full_coordination_coverage": ".coverage",
     # payoffs
-    "site_values",
-    "expected_payoff",
-    "payoff_against_groups",
-    "mixture_payoff",
-    "mixture_payoff_expanded",
-    "best_response_value",
-    "best_response_sites",
-    "exploitability",
+    "site_values": ".payoffs",
+    "expected_payoff": ".payoffs",
+    "payoff_against_groups": ".payoffs",
+    "mixture_payoff": ".payoffs",
+    "mixture_payoff_expanded": ".payoffs",
+    "best_response_value": ".payoffs",
+    "best_response_sites": ".payoffs",
+    "exploitability": ".payoffs",
     # sigma_star / ifd
-    "SigmaStarResult",
-    "sigma_star",
-    "support_size",
-    "IFDResult",
-    "IFDReport",
-    "ideal_free_distribution",
-    "verify_ifd",
+    "SigmaStarResult": ".sigma_star",
+    "sigma_star": ".sigma_star",
+    "support_size": ".sigma_star",
+    "IFDResult": ".ifd",
+    "IFDReport": ".ifd",
+    "ideal_free_distribution": ".ifd",
+    "verify_ifd": ".ifd",
     # optimisation
-    "CoverageOptimum",
-    "optimal_coverage",
-    "optimal_coverage_strategy",
-    "maximize_coverage_waterfilling",
-    "maximize_coverage_projected_gradient",
-    "observation1_lower_bound",
-    "observation1_holds",
-    "WelfareOptimum",
-    "expected_welfare",
-    "individual_payoff",
-    "welfare_optimal_strategy",
+    "CoverageOptimum": ".optimal_coverage",
+    "optimal_coverage": ".optimal_coverage",
+    "optimal_coverage_strategy": ".optimal_coverage",
+    "maximize_coverage_waterfilling": ".optimal_coverage",
+    "maximize_coverage_projected_gradient": ".optimal_coverage",
+    "observation1_lower_bound": ".optimal_coverage",
+    "observation1_holds": ".optimal_coverage",
+    "WelfareOptimum": ".welfare",
+    "expected_welfare": ".welfare",
+    "individual_payoff": ".welfare",
+    "welfare_optimal_strategy": ".welfare",
     # ess / equilibrium
-    "ESSComparison",
-    "ESSReport",
-    "ess_conditions_against",
-    "ess_report",
-    "invasion_barrier",
-    "is_symmetric_nash",
-    "equilibrium_payoff",
-    "EquilibriumReport",
-    "symmetric_equilibrium",
-    "verify_symmetric_equilibrium",
-    "pure_equilibrium_occupancies",
-    "count_pure_equilibria",
+    "ESSComparison": ".ess",
+    "ESSReport": ".ess",
+    "ess_conditions_against": ".ess",
+    "ess_report": ".ess",
+    "invasion_barrier": ".ess",
+    "is_symmetric_nash": ".ess",
+    "equilibrium_payoff": ".ess",
+    "EquilibriumReport": ".equilibrium",
+    "symmetric_equilibrium": ".equilibrium",
+    "verify_symmetric_equilibrium": ".equilibrium",
+    "pure_equilibrium_occupancies": ".equilibrium",
+    "count_pure_equilibria": ".equilibrium",
     # spoa
-    "SPoAInstance",
-    "spoa_instance",
-    "spoa_search",
-    "adversarial_values",
-    "spoa_lower_bound_certificate",
-]
+    "SPoAInstance": ".spoa",
+    "spoa_instance": ".spoa",
+    "spoa_search": ".spoa",
+    "adversarial_values": ".spoa",
+    "spoa_lower_bound_certificate": ".spoa",
+})

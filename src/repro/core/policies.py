@@ -42,6 +42,8 @@ __all__ = [
     "CooperativeSharingPolicy",
     "TabulatedPolicy",
     "CallablePolicy",
+    "POLICY_FACTORIES",
+    "policy_from_name",
 ]
 
 
@@ -338,3 +340,23 @@ class CallablePolicy(CongestionPolicy):
             raise ValueError("occupancy count l must be >= 1")
         result = np.asarray(self._func(np.asarray(arr, dtype=float)), dtype=float)
         return result if np.asarray(ell).ndim else float(result)
+
+
+#: Named congestion-policy factories shared by the experiments, the CLI and
+#: the service (names are stable identifiers used in specs and reports).
+POLICY_FACTORIES = {
+    "exclusive": ExclusivePolicy,
+    "sharing": SharingPolicy,
+    "constant": ConstantPolicy,
+    "aggressive": lambda: AggressivePolicy(0.5),
+    "power-law": lambda: PowerLawPolicy(2.0),
+}
+
+
+def policy_from_name(name: str) -> CongestionPolicy:
+    """Resolve a stable policy name into a fresh policy object."""
+    try:
+        return POLICY_FACTORIES[str(name)]()
+    except KeyError:
+        available = ", ".join(sorted(POLICY_FACTORIES))
+        raise ValueError(f"unknown policy {name!r}; available: {available}") from None

@@ -20,19 +20,16 @@ through :class:`~repro.batch.dynamics.DynamicsEngine` (or the
 ``invasion_batch`` entry points) instead of looping these wrappers.
 """
 
-from repro.dynamics.replicator import ReplicatorResult, replicator_dynamics
-from repro.dynamics.logit import LogitResult, logit_dynamics, quantal_response_equilibrium
-from repro.dynamics.best_response import BestResponseResult, best_response_dynamics
-from repro.dynamics.invasion import InvasionResult, invasion_dynamics
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ReplicatorResult",
-    "replicator_dynamics",
-    "LogitResult",
-    "logit_dynamics",
-    "quantal_response_equilibrium",
-    "BestResponseResult",
-    "best_response_dynamics",
-    "InvasionResult",
-    "invasion_dynamics",
-]
+__all__ = lazy_exports(__name__, {
+    "ReplicatorResult": ".replicator",
+    "replicator_dynamics": ".replicator",
+    "LogitResult": ".logit",
+    "logit_dynamics": ".logit",
+    "quantal_response_equilibrium": ".logit",
+    "BestResponseResult": ".best_response",
+    "best_response_dynamics": ".best_response",
+    "InvasionResult": ".invasion",
+    "invasion_dynamics": ".invasion",
+})

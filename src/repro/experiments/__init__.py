@@ -30,55 +30,29 @@ registry, so ``repro-dispersal <name> --seed S`` reruns any experiment
 bit-identically.
 """
 
-from repro.experiments.spec import ExperimentSpec
-from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import (
-    auto_chunk_size,
-    chunk_grid,
-    coerce_seed,
-    run_experiment,
-)
-from repro.experiments.executors import (
-    AsyncExecutor,
-    DistributedExecutor,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    TaskPayload,
-    executor_names,
-    make_executor,
-)
-from repro.experiments.store import ExperimentStore, cell_keys_for
-from repro.experiments.registry import (
-    ExperimentDefinition,
-    build_experiment,
-    experiment_names,
-    get_experiment,
-    register_experiment,
-    run_registered,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ExperimentSpec",
-    "ExperimentResult",
-    "run_experiment",
-    "coerce_seed",
-    "chunk_grid",
-    "auto_chunk_size",
-    "Executor",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "AsyncExecutor",
-    "DistributedExecutor",
-    "TaskPayload",
-    "make_executor",
-    "executor_names",
-    "ExperimentStore",
-    "cell_keys_for",
-    "ExperimentDefinition",
-    "register_experiment",
-    "get_experiment",
-    "build_experiment",
-    "experiment_names",
-    "run_registered",
-]
+__all__ = lazy_exports(__name__, {
+    "ExperimentSpec": ".spec",
+    "ExperimentResult": ".result",
+    "run_experiment": ".runner",
+    "coerce_seed": ".runner",
+    "chunk_grid": ".runner",
+    "auto_chunk_size": ".runner",
+    "Executor": ".executors",
+    "SerialExecutor": ".executors",
+    "ProcessExecutor": ".executors",
+    "AsyncExecutor": ".executors",
+    "DistributedExecutor": ".executors",
+    "TaskPayload": ".executors",
+    "make_executor": ".executors",
+    "executor_names": ".executors",
+    "ExperimentStore": ".store",
+    "cell_keys_for": ".store",
+    "ExperimentDefinition": ".registry",
+    "register_experiment": ".registry",
+    "get_experiment": ".registry",
+    "build_experiment": ".registry",
+    "experiment_names": ".registry",
+    "run_registered": ".registry",
+})

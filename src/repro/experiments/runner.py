@@ -40,6 +40,7 @@ from repro.experiments.executors import (
 )
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
+from repro.experiments.store import ExperimentStore, cell_keys_for
 from repro.utils.envinfo import available_cpus
 from repro.utils.rng import spawn_seed_sequences
 
@@ -248,8 +249,6 @@ def run_experiment(
     ]
 
     if store is not None and not hasattr(store, "put"):
-        from repro.experiments.store import ExperimentStore
-
         store = ExperimentStore(store)
 
     start = time.perf_counter()
@@ -262,8 +261,6 @@ def run_experiment(
     keys: list[str] | None = None
     pending = payloads
     if store is not None:
-        from repro.experiments.store import cell_keys_for
-
         keys = cell_keys_for(spec)
         if resume:
             pending = []

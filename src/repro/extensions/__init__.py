@@ -30,42 +30,21 @@ subpackage.  The registered ``travel-costs`` / ``group-competition`` /
 sub-commands) run on those batched paths.
 """
 
-from repro.extensions.travel_costs import (
-    CostAdjustedEquilibrium,
-    cost_adjusted_ifd,
-    cost_adjusted_site_values,
-)
-from repro.extensions.capacity import (
-    capacity_coverage,
-    capacity_coverage_gradient,
-    maximize_capacity_coverage,
-)
-from repro.extensions.repeated import (
-    ExpectedDispersalResult,
-    RepeatedDispersalResult,
-    adaptive_sigma_star_schedule,
-    constant_schedule,
-    expected_repeated_dispersal,
-    simulate_repeated_dispersal,
-)
-from repro.extensions.group_competition import (
-    GroupCompetitionResult,
-    two_group_competition,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CostAdjustedEquilibrium",
-    "cost_adjusted_site_values",
-    "cost_adjusted_ifd",
-    "capacity_coverage",
-    "capacity_coverage_gradient",
-    "maximize_capacity_coverage",
-    "ExpectedDispersalResult",
-    "RepeatedDispersalResult",
-    "simulate_repeated_dispersal",
-    "expected_repeated_dispersal",
-    "adaptive_sigma_star_schedule",
-    "constant_schedule",
-    "GroupCompetitionResult",
-    "two_group_competition",
-]
+__all__ = lazy_exports(__name__, {
+    "CostAdjustedEquilibrium": ".travel_costs",
+    "cost_adjusted_site_values": ".travel_costs",
+    "cost_adjusted_ifd": ".travel_costs",
+    "capacity_coverage": ".capacity",
+    "capacity_coverage_gradient": ".capacity",
+    "maximize_capacity_coverage": ".capacity",
+    "ExpectedDispersalResult": ".repeated",
+    "RepeatedDispersalResult": ".repeated",
+    "simulate_repeated_dispersal": ".repeated",
+    "expected_repeated_dispersal": ".repeated",
+    "adaptive_sigma_star_schedule": ".repeated",
+    "constant_schedule": ".repeated",
+    "GroupCompetitionResult": ".group_competition",
+    "two_group_competition": ".group_competition",
+})

@@ -14,24 +14,14 @@ baseline and the tooling to compare the two levers:
   the two-level policy's optimal collision payoff is ``c = 0``.
 """
 
-from repro.mechanism.kleinberg_oren import (
-    GrantDesign,
-    design_rewards_for_target,
-    optimal_grant_design,
-    proportional_rewards,
-)
-from repro.mechanism.policy_design import (
-    PolicyComparison,
-    best_two_level_policy,
-    compare_policies,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "GrantDesign",
-    "design_rewards_for_target",
-    "optimal_grant_design",
-    "proportional_rewards",
-    "PolicyComparison",
-    "best_two_level_policy",
-    "compare_policies",
-]
+__all__ = lazy_exports(__name__, {
+    "GrantDesign": ".kleinberg_oren",
+    "design_rewards_for_target": ".kleinberg_oren",
+    "optimal_grant_design": ".kleinberg_oren",
+    "proportional_rewards": ".kleinberg_oren",
+    "PolicyComparison": ".policy_design",
+    "best_two_level_policy": ".policy_design",
+    "compare_policies": ".policy_design",
+})

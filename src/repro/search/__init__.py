@@ -11,38 +11,20 @@ coverage-time laws (Von Schelling generalized coupon collector) of a round
 strategy replayed until every site has been visited.
 """
 
-from repro.search.boxes import BayesianSearchProblem
-from repro.search.strategies import (
-    greedy_top_k_strategy,
-    proportional_strategy,
-    sigma_star_strategy,
-    uniform_strategy,
-)
-from repro.search.simulator import (
-    SearchOutcome,
-    compare_search_strategies,
-    expected_discovery_time,
-    simulate_search,
-    single_round_success_probability,
-)
-from repro.search.coverage_times import (
-    coverage_time_cdf,
-    expected_coverage_time,
-    partial_coverage_time,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BayesianSearchProblem",
-    "sigma_star_strategy",
-    "uniform_strategy",
-    "proportional_strategy",
-    "greedy_top_k_strategy",
-    "SearchOutcome",
-    "single_round_success_probability",
-    "expected_discovery_time",
-    "simulate_search",
-    "compare_search_strategies",
-    "expected_coverage_time",
-    "coverage_time_cdf",
-    "partial_coverage_time",
-]
+__all__ = lazy_exports(__name__, {
+    "BayesianSearchProblem": ".boxes",
+    "sigma_star_strategy": ".strategies",
+    "uniform_strategy": ".strategies",
+    "proportional_strategy": ".strategies",
+    "greedy_top_k_strategy": ".strategies",
+    "SearchOutcome": ".simulator",
+    "single_round_success_probability": ".simulator",
+    "expected_discovery_time": ".simulator",
+    "simulate_search": ".simulator",
+    "compare_search_strategies": ".simulator",
+    "expected_coverage_time": ".coverage_times",
+    "coverage_time_cdf": ".coverage_times",
+    "partial_coverage_time": ".coverage_times",
+})

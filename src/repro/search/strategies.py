@@ -22,6 +22,7 @@ __all__ = [
     "uniform_strategy",
     "proportional_strategy",
     "greedy_top_k_strategy",
+    "SEARCH_STRATEGY_FACTORIES",
 ]
 
 
@@ -65,3 +66,15 @@ def greedy_top_k_strategy(problem: BayesianSearchProblem, k: int) -> Strategy:
     probs = np.zeros(problem.m)
     probs[:width] = 1.0 / width
     return Strategy(probs)
+
+
+#: Named round-strategy factories of the ``search`` and ``coverage-times``
+#: experiments (stable identifiers used in specs and reports); each maps
+#: ``(problem, k)`` to a :class:`~repro.core.strategy.Strategy` over the
+#: problem's boxes.
+SEARCH_STRATEGY_FACTORIES = {
+    "sigma_star": sigma_star_strategy,
+    "uniform": lambda problem, k: uniform_strategy(problem),
+    "proportional": lambda problem, k: proportional_strategy(problem),
+    "greedy_top_k": greedy_top_k_strategy,
+}

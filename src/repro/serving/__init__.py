@@ -41,54 +41,30 @@ Benchmarked by perfbench's ``serve-light`` workload (``perfbench/run.py``):
 latency and throughput over HTTP, gated by the bounds in ``BENCHMARK.json``.
 """
 
-from repro.serving.cache import ResultCache
-from repro.serving.engine import (
-    evaluate_group,
-    evaluate_one,
-    evaluate_requests,
-    group_requests,
-)
-from repro.serving.executor import (
-    EXECUTOR_MODES,
-    InlineKernelExecutor,
-    KernelExecutor,
-    ProcessKernelExecutor,
-    ThreadKernelExecutor,
-    create_executor,
-)
-from repro.serving.http import EquilibriumService, RunningServer, serve_forever, start_server
-from repro.serving.requests import (
-    CoverageTimeRequest,
-    MechanismRequest,
-    ServingRequest,
-    SolveRequest,
-    SweepRequest,
-    parse_request,
-)
-from repro.serving.scheduler import ContinuousBatchScheduler, QueueFullError
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ContinuousBatchScheduler",
-    "QueueFullError",
-    "ResultCache",
-    "EquilibriumService",
-    "RunningServer",
-    "ServingRequest",
-    "SolveRequest",
-    "SweepRequest",
-    "MechanismRequest",
-    "CoverageTimeRequest",
-    "parse_request",
-    "evaluate_group",
-    "evaluate_one",
-    "evaluate_requests",
-    "group_requests",
-    "EXECUTOR_MODES",
-    "KernelExecutor",
-    "InlineKernelExecutor",
-    "ThreadKernelExecutor",
-    "ProcessKernelExecutor",
-    "create_executor",
-    "serve_forever",
-    "start_server",
-]
+__all__ = lazy_exports(__name__, {
+    "ContinuousBatchScheduler": ".scheduler",
+    "QueueFullError": ".scheduler",
+    "ResultCache": ".cache",
+    "EquilibriumService": ".http",
+    "RunningServer": ".http",
+    "ServingRequest": ".requests",
+    "SolveRequest": ".requests",
+    "SweepRequest": ".requests",
+    "MechanismRequest": ".requests",
+    "CoverageTimeRequest": ".requests",
+    "parse_request": ".requests",
+    "evaluate_group": ".engine",
+    "evaluate_one": ".engine",
+    "evaluate_requests": ".engine",
+    "group_requests": ".engine",
+    "EXECUTOR_MODES": ".executor",
+    "KernelExecutor": ".executor",
+    "InlineKernelExecutor": ".executor",
+    "ThreadKernelExecutor": ".executor",
+    "ProcessKernelExecutor": ".executor",
+    "create_executor": ".executor",
+    "serve_forever": ".http",
+    "start_server": ".http",
+})

@@ -54,7 +54,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.scenario_experiments import policy_from_name
 from repro.backend import Backend, resolve_backend
 from repro.batch.coverage_times import (
     coverage_time_cdf_batch,
@@ -65,6 +64,7 @@ from repro.batch.ifd import ifd_batch
 from repro.batch.mechanism import compare_policies_batch
 from repro.batch.padding import PaddedValues
 from repro.batch.solvers import coverage_batch, sigma_star_batch
+from repro.core.policies import policy_from_name
 from repro.serving.requests import (
     CoverageTimeRequest,
     MechanismRequest,

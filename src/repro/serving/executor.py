@@ -152,7 +152,7 @@ def _warm_worker(spec: str | None) -> None:
     """Process-pool initializer: resolve the backend and import the kernels once."""
     global _WORKER_BACKEND, _WORKER_SPEC
     from repro.backend import resolve_backend
-    import repro.serving.engine  # noqa: F401 - pulls the whole kernel stack in
+    import repro.serving.engine  # noqa: F401 - imports the serving kernels
 
     _WORKER_SPEC = spec
     _WORKER_BACKEND = resolve_backend(spec)

@@ -30,9 +30,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.analysis.scenario_experiments import POLICY_FACTORIES, policy_from_name
 from repro.batch.coverage_times import DEFAULT_MAX_EXACT_SITES
-from repro.core.policies import CongestionPolicy
+from repro.core.policies import POLICY_FACTORIES, CongestionPolicy, policy_from_name
 from repro.core.values import SiteValues
 from repro.utils.canonical import (
     canonical_distribution,

@@ -7,30 +7,17 @@ This subpackage samples those choices directly — fully vectorised over trials
 benchmarks can cross-check.
 """
 
-from repro.simulation.engine import (
-    DispersalSimulator,
-    ProfileSimulationResult,
-    SimulationResult,
-    simulate_dispersal,
-    simulate_profile,
-)
-from repro.simulation.estimators import (
-    empirical_coverage,
-    empirical_individual_payoff,
-    empirical_site_values,
-    standard_error,
-)
-from repro.utils.rng import spawn_generators
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "DispersalSimulator",
-    "SimulationResult",
-    "ProfileSimulationResult",
-    "simulate_dispersal",
-    "simulate_profile",
-    "empirical_coverage",
-    "empirical_individual_payoff",
-    "empirical_site_values",
-    "standard_error",
-    "spawn_generators",
-]
+__all__ = lazy_exports(__name__, {
+    "DispersalSimulator": ".engine",
+    "SimulationResult": ".engine",
+    "ProfileSimulationResult": ".engine",
+    "simulate_dispersal": ".engine",
+    "simulate_profile": ".engine",
+    "empirical_coverage": ".estimators",
+    "empirical_individual_payoff": ".estimators",
+    "empirical_site_values": ".estimators",
+    "standard_error": ".estimators",
+    "spawn_generators": "repro.utils.rng",
+})

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
+import asyncio
+import threading
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -100,6 +104,44 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["coverage-times", "--strategies", "nonsense"])
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--port", "70000"),
+            ("--port", "-1"),
+            ("--max-batch", "0"),
+            ("--max-wait-ms", "-1"),
+            ("--max-wait-ms", "nan"),
+            ("--max-pending", "0"),
+            ("--cache-size", "-5"),
+            ("--workers", "-3"),
+        ],
+    )
+    def test_serve_refuses_out_of_range_flags(self, flag, value, capsys):
+        # A usage error naming the flag, at parse time: no traceback after
+        # the serving imports, and no server quietly started without a cache.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_serve_accepts_the_range_bounds(self):
+        args = build_parser().parse_args(
+            ["serve", "--port", "65535", "--max-batch", "1", "--max-wait-ms", "0",
+             "--max-pending", "1", "--cache-size", "0", "--workers", "0"]
+        )
+        assert (args.port, args.max_batch, args.max_wait_ms) == (65535, 1, 0.0)
+        assert (args.max_pending, args.cache_size, args.workers) == (1, 0, 0)
+
+    def test_executor_choices_are_the_registered_strategies(self):
+        from repro.experiments import executor_names
+
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                if action.dest == "executor" and command != "serve":
+                    assert tuple(action.choices) == executor_names(), command
+
     def test_worker_subcommand_help_and_parsing(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["worker", "--help"])
@@ -188,3 +230,76 @@ class TestCommands:
         assert main(["dynamics", "--grid", "quick", "--batch", "16", "--json", "--workers", "2"]) == 0
         parallel = capsys.readouterr().out
         assert serial == parallel
+
+
+#: Every experiment sub-command at its smallest size (``serve`` and ``worker``
+#: need a peer and have their own tests below).
+SMALLEST = {
+    "figure1": ["--points", "3", "--no-plot"],
+    "observation1": [],
+    "spoa": ["--quick"],
+    "ess": ["--mutants", "1"],
+    "sweep": ["--m", "4", "--policy", "exclusive"],
+    "dynamics": ["--max-iter", "50"],
+    "travel-costs": ["--cost-scales", "0", "0.1"],
+    "group-competition": ["--policies", "exclusive", "sharing"],
+    "repeated": ["--rounds", "2"],
+    "search": ["--trials", "20", "--max-rounds", "20"],
+    "coverage-times": ["--trials", "20", "--max-rounds", "50"],
+    "mechanism": ["--policies", "exclusive"],
+    "experiments": [],
+}
+
+
+class TestEverySubcommandRunsOnce:
+    def test_every_subcommand_is_listed(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(SMALLEST) | {"serve", "worker"}
+
+    @pytest.mark.parametrize("command", sorted(SMALLEST))
+    def test_subcommand(self, command, capsys):
+        assert main([command, *SMALLEST[command]]) == 0
+        assert capsys.readouterr().out.strip()
+
+    def test_serve(self, capsys, monkeypatch):
+        import repro.serving
+        from repro.serving import start_server
+
+        statuses = []
+
+        async def serve_one_request(host, port, **options):
+            # The real server on the CLI's options, for one /healthz round trip.
+            running = await start_server(host, port, **options)
+            bound = running.server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection(host, bound)
+            writer.write(b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+            statuses.append(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            await running.close()
+
+        monkeypatch.setattr(repro.serving, "serve_forever", serve_one_request)
+        assert main(["serve", "--port", "0", "--cache-size", "0", "--executor", "thread",
+                     "--workers", "1"]) == 0
+        assert statuses == [b"HTTP/1.1 200 OK\r\n"]
+        assert "serve: shut down" in capsys.readouterr().out
+
+    def test_worker(self, capsys):
+        from repro.experiments import DistributedExecutor, build_experiment, run_experiment
+
+        spec = build_experiment("observation1", m_values=(5,))
+        coordinator = DistributedExecutor(spawn=None, wait_timeout=30.0)
+        outcome = {}
+        thread = threading.Thread(
+            target=lambda: outcome.update(result=run_experiment(spec, executor=coordinator)))
+        thread.start()
+        for _ in range(500):
+            if coordinator.address is not None:
+                break
+            thread.join(0.01)
+        host, port = coordinator.address
+        assert main(["worker", "--connect", f"{host}:{port}"]) == 0
+        thread.join(30.0)
+        assert not thread.is_alive()
+        assert "worker: executed" in capsys.readouterr().out
+        assert outcome["result"].rows == run_experiment(spec).rows
