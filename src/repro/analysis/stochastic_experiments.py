@@ -15,9 +15,10 @@ every task amortises its kernels over many rows):
 * ``coverage-times`` — the exact Von Schelling coverage-time laws
   (:mod:`repro.batch.coverage_times`) for the same round-strategy roster:
   expected full- and partial-coverage times and the CDF at a horizon,
-  cross-validated in-row against the merged-search Monte-Carlo estimator
-  (``z_score`` reports the SEM-normalised exact-vs-empirical gap; ``inf``
-  rows mark strategies that skip sites and are excluded from simulation);
+  cross-validated in-row against the exponential-race Monte-Carlo
+  estimator (``z_score`` reports the SEM-normalised exact-vs-empirical gap;
+  ``inf`` rows mark strategies that skip sites and are excluded from
+  simulation);
 * ``mechanism`` — the paper's two design levers compared head to head
   (:mod:`repro.batch.mechanism`): a congestion-policy roster solved over the
   whole grid (Theorems 4-6) next to the Kleinberg-Oren reward design that
@@ -218,6 +219,12 @@ def build_search_spec(
 # --------------------------------------------------------------------------
 
 
+#: The Monte-Carlo estimator behind the empirical columns.  Every grid cell
+#: carries it as a param, so store keys written under another estimator
+#: never serve this one's rows on resume.
+_COVERAGE_TIME_SAMPLER = "race"
+
+
 @dataclass(frozen=True)
 class CoverageTimeRow:
     """One round strategy's coverage-time law on one ``(family, M, k)`` cell.
@@ -258,8 +265,8 @@ def coverage_times_task(
     Every cell — a ``(family, M, k)`` tuple — becomes one row of the
     ``(B,)`` visit-distribution batch; each strategy of the roster is
     evaluated with one exact pass (expectation, partial expectation, CDF at
-    the horizon) and one merged-search Monte-Carlo estimate over the whole
-    chunk.  Uncoverable rows (strategies that skip sites) report ``inf``
+    the horizon) and one exponential-race Monte-Carlo estimate over the
+    whole chunk.  Uncoverable rows (strategies that skip sites) report ``inf``
     exact times and ``nan`` empirical columns; the estimator itself skips
     their simulation.
     """
@@ -315,7 +322,7 @@ def coverage_times_task(
 
 @register_experiment(
     "coverage-times",
-    "Exact Von Schelling coverage-time laws vs the merged-search Monte-Carlo estimator",
+    "Exact Von Schelling coverage-time laws vs the exponential-race Monte-Carlo estimator",
 )
 def build_coverage_times_spec(
     *,
@@ -356,6 +363,7 @@ def build_coverage_times_spec(
             "n_trials": check_positive_integer(n_trials, "n_trials"),
             "max_rounds": check_positive_integer(max_rounds, "max_rounds"),
             "horizon": check_positive_integer(horizon, "horizon"),
+            "sampler": _COVERAGE_TIME_SAMPLER,
         }
         for chunk in chunk_grid(cells, batch_rows)
     ]
@@ -375,6 +383,7 @@ def build_coverage_times_spec(
             "n_trials": int(n_trials),
             "max_rounds": int(max_rounds),
             "horizon": int(horizon),
+            "sampler": _COVERAGE_TIME_SAMPLER,
             "batch_rows": int(batch_rows),
             "n_cells": len(cells),
         },

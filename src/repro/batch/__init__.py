@@ -49,7 +49,7 @@ This subpackage solves entire grids in a handful of NumPy passes:
   Schelling generalized coupon collector): full-coverage CDF and
   expectation plus partial (``j``-of-``M``) coverage expectations via
   signed log-sum-exp inclusion-exclusion, with a Monte-Carlo
-  cross-validator recombining merged two-box search simulations.
+  cross-validator that samples each row's exponential race.
 
 Every kernel body is pure Array-API code against the backend resolved by
 :mod:`repro.backend` (``numpy`` by default; ``array_api_strict`` / ``torch``

@@ -32,16 +32,14 @@ batches of (ragged, zero-padded) visit distributions with per-row ``k``:
   further, to the classical harmonic values ``M * H_M`` and
   ``M * (H_M - H_{M-j})``, exact at any ``M``; the alternating forms are
   cancellation-limited in double precision around ``M ~ 50``);
-* :func:`estimate_coverage_time_mc` — the Monte-Carlo cross-validator: the
-  first-visit time of a subset ``J`` is exactly the discovery time of a
-  merged two-box search problem (prior ``[1, 0]``, per-round box
-  probabilities ``[P(J), 1 - P(J)]``), so one
-  :func:`~repro.batch.search.simulate_search_batch` call over all
-  ``(row, subset)`` merged problems yields unbiased estimates of ``E[T]``
-  and the CDF by recombining the empirical subset statistics with the same
-  inclusion-exclusion signs.  Censored trials are counted per row and
-  poison the row's estimate to ``nan`` (a censored mean is biased low), so
-  conformance tests can flag and exclude them explicitly.
+* :func:`estimate_coverage_time_mc` — the Monte-Carlo cross-validator: it
+  samples ``T`` itself by an exponential race (Poissonized draws make each
+  site's first visit an independent exponential clock), at ``O(M)`` work
+  per trial and with no inclusion-exclusion algebra shared with the exact
+  kernels, so its sample mean and empirical CDF are an independent oracle.
+  Censored trials are counted per row and poison the row's estimate to
+  ``nan`` (a censored mean is biased low), so conformance tests can flag
+  and exclude them explicitly.
 
 The non-uniform enumeration is capped at ``max_sites`` real sites per row
 (default :data:`DEFAULT_MAX_EXACT_SITES`) — both work and memory grow as
@@ -49,8 +47,8 @@ The non-uniform enumeration is capped at ``max_sites`` real sites per row
 validated host-side (:func:`as_visit_distribution_batch`); results are host
 NumPy arrays, agreeing with the scalar ``B = 1`` wrappers of
 :mod:`repro.search.coverage_times` and property-tested against a
-brute-force subset-state dynamic program and the Monte-Carlo stack in
-``tests/test_coverage_times.py``.
+brute-force subset-state dynamic program and the exponential-race
+estimator in ``tests/test_coverage_times.py``.
 """
 
 from __future__ import annotations
@@ -607,33 +605,38 @@ def _uniform_partial(be, m: int, ks: np.ndarray, js: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Monte-Carlo cross-validation through the search stack
+# Monte-Carlo cross-validation by exponential race
 # --------------------------------------------------------------------------
+
+
+#: numpy's Poisson sampler refuses rates near ``2**63``; above this rate the
+#: draw's relative spread (``< 1e-9``) is far below any Monte-Carlo
+#: resolution, so its mean stands in.
+_POISSON_LIMIT = 1e18
 
 
 @dataclass(frozen=True)
 class CoverageTimeEstimate:
-    """Monte-Carlo coverage-time estimates recombined from merged searches.
+    """Monte-Carlo coverage-time estimates from the exponential race.
 
     Attributes
     ----------
     n_trials, max_rounds, k:
         Simulation parameters (``k`` is the ``(B,)`` per-round draw roster).
     means, sems:
-        ``(B,)`` inclusion-exclusion-combined estimates of ``E[T]`` and
-        their standard errors (subset estimates are independent, so
-        variances add in quadrature).  ``nan`` rows are either degenerate
-        (coverage is impossible) or had censored trials — a censored mean is
-        biased low, so flagged rows must be excluded from exact-vs-MC
-        comparisons rather than averaged in.
+        ``(B,)`` sample means of the simulated ``T`` and their standard
+        errors.  ``nan`` rows are either degenerate (coverage is impossible)
+        or had censored trials — a censored mean is biased low, so flagged
+        rows must be excluded from exact-vs-MC comparisons rather than
+        averaged in.
     censored_counts:
-        ``(B,)`` ``int64`` total censored trials across a row's merged
-        subset problems (degenerate rows report ``n_trials``: their
-        impossible full-set subproblem would censor every trial).
+        ``(B,)`` ``int64`` trials whose ``T`` exceeded ``max_rounds``
+        (degenerate rows report ``n_trials``: every trial would censor).
     times, cdfs, cdf_sems:
-        When a ``times`` grid was supplied: the grid and the combined
-        ``(B, T)`` CDF estimates with pointwise standard errors (``nan``
-        rows as above); all three are ``None`` otherwise.
+        When a ``times`` grid was supplied: the grid, the ``(B, T)``
+        empirical CDF ``P(T <= t)`` and its pointwise standard errors
+        ``sqrt(F (1 - F) / n)`` (``nan`` rows as above); all three are
+        ``None`` otherwise.
     """
 
     n_trials: int
@@ -656,101 +659,69 @@ def estimate_coverage_time_mc(
     times: Sequence[int] | np.ndarray | None = None,
     max_rounds: int = 100_000,
     rng: np.random.Generator | int | None = None,
-    method: str = "geometric",
     backend: Backend | str | None = None,
 ) -> CoverageTimeEstimate:
-    """Estimate coverage-time laws with :func:`simulate_search_batch`.
+    """Sample coverage times ``T`` by an exponential race, ``O(M)`` per trial.
 
-    The first time any site of a subset ``J`` is visited is distributed as
-    the discovery time of a two-box search problem whose round strategy
-    searches box 0 with probability ``P(J)`` (prior ``[1, 0]``): merging
-    each nonempty subset of every row into such a problem and simulating
-    them all in **one** batched search call yields unbiased estimates of
-    every subset statistic, which recombine into ``E[T]`` and ``P(T <= t)``
-    with the Von Schelling signs.  This estimator is the conformance layer
-    the exact kernels are tested against — and the slow equal-precision
-    baseline the ``BENCH_covertime.json`` speedup gate times.
+    Let the single draws arrive as a rate-1 Poisson process (Flajolet, Gardy
+    & Thimonier 1992): site ``x`` is then first visited at an independent
+    ``E_x ~ Exp(p_x)``, every site is covered at ``tau = max_x E_x``, and the
+    draws made by then number ``D = M + Poisson(sum_x p_x (tau - E_x))`` —
+    one first visit per site plus the repeat visits each site collects after
+    its own.  ``D`` has exactly the law of the draws needed to cover all
+    ``M`` sites, so ``T = ceil(D / k)`` rounds.  The estimator shares no
+    algebra with the inclusion-exclusion kernels it checks.
 
-    The per-row cost is ``2**M - 1`` merged problems, so keep ``M`` small
-    (the default ``"geometric"`` method makes ``max_rounds`` nearly free —
-    censoring can be pushed arbitrarily low).  Censored or degenerate rows
-    are flagged: see :class:`CoverageTimeEstimate`.
+    Exponentials and Poisson counts are drawn on the host from ``rng``
+    (:func:`repro.utils.rng.as_generator`); the race's max and rate sum run
+    on the active backend.  Censored or degenerate rows are flagged: see
+    :class:`CoverageTimeEstimate`.
     """
-    # Only this estimator simulates; the exact laws (and the service) never
-    # need the search kernels.
-    from repro.batch.search import simulate_search_batch
+    # Only this estimator draws; the exact laws (and the service) never need
+    # the seed plumbing.
+    from repro.utils.rng import as_generator
 
     n_trials = check_positive_integer(n_trials, "n_trials")
     max_rounds = check_positive_integer(max_rounds, "max_rounds")
     probs, counts = as_visit_distribution_batch(distributions, sizes)
     b = probs.shape[0]
     ks = check_counts(k, "k", size=b)
-    grid = None
-    if times is not None:
-        grid = check_counts(times, "times", minimum=0)
-    coverable = _positive_site_counts(probs) >= counts
+    grid = None if times is None else check_counts(times, "times", minimum=0)
+    live = np.nonzero(_positive_site_counts(probs) >= counts)[0]
 
-    merged_priors: list[np.ndarray] = []
-    merged_strategies: list[np.ndarray] = []
-    merged_k: list[int] = []
-    merged_signs: list[np.ndarray] = []
-    merged_rows: list[np.ndarray] = []
-    for row in np.nonzero(coverable)[0]:
-        m = int(counts[row])
-        subset_mass = _all_subset_sums(probs[row, :m])
-        sizes_of = _subset_sizes(m)
-        mass = np.clip(subset_mass[1:], 0.0, 1.0)  # nonempty subsets
-        merged_priors.append(np.tile([1.0, 0.0], (mass.size, 1)))
-        merged_strategies.append(np.stack([mass, 1.0 - mass], axis=1))
-        merged_k.extend([int(ks[row])] * mass.size)
-        merged_signs.append(np.where(sizes_of[1:] % 2 == 1, 1.0, -1.0))
-        merged_rows.append(np.full(mass.size, row, dtype=np.int64))
+    be = resolve_backend(backend)
+    xp = be.xp
+    generator = as_generator(rng)
+    unit = generator.standard_exponential((live.size, n_trials, probs.shape[1]))
+    with expected_transfer():  # staging + the exponential block
+        p_dev = from_numpy(be, probs[live][:, None, :], dtype=be.float_dtype)
+        unit_dev = from_numpy(be, unit, dtype=be.float_dtype)
+        zero = from_numpy(be, np.asarray(0.0), dtype=be.float_dtype)
+    # Padding sites (p = 0) enter as E = 0 with zero rate; clipping p keeps
+    # E finite, which only touches rows censored many times over anyway.
+    first_visit = xp.where(p_dev > 0, unit_dev / xp.clip(p_dev, _TINY, None), zero)
+    cover = xp.max(first_visit, axis=2, keepdims=True)
+    rate = xp.sum(p_dev * (cover - first_visit), axis=2)
+    with expected_transfer():  # rates back to the host sampler
+        rate = np.asarray(to_numpy(rate), dtype=float)
+    repeats = generator.poisson(np.minimum(rate, _POISSON_LIMIT))
+    repeats = np.where(rate > _POISSON_LIMIT, rate, repeats)
+    rounds = np.ceil((counts[live, None] + repeats) / ks[live, None])
 
+    censored = np.full(b, n_trials, dtype=np.int64)
+    censored[live] = (rounds > max_rounds).sum(axis=1)
+    kept = censored[live] == 0
+    clean, rounds = live[kept], rounds[kept]
     means = np.full(b, np.nan)
     sems = np.full(b, np.nan)
-    censored = np.where(coverable, 0, n_trials).astype(np.int64)
+    means[clean] = rounds.mean(axis=1)
+    sems[clean] = rounds.std(axis=1, ddof=1) / np.sqrt(n_trials) if n_trials > 1 else 0.0
     cdfs = cdf_sems = None
     if grid is not None:
         cdfs = np.full((b, grid.size), np.nan)
         cdf_sems = np.full((b, grid.size), np.nan)
-
-    if merged_rows:
-        priors = np.concatenate(merged_priors, axis=0)
-        strategies = np.concatenate(merged_strategies, axis=0)
-        signs = np.concatenate(merged_signs)
-        owners = np.concatenate(merged_rows)
-        simulated = simulate_search_batch(
-            priors,
-            strategies,
-            np.asarray(merged_k, dtype=np.int64),
-            n_trials,
-            max_rounds=max_rounds,
-            rng=rng,
-            method=method,
-            backend=backend,
-        )
-        rounds = simulated.rounds.astype(float)
-        per_problem_censored = (simulated.rounds > max_rounds).sum(axis=1)
-        np.add.at(censored, owners, per_problem_censored.astype(np.int64))
-        subset_means = rounds.mean(axis=1)
-        subset_vars = rounds.var(axis=1, ddof=1) if n_trials > 1 else np.zeros(len(rounds))
-        combined_mean = np.zeros(b)
-        combined_var = np.zeros(b)
-        np.add.at(combined_mean, owners, signs * subset_means)
-        np.add.at(combined_var, owners, subset_vars / n_trials)
-        clean = coverable & (censored == 0)
-        means[clean] = combined_mean[clean]
-        sems[clean] = np.sqrt(combined_var[clean])
-        if grid is not None:
-            for column, t in enumerate(grid):
-                tail = (simulated.rounds > t).mean(axis=1)
-                tail_var = tail * (1.0 - tail) / n_trials
-                survival = np.zeros(b)
-                variance = np.zeros(b)
-                np.add.at(survival, owners, signs * tail)
-                np.add.at(variance, owners, tail_var)
-                cdfs[clean, column] = 1.0 - survival[clean]
-                cdf_sems[clean, column] = np.sqrt(variance[clean])
+        cdfs[clean] = (rounds[:, :, None] <= grid).mean(axis=1)
+        cdf_sems[clean] = np.sqrt(cdfs[clean] * (1.0 - cdfs[clean]) / n_trials)
     return CoverageTimeEstimate(
         n_trials=n_trials,
         max_rounds=max_rounds,
@@ -762,11 +733,3 @@ def estimate_coverage_time_mc(
         cdfs=cdfs,
         cdf_sems=cdf_sems,
     )
-
-
-def _all_subset_sums(p_row: np.ndarray) -> np.ndarray:
-    """Host subset sums of one row by iterative doubling (``(2**m,)``)."""
-    sums = np.zeros(1)
-    for value in p_row:
-        sums = np.concatenate([sums, sums + value])
-    return sums

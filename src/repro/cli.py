@@ -860,7 +860,7 @@ def _run_coverage_times(args: argparse.Namespace) -> str:
         f"(max |z| = {max_z:.2f}; {uncoverable} uncoverable, {censored} censored)"
     )
     return render_report(
-        "Coverage times: exact Von Schelling laws vs merged-search simulation",
+        "Coverage times: exact Von Schelling laws vs exponential-race simulation",
         [(headline, rows_to_table(rows))],
     )
 

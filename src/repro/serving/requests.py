@@ -25,6 +25,8 @@ changes the batch-row count, which the kernels are elementwise in.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -272,7 +274,8 @@ def parse_request(kind: str, payload: Mapping[str, Any]) -> ServingRequest:
     """Build a request of family ``kind`` from a JSON-ish payload dict.
 
     Unknown fields are rejected (a typo'd parameter silently falling back to
-    a default would be served — and cached — as the wrong question).
+    a default would be served — and cached — as the wrong question), and so
+    is an instance whose total value is not a finite double.
     """
     cls = _KINDS.get(kind)
     if cls is None:
@@ -286,6 +289,15 @@ def parse_request(kind: str, payload: Mapping[str, Any]) -> ServingRequest:
             f"unknown field(s) {sorted(unknown)} for {kind!r}; allowed: {sorted(allowed)}"
         )
     try:
-        return cls(**payload)
+        request = cls(**payload)
     except TypeError as error:
         raise ValueError(f"invalid {kind!r} payload: {error}") from None
+    # Coverage never exceeds the total value, so a finite total keeps every
+    # answer finite (and the JSON response valid).
+    total = sum(request.values)
+    if not math.isfinite(total):
+        raise ValueError(
+            f"the total site value sum(values) = {total} exceeds the largest finite "
+            f"double ({sys.float_info.max:.6g}); rescale the values"
+        )
+    return request

@@ -1,12 +1,15 @@
-"""Exact Von Schelling coverage-time laws vs the Monte-Carlo stack.
+"""Exact Von Schelling coverage-time laws vs the exponential-race estimator.
 
 The headline contract of this module: the closed-form coverage-time kernels
-of :mod:`repro.batch.coverage_times` agree with the merged-search
-Monte-Carlo estimator within four standard errors on a seeded 64-row grid
-of ragged, mixed-``k``, partly near-degenerate visit distributions — with
-censored rows flagged and excluded rather than silently biasing the
-comparison (the SEM/DKW machinery lives in ``tests/stat_helpers.py`` and is
-shared with the other stochastic suites).
+of :mod:`repro.batch.coverage_times` agree with the exponential-race
+Monte-Carlo estimator — ``E[T]`` within four standard errors, the empirical
+CDF inside a four-sigma DKW band — on a seeded 64-row grid of ragged,
+mixed-``k``, partly near-degenerate visit distributions, and again at
+``M = 12`` and ``M = 16``; censored rows are flagged and excluded rather
+than silently biasing the comparison (the SEM/DKW machinery lives in
+``tests/stat_helpers.py`` and is shared with the other stochastic suites).
+The race shares no algebra with the inclusion-exclusion kernels, so it is
+an independent oracle.
 
 Around the headline sit the deterministic anchors:
 
@@ -115,6 +118,20 @@ def ragged_rows(rng, count, m_range=(2, 6), near_degenerate_every=5):
             row = rng.dirichlet(np.ones(m) * 0.9)
         rows.append(row)
     return rows
+
+
+def race_partial_rounds(p, k, j, n_trials, rng):
+    """Samples of ``T_j`` from the exponential race's ``j``-th order statistic.
+
+    With single draws arriving as a rate-1 Poisson process, site ``x`` is
+    first visited at ``E_x ~ Exp(p_x)``; ``j`` sites are covered at the
+    ``j``-th smallest ``E``, by which time ``j`` first visits plus
+    ``Poisson(sum_x p_x (tau_j - E_x)^+)`` repeat visits have been drawn.
+    """
+    first = rng.standard_exponential((n_trials, p.size)) / p
+    tau = np.sort(first, axis=1)[:, j - 1 : j]
+    repeats = rng.poisson(np.sum(p * np.clip(tau - first, 0.0, None), axis=1))
+    return np.ceil((j + repeats) / k)
 
 
 class TestStaging:
@@ -350,32 +367,40 @@ class TestMonteCarloCrossValidation:
         assert_z_within(
             estimate.means, exact_mean, estimate.sems, SIGMAS, context="E[T]"
         )
-        # Under the null the tail fraction is Binomial(n, F): its SEM is
-        # sqrt(F (1 - F) / n) — nonzero even when every trial lands on one
-        # side (where the empirical SEM degenerates to 0).
-        null_sems = np.sqrt(exact_cdf * (1.0 - exact_cdf) / estimate.n_trials)
-        assert_z_within(
-            estimate.cdfs,
-            exact_cdf,
-            np.maximum(estimate.cdf_sems, null_sems),
-            SIGMAS,
-            context="P(T <= t)",
+        assert_cdf_within_band(
+            estimate.cdfs, exact_cdf, estimate.n_trials, SIGMAS, context="P(T <= t)"
         )
-    def test_exact_cdf_generates_consistent_samples(self, rng):
-        # The recombined estimator is not a plain ECDF (signed subset sums
-        # inflate its pointwise variance), so the DKW band is exercised on a
-        # genuine one: n inverse-CDF samples drawn from the exact law must
-        # stay inside the band around the exact CDF.
-        n_samples = 4000
-        for m, k in ((3, 1), (5, 2), (4, 3)):
+
+    @pytest.mark.parametrize("m", [12, 16])
+    def test_wide_rows_agree_within_four_sigma(self, m):
+        rng = np.random.default_rng(m)
+        probs = rng.dirichlet(np.full(m, 2.0), size=8)
+        ks = np.asarray([1, 2, 3, 5] * 2)
+        grid = np.unique(np.geomspace(1, 4096, 13).astype(int))
+
+        exact_mean = expected_coverage_time_batch(probs, ks)
+        exact_cdf = coverage_time_cdf_batch(probs, ks, grid)
+        estimate = estimate_coverage_time_mc(probs, ks, 3000, times=grid, rng=rng)
+
+        assert np.all(estimate.censored_counts == 0)
+        assert_z_within(estimate.means, exact_mean, estimate.sems, SIGMAS, context="E[T]")
+        assert_cdf_within_band(
+            estimate.cdfs, exact_cdf, estimate.n_trials, SIGMAS, context="P(T <= t)"
+        )
+
+    def test_race_order_statistic_matches_partial_coverage(self, rng):
+        n_trials = 4000
+        for m, k in ((4, 1), (7, 2), (10, 3)):
             p = rng.dirichlet(np.ones(m))
-            grid = np.arange(0, 512)
-            exact = coverage_time_cdf_batch(p[None, :], k, grid)[0]
-            assert exact[-1] > 1.0 - 1e-9  # the horizon captures all the mass
-            draws = np.searchsorted(exact, rng.uniform(size=n_samples), side="left")
-            empirical = np.mean(draws[None, :] <= grid[:, None], axis=1)
-            assert_cdf_within_band(
-                empirical, exact, n_samples, SIGMAS, context=f"ECDF m={m} k={k}"
+            j = -(-m // 2)
+            rounds = race_partial_rounds(p, k, j, n_trials, rng)
+            exact = partial_coverage_time_batch(p[None, :], k, j)[0]
+            assert_z_within(
+                rounds.mean(),
+                exact,
+                rounds.std(ddof=1) / np.sqrt(n_trials),
+                SIGMAS,
+                context=f"E[T_{j}] m={m} k={k}",
             )
 
     def test_estimator_flags_censored_rows(self):
@@ -391,6 +416,16 @@ class TestMonteCarloCrossValidation:
         assert np.isnan(estimate.means[0])
         assert np.all(np.isnan(estimate.cdfs[0]))
         assert np.isfinite(estimate.means[1])
+
+    def test_estimator_survives_rates_past_the_poisson_sampler(self):
+        # A 1e-22 site waits ~1e22 draws for its first visit: far past what
+        # numpy's Poisson sampler accepts, yet only ~1e4 rounds of 1e18 draws.
+        probs = np.array([[1.0 - 1e-22, 1e-22], [1.0 - 1e-30, 1e-30]])
+        k = 10**18
+        estimate = estimate_coverage_time_mc(probs, k, 400, max_rounds=10**9, rng=3)
+        exact = expected_coverage_time_batch(probs, k)
+        assert estimate.censored_counts.tolist() == [0, 400]
+        assert_z_within(estimate.means[0], exact[0], estimate.sems[0], SIGMAS)
 
     def test_estimator_is_seed_deterministic(self):
         probs = np.array([[0.3, 0.7], [0.5, 0.5]])

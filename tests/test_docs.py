@@ -182,9 +182,9 @@ def test_coverage_times_guide_documents_the_exact_layer_contract():
     # The degenerate contract and the enumeration cap.
     assert "`inf`" in text, "the uncoverable-row contract must be documented"
     assert "DEFAULT_MAX_EXACT_SITES" in text
-    # The statistical-validation story and the CI artifact gating the layer.
+    # The statistical-validation story and the benchmark timing the layer.
     assert "stat_helpers" in text
-    assert "BENCH_covertime.json" in text
+    assert "`sweep`" in text and "BENCHMARK.json" in text
 
 
 def test_examples_gallery_documents_every_example_script():

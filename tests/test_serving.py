@@ -45,6 +45,13 @@ from repro.utils.canonical import (
 
 RNG = np.random.default_rng(1234)
 
+#: Finite values whose total overflows: the sweep's k = 3 coverage and the
+#: exclusive k = 3 solve's coverage both used to compute ``inf``.
+OVERFLOWING_TOTALS = [
+    ("sweep", {"values": [1e308, 1e308, 1e308], "k_grid": [2, 3]}),
+    ("solve", {"values": [1e308, 1e308, 1e308], "k": 3}),
+]
+
 
 def random_values(m: int) -> np.ndarray:
     return SiteValues.random(m, np.random.default_rng(m)).as_array()
@@ -178,6 +185,13 @@ class TestRequests:
             parse_request("solve", {"values": [1.0], "kk": 2})
         with pytest.raises(ValueError):
             parse_request("solve", [1.0])
+
+    @pytest.mark.parametrize("kind, body", OVERFLOWING_TOTALS)
+    def test_overflowing_total_value_is_refused(self, kind, body):
+        # Coverage is bounded by the total value; an infinite total used to
+        # answer coverage = inf, which no JSON response can carry.
+        with pytest.raises(ValueError, match="largest finite double"):
+            evaluate_one(parse_request(kind, body))
 
 
 # --------------------------------------------------------------------------
@@ -584,6 +598,18 @@ class TestHTTPServer:
         for status, body in asyncio.run(run()):
             assert status == 400, body
             assert "k_grid" in body["error"] or "times" in body["error"]
+
+    def test_overflowing_total_value_is_a_400(self):
+        async def run():
+            async with await start_server("127.0.0.1", 0, max_wait_ms=1.0) as running:
+                return [
+                    await http_request(running.port, "POST", f"/{kind}", body)
+                    for kind, body in OVERFLOWING_TOTALS
+                ]
+
+        for status, body in asyncio.run(run()):
+            assert status == 400, body
+            assert "largest finite double" in body["error"]
 
     def test_invalid_json_is_a_400(self):
         async def run():

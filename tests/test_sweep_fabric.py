@@ -150,8 +150,8 @@ class TestExecutorBitIdentity:
 
     def test_strategies_match_on_coverage_times_grid(self):
         # The coverage-times tasks draw chunk-wide rng for both the instance
-        # families and the merged-search Monte-Carlo pass — a worst case for
-        # seed threading through the executors.
+        # families and the exponential-race Monte-Carlo pass — a worst case
+        # for seed threading through the executors.
         spec = coverage_times_spec()
         artifacts = {
             name: run_experiment(spec, max_workers=2, executor=name).to_json(timing=False)
@@ -268,6 +268,18 @@ class TestCellKeys:
         assert len(set(keys)) == spec.n_tasks
         assert keys == cell_keys_for(spec)
         assert keys != cell_keys_for(spec.with_seed(spec.seed + 1))
+
+    def test_coverage_times_keys_name_the_sampler(self):
+        # A store warmed under another Monte-Carlo estimator must not serve
+        # its rows on resume: the sampler is part of every cell's params.
+        spec = coverage_times_spec()
+        assert spec.metadata["sampler"] == "race"
+        assert all(params["sampler"] == "race" for params in spec.grid)
+        unnamed = dataclasses.replace(spec, grid=tuple(
+            {name: value for name, value in params.items() if name != "sampler"}
+            for params in spec.grid
+        ))
+        assert not set(cell_keys_for(spec)) & set(cell_keys_for(unnamed))
 
 
 # --------------------------------------------------------------------------
