@@ -21,8 +21,8 @@ Three comparisons are timed, one per batched stochastic family:
 Each comparison includes a correctness spot check (the artifact can never
 report a fast wrong answer).  The script exits non-zero when any family's
 speedup falls below ``--min-speedup`` (default 5x) — the acceptance bar the
-batched stochastic layer was built against, enforced as a CI gate via
-``smoke_batch.py``.
+batched stochastic layer was built against, enforced as a gate by the CI
+``bench-smoke`` job.
 """
 
 from __future__ import annotations

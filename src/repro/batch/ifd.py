@@ -45,6 +45,12 @@ its sorted breakpoints.  Every other row runs under a fixed budget:
   strategy with one log-space binomial evaluation (the ``k = 2`` rows get
   the same check).
 
+Every row is solved on its values and costs divided by the power of two
+that brings its largest entry into ``[1/2, 1)``, and its payoffs are scaled
+back.  Scaling by a power of two is exact, so an answer is the same bit for
+bit in any power-of-two unit of value, and the solver's intermediate
+payoffs cannot overflow.
+
 No loop exits early and every reduction over the site axis is a sequential
 (cumulative) sum, so a row's answer depends neither on the other rows (their
 tables included) nor on its padding.  The one exception is an iterative row
@@ -91,7 +97,8 @@ DE_CASTELJAU_MAX_DEGREE = 24
 #: Probability above which a site counts as part of the support.
 SUPPORT_ATOL = 1e-12
 #: Payoff tolerance of the IFD conditions behind ``converged`` (relative to
-#: the payoff scale of the row, floored at one).
+#: the payoff scale of the row, floored at one).  Rows are solved with their
+#: largest value scaled into ``[1/2, 1)``, so the floor is relative to it.
 CONVERGED_ATOL = 1e-9
 
 
@@ -304,6 +311,12 @@ def water_filling_batch(
     r, m = f_host.shape
     d_host = np.zeros_like(f_host) if costs is None else np.asarray(costs, dtype=float)
     mask_host = np.ones((r, m), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    # Solve on the values and costs of each row divided by 2**e, e the binary
+    # exponent of its largest entry (see the module docstring).
+    largest = np.where(mask_host, np.maximum(np.abs(f_host), np.abs(d_host)), 0.0)
+    exponent = np.frexp(largest.max(axis=1, initial=0.0))[1]
+    f_host = np.ldexp(f_host, -exponent[:, None])
+    d_host = np.ldexp(d_host, -exponent[:, None])
     ks = check_counts(k, "k", size=r)
     degrees = ks - 1
     tables_host = np.asarray(tables, dtype=float)
@@ -318,10 +331,9 @@ def water_filling_batch(
     )
     solo_payoff = np.where(mask_host, f_host - d_host, -np.inf)
     best = solo_payoff.max(axis=1)
-    scale = np.maximum(1.0, np.abs(best))
 
     # Closed forms: a point mass for k = 1, the best-site set for flat tables.
-    top = (solo_payoff >= (best - 1e-12 * scale)[:, None]) & flat_host[:, None]
+    top = (solo_payoff >= (best - 1e-12)[:, None]) & flat_host[:, None]
     top[ks == 1] = False
     top[np.flatnonzero(ks == 1), np.argmax(solo_payoff[ks == 1], axis=1)] = True
     support_sizes = top.sum(axis=1)
@@ -359,9 +371,13 @@ def water_filling_batch(
         p, bound = from_numpy(be, p, dtype=fdt), from_numpy(be, np.abs(v), dtype=fdt)
         settle(rows, *stage(rows), p, bound)
 
+    def solved():
+        values = np.ldexp(out_values, exponent)
+        return WaterFilling(probabilities, values, support_sizes, converged, closed)
+
     rows = np.flatnonzero(~closed)
     if rows.size == 0:
-        return WaterFilling(probabilities, out_values, support_sizes, converged, closed)
+        return solved()
 
     sub_degrees = degrees[rows]
     sub_tables = tables_host[rows][:, : int(sub_degrees.max()) + 1]
@@ -476,7 +492,7 @@ def water_filling_batch(
     p = q_lo + t[:, None] * (q_hi - q_lo)
 
     settle(rows, F, D, mask_dev, p, xp.maximum(xp.abs(v_lo), xp.abs(v_hi)))
-    return WaterFilling(probabilities, out_values, support_sizes, converged, closed)
+    return solved()
 
 
 def _linear_water_filling(s: np.ndarray, a: np.ndarray, mask: np.ndarray):

@@ -20,10 +20,10 @@ Four strategies ship built in (see :func:`make_executor`):
 ``serial``
     In-process loop; the default for small grids.
 ``process``
-    Chunked ``ProcessPoolExecutor`` (the previous behavior), hardened with
-    bounded chunk retries: a worker process dying mid-chunk re-executes that
-    chunk on a fresh pool — same per-task seeds, bit-identical rows —
-    instead of poisoning the whole run.
+    Chunked execution on the interpreter's one warm ``ProcessPoolExecutor``,
+    hardened with bounded chunk retries: a worker process dying mid-chunk
+    re-executes that chunk on a fresh pool — same per-task seeds,
+    bit-identical rows — instead of poisoning the whole run.
 ``async``
     Chunked thread pool for I/O-bound or GIL-releasing workloads (native
     NumPy/torch kernels, network-backed tasks).  Backend activation uses
@@ -35,11 +35,25 @@ Four strategies ship built in (see :func:`make_executor`):
     connections requeue their in-flight chunk with the same bounded-retry
     policy.  The wire format is pickle — only run workers on hosts/networks
     you trust.
+
+**The shared process pool.**  Every :class:`ProcessExecutor` run in an
+interpreter reuses one pool, so a sweep of several experiments forks its
+workers once, not once per experiment.  The pool is forked on first use and
+replaced (the old one shut down and joined first) when a run asks for a
+different worker count, when a worker died, or when a task could not be
+unpickled by its workers.  Workers see the parent as it was when they were
+forked: a task defined in ``__main__``, or in a module first imported after
+the fork, makes the next run fork a fresh pool.  A run that raises or is
+abandoned cancels its queued chunks and leaves the pool to the next run.
+Runs in several threads share the pool when they ask for one worker count.
+The workers are reaped by ``concurrent.futures``' own exit hook.  Each fork
+logs one INFO record with the worker count and the reason.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import os
 import pickle
@@ -211,18 +225,78 @@ class AsyncExecutor(Executor):
                 raise
 
 
+class _SharedPool:
+    """The interpreter's one process pool, forked lazily (see the module docstring)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._pool: ProcessPoolExecutor | None = None
+        self._workers = 0
+        self._modules: frozenset[str] = frozenset()
+        # Why the next fork happens when no pool is alive.
+        self._fork_reason = "first use"
+
+    def _stale(self, function: Any) -> bool:
+        """Whether workers forked with ``self._modules`` may not unpickle ``function``."""
+        while isinstance(function, functools.partial):
+            function = function.func
+        module = getattr(function, "__module__", None)
+        return module == "__main__" or (module is not None and module not in self._modules)
+
+    def acquire(self, workers: int, functions: Sequence[Any]) -> ProcessPoolExecutor:
+        """The pool to submit ``functions`` to on ``workers`` processes."""
+        with self._lock:
+            if self._pool is None:
+                reason = self._fork_reason
+            elif workers != self._workers:
+                reason = "size change"
+            elif any(self._stale(function) for function in functions):
+                reason = "stale task"
+            else:
+                return self._pool
+            self.shutdown()
+            # Looked up at call time: perfbench wraps it to count submissions.
+            self._pool = ProcessPoolExecutor(max_workers=workers)
+            self._workers = workers
+            self._modules = frozenset(sys.modules)
+            logger.info(
+                "forking a %d-worker process pool (%s)",
+                workers,
+                reason,
+                extra={"workers": workers, "reason": reason},
+            )
+            return self._pool
+
+    def discard(self, pool: ProcessPoolExecutor) -> None:
+        """Drop ``pool`` after a worker died; the next run forks a fresh one."""
+        with self._lock:
+            if pool is self._pool:
+                self.shutdown()
+                self._fork_reason = "broken"
+
+    def shutdown(self) -> None:
+        """Shut the pool down and join its workers."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+
+
+_SHARED_POOL = _SharedPool()
+
+
 class ProcessExecutor(Executor):
     """Chunked process-pool execution with bounded fault-tolerant retries.
 
-    Matches the runner's historical ``ProcessPoolExecutor`` behavior, except
-    that a worker process dying mid-chunk (OOM kill, segfault, ``os._exit``)
-    no longer poisons the whole run: the broken pool is discarded, every
-    unfinished chunk is resubmitted to a fresh pool, and each chunk gets at
-    most ``max_retries`` re-executions before the run fails with
+    Chunks run on the interpreter's shared pool (see the module docstring).
+    A worker process dying mid-chunk (OOM kill, segfault, ``os._exit``) does
+    not poison the run: the broken pool is discarded, every unfinished chunk
+    is resubmitted to a fresh pool, and each chunk gets at most
+    ``max_retries`` re-executions before the run fails with
     :class:`ExecutorError`.  Retried chunks reuse their original payloads —
     same per-task seeds — so a retry is bit-identical to a first run.
     Exceptions *raised by the task itself* are deterministic and are
-    propagated immediately, never retried.
+    propagated immediately, never retried; they leave the pool to the next
+    run.
     """
 
     name = "process"
@@ -238,38 +312,36 @@ class ProcessExecutor(Executor):
     ) -> Iterator[tuple[int, Any]]:
         remaining = dict(enumerate(_chunked(payloads, chunk_size)))
         attempts = dict.fromkeys(remaining, 0)
+        tasks = {id(payload.task): payload.task for payload in payloads}
         while remaining:
-            workers = min(self.workers, len(remaining))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(execute_chunk, chunk): chunk_id
-                    for chunk_id, chunk in remaining.items()
-                }
-                broken = False
+            run_chunk = execute_chunk  # looked up per run: perfbench swaps it
+            pool = _SHARED_POOL.acquire(self.workers, (run_chunk, *tasks.values()))
+            futures: dict[Any, int] = {}
+            try:
+                for chunk_id, chunk in remaining.items():
+                    futures[pool.submit(run_chunk, chunk)] = chunk_id
                 for future in as_completed(futures):
-                    chunk_id = futures[future]
-                    try:
-                        results = future.result()
-                    except BrokenProcessPool:
-                        # A worker died; every unfinished future fails with
-                        # the same error.  Leave the loop and retry them all
-                        # on a fresh pool.
-                        broken = True
-                        break
-                    except BaseException:
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise
-                    del remaining[chunk_id]
+                    results = future.result()
+                    del remaining[futures[future]]
                     yield from results
-            if broken:
-                for chunk_id in remaining:
-                    attempts[chunk_id] += 1
-                    if attempts[chunk_id] > self.max_retries:
-                        raise ExecutorError(
-                            f"chunk {chunk_id} crashed its worker process "
-                            f"{attempts[chunk_id]} times (max_retries={self.max_retries})"
-                        )
-                    _log_retry(chunk_id, attempts[chunk_id], self.max_retries, "pool broke")
+            except BrokenProcessPool:
+                # A worker died (mid-chunk, or idle between runs); every
+                # unfinished future fails with the same error.  Retry them
+                # all on a fresh pool.
+                _SHARED_POOL.discard(pool)
+            finally:
+                # A raising task or an abandoned stream leaves the pool to the
+                # next run; its queued chunks must not run there.
+                for future in futures:
+                    future.cancel()
+            for chunk_id in remaining:
+                attempts[chunk_id] += 1
+                if attempts[chunk_id] > self.max_retries:
+                    raise ExecutorError(
+                        f"chunk {chunk_id} crashed its worker process "
+                        f"{attempts[chunk_id]} times (max_retries={self.max_retries})"
+                    )
+                _log_retry(chunk_id, attempts[chunk_id], self.max_retries, "pool broke")
 
 
 # ---------------------------------------------------------------------------

@@ -292,8 +292,10 @@ def parse_request(kind: str, payload: Mapping[str, Any]) -> ServingRequest:
         request = cls(**payload)
     except TypeError as error:
         raise ValueError(f"invalid {kind!r} payload: {error}") from None
-    # Coverage never exceeds the total value, so a finite total keeps every
-    # answer finite (and the JSON response valid).
+    # Coverage never exceeds the total value, and no payoff exceeds the
+    # largest value (every served congestion table lies in [-1/2, 1]; the
+    # solver scales each row by a power of two and back, exactly), so a
+    # finite total keeps every answer finite and the JSON response valid.
     total = sum(request.values)
     if not math.isfinite(total):
         raise ValueError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.core.policies import (
     SharingPolicy,
     TwoLevelPolicy,
 )
-from repro.batch.ifd import ifd_batch
+from repro.batch.ifd import ifd_batch, water_filling_batch
 from repro.core.sigma_star import sigma_star
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
@@ -291,3 +292,69 @@ class TestLargePlayerCounts:
         sweep = evaluate_one(parse_request("sweep", {"values": [3, 2, 1], "k_grid": [2, 10**18]}))
         assert sweep["support_sizes"] == [2, 3]
         json.dumps([solve, sweep], allow_nan=False)
+
+
+class TestUnitOfValue:
+    """An answer may not depend on the unit the site values are written in."""
+
+    @pytest.mark.parametrize("scale", [1e9, 1e12])
+    @pytest.mark.parametrize("m", [3, 8])
+    @pytest.mark.parametrize("k", [3, 7, 200])
+    def test_converged_does_not_flip_with_the_unit(self, scale, m, k):
+        # A site worth 1e-15 of the best one: the support payoffs agree to a
+        # rounding floor of a few 1e-17 of the best value, whatever its unit.
+        def solve(unit):
+            body = {"values": [unit] + [unit * 1e-15] * (m - 1), "k": k, "policy": "aggressive"}
+            return evaluate_one(parse_request("solve", body))
+
+        reference, scaled = solve(1.0), solve(scale)
+        assert reference["converged"] is True
+        assert scaled["converged"] is True
+        np.testing.assert_allclose(scaled["probabilities"], reference["probabilities"], rtol=1e-12)
+
+    def test_values_near_the_largest_double_solve_without_overflow(self):
+        # Used to answer p = [1, 0], converged false, with numpy overflow warnings.
+        body = {"values": [1.7e308, 1.0], "k": 3, "policy": "aggressive"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            payload = evaluate_one(parse_request("solve", body))
+        json.dumps(payload, allow_nan=False)
+        assert payload["converged"] is True
+        # The best site's payoff vanishes where 1.5 (1 - q)^2 = 0.5.
+        np.testing.assert_allclose(
+            payload["probabilities"], [1 - 3**-0.5, 3**-0.5], rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("power", [-40, 30])
+    def test_power_of_two_units_scale_exactly(self, power):
+        rng = np.random.default_rng(24)
+        ks = np.array([1, 2, 3, 5, 30])
+        policies = ORACLE_POLICIES + [ConstantPolicy()]
+        rows = []
+        for policy in policies:
+            for k in ks:
+                for m in (1, 3, 6):
+                    values = np.sort(rng.uniform(0.05, 1.0, m))[::-1]
+                    costs = rng.uniform(0.0, 0.2, m) * (k % 2)
+                    rows.append((values, costs, k, policy.table(int(ks.max()))))
+        # The unit-of-value probe: a second site worth 1e-15 of the first.
+        tiny = np.array([1.0, 1e-15, 1e-15])
+        rows += [(tiny, np.zeros(3), k, AggressivePolicy(0.5).table(int(ks.max()))) for k in ks]
+        width = max(values.size for values, *_ in rows)
+        values = np.ones((len(rows), width))
+        costs = np.zeros((len(rows), width))
+        mask = np.zeros((len(rows), width), dtype=bool)
+        for row, (f, d, _, _) in enumerate(rows):
+            values[row, : f.size], costs[row, : f.size], mask[row, : f.size] = f, d, True
+        k = np.array([row[2] for row in rows])
+        tables = np.stack([row[3] for row in rows])
+
+        base = water_filling_batch(values, costs, k, tables, mask=mask)
+        scaled = water_filling_batch(
+            np.ldexp(values, power), np.ldexp(costs, power), k, tables, mask=mask
+        )
+        assert bool(base.converged.all())
+        np.testing.assert_array_equal(scaled.probabilities, base.probabilities)
+        np.testing.assert_array_equal(scaled.converged, base.converged)
+        np.testing.assert_array_equal(scaled.support_sizes, base.support_sizes)
+        np.testing.assert_array_equal(scaled.values, np.ldexp(base.values, power))

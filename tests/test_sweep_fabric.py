@@ -11,6 +11,10 @@ The contracts under test:
 * **fault tolerance** — a worker process or connection dying mid-chunk
   retries that chunk (bounded) with the same per-task seeds instead of
   poisoning the run; deterministic task errors propagate immediately;
+* **the shared process pool** — consecutive process runs reuse one pool's
+  workers; a raising task, an abandoned stream, a dead worker or a task
+  defined after the fork leaves the next run correct, and each fork logs
+  its reason;
 * **interrupt/resume** — a sweep killed mid-flight leaves only complete
   cells in the store, the resumed run is bit-identical to an uninterrupted
   one, and a widened grid recomputes only the new cells.
@@ -20,6 +24,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
+import json
 import logging
 import os
 import pickle
@@ -28,6 +34,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +52,7 @@ from repro.experiments import (
     make_executor,
     run_experiment,
 )
+from repro.experiments import executors
 from repro.experiments.executors import (
     ExecutorError,
     ProcessExecutor,
@@ -457,6 +465,188 @@ class TestFaultTolerance:
 
 def _exit_task(params, rng):  # pragma: no cover - runs in worker processes
     os._exit(1)
+
+
+# --------------------------------------------------------------------------
+# the shared process pool
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def shared_pool(monkeypatch):
+    """A fresh interpreter-wide process pool for one test, shut down after it."""
+    pool = executors._SharedPool()
+    monkeypatch.setattr(executors, "_SHARED_POOL", pool)
+    yield pool
+    pool.shutdown()
+
+
+def pid_task(params, rng):
+    time.sleep(0.05)  # long enough that both workers take chunks
+    return os.getpid()
+
+
+def worker_pids(executor: ProcessExecutor) -> set[int]:
+    payloads = [
+        TaskPayload(index=i, task=pid_task, params={}, seed=np.random.SeedSequence(i))
+        for i in range(6)
+    ]
+    return set(dict(executor.run(payloads)).values())
+
+
+def pool_forks(caplog) -> list[tuple[int, str]]:
+    return [
+        (record.workers, record.reason)
+        for record in caplog.records
+        if record.name == "repro.experiments.executors" and record.levelno == logging.INFO
+    ]
+
+
+def assert_matches_serial(executor: ProcessExecutor) -> None:
+    spec = simple_grid_spec(square_task)
+    pooled = run_experiment(spec, max_workers=2, executor=executor)
+    assert pooled.to_json(timing=False) == run_experiment(spec).to_json(timing=False)
+
+
+#: A task defined in ``__main__`` after the pool forked: its workers cannot
+#: unpickle it, so the second run must fork a fresh pool, not retry chunks.
+_LATE_MAIN_TASK = """
+import json, logging
+from repro.experiments import ExperimentSpec, run_experiment
+
+records = []
+handler = logging.Handler()
+handler.emit = lambda record: records.append((record.levelname, getattr(record, "reason", None)))
+logger = logging.getLogger("repro.experiments.executors")
+logger.addHandler(handler)
+logger.setLevel(logging.INFO)
+
+def spec(task):
+    grid = tuple({"x": i} for i in range(4))
+    return ExperimentSpec(name="late", description="late task", task=task, grid=grid, seed=1)
+
+def early(params, rng):
+    return {"x": params["x"]}
+
+run_experiment(spec(early), max_workers=2, executor="process")
+
+def late(params, rng):
+    return {"x": 10 * params["x"]}
+
+rows = run_experiment(spec(late), max_workers=2, executor="process").rows
+print(json.dumps({"rows": rows, "records": records}))
+"""
+
+
+class TestSharedProcessPool:
+    def test_consecutive_runs_reuse_the_workers(self, shared_pool):
+        executor = ProcessExecutor(workers=2)
+        first, second = worker_pids(executor), worker_pids(executor)
+        assert os.getpid() not in first
+        assert len(first | second) <= 2
+
+    def test_a_raising_task_leaves_a_usable_pool(self, shared_pool):
+        executor = ProcessExecutor(workers=2)
+        before = worker_pids(executor)
+        with pytest.raises(ValueError, match="cell 2 is bad"):
+            run_experiment(simple_grid_spec(failing_task, n=4), max_workers=2, executor=executor)
+        assert_matches_serial(executor)
+        assert len(before | worker_pids(executor)) <= 2
+
+    def test_an_abandoned_stream_leaves_a_usable_pool(self, shared_pool):
+        executor = ProcessExecutor(workers=2)
+        payloads = [
+            TaskPayload(index=i, task=pid_task, params={}, seed=np.random.SeedSequence(i))
+            for i in range(8)
+        ]
+        stream = executor.run(payloads)
+        _, pid = next(stream)
+        stream.close()
+        # The dead run's outputs are pids: none may land in the next run's rows.
+        assert_matches_serial(executor)
+        assert len({pid} | worker_pids(executor)) <= 2
+
+    def test_a_killed_worker_is_retried_and_the_next_run_succeeds(
+        self, shared_pool, tmp_path, caplog
+    ):
+        marker = tmp_path / "crash-once"
+        marker.touch()
+        spec = dataclasses.replace(
+            simple_grid_spec(crash_if_marker_task, n=6, marker=str(marker), victim=4),
+            chunk_size=1,
+        )
+        executor = ProcessExecutor(workers=2)
+        with caplog.at_level(logging.INFO, logger="repro.experiments.executors"):
+            result = run_experiment(spec, max_workers=2, executor=executor)
+            assert_matches_serial(executor)
+        assert not marker.exists()
+        retries = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert 4 in {r.chunk for r in retries}
+        assert {(r.attempt, r.max_retries) for r in retries} == {(1, 3)}
+        assert result.to_json(timing=False) == run_experiment(spec).to_json(timing=False)
+        # The retry forked the pool the next run reuses.
+        assert pool_forks(caplog) == [(2, "first use"), (2, "broken")]
+
+    def test_threads_running_at_once_share_the_pool(self, shared_pool, caplog):
+        executor = ProcessExecutor(workers=3)
+        spec = simple_grid_spec(square_task, n=12)
+        expected = run_experiment(spec).to_json(timing=False)
+        worker_pids(executor)  # fork before any thread starts
+
+        def pooled(_):
+            return run_experiment(spec, max_workers=3, executor=executor).to_json(timing=False)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with caplog.at_level(logging.INFO, logger="repro.experiments.executors"):
+                with ThreadPoolExecutor(max_workers=4) as threads:
+                    artifacts = list(threads.map(pooled, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert artifacts == [expected] * 8
+        assert pool_forks(caplog) == []
+
+    def test_a_late_main_task_forks_a_fresh_pool_without_retries(self):
+        out = subprocess.run(
+            [sys.executable, "-c", _LATE_MAIN_TASK], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        ).stdout
+        report = json.loads(out.splitlines()[-1])
+        assert report["rows"] == [{"x": 10 * i} for i in range(4)]
+        assert report["records"] == [["INFO", "first use"], ["INFO", "stale task"]]
+
+
+class TestPoolForkRecords:
+    """One INFO record per fork; the "broken" reason is checked with the retry above."""
+
+    def test_first_use(self, shared_pool, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.experiments.executors"):
+            worker_pids(ProcessExecutor(workers=2))
+            worker_pids(ProcessExecutor(workers=2))
+        assert pool_forks(caplog) == [(2, "first use")]
+
+    def test_size_change(self, shared_pool, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.experiments.executors"):
+            worker_pids(ProcessExecutor(workers=2))
+            worker_pids(ProcessExecutor(workers=3))
+        assert pool_forks(caplog) == [(2, "first use"), (3, "size change")]
+
+    def test_stale_task(self, shared_pool, tmp_path, caplog, monkeypatch):
+        # A module first imported after the fork, reached through a partial.
+        (tmp_path / "fabric_late_module.py").write_text(
+            "def late_task(params, rng):\n    return {'x': params['x'] + 1}\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, "fabric_late_module", raising=False)
+        executor = ProcessExecutor(workers=2)
+        with caplog.at_level(logging.INFO, logger="repro.experiments.executors"):
+            worker_pids(executor)
+            late = importlib.import_module("fabric_late_module")
+            spec = simple_grid_spec(functools.partial(late.late_task), n=4)
+            result = run_experiment(spec, max_workers=2, executor=executor)
+        assert list(result.rows) == [{"x": i + 1} for i in range(4)]
+        assert pool_forks(caplog) == [(2, "first use"), (2, "stale task")]
 
 
 # --------------------------------------------------------------------------
