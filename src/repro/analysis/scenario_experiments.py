@@ -41,7 +41,8 @@ from repro.batch import (
 )
 from repro.core.policies import CongestionPolicy, policy_from_name
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import chunk_grid, resolve_batch_rows
+from repro.experiments.executors import chunk_grid
+from repro.experiments.runner import resolve_batch_rows
 from repro.experiments.spec import ExperimentSpec
 from repro.utils.validation import check_positive_integer
 

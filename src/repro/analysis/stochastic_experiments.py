@@ -53,7 +53,8 @@ from repro.batch import (
 from repro.batch.search import as_prior_batch, as_search_strategy_batch
 from repro.core.policies import policy_from_name
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import chunk_grid, resolve_batch_rows
+from repro.experiments.executors import chunk_grid
+from repro.experiments.runner import resolve_batch_rows
 from repro.experiments.spec import ExperimentSpec
 from repro.search.boxes import BayesianSearchProblem
 from repro.search.strategies import SEARCH_STRATEGY_FACTORIES

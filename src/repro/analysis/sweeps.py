@@ -44,7 +44,8 @@ from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.analysis.observation1 import make_family
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import chunk_grid, resolve_batch_rows
+from repro.experiments.executors import chunk_grid
+from repro.experiments.runner import resolve_batch_rows
 from repro.experiments.spec import ExperimentSpec
 from repro.utils.validation import check_positive_integer
 

@@ -37,7 +37,7 @@ __all__ = lazy_exports(__name__, {
     "ExperimentResult": ".result",
     "run_experiment": ".runner",
     "coerce_seed": ".runner",
-    "chunk_grid": ".runner",
+    "chunk_grid": ".executors",
     "auto_chunk_size": ".runner",
     "Executor": ".executors",
     "SerialExecutor": ".executors",

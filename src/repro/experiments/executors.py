@@ -1,12 +1,11 @@
 """Pluggable execution strategies for the experiment runner.
 
-The runner used to hard-code one ``ProcessPoolExecutor``; this module turns
-*how* tasks are executed into a strategy behind a single interface so the
-same :class:`~repro.experiments.spec.ExperimentSpec` can run serially, on a
-local process pool, on a thread pool, or sharded across machines — with
-bit-identical results, because per-task randomness depends only on the
-spec's ``(seed, grid index)`` (see :mod:`repro.utils.rng`), never on which
-strategy or worker executed the task.
+This module turns *how* tasks are executed into a strategy behind a single
+interface, so the same :class:`~repro.experiments.spec.ExperimentSpec` can
+run serially, on a local process pool, on a thread pool, or sharded across
+machines — with bit-identical results, because per-task randomness depends
+only on the spec's ``(seed, grid index)`` (see :mod:`repro.utils.rng`),
+never on which strategy or worker executed the task.
 
 **The strategy contract.**  An :class:`Executor`'s :meth:`~Executor.run`
 consumes :class:`TaskPayload` objects and *yields* ``(grid_index, output)``
@@ -38,16 +37,18 @@ Four strategies ship built in (see :func:`make_executor`):
 
 **The shared process pool.**  Every :class:`ProcessExecutor` run in an
 interpreter reuses one pool, so a sweep of several experiments forks its
-workers once, not once per experiment.  The pool is forked on first use and
-replaced (the old one shut down and joined first) when a run asks for a
-different worker count, when a worker died, or when a task could not be
-unpickled by its workers.  Workers see the parent as it was when they were
-forked: a task defined in ``__main__``, or in a module first imported after
-the fork, makes the next run fork a fresh pool.  A run that raises or is
-abandoned cancels its queued chunks and leaves the pool to the next run.
-Runs in several threads share the pool when they ask for one worker count.
-The workers are reaped by ``concurrent.futures``' own exit hook.  Each fork
-logs one INFO record with the worker count and the reason.
+workers once, not once per experiment; the service's ``process`` executor
+(:mod:`repro.serving.executor`) runs its groups on the same pool.  The pool
+is forked on first use and replaced (the old one shut down and joined
+first) when a run asks for a different worker count, when a worker died, or
+when a task could not be unpickled by its workers.  Workers see the parent
+as it was when they were forked: a task defined in ``__main__``, or in a
+module first imported after the fork, makes the next run fork a fresh pool.
+A run that raises or is abandoned cancels its queued chunks and leaves the
+pool to the next run.  Runs in several threads share the pool when they ask
+for one worker count.  The workers are reaped by ``concurrent.futures``' own
+exit hook.  Each fork logs one INFO record with the worker count and the
+reason.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ import numpy as np
 
 from repro.backend import resolve_backend, use_backend
 from repro.experiments.spec import TaskFunction
-from repro.utils.envinfo import available_cpus
+from repro.utils.envinfo import pool_workers
 
 logger = logging.getLogger(__name__)
 
@@ -89,11 +90,16 @@ __all__ = [
     "ExecutorError",
     "execute_payload",
     "execute_chunk",
+    "chunk_grid",
     "make_executor",
     "executor_names",
     "send_message",
     "recv_message",
 ]
+
+
+#: Re-executions a chunk (or a served group) gets after its worker died.
+MAX_RETRIES = 3
 
 
 class ExecutorError(RuntimeError):
@@ -153,12 +159,19 @@ def _log_retry(chunk_id: int, attempt: int, max_retries: int, reason: str) -> No
     )
 
 
-def _chunked(
-    payloads: Sequence[TaskPayload], chunk_size: int
-) -> list[tuple[TaskPayload, ...]]:
+def chunk_grid(cells: Sequence[Any], chunk_size: int) -> list[tuple[Any, ...]]:
+    """Split a flat list into chunks of ``chunk_size`` (the last may be shorter).
+
+    The strategies ship payloads to workers in these chunks.  Spec builders
+    whose natural unit of work is one *batched* call (e.g. a
+    :class:`~repro.batch.dynamics.DynamicsEngine` run over many rows) use it
+    to turn a long row list into one task per chunk: the runner then
+    parallelises across chunks while each task keeps enough rows to amortise
+    the batched kernels.  Order is preserved.
+    """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    items = list(payloads)
+    items = list(cells)
     return [tuple(items[i : i + chunk_size]) for i in range(0, len(items), chunk_size)]
 
 
@@ -205,14 +218,12 @@ class AsyncExecutor(Executor):
     name = "async"
 
     def __init__(self, workers: int | None = None):
-        self.workers = int(workers) if workers else available_cpus()
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        self.workers = pool_workers(workers)
 
     def run(
         self, payloads: Sequence[TaskPayload], *, chunk_size: int = 1
     ) -> Iterator[tuple[int, Any]]:
-        chunks = _chunked(payloads, chunk_size)
+        chunks = chunk_grid(payloads, chunk_size)
         if not chunks:
             return
         with ThreadPoolExecutor(max_workers=min(self.workers, len(chunks))) as pool:
@@ -301,16 +312,14 @@ class ProcessExecutor(Executor):
 
     name = "process"
 
-    def __init__(self, workers: int | None = None, *, max_retries: int = 3):
-        self.workers = int(workers) if workers else available_cpus()
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+    def __init__(self, workers: int | None = None, *, max_retries: int = MAX_RETRIES):
+        self.workers = pool_workers(workers)
         self.max_retries = int(max_retries)
 
     def run(
         self, payloads: Sequence[TaskPayload], *, chunk_size: int = 1
     ) -> Iterator[tuple[int, Any]]:
-        remaining = dict(enumerate(_chunked(payloads, chunk_size)))
+        remaining = dict(enumerate(chunk_grid(payloads, chunk_size)))
         attempts = dict.fromkeys(remaining, 0)
         tasks = {id(payload.task): payload.task for payload in payloads}
         while remaining:
@@ -426,8 +435,9 @@ class DistributedExecutor(Executor):
         Coordinator bind address.  The bound address is exposed as
         :attr:`address` while :meth:`run` is active (useful with ``port=0``).
     workers:
-        Number of *local* workers to auto-spawn (``spawn`` mode); ``0``
-        spawns none and relies on external workers connecting.
+        Number of *local* workers to auto-spawn (``spawn`` mode); unset or
+        ``0`` spawns one per available CPU.  Without ``spawn`` the run
+        relies on external workers connecting.
     spawn:
         ``"process"`` launches local ``repro-dispersal worker`` subprocesses,
         ``"thread"`` runs in-process worker threads (handy for tests and
@@ -451,7 +461,7 @@ class DistributedExecutor(Executor):
         port: int = 0,
         workers: int | None = None,
         spawn: str | None = "process",
-        max_retries: int = 3,
+        max_retries: int = MAX_RETRIES,
         wait_timeout: float = 60.0,
     ):
         if spawn not in (None, "process", "thread"):
@@ -459,11 +469,7 @@ class DistributedExecutor(Executor):
         self.host = str(host)
         self.port = int(port)
         self.spawn = spawn
-        self.workers = (
-            int(workers) if workers is not None else (available_cpus() if spawn else 0)
-        )
-        if spawn is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 when auto-spawning")
+        self.workers = pool_workers(workers) if spawn else int(workers or 0)
         self.max_retries = int(max_retries)
         self.wait_timeout = float(wait_timeout)
         #: Bound ``(host, port)`` of the live coordinator (``None`` when idle).
@@ -473,7 +479,7 @@ class DistributedExecutor(Executor):
     def run(
         self, payloads: Sequence[TaskPayload], *, chunk_size: int = 1
     ) -> Iterator[tuple[int, Any]]:
-        chunks = _chunked(payloads, chunk_size)
+        chunks = chunk_grid(payloads, chunk_size)
         if not chunks:
             return
 
@@ -650,4 +656,4 @@ def make_executor(name: str, *, workers: int | None = None, **options: Any) -> E
     except KeyError:
         available = ", ".join(executor_names())
         raise ValueError(f"unknown executor {name!r}; available: {available}") from None
-    return factory(workers=workers or None, **options)
+    return factory(workers=workers, **options)

@@ -8,9 +8,9 @@ The runner turns an :class:`~repro.experiments.spec.ExperimentSpec` into an
   scheduling, worker count, chunking or execution strategy;
 * execution is delegated to a pluggable **executor strategy**
   (:mod:`repro.experiments.executors`): ``serial`` (the ``max_workers <= 1``
-  default), ``process`` (chunked process pool — the historical behavior,
-  now with bounded fault-tolerant chunk retries), ``async`` (thread pool)
-  or ``distributed`` (TCP worker pool across machines);
+  default), ``process`` (chunked process pool with bounded fault-tolerant
+  chunk retries), ``async`` (thread pool) or ``distributed`` (TCP worker
+  pool across machines);
 * results stream back **in arrival order** and are reassembled to grid
   order on finalize, so serial and parallel runs of the same spec produce
   identical results, bit for bit — across all strategies;
@@ -47,26 +47,10 @@ from repro.utils.rng import spawn_seed_sequences
 __all__ = [
     "run_experiment",
     "coerce_seed",
-    "chunk_grid",
     "auto_chunk_size",
     "resolve_batch_rows",
     "resolve_workers",
 ]
-
-
-def chunk_grid(cells: Sequence[Any], chunk_size: int) -> list[tuple[Any, ...]]:
-    """Split a flat list of grid cells into runner-task-sized chunks.
-
-    Spec builders whose natural unit of work is one *batched* call (e.g. a
-    :class:`~repro.batch.dynamics.DynamicsEngine` run over many rows) use this
-    to turn a long row list into one task per chunk: the runner then
-    parallelises across chunks while each task keeps enough rows to amortise
-    the batched kernels.  The last chunk may be shorter; order is preserved.
-    """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    items = list(cells)
-    return [tuple(items[i : i + chunk_size]) for i in range(0, len(items), chunk_size)]
 
 
 def auto_chunk_size(
@@ -76,7 +60,7 @@ def auto_chunk_size(
     target_chunks_per_worker: int = 2,
     max_chunk: int = 256,
 ) -> int:
-    """Pick a batch size for :func:`chunk_grid` from the grid and CPU count.
+    """Pick a :func:`~repro.experiments.executors.chunk_grid` size from the grid and CPUs.
 
     Targets at least ``target_chunks_per_worker`` chunks per worker so a
     parallel run keeps every worker busy and the tail chunk does not
@@ -165,10 +149,9 @@ def _resolve_executor(
 ) -> tuple[Executor, int]:
     """Map the (executor, max_workers) request to a strategy instance.
 
-    ``None`` keeps the historical behavior: serial for ``workers <= 1`` or
-    single-task grids, a process pool otherwise.  A string is resolved
-    through the strategy registry; an :class:`Executor` instance is used as
-    is.  Returns the strategy and the effective worker count recorded in
+    ``None`` means serial for ``workers <= 1`` or single-task grids, a
+    process pool otherwise.  A string is resolved through the strategy
+    registry; an :class:`Executor` instance is used as is.  Returns the strategy and the effective worker count recorded in
     the result metadata (0 for serial, matching the legacy convention).
     """
     if isinstance(executor, Executor):
@@ -220,8 +203,8 @@ def run_experiment(
         Execution strategy: a registered name (``serial`` / ``process`` /
         ``async`` / ``distributed``), a ready-built
         :class:`~repro.experiments.executors.Executor` instance, or ``None``
-        for the historical default (serial below two workers, process pool
-        otherwise).  All strategies produce bit-identical results.
+        for serial below two workers and a process pool otherwise.  All
+        strategies produce bit-identical results.
     store:
         An :class:`~repro.experiments.store.ExperimentStore` (or a path to
         create one at).  Finished cells are persisted under their content

@@ -9,15 +9,16 @@ batching — a lone request at low load never waits for companions), packs
 each dispatch into shared kernel calls, and answers each caller with its
 slice — bit-identical to what a direct batch-of-one call of the public
 kernels returns (see :mod:`repro.serving.engine` for why).  Kernel calls can
-run inline on the event loop or off-loop on warm thread/process pools
-(:mod:`repro.serving.executor`); either way the contract holds.  Repeated
-questions never reach a kernel at all: a content-addressed LRU cache keyed
-by the canonical instance hash (:mod:`repro.utils.canonical`) answers them
-in O(lookup), single-flight dedup collapses identical in-flight requests
-into one computation, and a cross-call plan memo
-(:mod:`repro.utils.memo`) reuses the binomial-PMF combinatorics across
-batches.  When the pending queue fills, admission control sheds load with
-``503`` + ``Retry-After`` instead of queueing without bound.
+run inline on the event loop or off-loop on a thread pool or the
+interpreter's shared process pool (:mod:`repro.serving.executor`); either
+way the contract holds.  Repeated questions never reach a kernel at all: a
+content-addressed LRU cache keyed by the canonical instance hash
+(:mod:`repro.utils.canonical`) answers them in O(lookup), single-flight
+dedup collapses identical in-flight requests into one computation, and a
+cross-call plan memo (:mod:`repro.utils.memo`) reuses the binomial-PMF
+combinatorics across batches.  When the pending queue fills, admission
+control sheds load with ``503`` + ``Retry-After`` instead of queueing
+without bound.
 
 Layers
 ------
@@ -32,7 +33,7 @@ Layers
     Continuous-batching scheduler: adaptive accumulation, bounded admission,
     single-flight dedup, queue-depth/latency histograms.
 :mod:`repro.serving.executor`
-    Kernel execution strategies: inline, thread pool, warm process pool.
+    Kernel execution strategies: inline, thread pool, shared process pool.
 :mod:`repro.serving.http`
     The HTTP front: a dependency-free asyncio server (``repro-dispersal
     serve``).
@@ -62,8 +63,7 @@ __all__ = lazy_exports(__name__, {
     "EXECUTOR_MODES": ".executor",
     "KernelExecutor": ".executor",
     "InlineKernelExecutor": ".executor",
-    "ThreadKernelExecutor": ".executor",
-    "ProcessKernelExecutor": ".executor",
+    "PoolKernelExecutor": ".executor",
     "create_executor": ".executor",
     "serve_forever": ".http",
     "start_server": ".http",

@@ -1,4 +1,4 @@
-"""Off-loop kernel execution: inline, thread-pool and process-pool workers.
+"""Off-loop kernel execution: inline, on a thread pool or on the process pool.
 
 The scheduler (:mod:`repro.serving.scheduler`) turns queued requests into
 homogeneous groups; a :class:`KernelExecutor` decides *where* each group's
@@ -8,15 +8,18 @@ batched kernel call runs:
   time; a kernel call blocks the loop for its duration.  Zero overhead, the
   right default for a single-CPU host and the reference the other modes must
   match bit for bit.
-* :class:`ThreadKernelExecutor` — a ``ThreadPoolExecutor``.  The event loop
-  stays responsive (accepting connections, parsing requests and accumulating
-  the next batch *while* kernels run), and NumPy's BLAS/ufunc inner loops
-  release the GIL, so groups overlap on multi-core hosts.
-* :class:`ProcessKernelExecutor` — a ``ProcessPoolExecutor`` with **warm
-  per-worker backend state**: each worker resolves the backend handle and
-  imports the kernel stack once at startup (initializer), so steady-state
-  group dispatch only pays request pickling, never re-import or re-resolve.
-  Full parallelism regardless of the GIL, at IPC cost per group.
+* :class:`PoolKernelExecutor` in ``thread`` mode — a ``ThreadPoolExecutor``.
+  The event loop stays responsive (accepting connections, parsing requests
+  and accumulating the next batch *while* kernels run), and NumPy's ufunc
+  inner loops release the GIL, so groups overlap on multi-core hosts.
+* :class:`PoolKernelExecutor` in ``process`` mode — the interpreter's one
+  shared process pool, the same one the sweep fabric's ``process`` strategy
+  runs on (see :mod:`repro.experiments.executors`).  Groups travel pickled,
+  with the backend by name.  Workers need no warm-up: they are forked from a
+  server that has already imported the kernel stack, and
+  :func:`repro.backend.load_backend` caches each backend per process.  A
+  worker that dies breaks the pool; the group is then retried on a freshly
+  forked one, so a dead worker never fails later requests.
 
 Pool sizes default to :func:`repro.utils.envinfo.available_cpus` (container
 aware — cgroup quotas and CPU affinity masks are respected).
@@ -26,8 +29,7 @@ aware — cgroup quotas and CPU affinity masks are respected).
 tuples, and the engine's contract (group homogeneity, fixed-step
 solvers, power-of-two width bucketing) fixes every float op and
 its order regardless of which thread or process executes the call — so the
-three modes return identical payloads, asserted by the benchmark gate and
-``tests/test_serving.py``.
+three modes return identical payloads, asserted by ``tests/test_serving.py``.
 """
 
 from __future__ import annotations
@@ -40,13 +42,12 @@ from typing import Any, Sequence
 from repro.backend import Backend
 from repro.serving.engine import evaluate_group
 from repro.serving.requests import ServingRequest
-from repro.utils.envinfo import available_cpus
+from repro.utils.envinfo import pool_workers
 
 __all__ = [
     "KernelExecutor",
     "InlineKernelExecutor",
-    "ThreadKernelExecutor",
-    "ProcessKernelExecutor",
+    "PoolKernelExecutor",
     "create_executor",
 ]
 
@@ -64,11 +65,8 @@ class KernelExecutor:
 
     #: Mode tag (``inline`` / ``thread`` / ``process``), surfaced on ``/stats``.
     mode = "abstract"
-
-    @property
-    def concurrency(self) -> int:
-        """Number of groups that can execute simultaneously."""
-        raise NotImplementedError
+    #: Number of groups that can execute simultaneously.
+    concurrency = 1
 
     async def run(
         self, batch: Sequence[ServingRequest], *, backend: Backend | str | None = None
@@ -89,11 +87,6 @@ class InlineKernelExecutor(KernelExecutor):
 
     mode = "inline"
 
-    @property
-    def concurrency(self) -> int:
-        """Always ``1``: the loop thread is the only worker."""
-        return 1
-
     async def run(
         self, batch: Sequence[ServingRequest], *, backend: Backend | str | None = None
     ) -> list[dict]:
@@ -101,125 +94,59 @@ class InlineKernelExecutor(KernelExecutor):
         return evaluate_group(batch, backend=backend)
 
 
-class ThreadKernelExecutor(KernelExecutor):
-    """Run groups on a thread pool; the event loop never blocks on a kernel."""
+class PoolKernelExecutor(KernelExecutor):
+    """Run groups on ``max_workers`` threads or processes, off the event loop."""
 
-    mode = "thread"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self._max_workers = int(max_workers) if max_workers else available_cpus()
-        if self._max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
-
-    @property
-    def concurrency(self) -> int:
-        """The thread-pool size."""
-        return self._max_workers
-
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self._max_workers, thread_name_prefix="repro-serve"
-            )
-        return self._pool
+    def __init__(self, mode: str, max_workers: int | None = None) -> None:
+        if mode not in ("thread", "process"):
+            raise ValueError(f"pool mode must be 'thread' or 'process', not {mode!r}")
+        self.mode = mode
+        self.concurrency = pool_workers(max_workers)
+        self._threads: concurrent.futures.ThreadPoolExecutor | None = None
 
     async def run(
         self, batch: Sequence[ServingRequest], *, backend: Backend | str | None = None
     ) -> list[dict]:
-        """Hand the group to a pool thread and await its payloads."""
+        """Hand the group to a pool worker and await its payloads."""
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._ensure_pool(), functools.partial(evaluate_group, batch, backend=backend)
-        )
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-
-# -- process-pool plumbing ---------------------------------------------------
-# Workers hold one resolved backend handle (warm state), established by the
-# initializer.  Backends cross the process boundary by *name* — handles wrap
-# module namespaces and device objects that do not pickle.
-
-_WORKER_BACKEND: Any = None
-_WORKER_SPEC: str | None = None
-
-
-def _warm_worker(spec: str | None) -> None:
-    """Process-pool initializer: resolve the backend and import the kernels once."""
-    global _WORKER_BACKEND, _WORKER_SPEC
-    from repro.backend import resolve_backend
-    import repro.serving.engine  # noqa: F401 - imports the serving kernels
-
-    _WORKER_SPEC = spec
-    _WORKER_BACKEND = resolve_backend(spec)
-
-
-def _solve_group_in_worker(batch: Sequence[ServingRequest], spec: str | None) -> list[dict]:
-    """The per-group body executed inside a warm pool worker."""
-    backend = _WORKER_BACKEND if spec == _WORKER_SPEC else spec
-    return evaluate_group(batch, backend=backend)
-
-
-def _backend_spec(backend: Backend | str | None) -> str | None:
-    """The picklable spelling of a backend argument (handles go by name)."""
-    if backend is None or isinstance(backend, str):
-        return backend
-    return backend.name
-
-
-class ProcessKernelExecutor(KernelExecutor):
-    """Run groups on a process pool with warm per-worker backend state."""
-
-    mode = "process"
-
-    def __init__(
-        self, max_workers: int | None = None, *, backend: Backend | str | None = None
-    ) -> None:
-        self._max_workers = int(max_workers) if max_workers else available_cpus()
-        if self._max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self._spec = _backend_spec(backend)
-        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
-
-    @property
-    def concurrency(self) -> int:
-        """The process-pool size."""
-        return self._max_workers
-
-    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self._max_workers,
-                initializer=_warm_worker,
-                initargs=(self._spec,),
+        if self.mode == "thread":
+            if self._threads is None:
+                self._threads = concurrent.futures.ThreadPoolExecutor(
+                    max_workers=self.concurrency, thread_name_prefix="repro-serve"
+                )
+            return await loop.run_in_executor(
+                self._threads, functools.partial(evaluate_group, batch, backend=backend)
             )
-        return self._pool
+        # Imported here: the server's import graph stays free of multiprocessing.
+        from concurrent.futures.process import BrokenProcessPool
 
-    async def run(
-        self, batch: Sequence[ServingRequest], *, backend: Backend | str | None = None
-    ) -> list[dict]:
-        """Pickle the group to a warm worker and await its payloads."""
-        spec = _backend_spec(backend) if backend is not None else self._spec
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._ensure_pool(), functools.partial(_solve_group_in_worker, list(batch), spec)
-        )
+        from repro.experiments import executors
+
+        # Backend handles do not pickle; workers resolve the name.
+        name = backend if backend is None or isinstance(backend, str) else backend.name
+        solve = functools.partial(evaluate_group, list(batch), backend=name)
+        retries = 0
+        while True:
+            pool = executors._SHARED_POOL.acquire(self.concurrency, (evaluate_group,))
+            try:
+                return await loop.run_in_executor(pool, solve)
+            except BrokenProcessPool:
+                # A worker died: retry on a fresh pool.  An exception raised
+                # by the kernel itself propagates unretried.
+                executors._SHARED_POOL.discard(pool)
+                retries += 1
+                if retries > executors.MAX_RETRIES:
+                    raise
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        """Shut the thread pool down; the shared process pool outlives the service."""
+        if self._threads is not None:
+            self._threads.shutdown(wait=False, cancel_futures=True)
+            self._threads = None
 
 
 def create_executor(
-    mode: str | KernelExecutor | None = None,
-    *,
-    max_workers: int | None = None,
-    backend: Backend | str | None = None,
+    mode: str | KernelExecutor | None = None, *, max_workers: int | None = None
 ) -> KernelExecutor:
     """Build a :class:`KernelExecutor` from a mode name (the CLI surface).
 
@@ -232,8 +159,6 @@ def create_executor(
     name = (mode or "inline").lower()
     if name == "inline":
         return InlineKernelExecutor()
-    if name == "thread":
-        return ThreadKernelExecutor(max_workers)
-    if name == "process":
-        return ProcessKernelExecutor(max_workers, backend=backend)
+    if name in EXECUTOR_MODES:
+        return PoolKernelExecutor(name, max_workers)
     raise ValueError(f"unknown executor mode {mode!r}; expected one of {EXECUTOR_MODES}")

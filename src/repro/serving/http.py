@@ -34,6 +34,7 @@ kernel calls.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 from dataclasses import dataclass
 from typing import Any
@@ -197,6 +198,11 @@ class EquilibriumService:
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass  # peer went away mid-request; nothing to answer
         finally:
+            # Half-close first: a process-pool worker forked while this
+            # connection was open holds a copy of its socket, and close()
+            # alone sends no FIN while that copy lives.
+            with contextlib.suppress(OSError):
+                writer.write_eof()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -286,7 +292,7 @@ async def start_server(
             max_wait_ms=max_wait_ms,
             cache=cache,
             backend=backend,
-            executor=create_executor(executor, max_workers=workers, backend=backend),
+            executor=create_executor(executor, max_workers=workers),
             max_pending=max_pending,
         )
     service = EquilibriumService(scheduler)

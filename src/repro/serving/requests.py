@@ -26,7 +26,6 @@ changes the batch-row count, which the kernels are elementwise in.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -270,12 +269,17 @@ _KINDS: dict[str, type[ServingRequest]] = {
 }
 
 
+#: Bound on ``sum(values)``: half the largest finite double.
+_MAX_TOTAL = math.ldexp(1.0, 1023)
+
+
 def parse_request(kind: str, payload: Mapping[str, Any]) -> ServingRequest:
     """Build a request of family ``kind`` from a JSON-ish payload dict.
 
     Unknown fields are rejected (a typo'd parameter silently falling back to
     a default would be served — and cached — as the wrong question), and so
-    is an instance whose total value is not a finite double.
+    is an instance whose total value exceeds 2^1023, half the largest
+    finite double.
     """
     cls = _KINDS.get(kind)
     if cls is None:
@@ -294,12 +298,14 @@ def parse_request(kind: str, payload: Mapping[str, Any]) -> ServingRequest:
         raise ValueError(f"invalid {kind!r} payload: {error}") from None
     # Coverage never exceeds the total value, and no payoff exceeds the
     # largest value (every served congestion table lies in [-1/2, 1]; the
-    # solver scales each row by a power of two and back, exactly), so a
-    # finite total keeps every answer finite and the JSON response valid.
+    # solver scales each row by a power of two and back, exactly).  A total
+    # of at most half the largest double cannot overflow in any summation
+    # order (a kernel's may differ from this one), so every answer stays
+    # finite and the JSON response valid.
     total = sum(request.values)
-    if not math.isfinite(total):
+    if not total <= _MAX_TOTAL:
         raise ValueError(
-            f"the total site value sum(values) = {total} exceeds the largest finite "
-            f"double ({sys.float_info.max:.6g}); rescale the values"
+            f"the total site value sum(values) = {total} exceeds 2^1023 "
+            f"({_MAX_TOTAL:.6g}), half the largest finite double; rescale the values"
         )
     return request

@@ -143,7 +143,7 @@ class ContinuousBatchScheduler:
         self.max_wait_ms = float(max_wait_ms)
         self.cache = cache
         self.backend = backend
-        self.executor = create_executor(executor, backend=backend)
+        self.executor = create_executor(executor)
         self.max_pending = int(max_pending)
         self._pending: list[tuple[ServingRequest, asyncio.Future, float]] = []
         self._inflight: dict[str, asyncio.Future] = {}

@@ -2,9 +2,10 @@
 
 Two consumers share these helpers:
 
-* the experiment runner sizes its process pool with :func:`available_cpus`,
-  which respects container CPU limits (``sched_getaffinity``) instead of
-  counting every core on the machine;
+* the sweep strategies and the service's pools size themselves with
+  :func:`pool_workers`, which defaults to :func:`available_cpus`: it
+  respects container CPU limits (``sched_getaffinity``) instead of counting
+  every core on the machine;
 * the benchmark scripts stamp :func:`environment_metadata` into every
   ``BENCH_*.json`` artifact so timing trajectories are comparable across
   machines (a 10x speedup on 2 cores and a 10x speedup on 64 cores are
@@ -21,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["available_cpus", "environment_metadata"]
+__all__ = ["available_cpus", "pool_workers", "environment_metadata"]
 
 
 def available_cpus() -> int:
@@ -38,6 +39,14 @@ def available_cpus() -> int:
         except OSError:  # pragma: no cover - exotic kernels
             pass
     return max(1, os.cpu_count() or 1)
+
+
+def pool_workers(workers: int | None) -> int:
+    """A pool's worker count: ``workers``, or :func:`available_cpus` when unset or 0."""
+    count = int(workers) if workers else available_cpus()
+    if count < 1:
+        raise ValueError("workers must be >= 1")
+    return count
 
 
 def environment_metadata() -> dict[str, Any]:

@@ -314,10 +314,12 @@ class TestUnitOfValue:
 
     def test_values_near_the_largest_double_solve_without_overflow(self):
         # Used to answer p = [1, 0], converged false, with numpy overflow warnings.
-        body = {"values": [1.7e308, 1.0], "k": 3, "policy": "aggressive"}
+        # The request is built directly: ``parse_request`` refuses a total
+        # above 2^1023, but the solver must still handle these values.
+        request = SolveRequest([1.7e308, 1.0], k=3, policy="aggressive")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            payload = evaluate_one(parse_request("solve", body))
+            payload = evaluate_one(request)
         json.dumps(payload, allow_nan=False)
         assert payload["converged"] is True
         # The best site's payoff vanishes where 1.5 (1 - q)^2 = 0.5.

@@ -12,6 +12,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+import multiprocessing
+import os
+import re
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -45,11 +51,21 @@ from repro.utils.canonical import (
 
 RNG = np.random.default_rng(1234)
 
-#: Finite values whose total overflows: the sweep's k = 3 coverage and the
-#: exclusive k = 3 solve's coverage both used to compute ``inf``.
+#: Six values whose total is the largest finite double.  The coverage
+#: kernels sum them in another order, and overflowed.
+NEAR_MAX_VALUES = [
+    1.7566810269222007e308, 5.491751450985155e283, 2.31589509176326e306,
+    9.890872080783155e304, 8.987606785508621e280, 1.6864069814404178e306,
+]
+
+#: Instances whose total value exceeds 2^1023.  The first two totals overflow
+#: to ``inf``; the last two are the largest finite double.  Each answer's
+#: coverage used to compute ``inf``.
 OVERFLOWING_TOTALS = [
     ("sweep", {"values": [1e308, 1e308, 1e308], "k_grid": [2, 3]}),
     ("solve", {"values": [1e308, 1e308, 1e308], "k": 3}),
+    ("solve", {"values": NEAR_MAX_VALUES, "k": 200, "policy": "exclusive"}),
+    ("mechanism", {"values": NEAR_MAX_VALUES, "k": 200}),
 ]
 
 
@@ -190,8 +206,13 @@ class TestRequests:
     def test_overflowing_total_value_is_refused(self, kind, body):
         # Coverage is bounded by the total value; an infinite total used to
         # answer coverage = inf, which no JSON response can carry.
-        with pytest.raises(ValueError, match="largest finite double"):
+        with pytest.raises(ValueError, match=r"2\^1023 .* half the largest finite double"):
             evaluate_one(parse_request(kind, body))
+
+    @pytest.mark.parametrize("kind", ["solve", "mechanism"])
+    def test_total_at_the_bound_is_served_finite(self, kind):
+        body = {"values": [2.0**1022, 2.0**1022], "k": 200}
+        json.dumps(evaluate_one(parse_request(kind, body)), allow_nan=False)
 
 
 # --------------------------------------------------------------------------
@@ -363,6 +384,43 @@ class TestCoalescer:
 # --------------------------------------------------------------------------
 # continuous batching: executors, bursty loads, admission control
 # --------------------------------------------------------------------------
+@pytest.fixture
+def shared_pool(monkeypatch):
+    """A fresh interpreter-wide process pool for one test, shut down after it."""
+    from repro.experiments import executors
+
+    pool = executors._SharedPool()
+    monkeypatch.setattr(executors, "_SHARED_POOL", pool)
+    yield pool
+    pool.shutdown()
+
+
+def kill_a_pool_worker(children_before: set[int]) -> None:
+    """SIGKILL one worker forked since ``children_before``; wait until it is reaped.
+
+    The pool's manager thread reaps its workers only after it marked the pool
+    broken, so the next submission sees the broken pool.
+    """
+    pid = min({child.pid for child in multiprocessing.active_children()} - children_before)
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"worker {pid} was not reaped")
+
+
+def pool_forks(caplog) -> list[tuple[int, str]]:
+    return [
+        (record.workers, record.reason)
+        for record in caplog.records
+        if record.name == "repro.experiments.executors" and record.levelno == logging.INFO
+    ]
+
+
 class TestContinuousBatching:
     def test_lone_request_does_not_wait_for_the_backstop(self):
         # A fixed-window coalescer would hold this request for max_wait_ms;
@@ -462,6 +520,27 @@ class TestContinuousBatching:
         assert stats["rejected"] == 5
         for error in rejected:
             assert error.retry_after > 0
+
+    def test_process_executor_survives_a_dead_worker(self, shared_pool, caplog):
+        first = SolveRequest(random_values(9), k=3, policy="sharing")
+        second = SolveRequest(random_values(11), k=4, policy="sharing")
+        children = {child.pid for child in multiprocessing.active_children()}
+
+        async def run():
+            scheduler = ContinuousBatchScheduler(
+                max_batch=8, max_wait_ms=1.0, executor=create_executor("process", max_workers=2)
+            )
+            before = await scheduler.submit(first)
+            kill_a_pool_worker(children)
+            after = await scheduler.submit(second)
+            await scheduler.close()
+            return before, after
+
+        with caplog.at_level(logging.INFO, logger="repro.experiments.executors"):
+            before, after = asyncio.run(asyncio.wait_for(run(), timeout=60.0))
+        assert before == evaluate_one(first)
+        assert after == evaluate_one(second)
+        assert pool_forks(caplog) == [(2, "first use"), (2, "broken")]
 
     def test_invalid_executor_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -583,6 +662,53 @@ class TestHTTPServer:
         assert bad[0] == 400 and "unknown field" in bad[1]["error"]
         assert missing[0] == 404
         assert wrong_method[0] == 405
+
+    def test_process_executor_answers_after_a_worker_dies(self, shared_pool):
+        bodies = [{"values": [round(v, 6) for v in random_values(m).tolist()], "k": 3}
+                  for m in (9, 10)]
+        children = {child.pid for child in multiprocessing.active_children()}
+
+        async def run():
+            async with await start_server(
+                "127.0.0.1", 0, max_wait_ms=1.0, executor="process", workers=2
+            ) as running:
+                # One keep-alive connection; each answer is read by its length.
+                reader, writer = await asyncio.open_connection("127.0.0.1", running.port)
+                answers = []
+                for body in bodies:
+                    if answers:
+                        kill_a_pool_worker(children)
+                    data = json.dumps(body).encode()
+                    writer.write(
+                        f"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: {len(data)}"
+                        f"\r\n\r\n".encode() + data
+                    )
+                    head = await reader.readuntil(b"\r\n\r\n")
+                    length = int(re.search(rb"Content-Length: (\d+)", head)[1])
+                    answer = json.loads(await reader.readexactly(length))
+                    answers.append((int(head.split()[1]), answer))
+                writer.close()
+                return answers
+
+        answers = asyncio.run(asyncio.wait_for(run(), timeout=60.0))
+        for (status, answer), body in zip(answers, bodies):
+            assert status == 200, answer
+            assert answer == evaluate_one(parse_request("solve", body))
+
+    def test_closing_a_connection_sends_eof_under_the_process_executor(self, shared_pool):
+        # The pool forks while this connection is open, so its workers hold a
+        # copy of the socket; the client still sees EOF after the answer.
+        body = {"values": [round(v, 6) for v in random_values(9).tolist()], "k": 3}
+
+        async def run():
+            async with await start_server(
+                "127.0.0.1", 0, max_wait_ms=1.0, executor="process", workers=2
+            ) as running:
+                return await asyncio.wait_for(
+                    http_request(running.port, "POST", "/solve", body), timeout=30.0
+                )
+
+        assert asyncio.run(run()) == (200, evaluate_one(parse_request("solve", body)))
 
     def test_non_integral_count_grids_are_a_400(self):
         async def run():
