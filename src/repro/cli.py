@@ -15,7 +15,6 @@ Usage (after ``pip install -e .``)::
     repro-dispersal coverage-times [--trials 400] [--horizon 64]
     repro-dispersal mechanism [--policies exclusive sharing] [--design-policy sharing]
     repro-dispersal serve [--host 127.0.0.1] [--port 8080] [--max-batch 64]
-    repro-dispersal worker --connect HOST:PORT
     repro-dispersal experiments
 
 or equivalently ``python -m repro.cli ...``.  Every sub-command is a thin
@@ -44,11 +43,9 @@ rows.  Three flags are shared by all sub-commands:
     ``repro.backend.with_device``).  Validated eagerly, threaded into worker
     processes by name, and settable globally via ``REPRO_DEVICE``.
 ``--executor NAME``
-    Execution strategy (``serial`` / ``process`` / ``async`` /
-    ``distributed`` — see ``repro.experiments.executors``); all strategies
-    produce bit-identical results.  ``distributed`` auto-spawns local
-    workers, or serves external ``repro-dispersal worker`` processes when
-    ``--bind HOST:PORT`` is given.
+    Execution strategy (``serial`` / ``process`` / ``async`` — see
+    ``repro.experiments.executors``); all strategies produce bit-identical
+    results.
 ``--store DIR`` / ``--resume``
     Persist every finished grid cell to an incremental content-addressed
     store as it completes, and skip cells already stored — interrupted
@@ -82,7 +79,7 @@ __all__ = ["main", "build_parser"]
 
 #: ``repro.experiments.executors.executor_names()``, spelled out so that
 #: parsing does not import the executors (a test keeps the two equal).
-_EXECUTOR_NAMES = ("async", "distributed", "process", "serial")
+_EXECUTOR_NAMES = ("async", "process", "serial")
 
 #: Preset grid densities of the ``dynamics`` sub-command (``--grid``).
 _DYNAMICS_GRIDS = {
@@ -171,16 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         action="store_true",
         help="Shorthand for --store .repro-store (resume into the default store).",
-    )
-    common.add_argument(
-        "--bind",
-        default=None,
-        metavar="HOST:PORT",
-        help=(
-            "With --executor distributed: serve task chunks on this address "
-            "to externally started 'repro-dispersal worker' processes instead "
-            "of auto-spawning local workers."
-        ),
     )
 
     parser = argparse.ArgumentParser(
@@ -475,32 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Device the backend places arrays on (default: REPRO_DEVICE or cpu).",
     )
 
-    worker = sub.add_parser(
-        "worker",
-        help="Join a distributed sweep: pull task chunks from a coordinator.",
-        description=(
-            "Connect to the coordinator of a '--executor distributed' run "
-            "(its --bind address) and execute task chunks until the sweep "
-            "finishes.  Results are bit-identical to local execution — each "
-            "chunk carries its own per-task seeds.  Needs nothing but this "
-            "package on PYTHONPATH; the wire format is pickle, so only "
-            "connect to coordinators you trust."
-        ),
-    )
-    worker.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="Coordinator address to pull task chunks from.",
-    )
-    worker.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="Give up if the coordinator is unreachable for this long.",
-    )
-
     sub.add_parser(
         "experiments", parents=[common], help="List the registered experiments."
     )
@@ -508,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _execute(spec, args: argparse.Namespace) -> ExperimentResult:
-    from repro.experiments.executors import DistributedExecutor
-    from repro.experiments.runner import resolve_workers, run_experiment
+    from repro.experiments.runner import run_experiment
 
     backend = getattr(args, "backend", None)
     device = getattr(args, "device", None)
@@ -524,23 +484,6 @@ def _execute(spec, args: argparse.Namespace) -> ExperimentResult:
             raise SystemExit(
                 f"error: {error} (available: {', '.join(available_backends())})"
             ) from error
-    executor = getattr(args, "executor", None)
-    bind = getattr(args, "bind", None)
-    if bind is not None and executor != "distributed":
-        raise SystemExit("error: --bind requires --executor distributed")
-    if executor == "distributed":
-        if bind is not None:
-            # External-workers mode: bind the requested address, spawn
-            # nothing, and wait for `repro-dispersal worker` connections.
-            from repro.experiments.worker import parse_address
-
-            host, port = parse_address(bind)
-            executor = DistributedExecutor(host=host, port=port, spawn=None)
-            print(f"distributed: serving task chunks on {host}:{port}", flush=True)
-        else:
-            executor = DistributedExecutor(
-                workers=resolve_workers(args.workers) or None, spawn="process"
-            )
     store = getattr(args, "store", None)
     if store is None and getattr(args, "resume", False):
         store = Path(".repro-store")
@@ -549,7 +492,7 @@ def _execute(spec, args: argparse.Namespace) -> ExperimentResult:
         max_workers=args.workers,
         backend=backend,
         device=device,
-        executor=executor,
+        executor=getattr(args, "executor", None),
         store=store,
     )
 
@@ -916,6 +859,7 @@ def _run_mechanism(args: argparse.Namespace) -> str:
 def _run_serve(args: argparse.Namespace) -> str:
     # Deferred import: plain experiment commands never pay for asyncio/serving.
     import asyncio
+    import signal
 
     from repro.serving import serve_forever
 
@@ -929,6 +873,9 @@ def _run_serve(args: argparse.Namespace) -> str:
             raise SystemExit(
                 f"error: {error} (available: {', '.join(available_backends())})"
             ) from error
+    # SIGTERM stops the server the way Ctrl-C does, so the interpreter exits
+    # normally and joins the shared process pool's workers on the way out.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         asyncio.run(
             serve_forever(
@@ -945,15 +892,9 @@ def _run_serve(args: argparse.Namespace) -> str:
         )
     except KeyboardInterrupt:
         pass
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return "serve: shut down"
-
-
-def _run_worker(args: argparse.Namespace) -> str:
-    # Deferred import: experiment commands never pay for the worker loop.
-    from repro.experiments.worker import run_worker
-
-    executed = run_worker(args.connect, connect_timeout=args.connect_timeout)
-    return f"worker: executed {executed} chunks"
 
 
 def _run_experiments(args: argparse.Namespace) -> str:
@@ -990,7 +931,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "coverage-times": _run_coverage_times,
         "mechanism": _run_mechanism,
         "serve": _run_serve,
-        "worker": _run_worker,
         "experiments": _run_experiments,
     }
     print(runners[args.command](args))

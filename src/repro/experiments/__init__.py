@@ -10,8 +10,8 @@ The subsystem splits an experiment into three orthogonal pieces:
   ``SeedSequence`` spawning (deterministic in the base seed and the task
   index, so results are bit-identical regardless of scheduling), and executes
   the tasks on a pluggable **executor strategy**
-  (:mod:`~repro.experiments.executors`): serial, chunked process pool,
-  thread pool, or a distributed TCP worker pool — all bit-identical;
+  (:mod:`~repro.experiments.executors`): serial, chunked process pool or
+  thread pool — all bit-identical;
 * a **result** (:class:`~repro.experiments.result.ExperimentResult`): the
   flattened task rows in grid order plus provenance metadata, serialisable to
   JSON and CSV via :mod:`repro.utils.io`.
@@ -43,7 +43,6 @@ __all__ = lazy_exports(__name__, {
     "SerialExecutor": ".executors",
     "ProcessExecutor": ".executors",
     "AsyncExecutor": ".executors",
-    "DistributedExecutor": ".executors",
     "TaskPayload": ".executors",
     "make_executor": ".executors",
     "executor_names": ".executors",

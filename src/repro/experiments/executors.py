@@ -2,10 +2,10 @@
 
 This module turns *how* tasks are executed into a strategy behind a single
 interface, so the same :class:`~repro.experiments.spec.ExperimentSpec` can
-run serially, on a local process pool, on a thread pool, or sharded across
-machines — with bit-identical results, because per-task randomness depends
-only on the spec's ``(seed, grid index)`` (see :mod:`repro.utils.rng`),
-never on which strategy or worker executed the task.
+run serially, on a local process pool or on a thread pool — with
+bit-identical results, because per-task randomness depends only on the
+spec's ``(seed, grid index)`` (see :mod:`repro.utils.rng`), never on which
+strategy or worker executed the task.
 
 **The strategy contract.**  An :class:`Executor`'s :meth:`~Executor.run`
 consumes :class:`TaskPayload` objects and *yields* ``(grid_index, output)``
@@ -14,7 +14,7 @@ collect-at-end.  The runner reassembles grid order on finalize and persists
 finished cells to the :class:`~repro.experiments.store.ExperimentStore` as
 they stream in, so an interrupted sweep keeps everything completed so far.
 
-Four strategies ship built in (see :func:`make_executor`):
+Three strategies ship built in (see :func:`make_executor`):
 
 ``serial``
     In-process loop; the default for small grids.
@@ -27,13 +27,6 @@ Four strategies ship built in (see :func:`make_executor`):
     Chunked thread pool for I/O-bound or GIL-releasing workloads (native
     NumPy/torch kernels, network-backed tasks).  Backend activation uses
     contextvars, so per-task backends stay isolated per thread.
-``distributed``
-    A dependency-free TCP coordinator: ``repro-dispersal worker --connect
-    HOST:PORT`` processes (on this or other nodes) pull task chunks over a
-    length-prefixed pickle protocol and push results back.  Dead
-    connections requeue their in-flight chunk with the same bounded-retry
-    policy.  The wire format is pickle — only run workers on hosts/networks
-    you trust.
 
 **The shared process pool.**  Every :class:`ProcessExecutor` run in an
 interpreter reuses one pool, so a sweep of several experiments forks its
@@ -56,20 +49,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import logging
-import os
-import pickle
-import socket
-import struct
-import subprocess
 import sys
 import threading
-import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
-from queue import Empty, Queue
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -86,15 +71,12 @@ __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
     "AsyncExecutor",
-    "DistributedExecutor",
     "ExecutorError",
     "execute_payload",
     "execute_chunk",
     "chunk_grid",
     "make_executor",
     "executor_names",
-    "send_message",
-    "recv_message",
 ]
 
 
@@ -140,23 +122,11 @@ def execute_payload(payload: TaskPayload) -> Any:
 def execute_chunk(chunk: Sequence[TaskPayload]) -> list[tuple[int, Any]]:
     """Execute a chunk of payloads sequentially, returning ``(index, output)`` pairs.
 
-    This is the unit shipped to process-pool and distributed workers: big
+    This is the unit shipped to pool workers: big
     enough to amortise dispatch overhead, small enough that a sweep streams
     back incrementally.
     """
     return [(payload.index, execute_payload(payload)) for payload in chunk]
-
-
-def _log_retry(chunk_id: int, attempt: int, max_retries: int, reason: str) -> None:
-    """One WARNING per retried chunk (``attempt`` counts the retries so far)."""
-    logger.warning(
-        "chunk %d lost its worker (%s); retry %d of max_retries=%d",
-        chunk_id,
-        reason,
-        attempt,
-        max_retries,
-        extra={"chunk": chunk_id, "attempt": attempt, "max_retries": max_retries},
-    )
 
 
 def chunk_grid(cells: Sequence[Any], chunk_size: int) -> list[tuple[Any, ...]]:
@@ -350,280 +320,17 @@ class ProcessExecutor(Executor):
                         f"chunk {chunk_id} crashed its worker process "
                         f"{attempts[chunk_id]} times (max_retries={self.max_retries})"
                     )
-                _log_retry(chunk_id, attempts[chunk_id], self.max_retries, "pool broke")
-
-
-# ---------------------------------------------------------------------------
-# Distributed strategy: TCP coordinator + pull-based workers
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("!Q")
-
-
-def send_message(sock: socket.socket, message: Any) -> None:
-    """Send one length-prefixed pickle message over ``sock``."""
-    data = pickle.dumps(message, protocol=4)
-    sock.sendall(_HEADER.pack(len(data)) + data)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buffer = bytearray()
-    while len(buffer) < n:
-        part = sock.recv(n - len(buffer))
-        if not part:
-            raise EOFError("connection closed")
-        buffer.extend(part)
-    return bytes(buffer)
-
-
-def recv_message(sock: socket.socket) -> Any:
-    """Receive one length-prefixed pickle message from ``sock``.
-
-    Raises ``EOFError`` when the peer closed the connection.
-    """
-    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    return pickle.loads(_recv_exact(sock, length))
-
-
-def _worker_command(address: tuple[str, int]) -> list[str]:
-    return [
-        sys.executable,
-        "-m",
-        "repro.cli",
-        "worker",
-        "--connect",
-        f"{address[0]}:{address[1]}",
-    ]
-
-
-def _worker_env() -> dict[str, str]:
-    """Environment for auto-spawned local workers.
-
-    The worker's ``PYTHONPATH`` mirrors the coordinator's full ``sys.path``
-    (plus the installed package root), so any task function the coordinator
-    can import — including ones from scripts or test modules — unpickles in
-    the worker too.
-    """
-    import repro
-
-    env = dict(os.environ)
-    package_root = str(Path(repro.__file__).resolve().parent.parent)
-    paths = [package_root] + [entry for entry in sys.path if entry]
-    existing = env.get("PYTHONPATH", "")
-    paths += [entry for entry in existing.split(os.pathsep) if entry]
-    seen: dict[str, None] = dict.fromkeys(paths)
-    env["PYTHONPATH"] = os.pathsep.join(seen)
-    return env
-
-
-class DistributedExecutor(Executor):
-    """TCP coordinator sharding chunks across pull-based worker processes.
-
-    The coordinator binds ``host:port`` (port ``0`` picks an ephemeral one),
-    and workers — started as ``repro-dispersal worker --connect HOST:PORT``
-    anywhere that can reach the coordinator — pull task chunks and push back
-    results over a length-prefixed pickle protocol.  Fault tolerance mirrors
-    :class:`ProcessExecutor`: a connection dying mid-chunk requeues that
-    chunk (bounded by ``max_retries``) for the surviving workers, and
-    because payloads carry their own per-task seeds the re-execution is
-    bit-identical.  Task-raised exceptions are reported back by the worker
-    and fail the run immediately (they are deterministic).
-
-    Parameters
-    ----------
-    host, port:
-        Coordinator bind address.  The bound address is exposed as
-        :attr:`address` while :meth:`run` is active (useful with ``port=0``).
-    workers:
-        Number of *local* workers to auto-spawn (``spawn`` mode); unset or
-        ``0`` spawns one per available CPU.  Without ``spawn`` the run
-        relies on external workers connecting.
-    spawn:
-        ``"process"`` launches local ``repro-dispersal worker`` subprocesses,
-        ``"thread"`` runs in-process worker threads (handy for tests and
-        single-machine demos), ``None`` disables auto-spawn.
-    max_retries:
-        Re-executions allowed per chunk after connection failures.
-    wait_timeout:
-        Seconds the coordinator tolerates having no connected workers (and
-        no results arriving) before failing the run.
-
-    .. warning:: The wire format is pickle, which executes arbitrary code on
-       unpickling.  Bind to loopback or a trusted network only.
-    """
-
-    name = "distributed"
-
-    def __init__(
-        self,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        workers: int | None = None,
-        spawn: str | None = "process",
-        max_retries: int = MAX_RETRIES,
-        wait_timeout: float = 60.0,
-    ):
-        if spawn not in (None, "process", "thread"):
-            raise ValueError("spawn must be 'process', 'thread' or None")
-        self.host = str(host)
-        self.port = int(port)
-        self.spawn = spawn
-        self.workers = pool_workers(workers) if spawn else int(workers or 0)
-        self.max_retries = int(max_retries)
-        self.wait_timeout = float(wait_timeout)
-        #: Bound ``(host, port)`` of the live coordinator (``None`` when idle).
-        self.address: tuple[str, int] | None = None
-
-    # ------------------------------------------------------------------ run
-    def run(
-        self, payloads: Sequence[TaskPayload], *, chunk_size: int = 1
-    ) -> Iterator[tuple[int, Any]]:
-        chunks = chunk_grid(payloads, chunk_size)
-        if not chunks:
-            return
-
-        task_queue: Queue = Queue()
-        results: Queue = Queue()
-        for chunk_id, chunk in enumerate(chunks):
-            task_queue.put((chunk_id, chunk, 0))
-
-        done = threading.Event()
-        handlers: set[threading.Thread] = set()
-        handlers_lock = threading.Lock()
-
-        server = socket.create_server((self.host, self.port))
-        server.settimeout(0.1)
-        self.address = server.getsockname()[:2]
-
-        def handle(conn: socket.socket) -> None:
-            try:
-                conn.settimeout(None)
-                while not done.is_set():
-                    try:
-                        item = task_queue.get_nowait()
-                    except Empty:
-                        time.sleep(0.02)
-                        continue
-                    chunk_id, chunk, attempt = item
-                    try:
-                        send_message(conn, ("chunk", chunk_id, chunk))
-                        reply = recv_message(conn)
-                    except (OSError, EOFError, pickle.PickleError) as error:
-                        # The connection (or its worker) died mid-chunk:
-                        # requeue with the same payloads — same seeds, so the
-                        # retry is bit-identical — unless retries ran out.
-                        if attempt + 1 > self.max_retries:
-                            results.put(
-                                (
-                                    "fatal",
-                                    chunk_id,
-                                    f"chunk {chunk_id} lost its worker "
-                                    f"{attempt + 1} times "
-                                    f"(max_retries={self.max_retries}): {error}",
-                                )
-                            )
-                        else:
-                            _log_retry(chunk_id, attempt + 1, self.max_retries, repr(error))
-                            task_queue.put((chunk_id, chunk, attempt + 1))
-                        return
-                    kind = reply[0]
-                    if kind == "result":
-                        results.put(("ok", reply[1], reply[2]))
-                    else:  # ("error", chunk_id, traceback_text)
-                        results.put(("task_error", reply[1], reply[2]))
-                with contextlib.suppress(OSError):
-                    send_message(conn, ("stop",))
-            finally:
-                conn.close()
-                with handlers_lock:
-                    handlers.discard(threading.current_thread())
-
-        def accept_loop() -> None:
-            while not done.is_set():
-                try:
-                    conn, _ = server.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-                thread = threading.Thread(target=handle, args=(conn,), daemon=True)
-                with handlers_lock:
-                    handlers.add(thread)
-                thread.start()
-
-        acceptor = threading.Thread(target=accept_loop, daemon=True)
-        acceptor.start()
-        spawned = self._spawn_workers()
-
-        completed = 0
-        last_progress = time.monotonic()
-        try:
-            while completed < len(chunks):
-                try:
-                    status, chunk_id, data = results.get(timeout=0.1)
-                except Empty:
-                    with handlers_lock:
-                        live = len(handlers)
-                    if live == 0 and time.monotonic() - last_progress > self.wait_timeout:
-                        raise ExecutorError(
-                            f"distributed run stalled: no workers connected to "
-                            f"{self.address[0]}:{self.address[1]} for "
-                            f"{self.wait_timeout:.0f}s with "
-                            f"{len(chunks) - completed} chunks outstanding"
-                        )
-                    continue
-                last_progress = time.monotonic()
-                if status == "ok":
-                    completed += 1
-                    yield from data
-                elif status == "task_error":
-                    raise ExecutorError(
-                        f"task in chunk {chunk_id} raised on a worker:\n{data}"
-                    )
-                else:  # fatal
-                    raise ExecutorError(data)
-        finally:
-            done.set()
-            server.close()
-            acceptor.join(timeout=2.0)
-            with handlers_lock:
-                threads = list(handlers)
-            for thread in threads:
-                thread.join(timeout=2.0)
-            for proc in spawned:
-                if isinstance(proc, subprocess.Popen):
-                    if proc.poll() is None:
-                        proc.terminate()
-                        with contextlib.suppress(subprocess.TimeoutExpired):
-                            proc.wait(timeout=5.0)
-                        if proc.poll() is None:  # pragma: no cover - stubborn worker
-                            proc.kill()
-                elif isinstance(proc, threading.Thread):
-                    proc.join(timeout=2.0)
-            self.address = None
-
-    def _spawn_workers(self) -> list[Any]:
-        if self.spawn is None or self.workers < 1:
-            return []
-        assert self.address is not None
-        if self.spawn == "thread":
-            from repro.experiments.worker import run_worker
-
-            threads = []
-            for _ in range(self.workers):
-                thread = threading.Thread(
-                    target=run_worker, args=(self.address,), daemon=True
+                logger.warning(
+                    "chunk %d lost its worker (pool broke); retry %d of max_retries=%d",
+                    chunk_id,
+                    attempts[chunk_id],
+                    self.max_retries,
+                    extra={
+                        "chunk": chunk_id,
+                        "attempt": attempts[chunk_id],
+                        "max_retries": self.max_retries,
+                    },
                 )
-                thread.start()
-                threads.append(thread)
-            return threads
-        command = _worker_command(self.address)
-        env = _worker_env()
-        return [
-            subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
-            for _ in range(self.workers)
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -631,12 +338,9 @@ class DistributedExecutor(Executor):
 # ---------------------------------------------------------------------------
 
 _EXECUTORS: dict[str, Callable[..., Executor]] = {
-    "serial": lambda workers=None, **options: SerialExecutor(),
+    "serial": lambda workers=None: SerialExecutor(),
     "process": ProcessExecutor,
     "async": AsyncExecutor,
-    "distributed": lambda workers=None, **options: DistributedExecutor(
-        workers=workers, **options
-    ),
 }
 
 
@@ -645,7 +349,7 @@ def executor_names() -> tuple[str, ...]:
     return tuple(sorted(_EXECUTORS))
 
 
-def make_executor(name: str, *, workers: int | None = None, **options: Any) -> Executor:
+def make_executor(name: str, *, workers: int | None = None) -> Executor:
     """Instantiate a built-in execution strategy by name.
 
     ``workers`` of ``None``/``0`` lets parallel strategies default to
@@ -656,4 +360,4 @@ def make_executor(name: str, *, workers: int | None = None, **options: Any) -> E
     except KeyError:
         available = ", ".join(executor_names())
         raise ValueError(f"unknown executor {name!r}; available: {available}") from None
-    return factory(workers=workers, **options)
+    return factory(workers=workers)

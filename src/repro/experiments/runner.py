@@ -9,8 +9,7 @@ The runner turns an :class:`~repro.experiments.spec.ExperimentSpec` into an
 * execution is delegated to a pluggable **executor strategy**
   (:mod:`repro.experiments.executors`): ``serial`` (the ``max_workers <= 1``
   default), ``process`` (chunked process pool with bounded fault-tolerant
-  chunk retries), ``async`` (thread pool) or ``distributed`` (TCP worker
-  pool across machines);
+  chunk retries) or ``async`` (thread pool);
 * results stream back **in arrival order** and are reassembled to grid
   order on finalize, so serial and parallel runs of the same spec produce
   identical results, bit for bit — across all strategies;
@@ -201,7 +200,7 @@ def run_experiment(
         availability checks — inside each executing process.
     executor:
         Execution strategy: a registered name (``serial`` / ``process`` /
-        ``async`` / ``distributed``), a ready-built
+        ``async``), a ready-built
         :class:`~repro.experiments.executors.Executor` instance, or ``None``
         for serial below two workers and a process pool otherwise.  All
         strategies produce bit-identical results.

@@ -36,6 +36,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
+import weakref
 from dataclasses import dataclass
 from typing import Any
 
@@ -55,6 +57,28 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Al
             408: "Request Timeout", 413: "Payload Too Large",
             431: "Request Header Fields Too Large", 500: "Internal Server Error",
             503: "Service Unavailable"}
+
+
+#: Started servers; a process forked while one is open drops its listening sockets.
+_SERVERS: weakref.WeakSet = weakref.WeakSet()
+
+
+def _release_listening_sockets() -> None:
+    """In a forked child, stop holding every open server's listening sockets.
+
+    Process-pool workers forked while a server runs would otherwise keep its
+    port bound after the server closed.  Each descriptor is pointed at
+    ``/dev/null`` instead of being closed, so the child's copy of the socket
+    object never closes a descriptor number that something else reused.
+    """
+    null = os.open(os.devnull, os.O_RDONLY)
+    for server in _SERVERS:
+        for sock in server.sockets:
+            os.dup2(null, sock.fileno())
+    os.close(null)
+
+
+os.register_at_fork(after_in_child=_release_listening_sockets)
 
 
 class _Rejected(Exception):
@@ -297,6 +321,7 @@ async def start_server(
         )
     service = EquilibriumService(scheduler)
     server = await asyncio.start_server(service.handle_connection, host, port)
+    _SERVERS.add(server)
     return RunningServer(server=server, service=service)
 
 

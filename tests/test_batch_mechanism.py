@@ -314,6 +314,77 @@ class TestLinearWaterFilling:
                 np.testing.assert_array_equal(getattr(mixed, field)[r], getattr(alone, field)[0])
 
 
+#: Policies whose rows the solver meets as tables (none is closed form above k = 2).
+PERMUTED_POLICIES = [SharingPolicy(), AggressivePolicy(0.5), PowerLawPolicy(2.0)]
+
+
+def permuted_rows(rng, m_values, with_costs):
+    """Random padded ``(values, costs, mask)`` rows, and the same rows with sites shuffled.
+
+    Each row's real sites are relabelled by their own permutation, values and
+    costs together; the ``(R, M)`` index array maps a permuted column to its
+    source column.
+    """
+    width = int(max(m_values))
+    values = rng.random((len(m_values), width)) + 0.05
+    costs = rng.uniform(0.0, 0.4, values.shape) * values if with_costs else np.zeros_like(values)
+    mask = np.arange(width)[None, :] < np.asarray(m_values)[:, None]
+    values[~mask] = costs[~mask] = 0.0
+    order = np.tile(np.arange(width), (len(m_values), 1))
+    for r, m in enumerate(m_values):
+        order[r, :m] = rng.permutation(m)
+    rows = np.arange(len(m_values))[:, None]
+    return (values, costs, mask), (values[rows, order], costs[rows, order], mask), order
+
+
+class TestSitePermutation:
+    """Relabelling the sites permutes the equilibrium and keeps its payoff.
+
+    The game is symmetric in site labels, so this oracle holds whatever
+    algorithm solves it.  The rows are built below ``parse_request``, which
+    sorts served values and would hide an order dependence.
+    """
+
+    M_VALUES = np.arange(2, 17)
+
+    @pytest.mark.parametrize("with_costs", [False, True], ids=["plain", "costs"])
+    @pytest.mark.parametrize("policy", PERMUTED_POLICIES, ids=lambda policy: policy.name)
+    def test_water_filling_is_equivariant(self, rng, policy, with_costs):
+        ks = np.resize([2, 3, 7, 40], self.M_VALUES.size)
+        (values, costs, mask), (values_p, costs_p, _), order = permuted_rows(
+            rng, self.M_VALUES, with_costs
+        )
+        tables = np.zeros((ks.size, ks.max()))
+        for r, k in enumerate(ks):
+            tables[r, :k] = policy.table(int(k))
+        solved = water_filling_batch(values, costs, ks, tables, mask=mask)
+        permuted = water_filling_batch(values_p, costs_p, ks, tables, mask=mask)
+        assert solved.converged.all() and permuted.converged.all()
+        rows = np.arange(ks.size)[:, None]
+        np.testing.assert_allclose(
+            permuted.probabilities, solved.probabilities[rows, order], rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(permuted.values, solved.values, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(permuted.support_sizes, solved.support_sizes)
+
+    def test_coverage_is_invariant(self, rng):
+        (values, _, mask), (values_p, _, _), order = permuted_rows(rng, self.M_VALUES, False)
+        strategies = rng.dirichlet(np.ones(values.shape[1]), size=values.shape[0]) * mask
+        strategies /= strategies.sum(axis=1, keepdims=True)
+        rows = np.arange(values.shape[0])[:, None]
+        k_grid = (1, 2, 7, 40, 1000)
+        # Built directly, PaddedValues keeps the given site order (from_instances sorts).
+        covered = coverage_batch(
+            PaddedValues(np.where(mask, values, 1.0), self.M_VALUES), strategies, k_grid
+        )
+        permuted = coverage_batch(
+            PaddedValues(np.where(mask, values_p, 1.0), self.M_VALUES),
+            strategies[rows, order],
+            k_grid,
+        )
+        np.testing.assert_allclose(permuted, covered, rtol=1e-12, atol=0)
+
+
 class TestOneSolvePerMechanismCell:
     """``mechanism_task`` designs grants inside the roster's water-filling call."""
 

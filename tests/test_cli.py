@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import threading
 
 import pytest
 
@@ -85,9 +84,9 @@ class TestParser:
             main(["dynamics", "--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--executor", "--store", "--resume", "--bind"):
+        for flag in ("--executor", "--store", "--resume"):
             assert flag in out
-        assert "distributed" in out
+        assert "--bind" not in out and "distributed" not in out
 
     def test_coverage_times_defaults_and_choices(self):
         args = build_parser().parse_args(["coverage-times"])
@@ -142,16 +141,16 @@ class TestParser:
                 if action.dest == "executor" and command != "serve":
                     assert tuple(action.choices) == executor_names(), command
 
-    def test_worker_subcommand_help_and_parsing(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["worker", "--connect", "127.0.0.1:9999"], ["observation1", "--bind", "127.0.0.1:0"]],
+        ids=["worker", "bind"],
+    )
+    def test_retired_worker_entry_points_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["worker", "--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        assert "--connect" in out and "coordinator" in out.lower()
-        args = build_parser().parse_args(["worker", "--connect", "127.0.0.1:9999"])
-        assert args.connect == "127.0.0.1:9999"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker"])  # --connect is required
+            main(argv)
+        assert excinfo.value.code == 2
+        assert argv[0 if argv[0] == "worker" else 1] in capsys.readouterr().err
 
 
 class TestCommands:
@@ -216,10 +215,6 @@ class TestCommands:
         assert cold == warm
         assert (store / "FORMAT").is_file()
 
-    def test_bind_without_distributed_executor_is_an_error(self):
-        with pytest.raises(SystemExit):
-            main(["observation1", "--bind", "127.0.0.1:0"])
-
     def test_dynamics_command_json_worker_invariant(self, capsys):
         # Fanning the row chunks out over worker processes must not change
         # the structured result.  (Changing --batch legitimately reshuffles
@@ -232,8 +227,8 @@ class TestCommands:
         assert serial == parallel
 
 
-#: Every experiment sub-command at its smallest size (``serve`` and ``worker``
-#: need a peer and have their own tests below).
+#: Every experiment sub-command at its smallest size (``serve`` needs a
+#: client and has its own test below).
 SMALLEST = {
     "figure1": ["--points", "3", "--no-plot"],
     "observation1": [],
@@ -254,7 +249,7 @@ SMALLEST = {
 class TestEverySubcommandRunsOnce:
     def test_every_subcommand_is_listed(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        assert set(sub.choices) == set(SMALLEST) | {"serve", "worker"}
+        assert set(sub.choices) == set(SMALLEST) | {"serve"}
 
     @pytest.mark.parametrize("command", sorted(SMALLEST))
     def test_subcommand(self, command, capsys):
@@ -283,23 +278,3 @@ class TestEverySubcommandRunsOnce:
                      "--workers", "1"]) == 0
         assert statuses == [b"HTTP/1.1 200 OK\r\n"]
         assert "serve: shut down" in capsys.readouterr().out
-
-    def test_worker(self, capsys):
-        from repro.experiments import DistributedExecutor, build_experiment, run_experiment
-
-        spec = build_experiment("observation1", m_values=(5,))
-        coordinator = DistributedExecutor(spawn=None, wait_timeout=30.0)
-        outcome = {}
-        thread = threading.Thread(
-            target=lambda: outcome.update(result=run_experiment(spec, executor=coordinator)))
-        thread.start()
-        for _ in range(500):
-            if coordinator.address is not None:
-                break
-            thread.join(0.01)
-        host, port = coordinator.address
-        assert main(["worker", "--connect", f"{host}:{port}"]) == 0
-        thread.join(30.0)
-        assert not thread.is_alive()
-        assert "worker: executed" in capsys.readouterr().out
-        assert outcome["result"].rows == run_experiment(spec).rows

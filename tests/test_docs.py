@@ -151,15 +151,14 @@ def test_device_guide_documents_the_residency_contract():
 
 def test_sweeps_guide_documents_the_fabric_contract():
     text = (DOCS / "sweeps.md").read_text()
-    # Every executor strategy, the worker entry point and the shared flags.
+    # Every executor strategy and the shared flags, and no retired ones.
     from repro.experiments import executor_names
 
     for name in executor_names():
         assert f"`{name}`" in text, f"sweeps.md does not document the {name!r} strategy"
-    for flag in ("--executor", "--store", "--resume", "--bind", "--batch"):
+    for flag in ("--executor", "--store", "--resume", "--batch"):
         assert flag in text, f"sweeps.md does not document {flag}"
-    assert "repro-dispersal worker" in text
-    assert "--connect" in text
+    assert "repro-dispersal worker" not in text and "--bind" not in text
     # Store layout, resume semantics, and the benchmark workload timing it all.
     assert "cell_key" in text
     assert "FORMAT" in text

@@ -11,13 +11,18 @@ instance sizes — see ``repro/serving/engine.py`` for why that holds.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
+import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +55,7 @@ from repro.utils.canonical import (
 )
 
 RNG = np.random.default_rng(1234)
+REPO = Path(__file__).resolve().parent.parent
 
 #: Six values whose total is the largest finite double.  The coverage
 #: kernels sum them in another order, and overflowed.
@@ -636,6 +642,25 @@ async def http_request(
     return status, json.loads(response_body)
 
 
+def child_pids(pid: int) -> set[int]:
+    """Pids of the live processes whose parent is ``pid``."""
+    children = set()
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        with contextlib.suppress(OSError), open(f"/proc/{entry}/stat") as stat:
+            if int(stat.read().rpartition(")")[2].split()[1]) == pid:
+                children.add(int(entry))
+    return children
+
+
+def is_running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 class TestHTTPServer:
     def test_routes_end_to_end(self):
         async def run():
@@ -709,6 +734,58 @@ class TestHTTPServer:
                 )
 
         assert asyncio.run(run()) == (200, evaluate_one(parse_request("solve", body)))
+
+    def test_a_closed_process_mode_server_frees_its_port(self, shared_pool):
+        # The pool forks while the server listens, and its workers outlive
+        # the closed server; they must not keep the port bound.
+        body = {"values": [round(v, 6) for v in random_values(9).tolist()], "k": 3}
+
+        async def run():
+            running = await start_server(
+                "127.0.0.1", 0, max_wait_ms=1.0, executor="process", workers=2
+            )
+            port = running.port
+            async with running:
+                answer = await http_request(port, "POST", "/solve", body)
+            async with await start_server("127.0.0.1", port, max_wait_ms=1.0):
+                health = await http_request(port, "GET", "/healthz")
+            return answer, health
+
+        answer, health = asyncio.run(asyncio.wait_for(run(), timeout=60.0))
+        assert answer == (200, evaluate_one(parse_request("solve", body)))
+        assert health == (200, {"status": "ok"})
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the process table")
+    def test_sigterm_stops_serve_and_its_pool_workers(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--executor", "process", "--workers", "2"],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONUNBUFFERED": "1"},
+        )
+        workers: set[int] = set()
+        try:
+            banner = proc.stdout.readline()
+            port = int(re.search(r"serving on [^:]+:(\d+)", banner)[1])
+            body = json.dumps({"values": [1.0, 0.6, 0.3], "k": 3, "policy": "sharing"})
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/solve", data=body.encode(), method="POST"
+            )
+            with urllib.request.urlopen(request, timeout=60) as response:
+                assert response.status == 200
+            workers = child_pids(proc.pid)
+            assert len(workers) == 2
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=5) == 0
+            deadline = time.monotonic() + 5.0
+            while any(map(is_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(is_running, workers))
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in filter(is_running, workers):
+                os.kill(pid, signal.SIGKILL)
 
     def test_non_integral_count_grids_are_a_400(self):
         async def run():

@@ -2,13 +2,13 @@
 
 The contracts under test:
 
-* **strategy bit-identity** — all four executor strategies (serial,
-  process, async, distributed) produce bit-identical ``ExperimentResult``
+* **strategy bit-identity** — all three executor strategies (serial,
+  process, async) produce bit-identical ``ExperimentResult``
   artifacts for the same spec + seed, property-tested over specs and seeds;
 * **content addresses** — :func:`repro.utils.canonical.cell_key` is stable,
   spelling-invariant over parameter values, and sensitive to everything a
   cell's output depends on (family, task, params, seed, grid index);
-* **fault tolerance** — a worker process or connection dying mid-chunk
+* **fault tolerance** — a worker process dying mid-chunk
   retries that chunk (bounded) with the same per-task seeds instead of
   poisoning the run; deterministic task errors propagate immediately;
 * **the shared process pool** — consecutive process runs reuse one pool's
@@ -28,7 +28,6 @@ import importlib
 import json
 import logging
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -45,7 +44,6 @@ from repro.analysis.stochastic_experiments import build_coverage_times_spec
 from repro.analysis.sweeps import build_dynamics_spec, build_sweep_spec
 from repro.core.policies import ExclusivePolicy, SharingPolicy
 from repro.experiments import (
-    DistributedExecutor,
     ExperimentSpec,
     ExperimentStore,
     cell_keys_for,
@@ -61,7 +59,6 @@ from repro.experiments.executors import (
 )
 from repro.experiments.runner import auto_chunk_size, resolve_batch_rows
 from repro.experiments.store import STORE_FORMAT
-from repro.experiments.worker import parse_address
 from repro.utils.canonical import cell_key
 
 REPO = Path(__file__).resolve().parent.parent
@@ -121,13 +118,13 @@ def simple_grid_spec(task, n: int = 8, seed: int = 3, **extra) -> ExperimentSpec
 
 
 # --------------------------------------------------------------------------
-# executor strategies: bit-identity across all four
+# executor strategies: bit-identity across all three
 # --------------------------------------------------------------------------
 
 
 class TestExecutorBitIdentity:
     def test_all_strategies_registered(self):
-        assert executor_names() == ("async", "distributed", "process", "serial")
+        assert executor_names() == ("async", "process", "serial")
 
     @pytest.mark.parametrize("seed", [0, 7, 20180503])
     @pytest.mark.parametrize("name", ["process", "async"])
@@ -137,24 +134,6 @@ class TestExecutorBitIdentity:
         parallel = run_experiment(spec, max_workers=2, executor=name)
         assert serial.to_json(timing=False) == parallel.to_json(timing=False)
         assert parallel.metadata["runtime"]["executor"] == name
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_distributed_matches_serial(self, seed):
-        spec = small_spec(seed=seed)
-        serial = run_experiment(spec, executor="serial")
-        executor = DistributedExecutor(workers=2, spawn="thread")
-        distributed = run_experiment(spec, max_workers=2, executor=executor)
-        assert serial.to_json(timing=False) == distributed.to_json(timing=False)
-        assert distributed.metadata["runtime"]["executor"] == "distributed"
-
-    def test_distributed_subprocess_workers_end_to_end(self):
-        # The real deployment shape: the coordinator auto-spawns
-        # `repro-dispersal worker` subprocesses that pull chunks over TCP.
-        spec = small_spec()
-        serial = run_experiment(spec, executor="serial")
-        executor = DistributedExecutor(workers=2, spawn="process")
-        distributed = run_experiment(spec, max_workers=2, executor=executor)
-        assert serial.to_json(timing=False) == distributed.to_json(timing=False)
 
     def test_strategies_match_on_coverage_times_grid(self):
         # The coverage-times tasks draw chunk-wide rng for both the instance
@@ -196,6 +175,25 @@ class TestExecutorBitIdentity:
     def test_unknown_executor_name_is_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("carrier-pigeon")
+
+    def test_retired_distributed_strategy_is_gone(self):
+        import repro.experiments
+
+        with pytest.raises(ValueError, match="unknown executor"):
+            make_executor("distributed")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.experiments.worker")
+        assert not hasattr(repro.experiments, "DistributedExecutor")
+        # No strategy takes extra constructor options any more.
+        with pytest.raises(TypeError):
+            make_executor("process", spawn="thread")
+
+    def test_experiments_package_reads_nothing_from_a_socket(self):
+        # Sweeps run on one machine; no module may unpickle network input.
+        for path in sorted((REPO / "src" / "repro" / "experiments").rglob("*.py")):
+            text = path.read_text()
+            for needle in ("pickle.loads", "socket.create_server", "import socket"):
+                assert needle not in text, f"{path.name} uses {needle}"
 
 
 # --------------------------------------------------------------------------
@@ -390,21 +388,15 @@ class TestFaultTolerance:
         baseline = run_experiment(spec, executor="serial")
         assert result.to_json(timing=False) == baseline.to_json(timing=False)
 
-    @pytest.mark.parametrize("strategy", ["process", "distributed"])
-    def test_each_retried_chunk_logs_a_warning(self, tmp_path, caplog, strategy):
+    def test_each_retried_chunk_logs_a_warning(self, tmp_path, caplog):
         marker = tmp_path / "crash-once"
         marker.touch()
         spec = dataclasses.replace(
             simple_grid_spec(crash_if_marker_task, n=6, marker=str(marker), victim=4),
             chunk_size=1,
         )
-        executor = (
-            ProcessExecutor(workers=2)
-            if strategy == "process"
-            else DistributedExecutor(workers=2, spawn="process")
-        )
         with caplog.at_level(logging.WARNING, logger="repro.experiments.executors"):
-            run_experiment(spec, max_workers=2, executor=executor)
+            run_experiment(spec, max_workers=2, executor=ProcessExecutor(workers=2))
         assert not marker.exists()
         retries = [r for r in caplog.records if r.name == "repro.experiments.executors"]
         assert retries and all(r.levelno == logging.WARNING for r in retries)
@@ -425,42 +417,6 @@ class TestFaultTolerance:
         spec = simple_grid_spec(failing_task, n=4)
         with pytest.raises(ValueError, match="cell 2 is bad"):
             run_experiment(spec, max_workers=2, executor="process")
-
-    def test_distributed_reports_task_errors_from_workers(self):
-        spec = simple_grid_spec(failing_task, n=4)
-        executor = DistributedExecutor(workers=2, spawn="thread")
-        with pytest.raises(ExecutorError, match="cell 2 is bad"):
-            run_experiment(spec, max_workers=2, executor=executor)
-
-    def test_distributed_survives_a_killed_worker_process(self, tmp_path):
-        # One auto-spawned worker subprocess os._exit()s mid-chunk; the
-        # surviving worker re-pulls the requeued chunk and the sweep
-        # completes bit-identically.
-        marker = tmp_path / "crash-once"
-        marker.touch()
-        spec = simple_grid_spec(
-            crash_if_marker_task, n=6, marker=str(marker), victim=4
-        )
-        executor = DistributedExecutor(workers=2, spawn="process")
-        result = run_experiment(spec, max_workers=2, executor=executor)
-        assert not marker.exists()
-        baseline = run_experiment(spec, executor="serial")
-        assert result.to_json(timing=False) == baseline.to_json(timing=False)
-
-    def test_distributed_stalls_out_when_no_workers_show_up(self):
-        executor = DistributedExecutor(spawn=None, wait_timeout=0.3)
-        payloads = [
-            TaskPayload(index=0, task=square_task, params={"x": 1},
-                        seed=np.random.SeedSequence(0))
-        ]
-        with pytest.raises(ExecutorError, match="no workers connected"):
-            list(executor.run(payloads, chunk_size=1))
-
-    def test_parse_address(self):
-        assert parse_address("127.0.0.1:5000") == ("127.0.0.1", 5000)
-        assert parse_address("[::1]:5000") == ("::1", 5000)
-        with pytest.raises(ValueError):
-            parse_address("5000")
 
 
 def _exit_task(params, rng):  # pragma: no cover - runs in worker processes
