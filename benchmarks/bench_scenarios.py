@@ -42,8 +42,9 @@ from repro.batch import (
     repeated_dispersal_batch,
     two_group_competition_batch,
 )
+from repro.core.ifd import verify_ifd
 from repro.core.policies import AggressivePolicy, ExclusivePolicy, SharingPolicy
-from repro.core.sigma_star import sigma_star
+from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.extensions import (
     cost_adjusted_ifd,
@@ -151,17 +152,18 @@ def bench_group_competition(rng, repeats: int) -> dict:
         max(1, repeats // 2),
     )
 
+    # The scalar function is a one-row view of the batch kernel, so the spot
+    # check asks each wave to be an IFD of its own game instead: the first
+    # on the values, the second on the expected leftovers.
     batch = two_group_competition_batch(padded, firsts, seconds, GC_K)
     for index in (0, GC_N_MATCHUPS // 2, GC_N_MATCHUPS - 1):
-        scalar = two_group_competition(
-            instances[index], firsts[index], seconds[index], GC_K
-        )
-        np.testing.assert_allclose(
-            batch.first_consumption[index], scalar.first_consumption, atol=1e-5
-        )
-        np.testing.assert_allclose(
-            batch.second_consumption[index], scalar.second_consumption, atol=1e-5
-        )
+        f = instances[index].as_array()
+        p1 = batch.first_strategies[index, : f.size]
+        p2 = batch.second_strategies[index, : f.size]
+        leftovers = np.maximum(f * (1.0 - p1) ** GC_K, 1e-12)
+        for wave_values, strategy, policy in ((f, p1, firsts[index]), (leftovers, p2, seconds[index])):
+            report = verify_ifd(wave_values, Strategy(strategy), GC_K, policy)
+            assert report.is_ifd, (index, report)
 
     return {
         "grid": {"matchups": GC_N_MATCHUPS, "m_range": list(GC_M_RANGE), "k": GC_K},

@@ -18,10 +18,12 @@ welfare-optimal curve coincides with the optimum for ``c <= 0`` and drops
 below it as soon as colliding players keep a positive share.
 
 Structured as a thin client of :mod:`repro.experiments`: each grid point
-``(panel, c)`` is one task of the registered ``figure1`` experiment (every
-``c`` value needs its own policy, so the batch solvers don't apply here and
-the parallel runner carries the load instead); :func:`assemble_figure1_panels`
-folds the task rows back into :class:`Figure1Data` series.
+``(panel, c)`` is one task of the registered ``figure1`` experiment, and the
+parallel runner carries the load.  The equilibria could be solved per panel
+as one policy roster, but the welfare optimum has no batch kernel, and the
+``sweep`` benchmark workload counts figure1's cells, so the one-task-per-point
+granularity stays.  :func:`assemble_figure1_panels` folds the task rows back
+into :class:`Figure1Data` series.
 """
 
 from __future__ import annotations

@@ -58,10 +58,11 @@ Every kernel body is pure Array-API code against the backend resolved by
 variable, or the CLI's ``--backend`` flag.  Public results always come back
 as host NumPy arrays; intermediates between kernels stay backend-native.
 
-Every ``*_batch`` function agrees elementwise with its scalar counterpart
-(property-tested in ``tests/test_batch.py`` and
-``tests/test_batch_dynamics.py``); the batch layer is what the experiment
-runner of :mod:`repro.experiments` builds on.
+The closed-form kernels are the one implementation of their formulas: the
+scalar ``sigma_star``, ``optimal_coverage``, ``spoa_instance``,
+``capacity_coverage`` and ``two_group_competition`` are batch-of-one views
+of them.  The batch layer is what the experiment runner of
+:mod:`repro.experiments` builds on.
 """
 
 from repro.utils.lazy import lazy_exports

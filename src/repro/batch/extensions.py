@@ -1,20 +1,18 @@
 """Batched kernels for the model extensions: capacity-constrained coverage.
 
-First batched entry point of the :mod:`repro.extensions` layer.  The scalar
-:func:`repro.extensions.capacity.capacity_coverage` evaluates one
-``(f, p, k, r)`` quadruple per call; sweeps over requirement profiles or
-strategy populations re-enter it per cell.  :func:`capacity_coverage_batch`
-evaluates the same functional for a whole ``(B, M)`` batch of strategy
-profiles in one pass through the shared
-:func:`~repro.utils.numerics.binomial_pmf_tensor` — with per-row player
-counts and per-row (or shared) visitor requirements — and
+First batched entry point of the :mod:`repro.extensions` layer.
+:func:`capacity_coverage_batch` evaluates the capacity-constrained coverage
+for a whole ``(B, M)`` batch of strategy profiles in one pass through the
+shared :func:`~repro.utils.numerics.binomial_pmf_tensor` — with per-row
+player counts and per-row (or shared) visitor requirements — and
 :func:`capacity_coverage_gradient_batch` returns the exact gradient for every
 row, the building block of a future batched projected-gradient ascent.
+:func:`repro.extensions.capacity.capacity_coverage` and its gradient are
+one-row views of the two.
 
 Like every batch kernel, the bodies are pure Array-API code on the backend
 resolved through :mod:`repro.backend`, and results come back as host NumPy
-arrays (kernels are property-tested elementwise against the scalar
-implementation in ``tests/test_backend.py``).
+arrays.
 """
 
 from __future__ import annotations
@@ -95,8 +93,7 @@ def capacity_coverage_batch(
     Returns
     -------
     numpy.ndarray
-        ``(B,)`` coverage vector, elementwise equal to looping the scalar
-        ``capacity_coverage`` over the rows.
+        ``(B,)`` coverage vector.
     """
     be = resolve_backend(backend)
     xp = be.xp
@@ -135,8 +132,7 @@ def capacity_coverage_gradient_batch(
     Uses the binomial identity ``d/dp E[h(Bin(k, p))] = k * E[h(Bin(k-1, p)
     + 1) - h(Bin(k-1, p))]`` evaluated from the ``Binomial(k_b - 1, p_b)``
     PMFs — one tensor pass for the whole batch.  Rows with ``k_b = 1`` reduce
-    to the deterministic single-visitor gradient, exactly like the scalar
-    :func:`repro.extensions.capacity.capacity_coverage_gradient`.
+    to the deterministic single-visitor gradient.
 
     Returns the ``(B, M_max)`` gradient matrix (zero on padding columns).
     """

@@ -1,9 +1,8 @@
 """Batched kernels for the Section-5 scenario extensions.
 
-The scalar scenario code of :mod:`repro.extensions` (travel costs, two-group
-competition, repeated dispersal) evaluates one instance per call; experiment
-grids re-enter it per cell and are dominated by Python-loop overhead.  This
-module evaluates the same models for whole instance batches at once:
+This module evaluates the Section-5 scenario models of
+:mod:`repro.extensions` (travel costs, two-group competition, repeated
+dispersal) for whole instance batches at once:
 
 * :func:`cost_adjusted_ifd_batch` — the water-filling equilibrium of the
   travel-cost game for ``B`` instances with per-row cost vectors and per-row
@@ -11,7 +10,9 @@ module evaluates the same models for whole instance batches at once:
   :func:`repro.extensions.travel_costs.cost_adjusted_ifd`);
 * :func:`two_group_competition_batch` — both waves of the sequential
   two-group competition vectorised over a ``(B,)`` roster of policy pairs,
-  reusing :func:`~repro.batch.ifd.ifd_batch` for the equilibria of each wave;
+  reusing :func:`~repro.batch.ifd.ifd_batch` for the equilibria of each wave
+  (:func:`repro.extensions.group_competition.two_group_competition` is its
+  one-row view);
 * :func:`repeated_dispersal_batch` — a ``T``-step depletion loop over
   ``(B, M)`` expected-value tensors under the constant and adaptive
   ``sigma_star`` schedules, with the per-round visit probabilities taken from
@@ -27,14 +28,15 @@ public results come back as host NumPy arrays.  Because padded rows are
 sorted, **per-site inputs (costs) align with the sorted site order** — cost
 ``costs[b, j]`` belongs to the ``j``-th most valuable site of row ``b``.
 
-Every kernel agrees elementwise with its scalar counterpart (property-tested
-in ``tests/test_batch_scenarios.py``, including under ``array_api_strict``).
+``tests/test_batch_scenarios.py`` checks every kernel against an independent
+oracle or the scalar expected-track recursion, including under
+``array_api_strict``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from repro.batch.payoffs import (
 )
 from repro.batch.solvers import as_padded, sigma_star_batch
 from repro.core.policies import CongestionPolicy
+from repro.core.strategy import Strategy
 from repro.utils.memo import cached_binomial_pmf_plan
 from repro.utils.numerics import binomial_pmf_tensor
 from repro.utils.validation import (
@@ -61,6 +64,9 @@ from repro.utils.validation import (
     check_probability_rows,
     check_site_parameters,
 )
+
+if TYPE_CHECKING:
+    from repro.extensions.group_competition import GroupCompetitionResult
 
 __all__ = [
     "CostAdjustedIFDBatch",
@@ -281,6 +287,23 @@ class TwoGroupCompetitionBatch:
         total = self.first_consumption + self.second_consumption
         return np.where(total > 0, self.first_consumption / np.where(total > 0, total, 1.0), np.nan)
 
+    def result(self, index: int) -> GroupCompetitionResult:
+        """Hydrate row ``index`` into the scalar :class:`GroupCompetitionResult`."""
+        # Imported here: the experiment registry loads this module for every
+        # sweep, and sweeps need nothing of repro.extensions.
+        from repro.extensions.group_competition import GroupCompetitionResult
+
+        size = int(self.padded.sizes[index])
+        return GroupCompetitionResult(
+            first_consumption=float(self.first_consumption[index]),
+            second_consumption=float(self.second_consumption[index]),
+            first_strategy=Strategy(self.first_strategies[index, :size]),
+            second_strategy=Strategy(self.second_strategies[index, :size]),
+            first_individual_payoff=float(self.first_individual_payoffs[index]),
+            second_individual_payoff=float(self.second_individual_payoffs[index]),
+            leftover_value=float(self.leftover_values[index]),
+        )
+
 
 def _policy_roster(
     policies: CongestionPolicy | Sequence[CongestionPolicy], batch_size: int, name: str
@@ -365,8 +388,8 @@ def two_group_competition_batch(
     Returns
     -------
     TwoGroupCompetitionBatch
-        Elementwise equal (to solver tolerance) to looping the scalar
-        ``two_group_competition`` over the rows.
+        One row per matchup; :meth:`TwoGroupCompetitionBatch.result` hydrates
+        a row.
     """
     be = resolve_backend(backend)
     padded = as_padded(values)
@@ -379,8 +402,11 @@ def two_group_competition_batch(
     f_host = padded.values
     mask = padded.mask
 
-    # First wave on the full values.
-    p1, v1 = _grouped_ifd(padded, ks1, first, be)
+    # First wave on the full values, each row solved in the paper's site order
+    # (a (B, M) matrix may come in any order) and reported in its own.
+    padded1, order1 = sorted_padded(f_host, padded)
+    p1_sorted, v1 = _grouped_ifd(padded1, ks1, first, be)
+    p1 = unsort_rows(p1_sorted, order1)
     visit1 = 1.0 - (1.0 - p1) ** ks1[:, None].astype(float)
     first_consumption = np.sum(f_host * visit1 * mask, axis=1)
 

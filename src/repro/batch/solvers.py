@@ -1,10 +1,11 @@
 """Closed-form batch solvers for the exclusive policy and the coverage functional.
 
-The scalar :func:`repro.core.sigma_star.sigma_star` spends its time in a few
-small vector operations; looping it over an experiment grid is dominated by
-per-call Python overhead.  The solvers here evaluate the same closed forms as
-``(B, K, M)`` tensor passes: ``B`` instances (ragged site counts padded by
+The solvers here are the one implementation of the paper's closed form
+``sigma_star`` (Section 2.1), evaluated as ``(B, K, M)`` tensor passes: ``B``
+instances (ragged site counts padded by
 :class:`~repro.batch.padding.PaddedValues`), ``K`` player counts, ``M`` sites.
+:func:`repro.core.sigma_star.sigma_star` and its siblings are views of one
+``(instance, k)`` cell.
 
 The support computation is shared across the ``k`` grid: one cumulative sum of
 ``f(x)^(-1/(k-1))`` per ``k`` column yields both the support condition
@@ -38,7 +39,7 @@ from repro.batch.padding import PaddedValues
 from repro.core.sigma_star import SigmaStarResult
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
-from repro.utils.validation import check_counts
+from repro.utils.validation import check_counts, check_value_vector
 
 __all__ = [
     "SigmaStarBatch",
@@ -48,7 +49,7 @@ __all__ = [
     "optimal_coverage_batch",
 ]
 
-#: Numerical slack of the support condition; identical to the scalar solver's.
+#: Numerical slack of the support condition ``h(y) <= 1``.
 _SUPPORT_ATOL = 1e-12
 
 #: Default ceiling on the number of (B, K, M) tensor elements materialised at
@@ -70,8 +71,14 @@ def as_padded(values: PaddedValues | Sequence | np.ndarray) -> PaddedValues:
     if isinstance(values, np.ndarray) and values.ndim == 2:
         return PaddedValues(values, np.full(values.shape[0], values.shape[1], dtype=np.int64))
     if isinstance(values, (SiteValues, np.ndarray)):
-        return PaddedValues.from_instances([values])
-    return PaddedValues.from_instances(values)
+        values = [values]
+    # Sorting a raw row here would leave per-site arrays riding on the batch
+    # (strategies, requirements) in the caller's order, so it is refused.
+    return PaddedValues.from_instances(
+        row if isinstance(row, SiteValues)
+        else check_value_vector(ensure_numpy(row), "raw value arrays", require_sorted=True)
+        for row in values
+    )
 
 
 @dataclass(frozen=True)
@@ -223,9 +230,7 @@ def sigma_star_batch(
     -------
     SigmaStarBatch
         Strategies, supports, normalisation constants and equilibrium values
-        for every ``(instance, k)`` cell, elementwise identical (up to
-        float round-off in the final renormalisation) to looping the scalar
-        :func:`repro.core.sigma_star.sigma_star`.
+        for every ``(instance, k)`` cell.
     """
     be = resolve_backend(backend)
     xp = be.xp
@@ -324,11 +329,7 @@ def optimal_coverage_batch(
     max_elements: int = _DEFAULT_MAX_ELEMENTS,
     backend: Backend | str | None = None,
 ) -> np.ndarray:
-    """``Cover(p_star)`` for every grid cell: the batched Theorem 4 optimum.
-
-    Equivalent to (but much faster than) looping the scalar
-    :func:`repro.core.optimal_coverage.optimal_coverage`.
-    """
+    """``Cover(p_star)`` for every grid cell: the batched Theorem 4 optimum."""
     be = resolve_backend(backend)
     padded = as_padded(values)
     ks = check_counts(k_grid, "k_grid")

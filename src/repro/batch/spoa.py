@@ -76,10 +76,8 @@ def spoa_batch(
 ) -> SPoABatch:
     """Per-instance SPoA of ``policy`` on every ``(instance, k)`` cell.
 
-    Elementwise equivalent to looping :func:`repro.core.spoa.spoa_instance`
-    over the grid; extra keyword arguments are forwarded to
-    :func:`~repro.batch.ifd.ifd_batch`, and the ``backend`` choice to every
-    sub-kernel.
+    :func:`repro.core.spoa.spoa_instance` is its one-cell view.  The
+    ``backend`` choice is forwarded to every sub-kernel.
     """
     be = resolve_backend(backend)
     padded = as_padded(values)

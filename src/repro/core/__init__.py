@@ -53,8 +53,6 @@ __all__ = lazy_exports(__name__, {
     "CoverageOptimum": ".optimal_coverage",
     "optimal_coverage": ".optimal_coverage",
     "optimal_coverage_strategy": ".optimal_coverage",
-    "maximize_coverage_waterfilling": ".optimal_coverage",
-    "maximize_coverage_projected_gradient": ".optimal_coverage",
     "observation1_lower_bound": ".optimal_coverage",
     "observation1_holds": ".optimal_coverage",
     "WelfareOptimum": ".welfare",

@@ -4,17 +4,9 @@ Maximising ``Cover(p) = sum_x f(x) (1 - (1 - p(x))**k)`` over the probability
 simplex is a smooth concave problem.  Its KKT conditions say that the partial
 derivatives ``k f(x) (1 - p(x))**(k-1)`` are equal on the support and no larger
 outside it — which is precisely the IFD condition of the exclusive policy.
-The unique maximiser therefore *is* ``sigma_star`` (Theorem 4).
-
-This module provides three independent routes to the maximiser so they can be
-cross-checked:
-
-* :func:`optimal_coverage_strategy` — the closed form (``sigma_star``);
-* :func:`maximize_coverage_waterfilling` — direct water-filling on the KKT
-  multiplier, derived without reference to the game;
-* :func:`maximize_coverage_projected_gradient` — generic projected gradient
-  ascent, useful as a sanity check and as a template for coverage variants not
-  covered by the closed form.
+The unique maximiser therefore *is* ``sigma_star`` (Theorem 4), and
+:func:`optimal_coverage_strategy` is the ``sigma_star`` view plus one coverage
+evaluation.
 
 It also exposes the Observation 1 quantities (full-coordination optimum and
 its ``1 - 1/e`` lower bound).
@@ -26,20 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.coverage import coverage, coverage_gradient, full_coordination_coverage
+from repro.core.coverage import coverage, full_coordination_coverage
 from repro.core.sigma_star import sigma_star
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
-from repro.utils.coercion import values_array
-from repro.utils.numerics import safe_power, simplex_projection
-from repro.utils.validation import check_positive_integer
 
 __all__ = [
     "CoverageOptimum",
     "optimal_coverage_strategy",
     "optimal_coverage",
-    "maximize_coverage_waterfilling",
-    "maximize_coverage_projected_gradient",
     "observation1_lower_bound",
     "observation1_holds",
 ]
@@ -56,11 +43,10 @@ class CoverageOptimum:
 
 def optimal_coverage_strategy(values: SiteValues | np.ndarray, k: int) -> CoverageOptimum:
     """The coverage-optimal symmetric strategy ``p_star`` (equal to ``sigma_star``)."""
-    k = check_positive_integer(k, "k")
     result = sigma_star(values, k)
     return CoverageOptimum(
         strategy=result.strategy,
-        coverage=coverage(values, result.strategy, k),
+        coverage=coverage(values, result.strategy, result.k),
         method="closed-form",
     )
 
@@ -68,93 +54,6 @@ def optimal_coverage_strategy(values: SiteValues | np.ndarray, k: int) -> Covera
 def optimal_coverage(values: SiteValues | np.ndarray, k: int) -> float:
     """``Cover(p_star)``: the best coverage achievable by any symmetric strategy."""
     return optimal_coverage_strategy(values, k).coverage
-
-
-def maximize_coverage_waterfilling(
-    values: SiteValues | np.ndarray,
-    k: int,
-    *,
-    tol: float = 1e-14,
-    max_iter: int = 200,
-) -> CoverageOptimum:
-    """Maximise coverage by water-filling on the KKT multiplier.
-
-    The stationarity condition for the concave program is
-    ``k f(x) (1 - p(x))**(k-1) = lambda`` on the support, i.e.
-    ``p(x) = 1 - (lambda / (k f(x)))**(1/(k-1))`` clipped at zero.  The scalar
-    ``lambda`` is found by bisection so that the probabilities sum to one.
-    This derivation never mentions the game, so it provides an independent
-    numerical witness for Theorem 4.
-    """
-    k = check_positive_integer(k, "k")
-    f = values_array(values)
-    m = f.size
-
-    if k == 1:
-        strategy = Strategy.point_mass(m, int(np.argmax(f)))
-        return CoverageOptimum(strategy, coverage(f, strategy, 1), "waterfilling")
-
-    exponent = 1.0 / (k - 1)
-
-    def probabilities(lam: float) -> np.ndarray:
-        ratio = safe_power(lam / (k * f), exponent)
-        return np.clip(1.0 - ratio, 0.0, 1.0)
-
-    lo, hi = 0.0, float(k * f.max())
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if probabilities(mid).sum() >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, hi):
-            break
-    probs = probabilities(0.5 * (lo + hi))
-    total = probs.sum()
-    if total <= 0:
-        raise RuntimeError("water-filling failed to allocate probability mass")
-    strategy = Strategy(probs / total)
-    return CoverageOptimum(strategy, coverage(f, strategy, k), "waterfilling")
-
-
-def maximize_coverage_projected_gradient(
-    values: SiteValues | np.ndarray,
-    k: int,
-    *,
-    step_size: float | None = None,
-    max_iter: int = 2000,
-    tol: float = 1e-12,
-    initial: Strategy | None = None,
-) -> CoverageOptimum:
-    """Maximise coverage by projected gradient ascent on the simplex.
-
-    Coverage is concave in ``p``, so plain projected gradient ascent with a
-    fixed step converges to the global optimum.  The step defaults to
-    ``1 / (k * (k - 1) * max f)``, an upper bound on the Lipschitz constant of
-    the gradient.
-    """
-    k = check_positive_integer(k, "k")
-    f = values_array(values)
-    m = f.size
-    if k == 1:
-        strategy = Strategy.point_mass(m, int(np.argmax(f)))
-        return CoverageOptimum(strategy, coverage(f, strategy, 1), "projected-gradient")
-
-    if step_size is None:
-        lipschitz = k * (k - 1) * float(f.max())
-        step_size = 1.0 / max(lipschitz, 1e-12)
-    p = (initial.as_array() if initial is not None else np.full(m, 1.0 / m)).copy()
-    previous = coverage(f, p, k)
-    for _ in range(max_iter):
-        grad = coverage_gradient(f, p, k)
-        p = simplex_projection(p + step_size * grad)
-        current = coverage(f, p, k)
-        if abs(current - previous) <= tol * max(1.0, abs(current)):
-            previous = current
-            break
-        previous = current
-    strategy = Strategy(p)
-    return CoverageOptimum(strategy, coverage(f, strategy, k), "projected-gradient")
 
 
 def observation1_lower_bound(values: SiteValues | np.ndarray, k: int) -> float:

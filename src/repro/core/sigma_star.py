@@ -19,6 +19,10 @@ conditions under the exclusive reward policy ``I_exc(x, l) = f(x) * C_exc(l)``::
 
 It also coincides with the first round of the ``A*`` algorithm of Korman &
 Rodeh for parallel Bayesian search (see :mod:`repro.search`).
+
+The closed form is evaluated by
+:func:`repro.batch.solvers.sigma_star_batch`; the functions here are its
+one-instance views.
 """
 
 from __future__ import annotations
@@ -34,9 +38,6 @@ from repro.utils.numerics import safe_power
 from repro.utils.validation import check_positive_integer
 
 __all__ = ["SigmaStarResult", "sigma_star", "support_size", "normalization_constant"]
-
-#: Numerical slack used when evaluating the support condition ``h(y) <= 1``.
-_SUPPORT_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,25 +71,12 @@ class SigmaStarResult:
         return self.strategy.as_array()
 
 
-def _values_array(values: SiteValues | np.ndarray) -> np.ndarray:
-    """Shared coercion plus the closed form's own preconditions.
+def _instance(values: SiteValues | np.ndarray):
+    """``values`` as a batch of one; raw arrays must already be non-increasing."""
+    # Imported here: repro.batch builds on repro.core at import time.
+    from repro.batch.solvers import as_padded
 
-    Unlike the generic :func:`repro.utils.coercion.values_array`, the
-    water-filling formulas additionally require raw arrays to already follow
-    the paper's non-increasing order (``SiteValues`` sorts on construction,
-    so wrapped inputs skip the check).
-    """
-    arr = values_array(values)
-    if isinstance(values, SiteValues):
-        return arr
-    if np.any(np.diff(arr) > 1e-12):
-        raise ValueError(
-            "raw value arrays must be sorted in non-increasing order; "
-            "wrap them in SiteValues to sort automatically"
-        )
-    if np.any(arr <= 0):
-        raise ValueError("site values must be strictly positive")
-    return arr
+    return as_padded([values if isinstance(values, SiteValues) else values_array(values)])
 
 
 def support_size(values: SiteValues | np.ndarray, k: int) -> int:
@@ -98,36 +86,23 @@ def support_size(values: SiteValues | np.ndarray, k: int) -> int:
     ``sum_{x <= y} (1 - (f(y)/f(x))**(1/(k-1))) <= 1``.  The left-hand side is
     non-decreasing in ``y`` so the admissible ``y`` form a prefix.
     """
-    k = check_positive_integer(k, "k")
-    f = _values_array(values)
-    m = f.size
-    if k == 1 or m == 1:
-        return 1
-    exponent = 1.0 / (k - 1)
-    inv_pow = safe_power(f, -exponent)  # f(x)^(-1/(k-1))
-    cumulative = np.cumsum(inv_pow)
-    y = np.arange(1, m + 1, dtype=float)
-    # h(y) = y - f(y)^(1/(k-1)) * sum_{x<=y} f(x)^(-1/(k-1))
-    h = y - safe_power(f, exponent) * cumulative
-    admissible = np.nonzero(h <= 1.0 + _SUPPORT_ATOL)[0]
-    if admissible.size == 0:  # cannot happen: h(1) = 0
-        return 1
-    return int(admissible[-1] + 1)
+    return sigma_star(values, k).support_size
 
 
 def normalization_constant(values: SiteValues | np.ndarray, k: int, w: int | None = None) -> float:
-    """The constant ``alpha = (W - 1) / sum_{x <= W} f(x)**(-1/(k-1))``."""
-    k = check_positive_integer(k, "k")
-    f = _values_array(values)
+    """The constant ``alpha = (W - 1) / sum_{x <= W} f(x)**(-1/(k-1))``.
+
+    ``w`` defaults to the support size of ``sigma_star``.
+    """
     if w is None:
-        w = support_size(values, k)
+        return sigma_star(values, k).alpha
+    k = check_positive_integer(k, "k")
+    f = _instance(values).values[0]
     if w < 1 or w > f.size:
         raise ValueError(f"support size {w} out of range for M={f.size}")
     if k == 1:
         return 0.0
-    exponent = 1.0 / (k - 1)
-    denom = float(safe_power(f[:w], -exponent).sum())
-    return float((w - 1) / denom)
+    return float((w - 1) / safe_power(f[:w], -1.0 / (k - 1)).sum())
 
 
 def sigma_star(values: SiteValues | np.ndarray, k: int) -> SigmaStarResult:
@@ -154,44 +129,7 @@ def sigma_star(values: SiteValues | np.ndarray, k: int) -> SigmaStarResult:
     * For ``M >= 2`` and ``k >= 2`` the support always contains at least two
       sites (the condition at ``y = 2`` is ``1 - (f(2)/f(1))**(1/(k-1)) < 1``).
     """
+    from repro.batch.solvers import sigma_star_batch
+
     k = check_positive_integer(k, "k")
-    f = _values_array(values)
-    m = f.size
-
-    if k == 1:
-        strategy = Strategy.point_mass(m, 0)
-        return SigmaStarResult(
-            strategy=strategy,
-            support_size=1,
-            alpha=0.0,
-            equilibrium_value=float(f[0]),
-            k=1,
-        )
-
-    w = support_size(f, k)
-    alpha = normalization_constant(f, k, w)
-    exponent = 1.0 / (k - 1)
-
-    probabilities = np.zeros(m, dtype=float)
-    probabilities[:w] = 1.0 - alpha * safe_power(f[:w], -exponent)
-    # Round-off can leave tiny negatives at the support boundary.
-    probabilities = np.clip(probabilities, 0.0, None)
-    total = probabilities.sum()
-    if not np.isclose(total, 1.0, atol=1e-9):
-        # This should only ever be floating error; rescale defensively.
-        probabilities /= total
-
-    equilibrium_value = float(alpha ** (k - 1)) if w > 1 else 0.0
-    if w == 1:
-        # Single-site game with several players: everyone must go to the only
-        # site and collides, so the exclusive-policy payoff is zero.
-        probabilities = np.zeros(m, dtype=float)
-        probabilities[0] = 1.0
-
-    return SigmaStarResult(
-        strategy=Strategy(probabilities),
-        support_size=w,
-        alpha=alpha,
-        equilibrium_value=equilibrium_value,
-        k=k,
-    )
+    return sigma_star_batch(_instance(values), [k]).result(0, 0)

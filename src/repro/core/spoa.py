@@ -7,7 +7,8 @@ For a congestion function ``C`` and a value function ``f`` the paper defines::
 
 Because the IFD is the *unique* symmetric Nash equilibrium whenever the
 policy is non-increasing (Observation 2), the per-instance SPoA reduces to
-``Cover(p_star) / Cover(IFD)``.
+``Cover(p_star) / Cover(IFD)``.  :func:`spoa_instance` is a one-cell view of
+:func:`repro.batch.spoa.spoa_batch`.
 
 Headline facts reproduced here:
 
@@ -26,9 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.coverage import coverage
-from repro.core.ifd import ideal_free_distribution
-from repro.core.optimal_coverage import optimal_coverage
 from repro.core.policies import CongestionPolicy
 from repro.core.values import SiteValues
 from repro.utils.validation import check_positive_integer
@@ -59,22 +57,11 @@ def spoa_instance(
     policy: CongestionPolicy,
 ) -> SPoAInstance:
     """``Cover(p_star) / Cover(IFD)`` for one instance (the per-instance SPoA)."""
+    from repro.batch.spoa import spoa_batch
+
     k = check_positive_integer(k, "k")
     f = values if isinstance(values, SiteValues) else SiteValues.from_values(values)
-    best = optimal_coverage(f, k)
-    equilibrium = ideal_free_distribution(f, k, policy)
-    eq_coverage = coverage(f, equilibrium.strategy, k)
-    if eq_coverage <= 0:
-        ratio = np.inf
-    else:
-        ratio = best / eq_coverage
-    return SPoAInstance(
-        ratio=float(ratio),
-        optimal_coverage=float(best),
-        equilibrium_coverage=float(eq_coverage),
-        k=k,
-        m=f.m,
-    )
+    return spoa_batch([f], [k], policy).instance(0, 0)
 
 
 def spoa_search(
@@ -88,9 +75,12 @@ def spoa_search(
 ) -> tuple[float, SPoAInstance]:
     """Randomised + structured search for the largest per-instance SPoA of ``policy``.
 
-    Returns the maximum ratio found and the instance realising it.  This is a
-    lower bound on ``SPoA(C)`` (the supremum over all value functions).
+    Returns the maximum ratio found and the instance realising it (the first
+    one met, in grid order, on ties).  This is a lower bound on ``SPoA(C)``
+    (the supremum over all value functions).
     """
+    from repro.batch.spoa import spoa_batch
+
     generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     best_ratio = -np.inf
     best_instance: SPoAInstance | None = None
@@ -108,11 +98,11 @@ def spoa_search(
                     ]
                 )
             candidates.extend(SiteValues.random(m, generator) for _ in range(n_random))
-            for values in candidates:
-                instance = spoa_instance(values, k, policy)
-                if instance.ratio > best_ratio:
-                    best_ratio = instance.ratio
-                    best_instance = instance
+            batch = spoa_batch(candidates, [k], policy)
+            index = int(np.argmax(batch.ratios[:, 0]))
+            if batch.ratios[index, 0] > best_ratio:
+                best_ratio = batch.ratios[index, 0]
+                best_instance = batch.instance(index, 0)
     assert best_instance is not None
     return float(best_ratio), best_instance
 

@@ -17,22 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.batch.extensions import capacity_coverage_batch, capacity_coverage_gradient_batch
 from repro.core.optimal_coverage import CoverageOptimum
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
-from repro.utils.coercion import values_array
-from repro.utils.numerics import binomial_pmf_matrix, simplex_projection
+from repro.utils.coercion import strategy_array, values_array
+from repro.utils.numerics import simplex_projection
 from repro.utils.validation import check_positive_integer, check_site_parameters
 
 __all__ = ["capacity_coverage", "capacity_coverage_gradient", "maximize_capacity_coverage"]
-
-
-def _consumption_fractions(k: int, probabilities: np.ndarray, requirements: np.ndarray) -> np.ndarray:
-    """``E[min(1, N_x / r(x))]`` per site, ``N_x ~ Binomial(k, p(x))``."""
-    pmf = binomial_pmf_matrix(k, probabilities)  # (M, k + 1)
-    counts = np.arange(k + 1)[None, :]
-    fractions = np.minimum(1.0, counts / requirements[:, None])
-    return (pmf * fractions).sum(axis=1)
 
 
 def capacity_coverage(
@@ -42,6 +35,9 @@ def capacity_coverage(
     requirements: np.ndarray | int,
 ) -> float:
     """Capacity-constrained coverage of a symmetric strategy.
+
+    A one-row view of
+    :func:`repro.batch.extensions.capacity_coverage_batch`.
 
     Parameters
     ----------
@@ -56,10 +52,9 @@ def capacity_coverage(
         or per-site vector).  ``r == 1`` recovers the paper's coverage.
     """
     k = check_positive_integer(k, "k")
-    f = values_array(values)
-    r = check_site_parameters(requirements, "requirements", (f.size,), minimum=1, integer=True)
-    p = strategy.as_array() if isinstance(strategy, Strategy) else np.asarray(strategy, dtype=float)
-    return float(np.dot(f, _consumption_fractions(k, p, r)))
+    f, p = values_array(values), strategy_array(strategy)
+    r = check_site_parameters(requirements, "requirements", f.shape, minimum=1, integer=True)
+    return float(capacity_coverage_batch(f[None, :], p[None, :], k, r)[0])
 
 
 def capacity_coverage_gradient(
@@ -70,18 +65,13 @@ def capacity_coverage_gradient(
 ) -> np.ndarray:
     """Exact gradient of :func:`capacity_coverage` with respect to ``p``.
 
-    Uses the binomial identity ``d/dp E[h(Bin(k, p))] = k * E[h(Bin(k-1, p) + 1)
-    - h(Bin(k-1, p))]``, evaluated exactly from the ``Binomial(k-1, p)`` pmf.
+    A one-row view of
+    :func:`repro.batch.extensions.capacity_coverage_gradient_batch`.
     """
     k = check_positive_integer(k, "k")
-    f = values_array(values)
-    r = check_site_parameters(requirements, "requirements", (f.size,), minimum=1, integer=True)
-    p = strategy.as_array() if isinstance(strategy, Strategy) else np.asarray(strategy, dtype=float)
-    pmf = binomial_pmf_matrix(k - 1, p) if k > 1 else np.ones((f.size, 1))
-    counts = np.arange(pmf.shape[1])[None, :]
-    h_plus = np.minimum(1.0, (counts + 1) / r[:, None])
-    h = np.minimum(1.0, counts / r[:, None])
-    return k * f * ((pmf * (h_plus - h)).sum(axis=1))
+    f, p = values_array(values), strategy_array(strategy)
+    r = check_site_parameters(requirements, "requirements", f.shape, minimum=1, integer=True)
+    return capacity_coverage_gradient_batch(f[None, :], p[None, :], k, r)[0]
 
 
 def maximize_capacity_coverage(

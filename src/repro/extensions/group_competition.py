@@ -26,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.coverage import site_coverage_probabilities
-from repro.core.ifd import ideal_free_distribution
 from repro.core.policies import CongestionPolicy
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
@@ -80,7 +78,8 @@ def two_group_competition(
 
     Both groups play the symmetric equilibrium of their own within-group
     congestion rule; the second group's equilibrium is computed on the expected
-    leftover values ``f(x) * (1 - p_visit_first(x))``.
+    leftover values ``f(x) * (1 - p_visit_first(x))``.  A one-row view of
+    :func:`repro.batch.scenarios.two_group_competition_batch`.
 
     Parameters
     ----------
@@ -91,34 +90,11 @@ def two_group_competition(
     k_first, k_second:
         Group sizes (``k_second`` defaults to ``k_first``).
     """
+    from repro.batch.scenarios import two_group_competition_batch
+
     k_first = check_positive_integer(k_first, "k_first")
     k_second = k_first if k_second is None else check_positive_integer(k_second, "k_second")
     f = values.as_array() if isinstance(values, SiteValues) else np.asarray(values, dtype=float)
-
-    # First wave: equilibrium of the first group's rule on the full values.
-    first_eq = ideal_free_distribution(f, k_first, first_policy)
-    visit_first = site_coverage_probabilities(first_eq.strategy, k_first)
-    first_consumption = float(np.dot(f, visit_first))
-
-    # Expected leftovers define the second wave's game.  Clamp to a tiny floor:
-    # the solver requires positive values, and a patch visited with probability
-    # one contributes (numerically) nothing either way.
-    leftovers = np.maximum(f * (1.0 - visit_first), 1e-12)
-    order = np.argsort(-leftovers, kind="stable")
-    second_eq_sorted = ideal_free_distribution(leftovers[order], k_second, second_policy)
-    second_probs = np.empty_like(leftovers)
-    second_probs[order] = second_eq_sorted.strategy.as_array()
-    second_strategy = Strategy(second_probs)
-    visit_second = site_coverage_probabilities(second_strategy, k_second)
-    second_consumption = float(np.dot(leftovers, visit_second))
-
-    leftover_value = float(np.dot(leftovers, 1.0 - visit_second))
-    return GroupCompetitionResult(
-        first_consumption=first_consumption,
-        second_consumption=second_consumption,
-        first_strategy=first_eq.strategy,
-        second_strategy=second_strategy,
-        first_individual_payoff=float(first_eq.value),
-        second_individual_payoff=float(second_eq_sorted.value),
-        leftover_value=leftover_value,
-    )
+    # A (1, M) matrix keeps the caller's site order for the strategies.
+    batch = two_group_competition_batch(f[None, :], first_policy, second_policy, k_first, k_second)
+    return batch.result(0)

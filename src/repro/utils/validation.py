@@ -345,5 +345,8 @@ def check_value_vector(
     if not require_positive and (arr < 0).any():
         raise ValueError(f"{name} must be non-negative")
     if require_sorted and np.any(np.diff(arr) > 1e-12):
-        raise ValueError(f"{name} must be non-increasing")
+        raise ValueError(
+            f"{name} must be sorted in non-increasing order; "
+            "wrap them in SiteValues to sort automatically"
+        )
     return arr.copy()

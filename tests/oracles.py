@@ -1,0 +1,166 @@
+"""Independent oracles the batch kernels are tested against.
+
+None of these shares code with the kernel it checks:
+
+* :func:`enumerated_coverage` averages the value of the occupied sites over
+  every one of the ``M ** k`` pure profiles — no ``(1 - p) ** k`` law;
+* :func:`brute_force_site_payoffs` averages each site's reward over every one
+  of the ``M ** (k - 1)`` opponent site choices — no binomial law — and
+  :func:`assert_oracle_ifd` checks both IFD conditions on them;
+* :func:`maximize_coverage_waterfilling` and
+  :func:`maximize_coverage_projected_gradient` maximise the coverage without
+  reference to the game: the first bisects on the KKT multiplier, the second
+  is plain projected gradient ascent.  By Theorem 4 both land on
+  ``sigma_star``.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.core.coverage import coverage, coverage_gradient
+from repro.core.optimal_coverage import CoverageOptimum
+from repro.core.strategy import Strategy
+from repro.core.values import SiteValues
+from repro.utils.coercion import values_array
+from repro.utils.numerics import safe_power, simplex_projection
+from repro.utils.validation import check_positive_integer
+
+#: Payoff tolerance of the IFD checks.
+ORACLE_ATOL = 1e-9
+
+
+def _profiles(m: int, players: int) -> np.ndarray:
+    """Every pure profile of ``players`` site choices, one per row."""
+    choices = list(itertools.product(range(m), repeat=players))
+    return np.array(choices, dtype=int).reshape(len(choices), players)
+
+
+def enumerated_visits(strategy, k: int) -> np.ndarray:
+    """Exact probability that each site is occupied, over all ``M ** k`` profiles."""
+    p = np.asarray(strategy, dtype=float)
+    profiles = _profiles(p.size, k)
+    weights = np.prod(p[profiles], axis=1)
+    return weights @ (profiles[:, :, None] == np.arange(p.size)).any(axis=1)
+
+
+def enumerated_coverage(values, strategy, k: int) -> float:
+    """Exact ``Cover(p)``: the expected value of the occupied sites, enumerated."""
+    return float(enumerated_visits(strategy, k) @ np.asarray(values, dtype=float))
+
+
+def brute_force_site_payoffs(values, costs, strategy, k, policy):
+    """Exact ``nu_p(x)``: average ``f(x) C(1 + #opponents at x) - d(x)`` over
+    every one of the ``M ** (k - 1)`` opponent site choices."""
+    f = np.asarray(values, dtype=float)
+    p = np.asarray(strategy, dtype=float)
+    choices = _profiles(f.size, k - 1)
+    weights = np.prod(p[choices], axis=1)
+    occupancy = (choices[:, :, None] == np.arange(f.size)).sum(axis=1)
+    rewards = f * policy.table(k)[occupancy] - np.asarray(costs, dtype=float)
+    return weights @ rewards
+
+
+def assert_oracle_ifd(values, costs, strategy, k, policy) -> float:
+    """Both IFD conditions on the brute-force payoffs, within ``ORACLE_ATOL``.
+
+    Returns the common payoff of the support.
+    """
+    p = np.asarray(strategy, dtype=float)
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    nu = brute_force_site_payoffs(values, costs, p, k, policy)
+    support = p > 1e-12
+    assert nu[support].max() - nu[support].min() <= ORACLE_ATOL, nu
+    if np.any(~support):
+        assert nu[~support].max() <= nu[support].mean() + ORACLE_ATOL, nu
+    return float(nu[support].mean())
+
+
+def maximize_coverage_waterfilling(
+    values: SiteValues | np.ndarray,
+    k: int,
+    *,
+    tol: float = 1e-14,
+    max_iter: int = 200,
+) -> CoverageOptimum:
+    """Maximise coverage by water-filling on the KKT multiplier.
+
+    The stationarity condition for the concave program is
+    ``k f(x) (1 - p(x))**(k-1) = lambda`` on the support, i.e.
+    ``p(x) = 1 - (lambda / (k f(x)))**(1/(k-1))`` clipped at zero.  The scalar
+    ``lambda`` is found by bisection so that the probabilities sum to one.
+    This derivation never mentions the game, so it provides an independent
+    numerical witness for Theorem 4.
+    """
+    k = check_positive_integer(k, "k")
+    f = values_array(values)
+    m = f.size
+
+    if k == 1:
+        strategy = Strategy.point_mass(m, int(np.argmax(f)))
+        return CoverageOptimum(strategy, coverage(f, strategy, 1), "waterfilling")
+
+    exponent = 1.0 / (k - 1)
+
+    def probabilities(lam: float) -> np.ndarray:
+        ratio = safe_power(lam / (k * f), exponent)
+        return np.clip(1.0 - ratio, 0.0, 1.0)
+
+    lo, hi = 0.0, float(k * f.max())
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if probabilities(mid).sum() >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol * max(1.0, hi):
+            break
+    probs = probabilities(0.5 * (lo + hi))
+    total = probs.sum()
+    if total <= 0:
+        raise RuntimeError("water-filling failed to allocate probability mass")
+    strategy = Strategy(probs / total)
+    return CoverageOptimum(strategy, coverage(f, strategy, k), "waterfilling")
+
+
+def maximize_coverage_projected_gradient(
+    values: SiteValues | np.ndarray,
+    k: int,
+    *,
+    step_size: float | None = None,
+    max_iter: int = 2000,
+    tol: float = 1e-12,
+    initial: Strategy | None = None,
+) -> CoverageOptimum:
+    """Maximise coverage by projected gradient ascent on the simplex.
+
+    Coverage is concave in ``p``, so plain projected gradient ascent with a
+    fixed step converges to the global optimum.  The step defaults to
+    ``1 / (k * (k - 1) * max f)``, an upper bound on the Lipschitz constant of
+    the gradient.
+    """
+    k = check_positive_integer(k, "k")
+    f = values_array(values)
+    m = f.size
+    if k == 1:
+        strategy = Strategy.point_mass(m, int(np.argmax(f)))
+        return CoverageOptimum(strategy, coverage(f, strategy, 1), "projected-gradient")
+
+    if step_size is None:
+        lipschitz = k * (k - 1) * float(f.max())
+        step_size = 1.0 / max(lipschitz, 1e-12)
+    p = (initial.as_array() if initial is not None else np.full(m, 1.0 / m)).copy()
+    previous = coverage(f, p, k)
+    for _ in range(max_iter):
+        grad = coverage_gradient(f, p, k)
+        p = simplex_projection(p + step_size * grad)
+        current = coverage(f, p, k)
+        if abs(current - previous) <= tol * max(1.0, abs(current)):
+            previous = current
+            break
+        previous = current
+    strategy = Strategy(p)
+    return CoverageOptimum(strategy, coverage(f, strategy, k), "projected-gradient")

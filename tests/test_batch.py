@@ -1,10 +1,14 @@
-"""Property tests: the batched solvers match the scalar solvers elementwise.
+"""Property tests of the batched solvers against independent oracles.
+
+The anchors share no code with the kernels: the exclusive IFD conditions
+checked directly on ``sigma_star``, exact enumeration of every pure profile
+for coverage and SPoA (``M, k <= 5``, :mod:`oracles`), and the coverage
+optimum found by water filling on the KKT multiplier.
 
 The whole module runs once per available array backend (numpy always;
 ``array_api_strict`` when installed, skip-marked otherwise): an autouse
 fixture activates each backend around every test, so the batched kernels are
-exercised on the alternative namespace while the scalar references stay on
-the host — results must agree elementwise either way.
+exercised on the alternative namespace while the oracles stay on the host.
 """
 
 from __future__ import annotations
@@ -13,6 +17,12 @@ import numpy as np
 import pytest
 
 from conftest import backend_params
+from oracles import (
+    assert_oracle_ifd,
+    enumerated_coverage,
+    maximize_coverage_projected_gradient,
+    maximize_coverage_waterfilling,
+)
 from repro.backend import from_numpy, load_backend, resolve_backend, to_numpy, use_backend
 from repro.batch import (
     PaddedValues,
@@ -23,13 +33,12 @@ from repro.batch import (
     optimal_coverage_batch,
     partial_coverage_time_batch,
     sigma_star_batch,
+    site_values_batch,
     spoa_batch,
     support_size_batch,
 )
 from repro.batch.solvers import _int_power_columns
-from repro.core.coverage import coverage
 from repro.core.ifd import ideal_free_distribution
-from repro.core.optimal_coverage import optimal_coverage
 from repro.core.policies import (
     AggressivePolicy,
     ConstantPolicy,
@@ -38,7 +47,6 @@ from repro.core.policies import (
     TwoLevelPolicy,
 )
 from repro.core.sigma_star import sigma_star
-from repro.core.spoa import spoa_instance
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.extensions.capacity import capacity_coverage
@@ -49,6 +57,9 @@ K_GRID = (1, 2, 3, 5, 11)
 #: Smaller grid for the tests that also run the scalar water-filling IFD
 #: per cell (the expensive side of the comparison is the scalar loop).
 IFD_K_GRID = (1, 2, 5)
+
+#: Player counts small enough to enumerate every pure profile.
+ENUM_K_GRID = (1, 2, 3, 5)
 
 
 @pytest.fixture(autouse=True, params=backend_params())
@@ -77,6 +88,13 @@ def ragged_instances() -> list[SiteValues]:
         SiteValues.slowly_decreasing(12, 3),
     ]
     return instances
+
+
+@pytest.fixture(scope="module")
+def enumerable_instances(ragged_instances) -> list[SiteValues]:
+    """The ragged instances with at most 5 sites, plus ties and steep decays."""
+    extra = [SiteValues.uniform(5), SiteValues.geometric(5, ratio=0.3), SiteValues.zipf(4, 2.0)]
+    return [values for values in ragged_instances if values.m <= 5] + extra
 
 
 class TestPaddedValues:
@@ -159,21 +177,40 @@ class TestPaddedValues:
 
 
 class TestSigmaStarBatch:
-    def test_matches_scalar_elementwise(self, ragged_instances):
+    def test_meets_the_exclusive_ifd_conditions(self, ragged_instances):
+        # nu(x) = f(x) (1 - p(x))**(k-1) under the exclusive policy: equal to
+        # the equilibrium value on the support, no larger off it; mass one.
+        batch = sigma_star_batch(ragged_instances, K_GRID)
+        for b, values in enumerate(ragged_instances):
+            f = values.as_array()
+            for j, k in enumerate(K_GRID):
+                cell = batch.result(b, j)
+                p, w = cell.probabilities, cell.support_size
+                assert cell.k == k
+                assert p.sum() == pytest.approx(1.0, abs=1e-12)
+                assert np.all(p[:w] > 0) and np.all(p[w:] == 0), (b, k)
+                nu = f * (1.0 - p) ** (k - 1)
+                np.testing.assert_allclose(nu[:w], cell.equilibrium_value, rtol=1e-12, atol=1e-15)
+                assert np.all(nu[w:] <= cell.equilibrium_value * (1 + 1e-12)), (b, k)
+                if k > 1 and w > 1:
+                    assert cell.alpha ** (k - 1) == pytest.approx(cell.equilibrium_value, rel=1e-12)
+                else:
+                    assert cell.alpha == 0.0
+
+    def test_is_the_coverage_optimum_of_both_oracles(self, ragged_instances):
+        # Theorem 4: sigma_star maximises the coverage, which both optimisers
+        # find without reference to the game.
         batch = sigma_star_batch(ragged_instances, K_GRID)
         for b, values in enumerate(ragged_instances):
             for j, k in enumerate(K_GRID):
-                scalar = sigma_star(values, k)
-                cell = batch.result(b, j)
-                assert cell.support_size == scalar.support_size, (b, k)
-                assert cell.k == k
-                assert cell.alpha == pytest.approx(scalar.alpha, abs=1e-12)
-                assert cell.equilibrium_value == pytest.approx(
-                    scalar.equilibrium_value, abs=1e-12
-                )
-                np.testing.assert_allclose(
-                    cell.probabilities, scalar.probabilities, atol=1e-9
-                )
+                p = batch.probabilities[b, j, : values.m]
+                waterfilling = maximize_coverage_waterfilling(values, k).strategy.as_array()
+                np.testing.assert_allclose(p, waterfilling, atol=1e-9)
+                if k in (2, 3):
+                    gradient = maximize_coverage_projected_gradient(values, k)
+                    assert gradient.coverage == pytest.approx(
+                        enumerated_coverage(values.as_array(), p, k), abs=1e-8
+                    )
 
     def test_padding_columns_are_zero(self, ragged_instances):
         batch = sigma_star_batch(ragged_instances, K_GRID)
@@ -215,25 +252,41 @@ class TestSigmaStarBatch:
 
 
 class TestCoverageBatch:
-    def test_matches_scalar_for_random_strategies(self, ragged_instances, rng):
-        padded = PaddedValues.from_instances(ragged_instances)
+    def test_matches_enumeration_for_random_strategies(self, enumerable_instances, rng):
+        padded = PaddedValues.from_instances(enumerable_instances)
         strategies = np.zeros((padded.batch_size, padded.width))
-        per_instance = []
-        for b, values in enumerate(ragged_instances):
-            strategy = Strategy.random(values.m, rng)
-            per_instance.append(strategy)
-            strategies[b, : values.m] = strategy.as_array()
-        batch_cover = coverage_batch(padded, strategies, K_GRID)
-        for b, values in enumerate(ragged_instances):
-            for j, k in enumerate(K_GRID):
-                exact = coverage(values, per_instance[b], k)
-                assert batch_cover[b, j] == pytest.approx(exact, abs=1e-10)
+        for b, values in enumerate(enumerable_instances):
+            strategies[b, : values.m] = Strategy.random(values.m, rng).as_array()
+        batch_cover = coverage_batch(padded, strategies, ENUM_K_GRID)
+        for b, values in enumerate(enumerable_instances):
+            for j, k in enumerate(ENUM_K_GRID):
+                exact = enumerated_coverage(values.as_array(), strategies[b, : values.m], k)
+                assert batch_cover[b, j] == pytest.approx(exact, abs=1e-12)
 
-    def test_optimal_coverage_matches_scalar(self, ragged_instances):
-        best = optimal_coverage_batch(ragged_instances, K_GRID)
-        for b, values in enumerate(ragged_instances):
-            for j, k in enumerate(K_GRID):
-                assert best[b, j] == pytest.approx(optimal_coverage(values, k), abs=1e-10)
+    def test_optimal_coverage_matches_the_oracle_optimum(self, enumerable_instances):
+        best = optimal_coverage_batch(enumerable_instances, ENUM_K_GRID)
+        for b, values in enumerate(enumerable_instances):
+            for j, k in enumerate(ENUM_K_GRID):
+                optimum = maximize_coverage_waterfilling(values, k).strategy.as_array()
+                exact = enumerated_coverage(values.as_array(), optimum, k)
+                assert best[b, j] == pytest.approx(exact, abs=1e-10)
+
+    def test_unsorted_raw_instance_is_refused_not_misaligned(self):
+        # Sorting the values would leave the strategy in the caller's order.
+        raw, strategy = np.array([0.2, 1.0, 0.5]), np.array([[0.7, 0.2, 0.1]])
+        with pytest.raises(ValueError, match="wrap them in SiteValues"):
+            coverage_batch([raw], strategy, 3)
+        with pytest.raises(ValueError, match="wrap them in SiteValues"):
+            capacity_coverage_batch([raw], strategy, 3, 1)
+        with pytest.raises(ValueError, match="wrap them in SiteValues"):
+            site_values_batch([raw], strategy, 3, ExclusivePolicy())
+        # A (1, M) matrix keeps the caller's order.
+        exact = enumerated_coverage(raw, strategy[0], 3)
+        assert exact == pytest.approx(0.8181, abs=1e-12)
+        assert coverage_batch(raw[None, :], strategy, 3)[0, 0] == pytest.approx(exact, abs=1e-12)
+        assert capacity_coverage_batch(raw[None, :], strategy, 3, 1)[0] == pytest.approx(
+            exact, abs=1e-12
+        )
 
     def test_shape_validation(self):
         padded = PaddedValues.from_instances([SiteValues.uniform(4)])
@@ -333,17 +386,25 @@ class TestSPoABatch:
         [ExclusivePolicy(), SharingPolicy(), TwoLevelPolicy(-0.25)],
         ids=["exclusive", "sharing", "two-level-"],
     )
-    def test_matches_scalar_spoa(self, ragged_instances, policy):
-        batch = spoa_batch(ragged_instances, IFD_K_GRID, policy)
-        for b, values in enumerate(ragged_instances):
-            for j, k in enumerate(IFD_K_GRID):
-                scalar = spoa_instance(values, k, policy)
+    def test_ratio_of_enumerated_coverages(self, enumerable_instances, policy):
+        # Numerator: the enumerated coverage of the water-filling optimum.
+        # Denominator: the enumerated coverage of the unique IFD, which the
+        # brute-force payoffs certify.
+        batch = spoa_batch(enumerable_instances, ENUM_K_GRID, policy)
+        equilibria = ifd_batch(enumerable_instances, ENUM_K_GRID, policy)
+        for b, values in enumerate(enumerable_instances):
+            f = values.as_array()
+            for j, k in enumerate(ENUM_K_GRID):
+                equilibrium = equilibria.probabilities[b, j, : values.m]
+                assert_oracle_ifd(f, 0.0, equilibrium, k, policy)
+                optimum = maximize_coverage_waterfilling(values, k).strategy.as_array()
+                best = enumerated_coverage(f, optimum, k)
+                reached = enumerated_coverage(f, equilibrium, k)
                 got = batch.instance(b, j)
                 assert got.k == k and got.m == values.m
-                if np.isinf(scalar.ratio):
-                    assert np.isinf(got.ratio)
-                else:
-                    assert got.ratio == pytest.approx(scalar.ratio, rel=1e-6, abs=1e-8)
+                assert got.optimal_coverage == pytest.approx(best, abs=1e-10)
+                assert got.equilibrium_coverage == pytest.approx(reached, abs=1e-10)
+                assert got.ratio == pytest.approx(best / reached, rel=1e-9)
 
     def test_exclusive_ratios_are_one(self, ragged_instances):
         batch = spoa_batch(ragged_instances, (2, 3, 5), ExclusivePolicy())

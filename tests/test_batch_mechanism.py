@@ -68,7 +68,7 @@ from repro.mechanism import (
     design_rewards_for_target,
     optimal_grant_design,
 )
-from test_ifd import assert_oracle_ifd
+from oracles import assert_oracle_ifd
 
 
 @pytest.fixture(autouse=True, params=backend_params())

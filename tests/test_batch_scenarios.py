@@ -1,11 +1,14 @@
 """Property tests for the batched scenario kernels of ``repro.batch.scenarios``.
 
-The core contract: every scenario kernel agrees **elementwise** with its
-scalar counterpart from :mod:`repro.extensions` /
-:mod:`repro.mechanism.policy_design` — including ragged site counts, mixed
-per-row player counts, per-row cost vectors and depletion factors, and the
-reduction-to-core cases (``d == 0`` costs, ``k = 1`` rows, constant
-congestion tables).
+The contract: every scenario kernel agrees **elementwise** with a reference
+that does not run it — the scalar code of :mod:`repro.extensions` /
+:mod:`repro.mechanism.policy_design` where that is a separate implementation,
+and otherwise the brute-force oracles of :mod:`oracles` (each two-group
+competition wave meets the IFD conditions of its own game; ``sigma_star``
+schedules come from the water-filling coverage optimum).  The grids include
+ragged site counts, mixed per-row player counts, per-row cost vectors and
+depletion factors, and the reduction-to-core cases (``d == 0`` costs,
+``k = 1`` rows, constant congestion tables).
 
 The whole module runs once per available array backend (numpy always;
 ``array_api_strict`` when installed, skip-marked otherwise) through the
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import backend_params
+from oracles import assert_oracle_ifd, enumerated_visits, maximize_coverage_waterfilling
 from repro.backend import use_backend
 from repro.batch import (
     PaddedValues,
@@ -43,10 +47,8 @@ from repro.extensions import (
     cost_adjusted_ifd,
     cost_adjusted_site_values,
     expected_repeated_dispersal,
-    two_group_competition,
 )
-from repro.extensions.repeated import adaptive_sigma_star_schedule, constant_schedule
-from repro.core.sigma_star import sigma_star
+from repro.extensions.repeated import constant_schedule
 from repro.mechanism import best_two_level_policy, compare_policies
 
 POLICIES = [SharingPolicy(), ExclusivePolicy(), TwoLevelPolicy(-0.2)]
@@ -177,8 +179,32 @@ class TestCostAdjustedIFDBatch:
             assert np.all(nu[index, values.m :] == 0.0)
 
 
+def assert_waves_are_ifds(batch, row, values, first, second, k_first, k_second):
+    """Row ``row`` against its own games: the first wave is an IFD on ``f``,
+    the second an IFD on the expected leftovers, and every consumption is
+    read off the enumerated visit probabilities."""
+    f = values.as_array()
+    p1 = batch.first_strategies[row, : values.m]
+    p2 = batch.second_strategies[row, : values.m]
+    payoff1 = assert_oracle_ifd(f, 0.0, p1, k_first, first)
+    visits1 = enumerated_visits(p1, k_first)
+    leftovers = np.maximum(f * (1.0 - visits1), 1e-12)
+    payoff2 = assert_oracle_ifd(leftovers, 0.0, p2, k_second, second)
+    visits2 = enumerated_visits(p2, k_second)
+    expected = {
+        "first_consumption": f @ visits1,
+        "second_consumption": leftovers @ visits2,
+        "first_individual_payoffs": payoff1,
+        "second_individual_payoffs": payoff2,
+        "leftover_values": leftovers @ (1.0 - visits2),
+        "first_shares": (f @ visits1) / (f @ visits1 + leftovers @ visits2),
+    }
+    for field, value in expected.items():
+        np.testing.assert_allclose(getattr(batch, field)[row], value, atol=1e-9, err_msg=field)
+
+
 class TestTwoGroupCompetitionBatch:
-    def test_mixed_policy_pairs_match_scalar(self, ragged_batch):
+    def test_mixed_policy_pairs_meet_each_waves_ifd_conditions(self, ragged_batch):
         padded, instances, _ = ragged_batch
         firsts = [SharingPolicy(), ExclusivePolicy(), AggressivePolicy(0.5), SharingPolicy(), ExclusivePolicy()]
         seconds = [ExclusivePolicy(), SharingPolicy(), SharingPolicy(), AggressivePolicy(0.5), SharingPolicy()]
@@ -186,29 +212,20 @@ class TestTwoGroupCompetitionBatch:
         k2 = np.array([4, 3, 2, 2, 5], dtype=np.int64)
         batch = two_group_competition_batch(padded, firsts, seconds, k1, k2)
         for index, values in enumerate(instances):
-            scalar = two_group_competition(
-                values, firsts[index], seconds[index], int(k1[index]), int(k2[index])
+            assert_waves_are_ifds(
+                batch, index, values, firsts[index], seconds[index], int(k1[index]), int(k2[index])
             )
-            np.testing.assert_allclose(batch.first_consumption[index], scalar.first_consumption, atol=1e-5)
-            np.testing.assert_allclose(batch.second_consumption[index], scalar.second_consumption, atol=1e-5)
-            np.testing.assert_allclose(
-                batch.first_strategies[index, : values.m], scalar.first_strategy.as_array(), atol=1e-5
-            )
-            np.testing.assert_allclose(
-                batch.second_strategies[index, : values.m], scalar.second_strategy.as_array(), atol=1e-5
-            )
-            np.testing.assert_allclose(batch.first_individual_payoffs[index], scalar.first_individual_payoff, atol=1e-5)
-            np.testing.assert_allclose(batch.second_individual_payoffs[index], scalar.second_individual_payoff, atol=1e-5)
-            np.testing.assert_allclose(batch.leftover_values[index], scalar.leftover_value, atol=1e-5)
-            np.testing.assert_allclose(batch.first_shares[index], scalar.first_share, atol=1e-5)
 
     def test_single_policy_broadcasts(self, small_values):
         batch = two_group_competition_batch(
             [small_values], SharingPolicy(), ExclusivePolicy(), 3
         )
-        scalar = two_group_competition(small_values, SharingPolicy(), ExclusivePolicy(), 3)
-        np.testing.assert_allclose(batch.first_consumption[0], scalar.first_consumption, atol=1e-6)
-        np.testing.assert_allclose(batch.first_shares[0], scalar.first_share, atol=1e-6)
+        roster = two_group_competition_batch(
+            [small_values], [SharingPolicy()], [ExclusivePolicy()], [3], [3]
+        )
+        for field in ("first_consumption", "first_strategies", "second_strategies", "first_shares"):
+            np.testing.assert_array_equal(getattr(batch, field), getattr(roster, field))
+        assert_waves_are_ifds(batch, 0, small_values, SharingPolicy(), ExclusivePolicy(), 3, 3)
 
     def test_roster_length_mismatch_raises(self, small_values):
         with pytest.raises(ValueError):
@@ -226,10 +243,15 @@ class TestRepeatedDispersalBatch:
             padded, ks, rounds=4, depletion=depletions, schedule=schedule
         )
         for index, (values, k) in enumerate(zip(instances, ks)):
+            # sigma_star is the coverage optimum (Theorem 4), which water
+            # filling finds without the closed form.
             if schedule == "adaptive":
-                scalar_schedule = adaptive_sigma_star_schedule(int(k))
+                def scalar_schedule(_round, current, k=int(k)):
+                    return maximize_coverage_waterfilling(np.maximum(current, 1e-9), k).strategy
             else:
-                scalar_schedule = constant_schedule(sigma_star(values, int(k)).strategy)
+                scalar_schedule = constant_schedule(
+                    maximize_coverage_waterfilling(values, int(k)).strategy
+                )
             scalar = expected_repeated_dispersal(
                 values,
                 int(k),

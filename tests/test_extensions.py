@@ -336,3 +336,20 @@ class TestGroupCompetition:
     def test_default_second_group_size(self, small_values):
         result = two_group_competition(small_values, SharingPolicy(), SharingPolicy(), k_first=3)
         assert result.first_consumption > 0 and result.second_consumption > 0
+
+    @pytest.mark.parametrize(
+        "first", [SharingPolicy(), ExclusivePolicy()], ids=["sharing", "exclusive"]
+    )
+    def test_raw_values_keep_the_callers_site_order(self, small_values, first):
+        order = np.array([2, 0, 3, 1])
+        shuffled = two_group_competition(
+            small_values.as_array()[order], first, AggressivePolicy(0.5), k_first=3
+        )
+        sorted_ = two_group_competition(small_values, first, AggressivePolicy(0.5), k_first=3)
+        for field in ("first_strategy", "second_strategy"):
+            np.testing.assert_allclose(
+                getattr(shuffled, field).as_array(),
+                getattr(sorted_, field).as_array()[order],
+                atol=1e-12,
+            )
+        assert shuffled.first_consumption == pytest.approx(sorted_.first_consumption, rel=1e-12)

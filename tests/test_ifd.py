@@ -8,7 +8,6 @@ on the solver's strategy.
 
 from __future__ import annotations
 
-import itertools
 import json
 import warnings
 
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import assert_oracle_ifd
 from repro.core.ifd import ideal_free_distribution, verify_ifd
 from repro.core.payoffs import exploitability, site_values
 from repro.core.policies import (
@@ -33,35 +33,6 @@ from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.extensions.travel_costs import cost_adjusted_ifd
 from repro.serving import SolveRequest, evaluate_one, parse_request
-
-#: Payoff tolerance of the oracle checks.
-ORACLE_ATOL = 1e-9
-
-
-def brute_force_site_payoffs(values, costs, strategy, k, policy):
-    """Exact ``nu_p(x)``: average ``f(x) C(1 + #opponents at x) - d(x)`` over
-    every one of the ``M ** (k - 1)`` opponent site choices."""
-    f = np.asarray(values, dtype=float)
-    p = np.asarray(strategy, dtype=float)
-    m = f.size
-    choices = list(itertools.product(range(m), repeat=k - 1))
-    choices = np.array(choices, dtype=int).reshape(len(choices), k - 1)
-    weights = np.prod(p[choices], axis=1)
-    occupancy = (choices[:, :, None] == np.arange(m)).sum(axis=1)
-    rewards = f * policy.table(k)[occupancy] - np.asarray(costs, dtype=float)
-    return weights @ rewards
-
-
-def assert_oracle_ifd(values, costs, strategy, k, policy):
-    """Both IFD conditions on the brute-force payoffs, within ``ORACLE_ATOL``."""
-    p = np.asarray(strategy, dtype=float)
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    nu = brute_force_site_payoffs(values, costs, p, k, policy)
-    support = p > 1e-12
-    assert nu[support].max() - nu[support].min() <= ORACLE_ATOL, nu
-    if np.any(~support):
-        assert nu[~support].max() <= nu[support].mean() + ORACLE_ATOL, nu
-
 
 ORACLE_POLICIES = [
     ExclusivePolicy(),

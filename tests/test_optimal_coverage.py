@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import maximize_coverage_projected_gradient, maximize_coverage_waterfilling
 from repro.core.coverage import coverage, full_coordination_coverage
 from repro.core.optimal_coverage import (
-    maximize_coverage_projected_gradient,
-    maximize_coverage_waterfilling,
     observation1_holds,
     observation1_lower_bound,
     optimal_coverage,

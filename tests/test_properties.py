@@ -13,10 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import maximize_coverage_waterfilling
 from repro.core.coverage import coverage
 from repro.core.ess import ess_conditions_against
 from repro.core.ifd import ideal_free_distribution, verify_ifd
-from repro.core.optimal_coverage import maximize_coverage_waterfilling
 from repro.core.payoffs import (
     exploitability,
     expected_payoff,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,20 @@ from repro.core.values import SiteValues
 
 def random_values(seed: int, m: int) -> SiteValues:
     return SiteValues.random(m, np.random.default_rng(seed))
+
+
+def exact_closed_form(values, k: int) -> tuple[int, Decimal, Decimal]:
+    """``(W, alpha, alpha**(k-1))`` of Section 2.1 in 50-digit decimal arithmetic."""
+    with localcontext() as context:
+        context.prec = 50
+        f = [Decimal(float(v)) for v in values]
+        inv = [(-x.ln() / (k - 1)).exp() for x in f]  # f(x)**(-1/(k-1))
+        w = max(
+            y for y in range(1, len(f) + 1)
+            if y - (f[y - 1].ln() / (k - 1)).exp() * sum(inv[:y]) <= 1
+        )
+        alpha = (w - 1) / sum(inv[:w])
+        return w, alpha, alpha ** (k - 1)
 
 
 class TestSupportSize:
@@ -153,6 +169,19 @@ class TestSigmaStar:
     def test_rejects_bad_k(self, small_values):
         with pytest.raises(ValueError):
             sigma_star(small_values, 0)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "values",
+        [[1, 1e-300], [1e300, 1e-300], [1e308, 1e308, 1], [1e-300, 1e-300, 1e-301]],
+        ids=["1:1e-300", "1e300:1e-300", "1e308-ties", "1e-300-ties"],
+    )
+    def test_wide_value_spreads_match_exact_arithmetic(self, values, k):
+        w, alpha, equilibrium = exact_closed_form(values, k)
+        result = sigma_star(np.array(values, dtype=float), k)
+        assert result.support_size == w
+        assert result.alpha == pytest.approx(float(alpha), rel=1e-12)
+        assert result.equilibrium_value == pytest.approx(float(equilibrium), rel=1e-12)
 
     @given(
         seed=st.integers(min_value=0, max_value=5000),

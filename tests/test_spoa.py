@@ -132,6 +132,21 @@ class TestSPoAInstanceFields:
             result.optimal_coverage / result.equilibrium_coverage
         )
 
+    @pytest.mark.parametrize(
+        "policy, ratio, k, m",
+        [
+            (SharingPolicy(), 1.1683569804025968, 5, 2),
+            (AggressivePolicy(0.5), 1.2954274520298577, 8, 2),
+        ],
+        ids=["sharing", "aggressive"],
+    )
+    def test_default_search_finds_the_pinned_instance(self, policy, ratio, k, m):
+        # Values of a one-instance-at-a-time search; batching each (k, m)
+        # cell must not move them.
+        best, instance = spoa_search(policy, rng=0)
+        assert best == pytest.approx(ratio, rel=1e-12)
+        assert (instance.k, instance.m) == (k, m)
+
     def test_search_returns_best_instance(self):
         ratio, instance = spoa_search(
             TwoLevelPolicy(0.4), k_values=(2,), m_values=(2, 4), n_random=3, rng=2
