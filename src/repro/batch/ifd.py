@@ -73,7 +73,7 @@ import numpy as np
 from repro.backend import Backend, errstate_ignore, from_numpy, resolve_backend, take_rows, to_numpy
 from repro.batch.padding import PaddedValues
 from repro.batch.payoffs import congestion_table_batch
-from repro.batch.solvers import SigmaStarBatch, as_padded, sigma_star_batch
+from repro.batch.solvers import SigmaStarBatch, _sigma_star, as_padded
 from repro.core.policies import CongestionPolicy
 from repro.utils.memo import cached_binomial_pmf_plan
 from repro.utils.numerics import binomial_pmf_tensor
@@ -651,27 +651,29 @@ def _roster_ifd(
     call; their ``(B, M)`` strategies come back last (``None`` without them).
     """
     P, B, K, M = len(roster), padded.batch_size, ks.size, padded.width
-    # Cell p * K + c of the flattened roster axis is policy p at k = ks[c].
-    cell = np.arange(P * K)
-    column = cell % K
-    closed = np.array(
-        [bool(use_closed_form) and k > 1 and p.is_exclusive(int(k)) for p in roster for k in ks]
-    )
+    closed = [
+        bool(use_closed_form) and k > 1 and p.is_exclusive(k) for p in roster for k in ks.tolist()
+    ]
     reuse = (
         closed_form is not None
         and closed_form.padded is padded
         and np.array_equal(closed_form.k_grid, ks)
     )
-    if closed.all() and extra is None:
-        # Every cell is in closed form: the sigma_star arrays are the answer.
-        star = closed_form if reuse else sigma_star_batch(padded, ks, backend=be)
+    if all(closed) and extra is None:
+        # Every cell is in closed form: the sigma_star arrays are the answer
+        # (viewed for one policy; copied when repeated or the caller's own).
+        star = closed_form if reuse else _sigma_star(padded, ks, be)
+        fields = (star.probabilities, star.equilibrium_values, star.support_sizes)
+        copies = P > 1 or reuse
         return (
-            np.repeat(star.probabilities[:, None], P, axis=1),
-            np.repeat(star.equilibrium_values[:, None], P, axis=1),
-            np.repeat(star.support_sizes[:, None], P, axis=1),
+            *(np.repeat(a[:, None], P, axis=1) if copies else a[:, None] for a in fields),
             np.ones((B, P, K), dtype=bool),
             None,
         )
+    # Cell p * K + c of the flattened roster axis is policy p at k = ks[c].
+    closed = np.array(closed)
+    cell = np.arange(P * K)
+    column = cell % K
     probabilities = np.zeros((B, P * K, M))
     values = np.zeros((B, P * K))
     support_sizes = np.zeros((B, P * K), dtype=np.int64)
@@ -679,7 +681,7 @@ def _roster_ifd(
 
     if closed.any():
         solved_k = np.arange(K) if reuse else np.flatnonzero(closed.reshape(P, K).any(axis=0))
-        star = closed_form if reuse else sigma_star_batch(padded, ks[solved_k], backend=be)
+        star = closed_form if reuse else _sigma_star(padded, ks[solved_k], be)
         index = np.searchsorted(solved_k, column[closed])
         probabilities[:, closed] = star.probabilities[:, index]
         values[:, closed] = star.equilibrium_values[:, index]

@@ -7,6 +7,9 @@ value (so logarithms and negative powers stay finite) and a boolean mask
 marking the real entries.  Padding never leaks into results — every solver
 masks it out of support computations and zeroes it in returned strategies.
 
+Packed profiles are sorted non-increasing; a ``(B, M)`` matrix keeps the
+caller's order (see :attr:`PaddedValues.descending`).
+
 ``PaddedValues`` is deliberately a **host-side** container: packing ragged
 Python iterables, validating positivity and sorting rows is staging work, not
 kernel work, so the canonical storage is NumPy.  Kernels running on another
@@ -29,7 +32,7 @@ with :meth:`clear_device_cache`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -48,14 +51,19 @@ class PaddedValues:
     Attributes
     ----------
     values:
-        ``(B, M_max)`` float matrix; row ``b`` holds the ``sizes[b]`` site
-        values in non-increasing order, then copies of its smallest value.
+        ``(B, M_max)`` float matrix; row ``b`` holds its ``sizes[b]`` site
+        values, then padding (copies of its smallest value when packed by
+        :meth:`from_instances`).
     sizes:
         ``(B,)`` integer vector of true site counts.
+    descending:
+        Whether every row's real sites are non-increasing (packed rows are;
+        the closed-form solvers answer other rows in the caller's order).
     """
 
     values: np.ndarray
     sizes: np.ndarray
+    descending: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         values = np.ascontiguousarray(np.asarray(ensure_numpy(self.values), dtype=float))
@@ -64,13 +72,19 @@ class PaddedValues:
         sizes = np.ascontiguousarray(check_counts(self.sizes, "sizes", size=values.shape[0]))
         if (sizes > values.shape[1]).any():
             raise ValueError("sizes must lie in [1, M_max]")
-        if (values <= 0).any():
-            raise ValueError("site values (including padding) must be strictly positive")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "sizes", sizes)
+        if not ((values > 0) & (values < np.inf)).all():
+            raise ValueError("site values (including padding) must be finite and strictly positive")
+        rising = (values[:, 1:] > values[:, :-1]) & self._freeze(values, sizes)[:, 1:]
+        object.__setattr__(self, "descending", not rising.any())
+
+    def _freeze(self, values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Store the read-only arrays and the mask (returned); nothing is checked here."""
+        mask = np.arange(values.shape[1])[None, :] < sizes[:, None]
+        for name, array in (("values", values), ("sizes", sizes), ("_mask", mask)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "_device_cache", {})
-        self.values.setflags(write=False)
-        self.sizes.setflags(write=False)
+        return mask
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -83,7 +97,8 @@ class PaddedValues:
         """Pack an iterable of value profiles (ragged ``M`` allowed).
 
         Raw arrays are routed through :class:`~repro.core.values.SiteValues`
-        so they inherit its validation and non-increasing sort.  ``width``
+        so they inherit its validation and non-increasing sort; the packed
+        rows are valid by construction and not checked again.  ``width``
         forces a padded width beyond the longest row: reduction trees over
         the site axis depend on the padded length, so callers that must get
         bit-identical results across different batchings of the same row
@@ -91,24 +106,25 @@ class PaddedValues:
         it float with the batch.
         """
         rows = [
-            item if isinstance(item, SiteValues) else SiteValues.from_values(np.asarray(item))
+            (item if isinstance(item, SiteValues) else SiteValues.from_values(np.asarray(item)))
+            .as_array()
             for item in instances
         ]
         if not rows:
             raise ValueError("cannot pack an empty batch of instances")
-        sizes = np.array([row.m for row in rows], dtype=np.int64)
+        longest = max(row.size for row in rows)
         if width is None:
-            width = int(sizes.max())
-        elif width < int(sizes.max()):
-            raise ValueError(
-                f"width={width} is narrower than the longest instance ({int(sizes.max())})"
-            )
+            width = longest
+        elif width < longest:
+            raise ValueError(f"width={width} is narrower than the longest instance ({longest})")
         values = np.empty((len(rows), width), dtype=float)
         for index, row in enumerate(rows):
-            arr = row.as_array()
-            values[index, : arr.size] = arr
-            values[index, arr.size :] = arr[-1]
-        return cls(values, sizes)
+            values[index, : row.size] = row
+            values[index, row.size :] = row[-1]
+        padded = object.__new__(cls)
+        padded._freeze(values, np.array([row.size for row in rows], dtype=np.int64))
+        object.__setattr__(padded, "descending", True)
+        return padded
 
     # ----------------------------------------------------------------- basics
     @property
@@ -123,8 +139,8 @@ class PaddedValues:
 
     @property
     def mask(self) -> np.ndarray:
-        """Boolean ``(B, M_max)`` matrix; ``True`` on real (non-padding) sites."""
-        return np.arange(self.width)[None, :] < self.sizes[:, None]
+        """Read-only boolean ``(B, M_max)`` matrix; ``True`` on real (non-padding) sites."""
+        return self._mask
 
     # --------------------------------------------------------- device copies
     def _cached(self, backend: Backend, key: str, build) -> Any:
@@ -157,14 +173,6 @@ class PaddedValues:
             backend,
             "fmask",
             lambda: from_numpy(backend, self.mask.astype(float), dtype=backend.float_dtype),
-        )
-
-    def sizes_for(self, backend: Backend) -> Any:
-        """The ``(B,)`` site-count vector in ``backend``'s namespace (cached)."""
-        if backend.is_numpy:
-            return self.sizes
-        return self._cached(
-            backend, "sizes", lambda: from_numpy(backend, self.sizes, dtype=backend.int_dtype)
         )
 
     def clear_device_cache(self) -> None:

@@ -480,17 +480,15 @@ def _sigma_star_rows(remaining: np.ndarray, padded: PaddedValues, ks: np.ndarray
     """Per-row ``sigma_star`` on the current expected remaining values.
 
     Mirrors :func:`repro.extensions.repeated.adaptive_sigma_star_schedule`
-    for every row at once: clamp to ``floor``, sort non-increasing, solve the
-    closed form, un-sort.  Mixed per-row ``k`` is handled by solving the
-    distinct player counts as one ``sigma_star_batch`` grid and gathering
-    each row's column.
+    for every row at once: clamp to ``floor`` and solve the closed form,
+    which answers each row in its own site order.  Mixed per-row ``k`` is
+    handled by solving the distinct player counts as one
+    ``sigma_star_batch`` grid and gathering each row's column.
     """
-    clamped = np.maximum(remaining, floor)
-    clamped_padded, order = sorted_padded(clamped, padded)
+    clamped = PaddedValues(np.maximum(remaining, floor), padded.sizes)
     unique_ks, columns = np.unique(ks, return_inverse=True)
-    star = sigma_star_batch(clamped_padded, unique_ks, backend=be)
-    solved = star.probabilities[np.arange(padded.batch_size), columns, :]
-    return unsort_rows(solved, order)
+    star = sigma_star_batch(clamped, unique_ks, backend=be)
+    return star.probabilities[np.arange(padded.batch_size), columns, :]
 
 
 def repeated_dispersal_batch(

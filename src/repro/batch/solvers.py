@@ -21,7 +21,7 @@ objects by convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -32,10 +32,9 @@ from repro.backend import (
     ensure_numpy,
     from_numpy,
     resolve_backend,
-    take_along_axis,
     to_numpy,
 )
-from repro.batch.padding import PaddedValues
+from repro.batch.padding import PaddedValues, sorted_padded
 from repro.core.sigma_star import SigmaStarResult
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
@@ -127,78 +126,75 @@ class SigmaStarBatch:
 def _int_power_columns(be: Backend, base, exponents: np.ndarray):
     """``base ** exponents`` per column, for host integer ``exponents >= 0``.
 
-    Binary exponentiation over the bits of every column at once: at each bit
-    the accumulator takes one more multiply by the current power where the
-    bit is set, then the power is squared.  Plain multiplies are correctly
-    rounded on every backend, so unlike ``**`` — whose inner-loop dispatch
-    (and last-ulp rounding) can depend on how the operands are shaped and
-    strided — the result is independent of the batch shape.  The serving
-    layer's bit-identity contract relies on this for the equilibrium values.
-    Powers past a column's top bit may overflow; they are never selected.
+    Binary exponentiation for every column at once: the squares
+    ``base ** 2 ** b`` are formed once, and a column multiplies, in
+    increasing ``b``, those of its set bits (an unset bit is an exact factor
+    one).  Plain multiplies are correctly rounded on every backend, so
+    unlike ``**`` — whose inner-loop dispatch (and last-ulp rounding) can
+    depend on how the operands are shaped and strided — the result is
+    independent of the batch shape, which the serving layer's bit-identity
+    contract relies on.  Squares past a column's top bit may overflow; they
+    are never selected.
     """
     xp = be.xp
-    bits = int(exponents.max()).bit_length()
-    is_set = from_numpy(be, ((exponents[None, :] >> np.arange(bits)[:, None]) & 1).astype(bool))
-    result = xp.ones_like(base)
+    columns = exponents.tolist()
+    top = max(columns).bit_length()
     with np.errstate(over="ignore"):
-        for bit in range(bits):
-            if bit:
-                base = base * base
-            result = xp.where(is_set[bit, :], result * base, result)
+        squares = [base]
+        for _ in range(1, top):
+            squares.append(squares[-1] * squares[-1])
+        if min(columns) == max(columns):  # one exponent: no per-column choice
+            factors = [square for bit, square in enumerate(squares) if columns[0] >> bit & 1]
+        else:
+            chosen = from_numpy(be, (exponents[None, :] >> np.arange(top)[:, None]) & 1 == 1)
+            stacked = xp.where(chosen[:, None, :], xp.stack(squares), xp.ones_like(base)[None])
+            factors = [stacked[bit] for bit in range(top)]
+        result = factors[0] if factors else xp.ones_like(base)
+        for factor in factors[1:]:
+            result = result * factor
     return result
 
 
-def _sigma_star_chunk(F, mask, ks_dev, ks_host: np.ndarray, be: Backend):
-    """Solve one chunk of instances for the whole k grid (pure Array-API body)."""
+def _sigma_star_chunk(F, positions, neg_exponents, ks_host: np.ndarray, be: Backend):
+    """Solve one chunk of instances for the whole k grid (pure Array-API body).
+
+    ``positions`` holds real sites' 1-based positions (padding ``0``);
+    ``neg_exponents`` is ``-1/(k-1)`` (``-1`` for ``k = 1``, overwritten).
+    """
     xp = be.xp
     fdt = be.float_dtype
-    B, M = F.shape
-    # Exponent 1/(k-1); the k = 1 columns are overwritten at the end.
-    exponents = 1.0 / xp.astype(xp.maximum(ks_dev - 1, xp.ones_like(ks_dev)), fdt)  # (K,)
+    M = F.shape[1]
+    zero, one = xp.asarray(0.0, dtype=fdt), xp.asarray(1.0, dtype=fdt)
     # One log of the (B, M) value matrix is shared by the whole k grid, and
     # f^(1/(k-1)) is recovered as the reciprocal of f^(-1/(k-1)) — a single
     # transcendental pass over the (B, K, M) tensor instead of 2 K of them.
-    log_f = xp.log(F)
-    inv_pow = xp.exp(log_f[:, None, :] * (-exponents)[None, :, None])  # f^(-1/(k-1))
+    inv_pow = xp.exp(xp.log(F)[:, None, :] * neg_exponents[None, :, None])  # f^(-1/(k-1))
     cumulative = xp.cumulative_sum(inv_pow, axis=2)
-    positions = xp.arange(1, M + 1, dtype=fdt)
-    # h(y) = y - f(y)^(1/(k-1)) * sum_{x<=y} f(x)^(-1/(k-1))
-    h = positions[None, None, :] - cumulative / inv_pow
-    admissible = (h <= 1.0 + _SUPPORT_ATOL) & mask[:, None, :]
-    reversed_adm = xp.flip(admissible, axis=2)
-    any_admissible = xp.any(reversed_adm, axis=2)
-    last_admissible = (M - 1) - xp.argmax(xp.astype(reversed_adm, xp.int8), axis=2)
-    support = xp.astype(
-        xp.where(any_admissible, last_admissible + 1, xp.ones_like(last_admissible)),
-        be.int_dtype,
-    )  # (B, K)
+    # h(y) = y - f(y)^(1/(k-1)) * sum_{x<=y} f(x)^(-1/(k-1)); the support is
+    # the last real position with h(y) <= 1 (1 when there is none).
+    h = xp.arange(1, M + 1, dtype=fdt)[None, None, :] - cumulative / inv_pow
+    first = xp.asarray(1, dtype=be.int_dtype)
+    support = xp.max(xp.where(h <= 1.0 + _SUPPORT_ATOL, positions[:, None, :], first), axis=2)
+    # k = 1: one player exploits the most valuable site, a single-site support.
+    solo = from_numpy(be, ks_host == 1)[None, :] if 1 in ks_host.tolist() else None  # (1, K)
+    if solo is not None:
+        support = xp.where(solo, first, support)
+    prefix = xp.arange(1, M + 1, dtype=be.int_dtype)[None, None, :] <= support[:, :, None]
+    # The cumulative sum grows along the row, so its largest prefix entry is
+    # the one at the support's end.
+    alpha = xp.astype(support - 1, fdt) / xp.max(xp.where(prefix, cumulative, zero), axis=2)
 
-    denom = take_along_axis(be, cumulative, (support - 1)[:, :, None], axis=2)[:, :, 0]
-    alpha = xp.astype(support - 1, fdt) / denom
-
-    prefix = xp.arange(M, dtype=be.int_dtype)[None, None, :] < support[:, :, None]
-    probabilities = xp.clip(1.0 - alpha[:, :, None] * inv_pow, 0.0, None)
-    probabilities = probabilities * xp.astype(prefix, fdt)
+    probabilities = xp.where(prefix, xp.maximum(1.0 - alpha[:, :, None] * inv_pow, zero), zero)
     totals = xp.sum(probabilities, axis=2)
-    probabilities = probabilities / xp.where(totals > 0, totals, xp.ones_like(totals))[:, :, None]
+    probabilities = probabilities / xp.where(totals > 0, totals, one)[:, :, None]
 
-    equilibrium = _int_power_columns(be, alpha, ks_host - 1)
-
-    # Single-site supports: all mass on the top site; several colliding players
-    # earn zero under the exclusive policy.
-    onehot = xp.astype(xp.arange(M, dtype=be.int_dtype) == 0, fdt)  # (M,)
+    # Single-site supports (alpha = 0): all mass on the top site, the prefix;
+    # several colliding players earn zero, a lone one the top site's value.
     single = support == 1
-    probabilities = xp.where(single[:, :, None], onehot[None, None, :], probabilities)
-    equilibrium = xp.where(single, xp.zeros_like(equilibrium), equilibrium)
-
-    # k = 1 columns: one player exploits the most valuable site.
-    if (ks_host == 1).any():
-        solo = (ks_dev == 1)[None, :]  # (1, K)
-        probabilities = xp.where(solo[:, :, None], onehot[None, None, :], probabilities)
-        support = xp.where(solo, xp.ones_like(support), support)
-        alpha = xp.where(solo, xp.zeros_like(alpha), alpha)
+    probabilities = xp.where(single[:, :, None], xp.astype(prefix, fdt), probabilities)
+    equilibrium = xp.where(single, zero, _int_power_columns(be, alpha, ks_host - 1))
+    if solo is not None:
         equilibrium = xp.where(solo, F[:, :1], equilibrium)
-
     return probabilities, support, alpha, equilibrium
 
 
@@ -216,6 +212,8 @@ def sigma_star_batch(
     values:
         A :class:`~repro.batch.padding.PaddedValues`, a 2-D matrix of equal-
         length profiles, or any iterable of profiles (ragged ``M`` allowed).
+        Rows of a matrix that are not non-increasing are solved on a sorted
+        copy and answered in the caller's site order.
     k_grid:
         Player counts to solve for (each ``>= 1``).
     max_elements:
@@ -232,33 +230,45 @@ def sigma_star_batch(
         Strategies, supports, normalisation constants and equilibrium values
         for every ``(instance, k)`` cell.
     """
-    be = resolve_backend(backend)
+    return _sigma_star(
+        as_padded(values), check_counts(k_grid, "k_grid"), resolve_backend(backend), max_elements
+    )
+
+
+def _sigma_star(
+    padded: PaddedValues, ks: np.ndarray, be: Backend, max_elements: int = _DEFAULT_MAX_ELEMENTS
+) -> SigmaStarBatch:
+    """:func:`sigma_star_batch` on arguments its callers have already checked."""
     xp = be.xp
-    padded = as_padded(values)
-    ks = check_counts(k_grid, "k_grid")
+    if not padded.descending:
+        ordered, order = sorted_padded(padded.values, padded)
+        star = _sigma_star(ordered, ks, be, max_elements)
+        inverse = np.argsort(order, axis=1)[:, None, :]
+        probabilities = np.take_along_axis(star.probabilities, inverse, axis=2)
+        return replace(star, probabilities=probabilities, padded=padded)
     B, M, K = padded.batch_size, padded.width, ks.size
 
     F = padded.values_for(be)
-    mask = padded.mask_for(be)
-    ks_dev = from_numpy(be, ks, dtype=be.int_dtype)
+    index = xp.arange(1, M + 1, dtype=be.int_dtype)
+    positions = xp.where(padded.mask_for(be), index[None, :], xp.asarray(0, dtype=be.int_dtype))
+    denominators = [float(max(k - 1, 1)) for k in ks.tolist()]
+    neg_exponents = -1.0 / from_numpy(be, denominators, dtype=be.float_dtype)
 
     chunk = max(1, int(max_elements // max(K * M, 1)))
     parts = []
     for start in range(0, B, chunk):
         stop = min(start + chunk, B)
-        parts.append(_sigma_star_chunk(F[start:stop, :], mask[start:stop, :], ks_dev, ks, be))
+        parts.append(
+            _sigma_star_chunk(F[start:stop, :], positions[start:stop, :], neg_exponents, ks, be)
+        )
 
-    if len(parts) == 1:
-        p, w, a, eq = parts[0]
-    else:
-        p = xp.concat([part[0] for part in parts], axis=0)
-        w = xp.concat([part[1] for part in parts], axis=0)
-        a = xp.concat([part[2] for part in parts], axis=0)
-        eq = xp.concat([part[3] for part in parts], axis=0)
+    p, w, a, eq = parts[0] if len(parts) == 1 else (
+        xp.concat([part[field] for part in parts], axis=0) for field in range(4)
+    )
 
     return SigmaStarBatch(
         probabilities=to_numpy(p),
-        support_sizes=to_numpy(w).astype(np.int64),
+        support_sizes=to_numpy(w).astype(np.int64, copy=False),
         alpha=to_numpy(a),
         equilibrium_values=to_numpy(eq),
         k_grid=ks,
@@ -317,9 +327,9 @@ def coverage_batch(
         )
     ksf = from_numpy(be, ks.astype(float), dtype=be.float_dtype)
     missed = (1.0 - P) ** ksf[None, :, None]
-    weighted = (1.0 - missed) * padded.values_for(be)[:, None, :]
-    weighted = weighted * padded.fmask_for(be)[:, None, :]
-    return to_numpy(xp.sum(weighted, axis=2))
+    zero = xp.asarray(0.0, dtype=be.float_dtype)
+    real = xp.where(padded.mask_for(be), padded.values_for(be), zero)
+    return to_numpy(xp.sum((1.0 - missed) * real[:, None, :], axis=2))
 
 
 def optimal_coverage_batch(
@@ -333,5 +343,5 @@ def optimal_coverage_batch(
     be = resolve_backend(backend)
     padded = as_padded(values)
     ks = check_counts(k_grid, "k_grid")
-    star = sigma_star_batch(padded, ks, max_elements=max_elements, backend=be)
+    star = _sigma_star(padded, ks, be, max_elements)
     return coverage_batch(padded, star.probabilities, ks, backend=be)

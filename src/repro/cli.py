@@ -859,6 +859,7 @@ def _run_mechanism(args: argparse.Namespace) -> str:
 def _run_serve(args: argparse.Namespace) -> str:
     # Deferred import: plain experiment commands never pay for asyncio/serving.
     import asyncio
+    import contextlib
     import signal
 
     from repro.serving import serve_forever
@@ -873,12 +874,16 @@ def _run_serve(args: argparse.Namespace) -> str:
             raise SystemExit(
                 f"error: {error} (available: {', '.join(available_backends())})"
             ) from error
-    # SIGTERM stops the server the way Ctrl-C does, so the interpreter exits
-    # normally and joins the shared process pool's workers on the way out.
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
-    try:
-        asyncio.run(
-            serve_forever(
+    async def serve() -> None:
+        # SIGTERM and SIGINT (unless started ignored) cancel the server through
+        # the loop: it answers what it has read, and the interpreter exits
+        # normally, joining the shared process pool's workers on the way out.
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            if signal.getsignal(signum) is not signal.SIG_IGN:
+                loop.add_signal_handler(signum, asyncio.current_task().cancel)
+        with contextlib.suppress(asyncio.CancelledError):
+            await serve_forever(
                 args.host,
                 args.port,
                 max_batch=args.max_batch,
@@ -889,11 +894,8 @@ def _run_serve(args: argparse.Namespace) -> str:
                 executor=args.executor,
                 workers=args.workers,
             )
-        )
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+
+    asyncio.run(serve())
     return "serve: shut down"
 
 

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.sigma_star import sigma_star
+from repro.batch.solvers import sigma_star_batch
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.utils.rng import as_generator
@@ -96,12 +96,9 @@ def adaptive_sigma_star_schedule(k: int, *, floor: float = 1e-9) -> Schedule:
     k = check_positive_integer(k, "k")
 
     def schedule(_round_index: int, current_values: np.ndarray) -> Strategy:
-        clamped = np.maximum(current_values, floor)
-        order = np.argsort(-clamped, kind="stable")
-        solved = sigma_star(clamped[order], k).strategy.as_array()
-        probabilities = np.empty_like(solved)
-        probabilities[order] = solved
-        return Strategy(probabilities)
+        # A one-row matrix is answered in its own site order, sorted or not.
+        clamped = np.maximum(current_values, floor)[None, :]
+        return Strategy(sigma_star_batch(clamped, [k]).probabilities[0, 0])
 
     return schedule
 

@@ -99,79 +99,65 @@ def _finite_or_none(value: float) -> float | None:
 
 def _evaluate_solve(batch: Sequence[SolveRequest], backend) -> list[dict]:
     padded = _pack(batch)
-    ks = sorted({request.k for request in batch})
-    policy = batch[0].policy_object()
-    equilibrium = ifd_batch(padded, ks, policy, backend=backend)
-    coverages = coverage_batch(padded, equilibrium.probabilities, ks, backend=backend).tolist()
-    values, support_sizes, converged = (
-        a.tolist() for a in (equilibrium.values, equilibrium.support_sizes, equilibrium.converged)
-    )
-    k_index = {k: column for column, k in enumerate(ks)}
-    payloads = []
-    for row, request in enumerate(batch):
-        column = k_index[request.k]
-        payloads.append(
-            {
-                "kind": "solve",
-                "m": request.m,
-                "k": request.k,
-                "policy": request.policy,
-                "probabilities": equilibrium.probabilities[row, column, : request.m].tolist(),
-                "equilibrium_value": values[row][column],
-                "support_size": support_sizes[row][column],
-                "coverage": coverages[row][column],
-                "converged": converged[row][column],
-            }
-        )
-    return payloads
+    ks = np.array([batch[0].k])  # the group shares k and policy (group_key)
+    equilibrium = ifd_batch(padded, ks, batch[0].policy_object(), backend=backend)
+    coverages = coverage_batch(padded, equilibrium.probabilities, ks, backend=backend)
+    columns = (equilibrium.values, equilibrium.support_sizes, equilibrium.converged, coverages)
+    values, support_sizes, converged, coverages = (a[:, 0].tolist() for a in columns)
+    return [
+        {
+            "kind": "solve",
+            "m": request.m,
+            "k": request.k,
+            "policy": request.policy,
+            "probabilities": equilibrium.probabilities[row, 0, : request.m].tolist(),
+            "equilibrium_value": values[row],
+            "support_size": support_sizes[row],
+            "coverage": coverages[row],
+            "converged": converged[row],
+        }
+        for row, request in enumerate(batch)
+    ]
 
 
 def _evaluate_sweep(batch: Sequence[SweepRequest], backend) -> list[dict]:
     padded = _pack(batch)
-    union = sorted({k for request in batch for k in request.k_grid})
-    star = sigma_star_batch(padded, union, backend=backend)
-    coverages = coverage_batch(padded, star.probabilities, union, backend=backend)
-    k_index = {k: column for column, k in enumerate(union)}
-    payloads = []
-    for row, request in enumerate(batch):
-        columns = [k_index[k] for k in request.k_grid]
-        payloads.append(
-            {
-                "kind": "sweep",
-                "m": request.m,
-                "k_grid": list(request.k_grid),
-                "support_sizes": star.support_sizes[row, columns].tolist(),
-                "equilibrium_values": star.equilibrium_values[row, columns].tolist(),
-                "coverages": coverages[row, columns].tolist(),
-            }
-        )
-    return payloads
+    ks = np.array(batch[0].k_grid)  # the group shares its grid (group_key)
+    star = sigma_star_batch(padded, ks, backend=backend)
+    coverages = coverage_batch(padded, star.probabilities, ks, backend=backend).tolist()
+    support_sizes, values = star.support_sizes.tolist(), star.equilibrium_values.tolist()
+    return [
+        {
+            "kind": "sweep",
+            "m": request.m,
+            "k_grid": list(request.k_grid),
+            "support_sizes": support_sizes[row],
+            "equilibrium_values": values[row],
+            "coverages": coverages[row],
+        }
+        for row, request in enumerate(batch)
+    ]
 
 
 def _evaluate_mechanism(batch: Sequence[MechanismRequest], backend) -> list[dict]:
     padded = _pack(batch)
-    ks = sorted({request.k for request in batch})
-    roster_names = batch[0].policies
+    roster_names = batch[0].policies  # the group shares k and roster (group_key)
     roster = [policy_from_name(name) for name in roster_names]
-    comparison = compare_policies_batch(padded, ks, roster, backend=backend)
-    k_index = {k: column for column, k in enumerate(ks)}
-    payloads = []
-    for row, request in enumerate(batch):
-        column = k_index[request.k]
-        payloads.append(
-            {
-                "kind": "mechanism",
-                "m": request.m,
-                "k": request.k,
-                "policies": list(roster_names),
-                "equilibrium_coverages": comparison.equilibrium_coverages[:, row, column].tolist(),
-                "optimal_coverage": comparison.optimal_coverages[row, column].item(),
-                "spoa": [_finite_or_none(r) for r in comparison.spoa[:, row, column].tolist()],
-                "equilibrium_payoffs": comparison.equilibrium_payoffs[:, row, column].tolist(),
-                "support_sizes": comparison.support_sizes[:, row, column].tolist(),
-            }
-        )
-    return payloads
+    comparison = compare_policies_batch(padded, [batch[0].k], roster, backend=backend)
+    return [
+        {
+            "kind": "mechanism",
+            "m": request.m,
+            "k": request.k,
+            "policies": list(roster_names),
+            "equilibrium_coverages": comparison.equilibrium_coverages[:, row, 0].tolist(),
+            "optimal_coverage": comparison.optimal_coverages[row, 0].item(),
+            "spoa": [_finite_or_none(r) for r in comparison.spoa[:, row, 0].tolist()],
+            "equilibrium_payoffs": comparison.equilibrium_payoffs[:, row, 0].tolist(),
+            "support_sizes": comparison.support_sizes[:, row, 0].tolist(),
+        }
+        for row, request in enumerate(batch)
+    ]
 
 
 def _evaluate_coverage(batch: Sequence[CoverageTimeRequest], backend) -> list[dict]:

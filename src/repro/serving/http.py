@@ -28,7 +28,8 @@ without bound.  Connections are keep-alive (closed-loop load generators
 reuse them, and the wait for a connection's next request is not timed), one
 in-flight request per connection — concurrency comes from many
 connections, which is exactly the regime the scheduler packs into shared
-kernel calls.
+kernel calls.  Closing the server answers every request it has already
+read (with ``Connection: close``) and ends the other connections quietly.
 """
 
 from __future__ import annotations
@@ -89,28 +90,6 @@ class _Rejected(Exception):
         self.status = status
 
 
-class _Deadline:
-    """One request's read deadline: on expiry it cancels the reading task.
-
-    ``expired`` tells that cancellation apart from a server shutdown.
-    """
-
-    __slots__ = ("expired", "_timer")
-
-    def __init__(self, task: asyncio.Task) -> None:
-        self.expired = False
-        self._timer = asyncio.get_running_loop().call_later(
-            _REQUEST_TIMEOUT_S, self._expire, task
-        )
-
-    def _expire(self, task: asyncio.Task) -> None:
-        self.expired = True
-        task.cancel()
-
-    def cancel(self) -> None:
-        self._timer.cancel()
-
-
 async def _read_request(
     reader: asyncio.StreamReader, request_line: bytes
 ) -> tuple[str, str, dict[str, str], bytes]:
@@ -145,6 +124,10 @@ class EquilibriumService:
 
     def __init__(self, scheduler: ContinuousBatchScheduler) -> None:
         self.scheduler = scheduler
+        # Connection handlers, and those holding a request read and not yet answered.
+        self._handlers: set[asyncio.Task] = set()
+        self._answering: set[asyncio.Task] = set()
+        self._closing = False
 
     # ---------------------------------------------------------------- routing
     async def dispatch(
@@ -187,21 +170,23 @@ class EquilibriumService:
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one keep-alive connection until the peer closes it."""
+        """Serve one keep-alive connection until the peer or the server closes it."""
         task = asyncio.current_task()
+        loop = asyncio.get_running_loop()
+        self._handlers.add(task)
         try:
-            while True:
+            while not self._closing:
                 try:
                     # The wait for the next request is untimed (keep-alive);
                     # once its request line is in, one deadline covers the rest.
                     request_line = await reader.readline()
                     if not request_line.strip():
                         break
-                    deadline = _Deadline(task)
+                    deadline = loop.call_later(_REQUEST_TIMEOUT_S, task.cancel)
                     try:
                         method, path, headers, body = await _read_request(reader, request_line)
                     except asyncio.CancelledError:
-                        if not deadline.expired:
+                        if loop.time() < deadline.when():  # not the deadline's cancel
                             raise
                         raise _Rejected(408, "request not received in time") from None
                     finally:
@@ -212,16 +197,25 @@ class EquilibriumService:
                 except _Rejected as error:
                     await self._respond(writer, error.status, {"error": str(error)})
                     break
-                status, payload, extra = await self.dispatch(method.upper(), path, body)
-                keep_alive = headers.get("connection", "").lower() != "close"
-                await self._respond(
-                    writer, status, payload, keep_alive=keep_alive, extra_headers=extra
-                )
-                if not keep_alive:
+                self._answering.add(task)
+                try:
+                    status, payload, extra = await self.dispatch(method.upper(), path, body)
+                    close = self._closing or headers.get("connection", "").lower() == "close"
+                    await self._respond(
+                        writer, status, payload, keep_alive=not close, extra_headers=extra
+                    )
+                finally:
+                    self._answering.discard(task)
+                if close:
                     break
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass  # peer went away mid-request; nothing to answer
+        except asyncio.CancelledError:
+            if not self._closing:
+                raise
+            # Shutdown ends a connection that holds no request it has read.
         finally:
+            self._handlers.discard(task)
             # Half-close first: a process-pool worker forked while this
             # connection was open holds a copy of its socket, and close()
             # alone sends no FIN while that copy lives.
@@ -230,10 +224,15 @@ class EquilibriumService:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                # The handler task is cancelled by Server.close(); the socket
-                # is already closing, so there is nothing left to wait for.
+            except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    async def shutdown(self) -> None:
+        """Answer the requests already read, end every other connection, and wait."""
+        self._closing = True
+        for task in self._handlers - self._answering:
+            task.cancel()
+        await asyncio.gather(*self._handlers, return_exceptions=True)
 
     @staticmethod
     async def _respond(
@@ -278,6 +277,7 @@ class RunningServer:
 
     async def close(self) -> None:
         self.server.close()
+        await self.service.shutdown()
         await self.server.wait_closed()
         await self.service.scheduler.close()
 

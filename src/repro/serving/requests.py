@@ -286,8 +286,8 @@ def parse_request(kind: str, payload: Mapping[str, Any]) -> ServingRequest:
         raise ValueError(f"unknown request kind {kind!r}; expected one of {sorted(_KINDS)}")
     if not isinstance(payload, Mapping):
         raise ValueError("request payload must be a JSON object")
-    allowed = set(cls.__dataclass_fields__)
-    unknown = set(payload) - allowed
+    allowed = cls.__dataclass_fields__
+    unknown = [name for name in payload if name not in allowed]
     if unknown:
         raise ValueError(
             f"unknown field(s) {sorted(unknown)} for {kind!r}; allowed: {sorted(allowed)}"

@@ -36,6 +36,7 @@ failing group settles only its own callers.
 from __future__ import annotations
 
 import asyncio
+import bisect
 from typing import Any, Sequence
 
 from repro.backend import Backend
@@ -49,6 +50,9 @@ __all__ = ["ContinuousBatchScheduler", "QueueFullError"]
 
 #: EWMA smoothing factor of the inter-arrival estimate (~ last 10 arrivals).
 _EWMA_ALPHA = 0.2
+
+#: A queued request, the futures of every caller waiting on it, its arrival time.
+_Entry = tuple[ServingRequest, list[asyncio.Future], float]
 
 
 class QueueFullError(RuntimeError):
@@ -78,11 +82,7 @@ class _Histogram:
     def observe(self, value: float) -> None:
         self.n += 1
         self.total += value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
+        self.counts[bisect.bisect_left(self.bounds, value)] += 1
 
     def as_dict(self) -> dict[str, Any]:
         buckets = {f"le_{bound:g}": count for bound, count in zip(self.bounds, self.counts)}
@@ -145,8 +145,9 @@ class ContinuousBatchScheduler:
         self.backend = backend
         self.executor = create_executor(executor)
         self.max_pending = int(max_pending)
-        self._pending: list[tuple[ServingRequest, asyncio.Future, float]] = []
-        self._inflight: dict[str, asyncio.Future] = {}
+        # Callers share a request's waiter list; a cancelled caller cancels only its own.
+        self._pending: list[_Entry] = []
+        self._inflight: dict[str, list[asyncio.Future]] = {}
         self._tasks: set[asyncio.Task] = set()
         self._inflight_groups = 0
         self._pump_scheduled = False
@@ -182,39 +183,48 @@ class ContinuousBatchScheduler:
             if cached is not None:
                 self._n_cache_hits += 1
                 return cached
-        shared = self._inflight.get(key)
-        if shared is not None:
-            self._n_singleflight += 1
-            return await asyncio.shield(shared)
-        if len(self._pending) >= self.max_pending:
-            self._n_rejected += 1
-            raise QueueFullError(
-                f"pending queue is full ({self.max_pending} requests queued)",
-                retry_after=self._retry_after(),
-            )
         loop = asyncio.get_running_loop()
-        now = loop.time()
-        self._observe_arrival(now)
-        self._queue_depth_histogram.observe(len(self._pending))
+        waiters = self._inflight.get(key)
+        if waiters is not None:
+            self._n_singleflight += 1
+        else:
+            if len(self._pending) >= self.max_pending:
+                self._n_rejected += 1
+                raise QueueFullError(
+                    f"pending queue is full ({self.max_pending} requests queued)",
+                    retry_after=self._retry_after(),
+                )
+            now = loop.time()
+            self._observe_arrival(now)
+            self._queue_depth_histogram.observe(len(self._pending))
+            waiters = self._inflight[key] = []
+            self._pending.append((request, waiters, now))
+            # Deferred one tick, so a burst scheduled in the same loop iteration
+            # (asyncio.gather, several connections becoming readable together)
+            # fully enqueues before the pump decides what to dispatch.
+            self._schedule_pump()
         future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        self._pending.append((request, future, now))
-        # Deferred one tick, so a burst scheduled in the same loop iteration
-        # (asyncio.gather, several connections becoming readable together)
-        # fully enqueues before the pump decides what to dispatch.
-        self._schedule_pump(loop)
-        return await asyncio.shield(future)
+        waiters.append(future)
+        return await future
 
     # -------------------------------------------------------------------- pump
-    def _schedule_pump(self, loop: asyncio.AbstractEventLoop | None = None) -> None:
+    def _schedule_pump(self) -> None:
         if not self._pump_scheduled:
             self._pump_scheduled = True
-            (loop or asyncio.get_running_loop()).call_soon(self._pump)
+            self._start([self._deferred_pump()])
 
-    def _pump(self, *, worker_freed: bool = False, backstop: bool = False) -> None:
-        """Dispatch pending requests per the continuous-batching rule."""
+    async def _deferred_pump(self) -> None:
+        """Pump, and run the first group dispatched in this same task."""
+        groups = self._pump()
+        self._start(self._run_group(group) for group in groups[1:])
+        if groups:
+            await self._run_group(groups[0])
+
+    def _pump(self, *, worker_freed: bool = False, backstop: bool = False) -> list[list[_Entry]]:
+        """Dispatch pending requests per the continuous-batching rule; the groups, unlaunched."""
         self._pump_scheduled = False
         loop = asyncio.get_running_loop()
+        groups = []
         while self._pending:
             idle = self._inflight_groups == 0
             slot_free = self._inflight_groups < self.executor.concurrency
@@ -223,11 +233,12 @@ class ContinuousBatchScheduler:
             )
             target_met = len(self._pending) >= self._accumulation_target()
             if idle or (slot_free and (worker_freed or overdue or target_met)):
-                self._dispatch_event(loop)
+                groups += self._dispatch_event()
                 worker_freed = backstop = False
                 continue
             break
         self._arm_backstop(loop)
+        return groups
 
     def _accumulation_target(self) -> int:
         """How many requests a free (non-idle) worker waits to accumulate.
@@ -258,8 +269,8 @@ class ContinuousBatchScheduler:
         return min(30.0, service * depth_in_batches / max(1, self.executor.concurrency))
 
     # ---------------------------------------------------------------- dispatch
-    def _dispatch_event(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Take up to ``max_batch`` requests FIFO and launch their groups."""
+    def _dispatch_event(self) -> list[list[_Entry]]:
+        """Take up to ``max_batch`` requests FIFO; their groups, each counted in flight."""
         event = self._pending[: self.max_batch]
         del self._pending[: self.max_batch]
         if self._timer is not None:
@@ -269,19 +280,20 @@ class ContinuousBatchScheduler:
         self._n_solved += len(event)
         self._largest_batch = max(self._largest_batch, len(event))
         requests = [request for request, _, _ in event]
-        for indices in group_requests(requests).values():
-            group = [event[i] for i in indices]
-            # Synchronous accounting: the pump sees this group occupying a
-            # slot before the task first runs, so one pump pass cannot
-            # over-dispatch past the executor's concurrency.
-            self._inflight_groups += 1
-            task = loop.create_task(self._run_group(group))
+        groups = [[event[i] for i in indices] for indices in group_requests(requests).values()]
+        # Synchronous accounting: the pump sees these groups occupying slots
+        # before they first run, so one pump pass cannot over-dispatch past
+        # the executor's concurrency.
+        self._inflight_groups += len(groups)
+        return groups
+
+    def _start(self, coroutines) -> None:
+        for coroutine in coroutines:
+            task = asyncio.get_running_loop().create_task(coroutine)
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
 
-    async def _run_group(
-        self, group: list[tuple[ServingRequest, asyncio.Future, float]]
-    ) -> None:
+    async def _run_group(self, group: list[_Entry]) -> None:
         """Execute one homogeneous group and settle its callers."""
         loop = asyncio.get_running_loop()
         started = loop.time()
@@ -289,11 +301,11 @@ class ContinuousBatchScheduler:
         try:
             payloads = await self.executor.run(requests, backend=self.backend)
         except Exception as error:  # noqa: BLE001 - forwarded to callers
-            for request, future, enqueued in group:
-                self._settle(request, future, enqueued, error=error)
+            for request, waiters, enqueued in group:
+                self._settle(request, waiters, enqueued, error=error)
         else:
-            for (request, future, enqueued), payload in zip(group, payloads):
-                self._settle(request, future, enqueued, payload=payload)
+            for (request, waiters, enqueued), payload in zip(group, payloads):
+                self._settle(request, waiters, enqueued, payload=payload)
         finally:
             finished = loop.time()
             per_request = (finished - started) / max(1, len(group))
@@ -304,12 +316,12 @@ class ContinuousBatchScheduler:
             self._inflight_groups -= 1
             # A worker just freed: dispatch whatever accumulated meanwhile.
             if self._pending:
-                self._pump(worker_freed=True)
+                self._start(map(self._run_group, self._pump(worker_freed=True)))
 
     def _settle(
         self,
         request: ServingRequest,
-        future: asyncio.Future,
+        waiters: list[asyncio.Future],
         enqueued: float,
         *,
         payload: dict | None = None,
@@ -319,14 +331,15 @@ class ContinuousBatchScheduler:
         self._latency_histogram.observe(
             (asyncio.get_running_loop().time() - enqueued) * 1000.0
         )
-        if future.done():  # pragma: no cover - cancelled caller
-            return
-        if error is not None:
-            future.set_exception(error)
-        else:
-            if self.cache is not None:
-                self.cache.put(request.cache_key, payload)
-            future.set_result(payload)
+        if error is None and self.cache is not None:
+            self.cache.put(request.cache_key, payload)
+        for future in waiters:
+            if future.done():  # a cancelled caller
+                continue
+            if error is not None:
+                future.set_exception(error)
+            else:
+                future.set_result(payload)
 
     # ---------------------------------------------------------------- backstop
     def _arm_backstop(self, loop: asyncio.AbstractEventLoop) -> None:
@@ -348,17 +361,13 @@ class ContinuousBatchScheduler:
 
     def _on_backstop(self) -> None:
         self._timer = None
-        self._pump(backstop=True)
+        self._start(map(self._run_group, self._pump(backstop=True)))
 
     # --------------------------------------------------------------- lifecycle
     async def drain(self) -> None:
         """Dispatch everything queued and wait for every in-flight answer."""
-        loop = asyncio.get_running_loop()
-        futures = [future for _, future, _ in self._pending]
         while self._pending:
-            self._dispatch_event(loop)
-        if futures:
-            await asyncio.gather(*futures, return_exceptions=True)
+            self._start(map(self._run_group, self._dispatch_event()))
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 

@@ -134,7 +134,10 @@ def _encode(value: Any, out: list[str]) -> None:
     if isinstance(value, (tuple, list)):
         out.append(f"t{len(value)}(")
         for item in value:
-            _encode(item, out)
+            if type(item) is int:  # a grid's plain ints inline; the rest recurses
+                out.append(f"i{item}")
+            else:
+                _encode(item, out)
         out.append(")")
     elif isinstance(value, str):
         out.append(f"s{len(value)}:{value}")

@@ -114,6 +114,11 @@ class TestPaddedValues:
         assert np.all(padded.values > 0)
         assert np.all(np.diff(padded.values, axis=1) <= 1e-12)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0])
+    def test_rejects_non_finite_or_non_positive_values(self, bad):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            sigma_star_batch(np.array([[bad, 1.0]]), [2])
+
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             PaddedValues.from_instances([])
@@ -249,6 +254,83 @@ class TestSigmaStarBatch:
     def test_scalar_k_accepted(self):
         batch = sigma_star_batch([SiteValues.zipf(5)], 3)
         assert batch.probabilities.shape == (1, 1, 5)
+
+
+class TestSigmaStarEdgeCases:
+    """The kernel's edge cases against the brute-force exclusive IFD conditions."""
+
+    #: Rows whose support condition h(y) <= 1 holds with equality at a tie
+    #: group on the boundary (k = 2: h(3) = h(4) = 1 exactly), a uniform row
+    #: and a single-site row.
+    BOUNDARY = ([1.0, 1 / 3, 0.25, 0.25], [1.0, 0.5, 0.5, 0.5], [2.0, 2.0, 2.0], [3.0])
+
+    @staticmethod
+    def check_cells(rows, batch, ks):
+        for b, row in enumerate(rows):
+            f = np.sort(np.asarray(row, dtype=float))[::-1]
+            for j, k in enumerate(ks):
+                p = batch.probabilities[b, j]
+                assert np.all(p[f.size :] == 0), (b, k)  # padding never gets mass
+                value = assert_oracle_ifd(f, np.zeros(f.size), p[: f.size], k, ExclusivePolicy())
+                assert batch.equilibrium_values[b, j] == pytest.approx(value, rel=1e-12, abs=1e-15)
+                # W is a prefix; a boundary site with h(W) = 1 is in it at mass zero.
+                w = batch.support_sizes[b, j]
+                assert np.all(p[w:] == 0) and np.all(p[: np.count_nonzero(p)] > 0), (b, k)
+
+    def test_ties_across_the_support_boundary(self):
+        batch = sigma_star_batch([np.array(row) for row in self.BOUNDARY], (2, 3, 4))
+        self.check_cells(self.BOUNDARY, batch, (2, 3, 4))
+        # At k = 2 the boundary tie takes no mass, and both tied sites alike.
+        np.testing.assert_allclose(batch.probabilities[0, 0], [0.75, 0.25, 0.0, 0.0], atol=1e-15)
+
+    def test_single_site_rows_and_k_one_columns_mixed_with_larger_k(self):
+        rows = [[3.0], [1.0, 0.4], [2.0, 1.5, 1.0, 0.2], [1.0]]
+        ks = (1, 2, 3, 1000)
+        batch = sigma_star_batch([np.array(row) for row in rows], ks)
+        self.check_cells(rows, batch, ks[:3])  # k = 1000 is past brute force
+        np.testing.assert_array_equal(batch.probabilities[[0, 3], :, 0], 1.0)
+        np.testing.assert_array_equal(batch.equilibrium_values[[0, 3], 1:], 0.0)
+        np.testing.assert_array_equal(batch.equilibrium_values[:, 0], [3.0, 1.0, 2.0, 1.0])
+        np.testing.assert_array_equal(batch.support_sizes[:, 0], 1)
+        np.testing.assert_array_equal(batch.alpha[:, 0], 0.0)
+
+    def test_padding_far_wider_than_the_rows(self):
+        rows = [[1.0, 0.6, 0.3], [0.9, 0.9, 0.1, 0.05], [5.0]]
+        padded = PaddedValues.from_instances([np.array(row) for row in rows], width=128)
+        batch = sigma_star_batch(padded, (2, 3, 5))
+        self.check_cells(rows, batch, (2, 3, 5))
+        narrow = sigma_star_batch([np.array(row) for row in rows], (2, 3, 5))
+        for b, row in enumerate(rows):
+            np.testing.assert_allclose(
+                batch.probabilities[b, :, : len(row)], narrow.probabilities[b, :, : len(row)],
+                rtol=1e-14, atol=1e-15,
+            )
+
+
+class TestUnsortedMatrices:
+    """A (B, M) matrix keeps the caller's site order; the closed forms answer in it."""
+
+    MATRIX = np.array([[0.2, 1.0, 0.5], [1.0, 0.5, 0.2]])
+
+    def test_sigma_star_answers_in_the_callers_order(self):
+        batch = sigma_star_batch(self.MATRIX, [2])
+        expected = [[0, 2 / 3, 1 / 3], [2 / 3, 1 / 3, 0]]
+        np.testing.assert_allclose(batch.probabilities[:, 0], expected)
+        np.testing.assert_array_equal(batch.support_sizes[:, 0], [2, 2])
+        np.testing.assert_array_equal(batch.equilibrium_values[0], batch.equilibrium_values[1])
+        assert not batch.padded.descending and batch.padded.values[0, 0] == 0.2
+
+    def test_optimal_coverage_is_the_sorted_rows(self):
+        coverage = optimal_coverage_batch(self.MATRIX, [2, 3])
+        np.testing.assert_allclose(coverage[0], coverage[1], rtol=1e-15)
+        assert coverage[0, 0] == pytest.approx(7 / 6, rel=1e-15)
+
+    def test_exclusive_ifd_closed_form_matches_water_filling(self):
+        closed = ifd_batch(self.MATRIX, [2, 3], ExclusivePolicy())
+        iterated = ifd_batch(self.MATRIX, [2, 3], ExclusivePolicy(), use_closed_form=False)
+        assert closed.converged.all() and iterated.converged.all()
+        np.testing.assert_allclose(closed.probabilities, iterated.probabilities, atol=1e-9)
+        np.testing.assert_allclose(closed.probabilities[0, 0], [0, 2 / 3, 1 / 3])
 
 
 class TestCoverageBatch:

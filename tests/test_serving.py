@@ -18,8 +18,10 @@ import multiprocessing
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -73,6 +75,45 @@ OVERFLOWING_TOTALS = [
     ("solve", {"values": NEAR_MAX_VALUES, "k": 200, "policy": "exclusive"}),
     ("mechanism", {"values": NEAR_MAX_VALUES, "k": 200}),
 ]
+
+
+def _post(path: str, payload: dict) -> bytes:
+    body = json.dumps(payload).encode()
+    head = f"POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {len(body)}\r\n\r\n"
+    return head.encode() + body
+
+
+def _read_response(rfile) -> tuple[bytes, dict[str, str], bytes] | None:
+    """One whole response from a socket file, or ``None`` at end of stream."""
+    status = rfile.readline()
+    if not status:
+        return None
+    headers = {}
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = rfile.read(int(headers["content-length"]))
+    assert len(body) == int(headers["content-length"]), "truncated response"
+    return status, headers, body
+
+
+def _stream_solves(port: int, seed: int, statuses: list[bytes]) -> None:
+    """Send distinct /solve requests back to back until the server closes."""
+    rng = np.random.default_rng(seed)
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        with sock.makefile("rb") as rfile:
+            while True:
+                payload = {"values": rng.uniform(0.5, 2.0, 40).tolist(), "k": 3}
+                try:
+                    sock.sendall(_post("/solve", payload))
+                    response = _read_response(rfile)
+                except (BrokenPipeError, ConnectionResetError):
+                    return  # closed before this request was read
+                if response is None:
+                    return
+                statuses.append(response[0])
+                if response[1].get("connection") == "close":
+                    return
 
 
 def random_values(m: int) -> np.ndarray:
@@ -254,6 +295,23 @@ class TestEngine:
         batched = evaluate_requests(requests)
         for index, (one, many) in enumerate(zip(direct, batched)):
             assert one == many, f"request {index} differs between direct and coalesced"
+
+    def test_coalesced_equals_direct_bitwise_at_width_128(self):
+        # The serve-light shapes: exclusive solves at k = 3 and 8 and k = 2..21
+        # sweeps over 65-127 sites, some with tied values, in one width bucket.
+        rng = np.random.default_rng(128)
+        requests = []
+        for index in range(64):
+            values = rng.uniform(0.05, 10.0, int(rng.integers(65, 128)))
+            if index % 4 == 0:
+                values = np.round(values)  # ties
+            if index % 5 < 3:
+                requests.append(SolveRequest(values + 0.5, k=(3, 8)[index % 2]))
+            else:
+                requests.append(SweepRequest(values + 0.5, k_grid=tuple(range(2, 22))))
+        assert {request.pad_width for request in requests} == {128}
+        direct = [evaluate_one(request) for request in requests]
+        assert evaluate_requests(requests) == direct
 
     @pytest.mark.parametrize("policy", ["sharing", "power-law", "aggressive"])
     def test_served_solve_equals_library_answer(self, policy):
@@ -786,6 +844,46 @@ class TestHTTPServer:
             proc.wait()
             for pid in filter(is_running, workers):
                 os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGTERM"), reason="needs POSIX signals")
+    def test_sigterm_under_load_answers_what_it_read_and_logs_nothing(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONUNBUFFERED": "1"},
+        )
+        try:
+            port = int(re.search(r"serving on [^:]+:(\d+)", proc.stdout.readline())[1])
+            streams = [[], []]
+            threads = [
+                threading.Thread(target=_stream_solves, args=(port, seed, streams[seed]))
+                for seed in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            time.sleep(0.3)
+            # A request that computes for about a second: read long before
+            # the signal arrives, so it must be answered.
+            slow = {"values": np.linspace(1.0, 2.0, 64).tolist(), "k": 2000, "policy": "sharing"}
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(_post("/solve", slow))
+                time.sleep(0.3)
+                proc.send_signal(signal.SIGTERM)
+                with sock.makefile("rb") as rfile:
+                    status, _, body = _read_response(rfile)
+                    assert _read_response(rfile) is None  # then the server closes it
+            assert status == b"HTTP/1.1 200 OK\r\n" and json.loads(body)["converged"] is True
+            assert proc.wait(timeout=5) == 0
+            for thread in threads:
+                thread.join(timeout=10)
+            # Both connections were mid-stream: every answer they got is whole.
+            assert all(streams) and all(s == b"HTTP/1.1 200 OK\r\n" for s in sum(streams, []))
+            assert "Traceback" not in proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
 
     def test_non_integral_count_grids_are_a_400(self):
         async def run():
