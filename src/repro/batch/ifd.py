@@ -651,29 +651,27 @@ def _roster_ifd(
     call; their ``(B, M)`` strategies come back last (``None`` without them).
     """
     P, B, K, M = len(roster), padded.batch_size, ks.size, padded.width
-    closed = [
-        bool(use_closed_form) and k > 1 and p.is_exclusive(k) for p in roster for k in ks.tolist()
-    ]
+    # Cell p * K + c of the flattened roster axis is policy p at k = ks[c].
+    cell = np.arange(P * K)
+    column = cell % K
+    closed = np.array(
+        [bool(use_closed_form) and k > 1 and p.is_exclusive(k) for p in roster for k in ks.tolist()]
+    )
     reuse = (
         closed_form is not None
         and closed_form.padded is padded
         and np.array_equal(closed_form.k_grid, ks)
     )
-    if all(closed) and extra is None:
-        # Every cell is in closed form: the sigma_star arrays are the answer
-        # (viewed for one policy; copied when repeated or the caller's own).
+    if closed.all() and extra is None:
+        # Every cell is in closed form: the sigma_star arrays are the answer.
         star = closed_form if reuse else _sigma_star(padded, ks, be)
-        fields = (star.probabilities, star.equilibrium_values, star.support_sizes)
-        copies = P > 1 or reuse
         return (
-            *(np.repeat(a[:, None], P, axis=1) if copies else a[:, None] for a in fields),
+            np.repeat(star.probabilities[:, None], P, axis=1),
+            np.repeat(star.equilibrium_values[:, None], P, axis=1),
+            np.repeat(star.support_sizes[:, None], P, axis=1),
             np.ones((B, P, K), dtype=bool),
             None,
         )
-    # Cell p * K + c of the flattened roster axis is policy p at k = ks[c].
-    closed = np.array(closed)
-    cell = np.arange(P * K)
-    column = cell % K
     probabilities = np.zeros((B, P * K, M))
     values = np.zeros((B, P * K))
     support_sizes = np.zeros((B, P * K), dtype=np.int64)

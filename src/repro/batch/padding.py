@@ -56,13 +56,17 @@ class PaddedValues:
         :meth:`from_instances`).
     sizes:
         ``(B,)`` integer vector of true site counts.
+    mask:
+        Read-only boolean ``(B, M_max)`` matrix; ``True`` on real sites.
     descending:
-        Whether every row's real sites are non-increasing (packed rows are;
-        the closed-form solvers answer other rows in the caller's order).
+        Whether every row, padding included, is non-increasing (packed rows
+        are; the closed-form solvers sort other rows and answer them in the
+        caller's order).
     """
 
     values: np.ndarray
     sizes: np.ndarray
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
     descending: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -72,19 +76,15 @@ class PaddedValues:
         sizes = np.ascontiguousarray(check_counts(self.sizes, "sizes", size=values.shape[0]))
         if (sizes > values.shape[1]).any():
             raise ValueError("sizes must lie in [1, M_max]")
-        if not ((values > 0) & (values < np.inf)).all():
+        if values.size and not (values.min() > 0 and values.max() < np.inf):  # NaN fails too
             raise ValueError("site values (including padding) must be finite and strictly positive")
-        rising = (values[:, 1:] > values[:, :-1]) & self._freeze(values, sizes)[:, 1:]
-        object.__setattr__(self, "descending", not rising.any())
-
-    def _freeze(self, values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """Store the read-only arrays and the mask (returned); nothing is checked here."""
         mask = np.arange(values.shape[1])[None, :] < sizes[:, None]
-        for name, array in (("values", values), ("sizes", sizes), ("_mask", mask)):
+        for name, array in (("values", values), ("sizes", sizes), ("mask", mask)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+        # A rise in the padding too only sends the rows through a sort.
+        object.__setattr__(self, "descending", not (values[:, 1:] > values[:, :-1]).any())
         object.__setattr__(self, "_device_cache", {})
-        return mask
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -97,8 +97,7 @@ class PaddedValues:
         """Pack an iterable of value profiles (ragged ``M`` allowed).
 
         Raw arrays are routed through :class:`~repro.core.values.SiteValues`
-        so they inherit its validation and non-increasing sort; the packed
-        rows are valid by construction and not checked again.  ``width``
+        so they inherit its validation and non-increasing sort.  ``width``
         forces a padded width beyond the longest row: reduction trees over
         the site axis depend on the padded length, so callers that must get
         bit-identical results across different batchings of the same row
@@ -121,10 +120,7 @@ class PaddedValues:
         for index, row in enumerate(rows):
             values[index, : row.size] = row
             values[index, row.size :] = row[-1]
-        padded = object.__new__(cls)
-        padded._freeze(values, np.array([row.size for row in rows], dtype=np.int64))
-        object.__setattr__(padded, "descending", True)
-        return padded
+        return cls(values, np.array([row.size for row in rows], dtype=np.int64))
 
     # ----------------------------------------------------------------- basics
     @property
@@ -136,11 +132,6 @@ class PaddedValues:
     def width(self) -> int:
         """Padded width ``M_max``."""
         return int(self.values.shape[1])
-
-    @property
-    def mask(self) -> np.ndarray:
-        """Read-only boolean ``(B, M_max)`` matrix; ``True`` on real (non-padding) sites."""
-        return self._mask
 
     # --------------------------------------------------------- device copies
     def _cached(self, backend: Backend, key: str, build) -> Any:

@@ -126,33 +126,31 @@ class SigmaStarBatch:
 def _int_power_columns(be: Backend, base, exponents: np.ndarray):
     """``base ** exponents`` per column, for host integer ``exponents >= 0``.
 
-    Binary exponentiation for every column at once: the squares
-    ``base ** 2 ** b`` are formed once, and a column multiplies, in
-    increasing ``b``, those of its set bits (an unset bit is an exact factor
-    one).  Plain multiplies are correctly rounded on every backend, so
-    unlike ``**`` — whose inner-loop dispatch (and last-ulp rounding) can
-    depend on how the operands are shaped and strided — the result is
-    independent of the batch shape, which the serving layer's bit-identity
-    contract relies on.  Squares past a column's top bit may overflow; they
-    are never selected.
+    Binary exponentiation over the bits of every column at once: at each bit
+    the accumulator takes one more multiply by the current power where the
+    bit is set (a bit every column shares is a plain multiply, one no column
+    has is skipped), then the power is squared.  Plain multiplies are
+    correctly rounded on every backend, so unlike ``**`` — whose inner-loop
+    dispatch (and last-ulp rounding) can depend on how the operands are
+    shaped and strided — the result is independent of the batch shape.  The
+    serving layer's bit-identity contract relies on this for the equilibrium
+    values.  Powers past a column's top bit may overflow; they are never
+    selected.
     """
     xp = be.xp
     columns = exponents.tolist()
     top = max(columns).bit_length()
+    bits = [[column >> bit & 1 == 1 for column in columns] for bit in range(top)]
+    is_set, one = from_numpy(be, bits), xp.asarray(1.0, dtype=be.float_dtype)
+    result = None
     with np.errstate(over="ignore"):
-        squares = [base]
-        for _ in range(1, top):
-            squares.append(squares[-1] * squares[-1])
-        if min(columns) == max(columns):  # one exponent: no per-column choice
-            factors = [square for bit, square in enumerate(squares) if columns[0] >> bit & 1]
-        else:
-            chosen = from_numpy(be, (exponents[None, :] >> np.arange(top)[:, None]) & 1 == 1)
-            stacked = xp.where(chosen[:, None, :], xp.stack(squares), xp.ones_like(base)[None])
-            factors = [stacked[bit] for bit in range(top)]
-        result = factors[0] if factors else xp.ones_like(base)
-        for factor in factors[1:]:
-            result = result * factor
-    return result
+        for bit, chosen in enumerate(bits):
+            if bit:
+                base = base * base
+            if any(chosen):
+                factor = base if all(chosen) else xp.where(is_set[bit, :], base, one)
+                result = factor if result is None else result * factor
+    return xp.ones_like(base) if result is None else result
 
 
 def _sigma_star_chunk(F, positions, neg_exponents, ks_host: np.ndarray, be: Backend):

@@ -40,12 +40,8 @@ class SiteValues:
 
     # ----------------------------------------------------------------- basics
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim == 1:
-            arr.sort()  # equal values are equal bits, so no stable order is needed
-        # Sorted (NaN last), the extremes settle validity; check_value_vector names faults.
-        if arr.ndim != 1 or not arr.size or not (arr[0] > 0 and arr[-1] < np.inf):
-            check_value_vector(arr, "values", require_positive=True)
+        arr = check_value_vector(self.values, "values", require_positive=True)
+        arr.sort()  # equal positive values are equal bits: no stable order is needed
         object.__setattr__(self, "values", np.ascontiguousarray(arr[::-1]))
         self.values.setflags(write=False)
 

@@ -53,6 +53,8 @@ __all__ = ["EquilibriumService", "start_server", "serve_forever"]
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Seconds a client has, once a request line arrived, to send its headers and body.
 _REQUEST_TIMEOUT_S = 10.0
+#: Seconds a closing server gives the requests it has read to be answered.
+_SHUTDOWN_GRACE_S = 2.0
 _POST_KINDS = ("solve", "sweep", "mechanism", "coverage-times")
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
             408: "Request Timeout", 413: "Payload Too Large",
@@ -124,8 +126,9 @@ class EquilibriumService:
 
     def __init__(self, scheduler: ContinuousBatchScheduler) -> None:
         self.scheduler = scheduler
-        # Connection handlers, and those holding a request read and not yet answered.
-        self._handlers: set[asyncio.Task] = set()
+        # Connection handlers (with their writers), and those holding a request
+        # read and not yet answered.
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._answering: set[asyncio.Task] = set()
         self._closing = False
 
@@ -173,7 +176,7 @@ class EquilibriumService:
         """Serve one keep-alive connection until the peer or the server closes it."""
         task = asyncio.current_task()
         loop = asyncio.get_running_loop()
-        self._handlers.add(task)
+        self._handlers[task] = writer
         try:
             while not self._closing:
                 try:
@@ -215,7 +218,6 @@ class EquilibriumService:
                 raise
             # Shutdown ends a connection that holds no request it has read.
         finally:
-            self._handlers.discard(task)
             # Half-close first: a process-pool worker forked while this
             # connection was open holds a copy of its socket, and close()
             # alone sends no FIN while that copy lives.
@@ -224,15 +226,25 @@ class EquilibriumService:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+                pass  # shutdown cancels a handler still here after its grace
+            del self._handlers[task]
 
     async def shutdown(self) -> None:
-        """Answer the requests already read, end every other connection, and wait."""
+        """Answer the requests already read, end every other connection, and wait.
+
+        A connection still open after ``_SHUTDOWN_GRACE_S`` (its peer stopped
+        reading, or its request computes for longer) is aborted.
+        """
         self._closing = True
-        for task in self._handlers - self._answering:
+        for task in self._handlers.keys() - self._answering:
             task.cancel()
-        await asyncio.gather(*self._handlers, return_exceptions=True)
+        if self._handlers:
+            _, late = await asyncio.wait(list(self._handlers), timeout=_SHUTDOWN_GRACE_S)
+            for task in late:
+                self._handlers[task].transport.abort()
+                task.cancel()
+            await asyncio.gather(*late, return_exceptions=True)
 
     @staticmethod
     async def _respond(

@@ -202,29 +202,21 @@ class ContinuousBatchScheduler:
             # Deferred one tick, so a burst scheduled in the same loop iteration
             # (asyncio.gather, several connections becoming readable together)
             # fully enqueues before the pump decides what to dispatch.
-            self._schedule_pump()
+            self._schedule_pump(loop)
         future: asyncio.Future = loop.create_future()
         waiters.append(future)
         return await future
 
     # -------------------------------------------------------------------- pump
-    def _schedule_pump(self) -> None:
+    def _schedule_pump(self, loop: asyncio.AbstractEventLoop | None = None) -> None:
         if not self._pump_scheduled:
             self._pump_scheduled = True
-            self._start([self._deferred_pump()])
+            (loop or asyncio.get_running_loop()).call_soon(self._pump)
 
-    async def _deferred_pump(self) -> None:
-        """Pump, and run the first group dispatched in this same task."""
-        groups = self._pump()
-        self._start(self._run_group(group) for group in groups[1:])
-        if groups:
-            await self._run_group(groups[0])
-
-    def _pump(self, *, worker_freed: bool = False, backstop: bool = False) -> list[list[_Entry]]:
-        """Dispatch pending requests per the continuous-batching rule; the groups, unlaunched."""
+    def _pump(self, *, worker_freed: bool = False, backstop: bool = False) -> None:
+        """Dispatch pending requests per the continuous-batching rule."""
         self._pump_scheduled = False
         loop = asyncio.get_running_loop()
-        groups = []
         while self._pending:
             idle = self._inflight_groups == 0
             slot_free = self._inflight_groups < self.executor.concurrency
@@ -233,12 +225,11 @@ class ContinuousBatchScheduler:
             )
             target_met = len(self._pending) >= self._accumulation_target()
             if idle or (slot_free and (worker_freed or overdue or target_met)):
-                groups += self._dispatch_event()
+                self._dispatch_event(loop)
                 worker_freed = backstop = False
                 continue
             break
         self._arm_backstop(loop)
-        return groups
 
     def _accumulation_target(self) -> int:
         """How many requests a free (non-idle) worker waits to accumulate.
@@ -269,8 +260,8 @@ class ContinuousBatchScheduler:
         return min(30.0, service * depth_in_batches / max(1, self.executor.concurrency))
 
     # ---------------------------------------------------------------- dispatch
-    def _dispatch_event(self) -> list[list[_Entry]]:
-        """Take up to ``max_batch`` requests FIFO; their groups, each counted in flight."""
+    def _dispatch_event(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Take up to ``max_batch`` requests FIFO and launch their groups."""
         event = self._pending[: self.max_batch]
         del self._pending[: self.max_batch]
         if self._timer is not None:
@@ -280,16 +271,13 @@ class ContinuousBatchScheduler:
         self._n_solved += len(event)
         self._largest_batch = max(self._largest_batch, len(event))
         requests = [request for request, _, _ in event]
-        groups = [[event[i] for i in indices] for indices in group_requests(requests).values()]
-        # Synchronous accounting: the pump sees these groups occupying slots
-        # before they first run, so one pump pass cannot over-dispatch past
-        # the executor's concurrency.
-        self._inflight_groups += len(groups)
-        return groups
-
-    def _start(self, coroutines) -> None:
-        for coroutine in coroutines:
-            task = asyncio.get_running_loop().create_task(coroutine)
+        for indices in group_requests(requests).values():
+            group = [event[i] for i in indices]
+            # Synchronous accounting: the pump sees this group occupying a
+            # slot before the task first runs, so one pump pass cannot
+            # over-dispatch past the executor's concurrency.
+            self._inflight_groups += 1
+            task = loop.create_task(self._run_group(group))
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
 
@@ -316,7 +304,7 @@ class ContinuousBatchScheduler:
             self._inflight_groups -= 1
             # A worker just freed: dispatch whatever accumulated meanwhile.
             if self._pending:
-                self._start(map(self._run_group, self._pump(worker_freed=True)))
+                self._pump(worker_freed=True)
 
     def _settle(
         self,
@@ -361,13 +349,14 @@ class ContinuousBatchScheduler:
 
     def _on_backstop(self) -> None:
         self._timer = None
-        self._start(map(self._run_group, self._pump(backstop=True)))
+        self._pump(backstop=True)
 
     # --------------------------------------------------------------- lifecycle
     async def drain(self) -> None:
         """Dispatch everything queued and wait for every in-flight answer."""
+        loop = asyncio.get_running_loop()
         while self._pending:
-            self._start(map(self._run_group, self._dispatch_event()))
+            self._dispatch_event(loop)
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 

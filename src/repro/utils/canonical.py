@@ -134,10 +134,7 @@ def _encode(value: Any, out: list[str]) -> None:
     if isinstance(value, (tuple, list)):
         out.append(f"t{len(value)}(")
         for item in value:
-            if type(item) is int:  # a grid's plain ints inline; the rest recurses
-                out.append(f"i{item}")
-            else:
-                _encode(item, out)
+            _encode(item, out)
         out.append(")")
     elif isinstance(value, str):
         out.append(f"s{len(value)}:{value}")

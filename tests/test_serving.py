@@ -885,6 +885,40 @@ class TestHTTPServer:
             proc.stdout.close()
             proc.stderr.close()
 
+    def test_sigterm_stops_within_grace_when_a_peer_never_reads(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONUNBUFFERED": "1"},
+        )
+        sock = socket.socket()
+        try:
+            port = int(re.search(r"serving on [^:]+:(\d+)", proc.stdout.readline())[1])
+            # A tiny receive window and pipelined requests whose answers are
+            # never read: the server's writes back up until its handler waits
+            # in drain() with a request it has read.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(("127.0.0.1", port))
+            # ~20 kB answers to 2 kB requests: 1,000 of them overfill any
+            # socket buffer (Linux lets a send buffer grow to 4 MiB).
+            sweep = _post("/sweep", {"values": [1.0, 0.5], "k_grid": list(range(1, 501))})
+
+            def pipeline() -> None:
+                with contextlib.suppress(OSError):
+                    sock.sendall(sweep * 1000)
+
+            threading.Thread(target=pipeline, daemon=True).start()
+            time.sleep(1.5)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=5) == 0
+            assert "Traceback" not in proc.stderr.read()
+        finally:
+            sock.close()
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+
     def test_non_integral_count_grids_are_a_400(self):
         async def run():
             async with await start_server("127.0.0.1", 0, max_wait_ms=1.0) as running:
