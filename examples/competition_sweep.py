@@ -23,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.figure1 import figure1_panels, write_figure1_csv
+from repro.analysis.figure1 import assemble_figure1_panels, write_panels_csv
 from repro.analysis.reporting import figure1_report
+from repro.experiments import run_registered
 
 
 def main(argv: Sequence[str] | None = None) -> None:
@@ -43,7 +44,10 @@ def main(argv: Sequence[str] | None = None) -> None:
     args = parser.parse_args(argv)
 
     c_grid = np.linspace(-0.5, 0.5, args.points)
-    panels = figure1_panels(c_grid=c_grid, welfare_grid_points=args.welfare_grid_points)
+    result = run_registered(
+        "figure1", c_grid=c_grid, welfare_grid_points=args.welfare_grid_points
+    )
+    panels = assemble_figure1_panels(result.rows)
 
     print(figure1_report(panels))
 
@@ -55,9 +59,7 @@ def main(argv: Sequence[str] | None = None) -> None:
             f"(optimum coverage {panel.optimal_coverage:.4f})"
         )
 
-    paths = write_figure1_csv(
-        args.output_dir, c_grid=c_grid, welfare_grid_points=args.welfare_grid_points
-    )
+    paths = write_panels_csv(panels, args.output_dir)
     print("\nNumeric series written to:")
     for path in paths:
         print(f"  {path}")

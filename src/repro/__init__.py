@@ -14,7 +14,7 @@ each of the ``l`` players that landed on site ``x``.  The package provides
   (:mod:`repro.batch.scenarios`) — in a handful of tensor passes over
   padded ragged batches, expressed as pure Array-API kernels against the
   pluggable backend layer of :mod:`repro.backend` (``numpy`` default;
-  ``array_api_strict`` / ``torch`` / ``cupy`` auto-detected, selected via
+  ``array_api_strict`` / ``torch`` auto-detected, selected via
   ``use_backend`` / ``REPRO_BACKEND`` / the CLI's ``--backend``);
 * evolutionary and learning dynamics converging to the IFD
   (:mod:`repro.dynamics`);

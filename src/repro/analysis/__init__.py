@@ -1,11 +1,14 @@
 """Experiment harness: regenerate the paper's figure and theorem-level checks.
 
-Each module corresponds to one experiment family of ``EXPERIMENTS.md``, and
+Each module corresponds to one experiment family of ``docs/experiments.md``, and
 each is a thin client of the :mod:`repro.experiments` registry/runner (the
-heavy lifting happens in the batched solvers of :mod:`repro.batch`):
+heavy lifting happens in the batched solvers of :mod:`repro.batch`).  A
+module contributes a spec builder, its task and row types, and helpers that
+fold rows into series; the one way to run an experiment is
+``repro.experiments.run_registered(name, **options)``:
 
 * :mod:`repro.analysis.figure1` — the coverage-vs-competition curves of
-  Figure 1 (both panels, plus arbitrary instances); registered as ``figure1``;
+  Figure 1 (one panel per second-site value); registered as ``figure1``;
 * :mod:`repro.analysis.observation1` — the ``(1 - 1/e)`` coverage bound;
   registered as ``observation1``;
 * :mod:`repro.analysis.spoa_experiments` — Corollary 5 / Theorem 6 /
@@ -33,21 +36,14 @@ from repro.utils.lazy import lazy_exports
 
 __all__ = lazy_exports(__name__, {
     "Figure1Data": ".figure1",
-    "figure1_data": ".figure1",
-    "figure1_panels": ".figure1",
-    "write_figure1_csv": ".figure1",
     "write_panels_csv": ".figure1",
     "assemble_figure1_panels": ".figure1",
     "Observation1Row": ".observation1",
-    "observation1_experiment": ".observation1",
     "default_value_families": ".observation1",
     "SPoARow": ".spoa_experiments",
     "CertificateRow": ".spoa_experiments",
     "SharingBoundRow": ".spoa_experiments",
-    "spoa_experiment": ".spoa_experiments",
-    "theorem6_certificates": ".spoa_experiments",
     "ESSRow": ".ess_experiments",
-    "ess_experiment": ".ess_experiments",
     "SweepResult": ".sweeps",
     "SweepPointRow": ".sweeps",
     "assemble_sweep": ".sweeps",

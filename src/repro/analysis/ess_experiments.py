@@ -27,10 +27,9 @@ from repro.core.policies import ExclusivePolicy
 from repro.core.strategy import Strategy
 from repro.analysis.observation1 import default_value_families, make_family
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import coerce_seed, run_experiment
 from repro.experiments.spec import ExperimentSpec
 
-__all__ = ["ESSRow", "ess_experiment", "ess_audit_task", "build_ess_spec"]
+__all__ = ["ESSRow", "ess_audit_task", "build_ess_spec"]
 
 
 @dataclass(frozen=True)
@@ -156,23 +155,3 @@ def build_ess_spec(
         },
     )
 
-
-def ess_experiment(
-    *,
-    m_values: Sequence[int] = (3, 6),
-    k_values: Sequence[int] = (2, 3, 5),
-    n_random_mutants: int = 25,
-    rng: np.random.Generator | int | None = 0,
-) -> list[ESSRow]:
-    """Audit ``sigma_star`` on a grid of instances; one row per ``(family, M, k)``.
-
-    Thin client of the experiment runner (serial here; the CLI exposes the
-    process-pool path).
-    """
-    spec = build_ess_spec(
-        m_values=m_values,
-        k_values=k_values,
-        n_random_mutants=n_random_mutants,
-        seed=coerce_seed(rng),
-    )
-    return list(run_experiment(spec).rows)

@@ -23,7 +23,10 @@ parallel runner carries the load.  The equilibria could be solved per panel
 as one policy roster, but the welfare optimum has no batch kernel, and the
 ``sweep`` benchmark workload counts figure1's cells, so the one-task-per-point
 granularity stays.  :func:`assemble_figure1_panels` folds the task rows back
-into :class:`Figure1Data` series.
+into :class:`Figure1Data` series, and :func:`write_panels_csv` writes them::
+
+    result = run_registered("figure1", second_values=(0.3,), points=51)
+    panels = assemble_figure1_panels(result.rows)
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from repro.core.policies import TwoLevelPolicy
 from repro.core.values import SiteValues
 from repro.core.welfare import welfare_optimal_strategy
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
 from repro.experiments.spec import ExperimentSpec
 from repro.utils.io import write_series
 from repro.utils.validation import check_positive_integer
@@ -49,9 +51,6 @@ from repro.utils.validation import check_positive_integer
 __all__ = [
     "Figure1Data",
     "Figure1PointRow",
-    "figure1_data",
-    "figure1_panels",
-    "write_figure1_csv",
     "write_panels_csv",
     "figure1_point_task",
     "build_figure1_spec",
@@ -137,7 +136,7 @@ def _panel_grid(
     k: int,
     c_grid: np.ndarray,
     welfare_grid_points: int,
-    panel_index: int = 0,
+    panel_index: int,
 ) -> list[dict[str, Any]]:
     if np.any(c_grid > 1.0):
         raise ValueError("collision payoffs c must be <= 1 to define a congestion policy")
@@ -179,7 +178,7 @@ def build_figure1_spec(
                 k,
                 c_grid,
                 welfare_grid_points,
-                panel_index=panel_index,
+                panel_index,
             )
         )
     return ExperimentSpec(
@@ -201,8 +200,7 @@ def assemble_figure1_panels(rows: Sequence[Figure1PointRow]) -> dict[str, Figure
 
     Points are grouped by their ``panel_index`` (the exact panel boundary
     recorded by the spec builder); when two panels share a display name
-    (duplicate ``second_values``) the later one wins, matching the
-    dict-overwrite semantics of the pre-runner implementation.
+    (duplicate ``second_values``) the later one wins.
     """
     groups: dict[int, list[Figure1PointRow]] = {}
     for row in rows:
@@ -223,68 +221,6 @@ def assemble_figure1_panels(rows: Sequence[Figure1PointRow]) -> dict[str, Figure
     return assembled
 
 
-def figure1_data(
-    values: SiteValues | np.ndarray,
-    k: int = 2,
-    *,
-    c_grid: np.ndarray | None = None,
-    welfare_grid_points: int = 2001,
-) -> Figure1Data:
-    """Compute the three Figure 1 series for one instance.
-
-    Parameters
-    ----------
-    values:
-        Site values of the panel (the paper uses ``(1, 0.3)`` and ``(1, 0.5)``).
-    k:
-        Number of players (the paper uses 2).
-    c_grid:
-        Grid of collision payoffs ``c``; defaults to 101 points on
-        ``[-0.5, 0.5]``.
-    welfare_grid_points:
-        Resolution of the welfare-optimum search for two-site instances.
-    """
-    k = check_positive_integer(k, "k")
-    f = values if isinstance(values, SiteValues) else SiteValues.from_values(values)
-    if c_grid is None:
-        c_grid = np.linspace(-0.5, 0.5, 101)
-    c_grid = np.asarray(c_grid, dtype=float)
-    if c_grid.size == 0:
-        return Figure1Data(
-            values=f,
-            k=k,
-            c_grid=c_grid,
-            ess_coverage=np.empty(0),
-            optimal_coverage=float(optimal_coverage(f, k)),
-            welfare_optimum_coverage=np.empty(0),
-        )
-    spec = ExperimentSpec(
-        name="figure1-panel",
-        description="Figure 1 series for one instance",
-        task=figure1_point_task,
-        grid=tuple(_panel_grid("panel", f, k, c_grid, welfare_grid_points)),
-    )
-    (panel,) = assemble_figure1_panels(run_experiment(spec).rows).values()
-    return panel
-
-
-def figure1_panels(
-    *,
-    c_grid: np.ndarray | None = None,
-    second_values: tuple[float, float] = (0.3, 0.5),
-    k: int = 2,
-    welfare_grid_points: int = 2001,
-) -> dict[str, Figure1Data]:
-    """Both panels of Figure 1 (``f = (1, 0.3)`` and ``f = (1, 0.5)`` by default)."""
-    spec = build_figure1_spec(
-        c_grid=c_grid,
-        second_values=second_values,
-        k=k,
-        welfare_grid_points=welfare_grid_points,
-    )
-    return assemble_figure1_panels(run_experiment(spec).rows)
-
-
 def write_panels_csv(panels: Mapping[str, Figure1Data], output_dir: str | Path) -> list[Path]:
     """Write one CSV per assembled panel into ``output_dir`` and return the paths."""
     directory = Path(output_dir)
@@ -294,7 +230,3 @@ def write_panels_csv(panels: Mapping[str, Figure1Data], output_dir: str | Path) 
         paths.append(write_series(directory / f"figure1_{safe}.csv", panel.as_series()))
     return paths
 
-
-def write_figure1_csv(output_dir: str | Path, **kwargs) -> list[Path]:
-    """Write one CSV per Figure 1 panel into ``output_dir`` and return the paths."""
-    return write_panels_csv(figure1_panels(**kwargs), output_dir)

@@ -28,13 +28,11 @@ from repro.core.coverage import full_coordination_coverage
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import coerce_seed, run_experiment
 from repro.experiments.spec import ExperimentSpec
 from repro.utils.validation import check_positive_integer
 
 __all__ = [
     "Observation1Row",
-    "observation1_experiment",
     "observation1_task",
     "build_observation1_spec",
     "default_value_families",
@@ -151,21 +149,3 @@ def build_observation1_spec(
         },
     )
 
-
-def observation1_experiment(
-    *,
-    m_values: Sequence[int] = (5, 20, 100),
-    k_values: Sequence[int] = (2, 3, 5, 10),
-    n_random: int = 5,
-    rng: np.random.Generator | int | None = 0,
-) -> list[Observation1Row]:
-    """Sweep instances and record the Observation 1 ratio on each.
-
-    Thin client of the experiment runner; returns one row per
-    ``(family, M, k)`` combination (random instances are numbered
-    ``random-0``, ``random-1``, ...), in deterministic grid order.
-    """
-    spec = build_observation1_spec(
-        m_values=m_values, k_values=k_values, n_random=n_random, seed=coerce_seed(rng)
-    )
-    return list(run_experiment(spec).rows)

@@ -38,16 +38,12 @@ from repro.core.spoa import adversarial_values
 from repro.core.values import SiteValues
 from repro.analysis.observation1 import default_value_families
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import coerce_seed, run_experiment
 from repro.experiments.spec import ExperimentSpec
 
 __all__ = [
     "SPoARow",
     "CertificateRow",
     "SharingBoundRow",
-    "spoa_experiment",
-    "theorem6_certificates",
-    "sharing_spoa_upper_bound_check",
     "default_policy_roster",
     "spoa_task",
     "build_spoa_spec",
@@ -256,78 +252,3 @@ def build_spoa_spec(
         },
     )
 
-
-def spoa_experiment(
-    policies: Sequence[CongestionPolicy] | None = None,
-    *,
-    m_values: Sequence[int] = (2, 5, 10),
-    k_values: Sequence[int] = (2, 3, 5),
-    n_random: int = 10,
-    rng: np.random.Generator | int | None = 0,
-) -> list[SPoARow]:
-    """Evaluate the per-instance SPoA of each policy over a grid of instances."""
-    spec = build_spoa_spec(
-        policies=policies,
-        m_values=m_values,
-        k_values=k_values,
-        n_random=n_random,
-        include_certificates=False,
-        include_sharing_bound=False,
-        seed=coerce_seed(rng),
-    )
-    return list(run_experiment(spec).rows)
-
-
-def theorem6_certificates(
-    policies: Sequence[CongestionPolicy] | None = None,
-    *,
-    k: int = 3,
-) -> dict[str, float]:
-    """Per-policy SPoA on the Theorem 6 adversarial instance.
-
-    Every non-exclusive policy should return a value strictly above 1; the
-    exclusive policy returns exactly 1.
-    """
-    if policies is None:
-        policies = default_policy_roster()
-    spec = ExperimentSpec(
-        name="spoa-certificates",
-        description="Theorem 6 certificates",
-        task=spoa_task,
-        grid=tuple(
-            {"kind": "certificate", "policy": policy, "k": int(k)} for policy in policies
-        ),
-    )
-    certificates: dict[str, float] = {}
-    for row in run_experiment(spec).rows:
-        key = row.policy_name
-        if key in certificates:
-            key = f"{key}-{len(certificates)}"
-        certificates[key] = float(row.ratio)
-    return certificates
-
-
-def sharing_spoa_upper_bound_check(
-    *,
-    k_values: Sequence[int] = (2, 3, 5, 8),
-    m_values: Sequence[int] = (2, 5, 10, 25),
-    n_random: int = 25,
-    rng: np.random.Generator | int | None = 0,
-) -> float:
-    """Largest sharing-policy SPoA found across a randomized search (should be <= 2)."""
-    spec = ExperimentSpec(
-        name="spoa-sharing-bound",
-        description="Sharing-policy SPoA randomized search",
-        task=spoa_task,
-        grid=(
-            {
-                "kind": "sharing-bound",
-                "m_values": tuple(int(m) for m in m_values),
-                "k_values": tuple(int(k) for k in k_values),
-                "n_random": int(n_random),
-            },
-        ),
-        seed=coerce_seed(rng),
-    )
-    (row,) = run_experiment(spec).rows
-    return float(row.max_ratio)

@@ -8,7 +8,8 @@ Three reusable sweeps back several benchmarks and examples:
 * :func:`support_size_sweep` — how the support ``W`` of ``sigma_star`` grows
   with ``k`` for different value-function shapes (the "how widely does intense
   competition spread the population" question);
-* :func:`dynamics_grid` — evolutionary-dynamics trajectories over a whole
+* the registered ``dynamics`` experiment (:func:`build_dynamics_spec`) —
+  evolutionary-dynamics trajectories over a whole
   ``(family x M x k x initial condition)`` grid, evolved together by the
   batched :class:`~repro.batch.dynamics.DynamicsEngine`.
 
@@ -60,7 +61,6 @@ __all__ = [
     "assemble_sweep",
     "dynamics_grid_task",
     "build_dynamics_spec",
-    "dynamics_grid",
 ]
 
 
@@ -348,37 +348,6 @@ def build_dynamics_spec(
             "n_trajectories": len(cells),
         },
     )
-
-
-def dynamics_grid(
-    *,
-    rule: str = "discrete",
-    policy: CongestionPolicy | None = None,
-    families: Sequence[str] = ("uniform", "zipf", "geometric"),
-    m_values: Sequence[int] = (6, 12),
-    k_values: Sequence[int] = (2, 3, 5),
-    inits: Sequence[str] = ("uniform", "proportional", "random"),
-    batch_rows: int | None = None,
-    max_iter: int = 20_000,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> list[DynamicsGridRow]:
-    """Convenience entry point: build the ``dynamics`` spec and run it serially."""
-    from repro.experiments.runner import run_experiment
-
-    spec = build_dynamics_spec(
-        rule=rule,
-        policy=policy,
-        families=families,
-        m_values=m_values,
-        k_values=k_values,
-        inits=inits,
-        batch_rows=batch_rows,
-        max_iter=max_iter,
-        tol=tol,
-        seed=seed,
-    )
-    return list(run_experiment(spec).rows)
 
 
 def support_size_sweep(

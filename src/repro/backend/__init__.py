@@ -4,8 +4,8 @@ Every batched kernel in :mod:`repro.batch` (and the shared helpers in
 :mod:`repro.utils`) expresses its body against an Array-API-compatible
 namespace ``xp`` resolved through this package instead of importing NumPy at
 module scope.  Swapping the backend swaps the array library the hot paths run
-on — NumPy today, ``array_api_strict`` for conformance testing, ``torch`` /
-``cupy`` for accelerators — without touching a single kernel.
+on — NumPy today, ``array_api_strict`` for conformance testing, ``torch``
+for accelerators — without touching a single kernel.
 
 Public API
 ----------

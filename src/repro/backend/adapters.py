@@ -173,8 +173,8 @@ def is_native(backend: Backend, obj: Any) -> bool:
         return backend.is_numpy
     if isinstance(obj, np.generic) or not hasattr(obj, "ndim"):
         return False
-    # torch/cupy tensors predate __array_namespace__; match on the array
-    # type's root module (the registry names backends after it).
+    # torch tensors predate __array_namespace__; match on the array type's
+    # root module (the registry names backends after it).
     root = type(obj).__module__.split(".")[0]
     return root == backend.name
 
@@ -294,8 +294,8 @@ def scatter_rows(backend: Backend, dest: Any, rows: np.ndarray, src: Any) -> Any
 
 
 def _native_module(backend: Backend) -> Any | None:
-    """The raw ``torch`` / ``cupy`` module behind a compat namespace, if any."""
-    if backend.name not in ("torch", "cupy"):
+    """The raw ``torch`` module behind its compat namespace, if any."""
+    if backend.name != "torch":
         return None
     try:
         import importlib
@@ -314,7 +314,7 @@ def bincount(
     backend's integer array is transferred, counted with ``numpy.bincount``
     and returned as a host ``int64`` vector.  With a non-NumPy ``backend``
     and a native ``values`` array, the histogram is computed **on the
-    device** — ``torch.bincount`` / ``cupy.bincount`` where available, a
+    device** — ``torch.bincount`` where available, a
     one-hot reduction for standard-only namespaces — and returned
     device-resident (identical counts; callers materialise once at their
     result boundary).
@@ -334,8 +334,8 @@ def _one_hot_counts(backend: Backend, values: Any, n_bins: int) -> Any:
 
     ``values`` is an ``(R, N)`` integer array on ``backend``; the result is
     the ``(R, n_bins)`` count matrix.  Memory is ``R * N * n_bins`` booleans,
-    so this is the small-batch fallback — torch/cupy take their native
-    scatter-sum paths instead.
+    so this is the small-batch fallback — torch takes its native
+    scatter-sum path instead.
     """
     xp = backend.xp
     bins = xp.arange(n_bins, dtype=backend.int_dtype)
@@ -366,8 +366,8 @@ def batched_bincount(values: Any, n_bins: int, *, backend: Backend | None = None
         Number of bins per row.
     backend:
         Optional backend handle enabling the device-native path:
-        ``torch.Tensor.scatter_add_`` / ``cupy.bincount`` segment-sums where
-        the namespace has them, a one-hot reduction otherwise.  The host
+        ``torch.Tensor.scatter_add_`` for torch, a one-hot reduction for
+        other namespaces.  The host
         fallback is retained bit-identically for NumPy and host inputs.
 
     Returns
@@ -381,20 +381,13 @@ def batched_bincount(values: Any, n_bins: int, *, backend: Backend | None = None
     if values.ndim != 2:
         raise ValueError("values must be a 2-D (R, N) integer matrix")
     if backend is not None and not backend.is_numpy and is_native(backend, values):
-        xp = backend.xp
         native = _native_module(backend)
-        if native is not None and backend.name == "torch":
+        if native is not None:
             rows = int(values.shape[0])
             out = native.zeros(
                 (rows, n_bins), dtype=native.int64, device=values.device
             )
             return out.scatter_add_(1, values, native.ones_like(values))
-        if native is not None:  # pragma: no cover - cupy only
-            rows = int(values.shape[0])
-            offsets = xp.arange(rows, dtype=backend.int_dtype)[:, None] * n_bins
-            flat = xp.reshape(values + offsets, (-1,))
-            counts = native.bincount(flat, minlength=rows * n_bins)
-            return xp.reshape(counts, (rows, n_bins))
         return _one_hot_counts(backend, values, n_bins)
     host = to_numpy(values)
     rows = host.shape[0]

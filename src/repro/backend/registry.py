@@ -10,10 +10,9 @@ scope.  This module owns the mapping from a backend *name* to a resolved
   ``permute_dims``, ...) in its main namespace, so no wrapper is needed.
   An older NumPy is reported with the names it lacks;
 * ``array_api_strict`` — auto-detected when importable;
-* ``torch`` / ``cupy`` — auto-detected when importable *and* a
-  standard-conforming namespace resolves (via ``array_api_compat`` for
-  torch, whose raw namespace predates the standard; cupy's own namespace is
-  accepted when it passes the surface check);
+* ``torch`` — auto-detected when importable *and* ``array_api_compat``
+  resolves a standard-conforming namespace for it (torch's raw namespace
+  predates the standard);
 * anything else — registrable via :func:`register_backend`.
 
 Detection never crashes: loaders map every import/conformance failure to
@@ -37,7 +36,7 @@ import contextlib
 import dataclasses
 import os
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 __all__ = [
@@ -121,9 +120,6 @@ class Backend:
         (scatter).  The :class:`repro.batch.dynamics.DynamicsEngine` only
         uses its active-row subset stepping when this holds and otherwise
         steps the full batch with ``where``-masked freezing.
-    supports_object_dtype:
-        Namespace can hold ``object`` dtype arrays (NumPy only); nothing in
-        the batch layer needs it, but callers staging ragged metadata can ask.
     """
 
     name: str
@@ -135,7 +131,6 @@ class Backend:
     is_numpy: bool = False
     supports_einsum: bool = False
     supports_fancy_assignment: bool = False
-    supports_object_dtype: bool = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Backend({self.name!r})"
@@ -163,7 +158,6 @@ def _load_numpy() -> Backend:
         is_numpy=True,
         supports_einsum=True,
         supports_fancy_assignment=True,
-        supports_object_dtype=True,
     )
 
 
@@ -189,11 +183,11 @@ def _load_array_api_strict() -> Backend:
 def _compat_namespace(module_name: str):
     """Resolve a namespace through ``array_api_compat`` when it is installed.
 
-    The raw ``torch`` / ``cupy`` namespaces predate the standard (``cumsum``
-    instead of ``cumulative_sum``, no ``astype`` function, ...), so the
-    standard-conforming wrappers of ``array_api_compat`` are required for
-    those backends; without the compat package they are reported unavailable
-    with an actionable reason.
+    The raw ``torch`` namespace predates the standard (``cumsum`` instead of
+    ``cumulative_sum``, no ``astype`` function, ...), so the
+    standard-conforming wrapper of ``array_api_compat`` is required for that
+    backend; without the compat package it is reported unavailable with an
+    actionable reason.
     """
     try:
         import importlib
@@ -226,34 +220,11 @@ def _load_torch() -> Backend:  # pragma: no cover - exercised only with torch
     )
 
 
-def _load_cupy() -> Backend:  # pragma: no cover - exercised only with cupy
-    try:
-        import cupy
-    except Exception as error:
-        raise BackendNotAvailableError(f"cupy is not importable ({error})") from error
-    xp = _compat_namespace("cupy")
-    if xp is None:
-        # cupy's main namespace tracks numpy's, so recent versions conform on
-        # their own; fall back to it when the compat wrapper is absent.
-        xp = cupy
-    _check_namespace("cupy", xp)
-    return Backend(
-        name="cupy",
-        xp=xp,
-        float_dtype=cupy.float64,
-        int_dtype=cupy.int64,
-        bool_dtype=cupy.bool_,
-        supports_einsum=True,
-        supports_fancy_assignment=True,
-    )
-
-
 #: Built-in loaders in registry (and therefore fallback/auto-detect) order.
 _LOADERS: dict[str, Callable[[], Backend]] = {
     "numpy": _load_numpy,
     "array_api_strict": _load_array_api_strict,
     "torch": _load_torch,
-    "cupy": _load_cupy,
 }
 
 _CACHE: dict[str, Backend] = {}
@@ -335,8 +306,7 @@ def with_device(backend: Backend, device: "str | None") -> Backend:
     """Pin a :class:`Backend` handle to a device (``cpu`` / ``cuda`` / ``mps``).
 
     ``None`` (and ``"default"``) leave the handle untouched.  Host
-    namespaces (NumPy, ``array_api_strict``) accept only ``cpu``; ``cupy``
-    arrays are CUDA-resident by construction so only ``cuda`` is valid; the
+    namespaces (NumPy, ``array_api_strict``) accept only ``cpu``; the
     torch backend resolves any of the three, raising
     :class:`BackendNotAvailableError` with the reason when the requested
     accelerator is absent — callers (tests, CLI validation) skip-guard on
@@ -370,12 +340,6 @@ def with_device(backend: Backend, device: "str | None") -> Backend:
             )
         raise BackendNotAvailableError(
             f"unknown device {device!r} for the torch backend (cpu/cuda/mps)"
-        )
-    if backend.name == "cupy":
-        if name == "cuda":
-            return backend
-        raise BackendNotAvailableError(
-            f"the cupy backend is CUDA-resident; device {device!r} is not supported"
         )
     if name == "cpu":
         return backend

@@ -43,8 +43,8 @@ This subpackage solves entire grids in a handful of NumPy passes:
   ``max_chunk_draws`` cap bounding peak memory;
 * :mod:`repro.batch.search` — batched Bayesian search: closed-form success
   probabilities and (where-masked, ``inf``-aware) expected discovery times,
-  plus a whole-search Monte-Carlo simulator with geometric and lockstep
-  round-stepping methods;
+  plus a whole-search Monte-Carlo simulator that inverts the geometric law
+  of the discovery round;
 * :mod:`repro.batch.coverage_times` — exact coverage-time laws (Von
   Schelling generalized coupon collector): full-coverage CDF and
   expectation plus partial (``j``-of-``M``) coverage expectations via
@@ -53,7 +53,7 @@ This subpackage solves entire grids in a handful of NumPy passes:
 
 Every kernel body is pure Array-API code against the backend resolved by
 :mod:`repro.backend` (``numpy`` by default; ``array_api_strict`` / ``torch``
-/ ``cupy`` when installed): activate an alternative with
+when installed): activate an alternative with
 ``repro.backend.use_backend(...)``, the ``REPRO_BACKEND`` environment
 variable, or the CLI's ``--backend`` flag.  Public results always come back
 as host NumPy arrays; intermediates between kernels stay backend-native.
@@ -95,7 +95,6 @@ __all__ = lazy_exports(__name__, {
     "invasion_batch": ".dynamics",
     "capacity_coverage_batch": ".extensions",
     "capacity_coverage_gradient_batch": ".extensions",
-    "capacity_payoff_batch": ".extensions",
     "CostAdjustedIFDBatch": ".scenarios",
     "cost_adjusted_site_values_batch": ".scenarios",
     "cost_adjusted_ifd_batch": ".scenarios",

@@ -38,7 +38,6 @@ from repro.utils.validation import check_site_parameters
 __all__ = [
     "as_requirements_batch",
     "capacity_coverage_batch",
-    "capacity_payoff_batch",
     "capacity_coverage_gradient_batch",
 ]
 
@@ -112,11 +111,6 @@ def capacity_coverage_batch(
     consumed = xp.sum(pmf * fractions, axis=2)  # (B, M)
     covered = xp.sum(padded.values_for(be) * consumed * padded.fmask_for(be), axis=1)
     return covered if native else to_numpy(covered)
-
-
-#: The issue-facing alias: capacity coverage *is* the extensions layer's
-#: batched payoff functional.
-capacity_payoff_batch = capacity_coverage_batch
 
 
 def capacity_coverage_gradient_batch(

@@ -13,13 +13,9 @@ kernels here evaluate whole ``(B,)`` batches of search problems at once:
   is never searched **where-masked to ``inf``** instead of tripping
   divide-by-zero warnings;
 * :func:`simulate_search_batch` — a Monte-Carlo simulator of complete
-  searches for all ``(B, n_trials)`` cells.  The default ``"geometric"``
-  method inverts the conditional geometric law in one pass (the scalar
-  simulator's approach, vectorised over the batch); the ``"lockstep"``
-  method plays every round explicitly — all still-active searches across all
-  rows step together, found searches are masked out per row, and the loop
-  exits early once every treasure is found (mirroring the
-  :class:`~repro.batch.dynamics.DynamicsEngine` convergence masking).
+  searches for all ``(B, n_trials)`` cells, which inverts the conditional
+  geometric law of the discovery round in one pass (the scalar simulator's
+  approach, vectorised over the batch).
 
 Priors and strategies ride on zero-padded ``(B, M_max)`` matrices (ragged
 box counts allowed); padding columns carry zero prior mass and zero search
@@ -202,9 +198,8 @@ class SearchSimulationBatch:
 
     Attributes
     ----------
-    n_trials, max_rounds, method:
-        Simulation parameters (``method`` is ``"geometric"`` or
-        ``"lockstep"``).
+    n_trials, max_rounds:
+        Simulation parameters.
     k:
         ``(B,)`` ``int64`` searcher counts.
     success_rates:
@@ -226,7 +221,6 @@ class SearchSimulationBatch:
 
     n_trials: int
     max_rounds: int
-    method: str
     k: np.ndarray
     success_rates: np.ndarray
     mean_rounds_when_found: np.ndarray
@@ -243,7 +237,6 @@ def simulate_search_batch(
     *,
     max_rounds: int = 200,
     rng: np.random.Generator | int | None = None,
-    method: str = "geometric",
     backend: Backend | str | None = None,
 ) -> SearchSimulationBatch:
     """Simulate complete searches for every problem of a batch at once.
@@ -265,56 +258,28 @@ def simulate_search_batch(
         Censoring horizon; unfinished searches report ``max_rounds + 1``.
     rng:
         Seed or host generator.
-    method:
-        ``"geometric"`` (default) inverts the conditional geometric round
-        law in one vectorised pass — statistically identical to playing
-        every round, at a per-trial (not per-round) cost; the scalar
-        :func:`repro.search.simulator.simulate_search` wraps this path.
-        ``"lockstep"`` plays every round explicitly: all still-active
-        ``(B, n_trials)`` searches draw their ``k_b`` box choices together,
-        found searches are masked out of the next round per row, and the
-        loop exits as soon as every search has ended (rows whose strategy
-        cannot reach the treasure keep their trials active until
-        ``max_rounds``).
     backend:
-        Array backend for the geometric path's inverse-CDF ``searchsorted``
-        passes.  The lockstep stepper is host-side by design (its active-set
-        masking is fancy-indexing-shaped); results never depend on the
-        choice.
+        Array backend for the inverse-CDF ``searchsorted`` passes; results
+        never depend on the choice.
 
     Returns
     -------
     SearchSimulationBatch
-        The two methods draw different streams from ``rng`` but agree in
-        distribution (property-tested against each other and the closed
-        forms).
+        Each trial's discovery round is drawn by inverting its conditional
+        geometric law in one vectorised pass — statistically identical to
+        playing every round, at a per-trial (not per-round) cost.  The
+        scalar :func:`repro.search.simulator.simulate_search` wraps this
+        kernel.
     """
     n_trials = check_positive_integer(n_trials, "n_trials")
     max_rounds = check_positive_integer(max_rounds, "max_rounds")
-    if method not in ("geometric", "lockstep"):
-        raise ValueError(f"method must be 'geometric' or 'lockstep', got {method!r}")
     be = resolve_backend(backend)
     generator = as_generator(rng)
     q = as_prior_batch(priors)
     p = as_search_strategy_batch(strategies, q)
-    b, m = q.shape
-    ks = check_counts(k, "k", size=b)
+    ks = check_counts(k, "k", size=q.shape[0])
 
-    # Hide the treasures: one stacked inverse-CDF pass over the B priors.
-    # The geometric path runs that pass (and everything after it) on the
-    # active backend's device; the lockstep stepper is host-by-design.
-    flat_prior = stacked_flat_cdfs(q)
-    offsets = np.arange(b, dtype=np.int64)
-    u_hide = generator.random((b, n_trials))
-
-    if method == "geometric":
-        rounds = _geometric_rounds(p, ks, flat_prior, u_hide, max_rounds, generator, be)
-    else:
-        positions = np.searchsorted(
-            flat_prior, u_hide + STACK_SPACING * offsets[:, None], side="right"
-        )
-        treasure = np.minimum(positions - (offsets * m)[:, None], m - 1)
-        rounds = _lockstep_rounds(p, ks, treasure, max_rounds, generator)
+    rounds = _geometric_rounds(q, p, ks, n_trials, max_rounds, generator, be)
 
     found = rounds <= max_rounds
     counts = found.sum(axis=1)
@@ -323,7 +288,6 @@ def simulate_search_batch(
     return SearchSimulationBatch(
         n_trials=n_trials,
         max_rounds=max_rounds,
-        method=method,
         k=ks,
         success_rates=found.mean(axis=1),
         mean_rounds_when_found=mean_rounds,
@@ -334,32 +298,33 @@ def simulate_search_batch(
 
 
 def _geometric_rounds(
+    q: np.ndarray,
     p: np.ndarray,
     ks: np.ndarray,
-    flat_prior: np.ndarray,
-    u_hide: np.ndarray,
+    n_trials: int,
     max_rounds: int,
     generator: np.random.Generator,
     be: Backend,
 ) -> np.ndarray:
     """Invert the conditional geometric round law for all ``(B, n_trials)`` cells.
 
-    Device-resident end-to-end: the treasure-hiding ``searchsorted``, the
-    per-treasure strategy gather and the geometric inversion all run on the
-    backend; the one upload (staging + both host uniform blocks) and the one
-    download (the finished round matrix) are the documented boundaries.
+    Device-resident end-to-end: the treasure-hiding ``searchsorted`` (one
+    stacked inverse-CDF pass over the B priors), the per-treasure strategy
+    gather and the geometric inversion all run on the backend; the one
+    upload (staging + both host uniform blocks) and the one download (the
+    finished round matrix) are the documented boundaries.
     """
     xp = be.xp
     fdt, idt = be.float_dtype, be.int_dtype
-    b, n_trials = u_hide.shape
-    m = p.shape[1]
+    b, m = p.shape
     offsets = np.arange(b, dtype=np.int64)
+    u_hide = generator.random((b, n_trials))
     u = generator.random((b, n_trials))
     with expected_transfer():  # staging + per-call draw placement
         hide_dev = from_numpy(
             be, u_hide + STACK_SPACING * offsets[:, None], dtype=fdt
         )
-        flat_prior_dev = from_numpy(be, flat_prior, dtype=fdt)
+        flat_prior_dev = from_numpy(be, stacked_flat_cdfs(q), dtype=fdt)
         p_flat_dev = from_numpy(be, p.reshape(-1), dtype=fdt)
         k_col_dev = from_numpy(be, ks.astype(float)[:, None], dtype=fdt)
         row_off_dev = from_numpy(be, (offsets * m)[:, None], dtype=idt)
@@ -385,41 +350,3 @@ def _geometric_rounds(
     with expected_transfer():  # result materialisation
         return np.asarray(to_numpy(rounds)).astype(np.int64)
 
-
-def _lockstep_rounds(
-    p: np.ndarray,
-    ks: np.ndarray,
-    treasure: np.ndarray,
-    max_rounds: int,
-    generator: np.random.Generator,
-) -> np.ndarray:
-    """Play every round explicitly with per-search masking and early exit."""
-    b, n_trials = treasure.shape
-    m = p.shape[1]
-    k_max = int(ks.max())
-    flat_strategy = stacked_flat_cdfs(p)
-    searcher_mask = np.arange(k_max)[None, :] < ks[:, None]  # (B, k_max)
-
-    rounds = np.full((b, n_trials), max_rounds + 1, dtype=np.int64)
-    active = np.ones(b * n_trials, dtype=bool)
-    row_of = np.repeat(np.arange(b, dtype=np.int64), n_trials)
-    treasure_flat = treasure.ravel()
-    rounds_flat = rounds.ravel()
-
-    for round_index in range(1, max_rounds + 1):
-        index = np.nonzero(active)[0]
-        if index.size == 0:
-            break  # every search has ended: early exit
-        rows = row_of[index]
-        u = generator.random((index.size, k_max))
-        positions = np.searchsorted(
-            flat_strategy,
-            (u + STACK_SPACING * rows[:, None]).ravel(),
-            side="right",
-        ).reshape(index.size, k_max)
-        choices = np.minimum(positions - (rows * m)[:, None], m - 1)
-        hit = (choices == treasure_flat[index][:, None]) & searcher_mask[rows]
-        found = hit.any(axis=1)
-        rounds_flat[index[found]] = round_index
-        active[index[found]] = False
-    return rounds_flat.reshape(b, n_trials)

@@ -33,7 +33,7 @@ rows.  Three flags are shared by all sub-commands:
     CPU); the output does not depend on the worker count.
 ``--backend NAME``
     Array backend the batched kernels run on (``numpy`` default;
-    ``array_api_strict`` / ``torch`` / ``cupy`` when installed — see
+    ``array_api_strict`` / ``torch`` when installed — see
     ``repro.backend``).  The choice is activated around every task, in
     worker processes too, and the results do not depend on it; the
     ``REPRO_BACKEND`` environment variable sets the same default globally.
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "Array backend for the batched kernels (default: REPRO_BACKEND or "
-            "numpy; array_api_strict/torch/cupy when installed — an unknown "
+            "numpy; array_api_strict/torch when installed — an unknown "
             "name lists what resolved on this machine)."
         ),
     )
@@ -475,7 +475,7 @@ def _execute(spec, args: argparse.Namespace) -> ExperimentResult:
     device = getattr(args, "device", None)
     if backend is not None or device is not None:
         # Validate eagerly for a clean error; backend detection stays lazy so
-        # plain CLI runs never pay (or crash on) torch/cupy imports.  The
+        # plain CLI runs never pay (or crash on) torch imports.  The
         # device check also runs here so a missing accelerator fails before
         # any work is scheduled rather than inside a worker process.
         try:
@@ -550,7 +550,7 @@ def _run_spoa(args: argparse.Namespace) -> str:
     certificates = result.rows_of_type(CertificateRow)
     sharing_rows = result.rows_of_type(SharingBoundRow)
     # Duplicate display names (two-level / power-law parameterisations) are
-    # suffixed, matching the legacy theorem6_certificates() dict keys.
+    # suffixed with their position so each table line is distinct.
     cert_names: list[str] = []
     for row in certificates:
         name = row.policy_name

@@ -36,7 +36,6 @@ __all__ = lazy_exports(__name__, {
     "ExperimentSpec": ".spec",
     "ExperimentResult": ".result",
     "run_experiment": ".runner",
-    "coerce_seed": ".runner",
     "chunk_grid": ".executors",
     "auto_chunk_size": ".runner",
     "Executor": ".executors",

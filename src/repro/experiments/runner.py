@@ -27,9 +27,7 @@ The runner turns an :class:`~repro.experiments.spec.ExperimentSpec` into an
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Any, Iterable
 
 from repro.experiments.executors import (
     Executor,
@@ -45,7 +43,6 @@ from repro.utils.rng import spawn_seed_sequences
 
 __all__ = [
     "run_experiment",
-    "coerce_seed",
     "auto_chunk_size",
     "resolve_batch_rows",
     "resolve_workers",
@@ -102,20 +99,6 @@ def resolve_batch_rows(batch_rows: int | None, n_cells: int) -> int:
     from repro.utils.validation import check_positive_integer
 
     return check_positive_integer(batch_rows, "batch_rows")
-
-
-def coerce_seed(rng: np.random.Generator | int | None) -> int:
-    """Map a legacy ``rng`` argument (seed / generator / ``None``) to a base seed.
-
-    The legacy experiment entry points accepted a ``numpy`` generator; the
-    declarative spec wants one integer.  A generator is consumed for a single
-    draw, so repeated calls with the same generator state stay deterministic.
-    """
-    if rng is None:
-        return 0
-    if isinstance(rng, np.random.Generator):
-        return int(rng.integers(0, 2**63 - 1))
-    return int(rng)
 
 
 def _flatten(outputs: Iterable[Any]) -> tuple[Any, ...]:

@@ -11,7 +11,14 @@ None of these shares code with the kernel it checks:
   :func:`maximize_coverage_projected_gradient` maximise the coverage without
   reference to the game: the first bisects on the KKT multiplier, the second
   is plain projected gradient ascent.  By Theorem 4 both land on
-  ``sigma_star``.
+  ``sigma_star``;
+* :func:`enumerated_capacity_coverage` averages the capacity-constrained
+  coverage over every pure profile, and :func:`enumerated_capacity_gradient`
+  differentiates each site's visit-count law term by term over all ``2 ** k``
+  visit/no-visit sequences — no binomial pmf in either;
+* :func:`lockstep_search_rounds` plays every round of a Bayesian search
+  explicitly, where the batched simulator inverts the geometric law of the
+  discovery round.
 """
 
 from __future__ import annotations
@@ -164,3 +171,68 @@ def maximize_coverage_projected_gradient(
         previous = current
     strategy = Strategy(p)
     return CoverageOptimum(strategy, coverage(f, strategy, k), "projected-gradient")
+
+
+def enumerated_capacity_coverage(values, strategy, k: int, requirements) -> float:
+    """Exact ``sum_x f(x) E[min(1, N_x / r_x)]``, averaged over all ``M ** k`` profiles."""
+    f = np.asarray(values, dtype=float)
+    p = np.asarray(strategy, dtype=float)
+    r = np.broadcast_to(np.asarray(requirements, dtype=float), f.shape)
+    profiles = _profiles(f.size, k)
+    weights = np.prod(p[profiles], axis=1)
+    occupancy = (profiles[:, :, None] == np.arange(f.size)).sum(axis=1)
+    return float(weights @ (np.minimum(1.0, occupancy / r) @ f))
+
+
+def enumerated_capacity_gradient(values, strategy, k: int, requirements) -> np.ndarray:
+    """Exact ``d CapCover / d p(x)`` for every site, enumerated.
+
+    Each site's term ``f(x) E[min(1, N_x / r_x)]`` is differentiated in its
+    own ``p(x)``, the kernel's convention.  Site ``x`` is visited by each of
+    the ``k`` players independently with probability ``p(x)``; a
+    visit/no-visit sequence ``s`` has probability
+    ``prod_i q_i`` with ``q_i = p(x)`` or ``1 - p(x)``, and its derivative is
+    the product rule ``sum_j (+1 or -1) prod_{i != j} q_i``.
+    """
+    f = np.asarray(values, dtype=float)
+    p = np.asarray(strategy, dtype=float)
+    r = np.broadcast_to(np.asarray(requirements, dtype=float), f.shape)
+    gradient = np.zeros_like(f)
+    for x in range(f.size):
+        for sequence in itertools.product((False, True), repeat=k):
+            factors = [p[x] if visit else 1.0 - p[x] for visit in sequence]
+            derivative = sum(
+                (1.0 if sequence[j] else -1.0) * np.prod(factors[:j] + factors[j + 1 :])
+                for j in range(k)
+            )
+            gradient[x] += derivative * min(1.0, sum(sequence) / r[x])
+    return f * gradient
+
+
+def lockstep_search_rounds(priors, strategies, k, n_trials: int, max_rounds: int, rng) -> np.ndarray:
+    """Discovery round of every trial of every row, playing each round explicitly.
+
+    Each trial hides a treasure by its row's prior; then, round by round, the
+    ``k_b`` searchers of every trial still running pick boxes by the row's
+    strategy, and a trial ends in the first round one of them picks the
+    treasure's box.  The loop stops early once every trial has ended.
+    Returns the ``(B, n_trials)`` rounds, ``max_rounds + 1`` marking a
+    censored trial.
+    """
+    generator = np.random.default_rng(rng)
+    q = np.asarray(priors, dtype=float)
+    p = np.asarray(strategies, dtype=float)
+    ks = np.broadcast_to(np.asarray(k, dtype=int), (q.shape[0],))
+    m = q.shape[1]
+    rounds = np.full((q.shape[0], n_trials), max_rounds + 1, dtype=np.int64)
+    for row in range(q.shape[0]):
+        treasure = generator.choice(m, size=n_trials, p=q[row] / q[row].sum())
+        active = np.arange(n_trials)
+        for round_index in range(1, max_rounds + 1):
+            if active.size == 0:
+                break
+            picks = generator.choice(m, size=(active.size, int(ks[row])), p=p[row])
+            found = (picks == treasure[active, None]).any(axis=1)
+            rounds[row, active[found]] = round_index
+            active = active[~found]
+    return rounds

@@ -7,35 +7,49 @@ import pytest
 
 from repro.analysis import (
     ascii_line_plot,
+    assemble_figure1_panels,
     coverage_ratio_sweep,
-    ess_experiment,
-    figure1_data,
-    figure1_panels,
-    observation1_experiment,
     render_report,
-    spoa_experiment,
     support_size_sweep,
-    theorem6_certificates,
-    write_figure1_csv,
+    write_panels_csv,
 )
+from repro.analysis.figure1 import build_figure1_spec
 from repro.analysis.reporting import figure1_report, rows_to_table
-from repro.analysis.spoa_experiments import default_policy_roster, sharing_spoa_upper_bound_check
+from repro.analysis.spoa_experiments import (
+    CertificateRow,
+    SharingBoundRow,
+    default_policy_roster,
+)
 from repro.core.policies import ExclusivePolicy, SharingPolicy
 from repro.core.values import SiteValues
+from repro.experiments import run_registered
 from repro.utils.io import read_csv
 
 # Small grids keep the harness tests fast while exercising every code path.
 SMALL_C_GRID = np.linspace(-0.5, 0.5, 11)
 
 
+def _figure1_panels(**options):
+    return assemble_figure1_panels(run_registered("figure1", k=2, **options).rows)
+
+
 @pytest.fixture(scope="module")
 def left_panel():
-    return figure1_data(SiteValues.two_sites(0.3), 2, c_grid=SMALL_C_GRID, welfare_grid_points=801)
+    panels = _figure1_panels(second_values=(0.3,), c_grid=SMALL_C_GRID, welfare_grid_points=801)
+    return panels["f2=0.3"]
 
 
 @pytest.fixture(scope="module")
 def right_panel():
-    return figure1_data(SiteValues.two_sites(0.5), 2, c_grid=SMALL_C_GRID, welfare_grid_points=801)
+    panels = _figure1_panels(second_values=(0.5,), c_grid=SMALL_C_GRID, welfare_grid_points=801)
+    return panels["f2=0.5"]
+
+
+@pytest.fixture(scope="module")
+def quick_spoa():
+    # The quick preset: worst cases over M in (2, 5), k in (2, 3) with 3 random
+    # instances; the sharing-bound search over the same M and k with 5.
+    return run_registered("spoa", quick=True, seed=0)
 
 
 class TestFigure1:
@@ -80,31 +94,36 @@ class TestFigure1:
     def test_series_and_csv_round_trip(self, tmp_path, left_panel):
         series = left_panel.as_series()
         assert set(series) == {"c", "ess_coverage", "optimal_coverage", "welfare_optimum_coverage"}
-        paths = write_figure1_csv(tmp_path, c_grid=SMALL_C_GRID, welfare_grid_points=201)
+        panels = _figure1_panels(c_grid=SMALL_C_GRID, welfare_grid_points=201)
+        paths = write_panels_csv(panels, tmp_path)
         assert len(paths) == 2
         headers, rows = read_csv(paths[0])
         assert headers[0] == "c"
         assert len(rows) == SMALL_C_GRID.size
 
     def test_panels_helper_names(self):
-        panels = figure1_panels(c_grid=np.linspace(-0.1, 0.1, 3), welfare_grid_points=101)
+        panels = _figure1_panels(c_grid=np.linspace(-0.1, 0.1, 3), welfare_grid_points=101)
         assert set(panels) == {"f2=0.3", "f2=0.5"}
 
     def test_rejects_c_above_one(self):
         with pytest.raises(ValueError):
-            figure1_data(SiteValues.two_sites(0.3), 2, c_grid=np.array([0.0, 1.5]))
+            build_figure1_spec(second_values=(0.3,), c_grid=np.array([0.0, 1.5]))
 
 
 class TestObservation1Experiment:
     def test_all_instances_hold(self):
-        rows = observation1_experiment(m_values=(5, 20), k_values=(2, 5), n_random=2, rng=0)
+        rows = run_registered(
+            "observation1", m_values=(5, 20), k_values=(2, 5), n_random=2, seed=0
+        ).rows
         assert rows
         assert all(row.holds for row in rows)
         assert all(row.ratio > row.bound for row in rows)
 
     def test_uniform_bound_is_proof_step(self):
         # The proof lower-bounds the optimum by the uniform-over-top-k strategy.
-        rows = observation1_experiment(m_values=(10,), k_values=(3,), n_random=1, rng=1)
+        rows = run_registered(
+            "observation1", m_values=(10,), k_values=(3,), n_random=1, seed=1
+        ).rows
         for row in rows:
             assert row.optimal_coverage >= row.uniform_top_k_coverage - 1e-12
             assert row.uniform_top_k_coverage > row.bound * row.top_k_coverage - 1e-12
@@ -117,35 +136,41 @@ class TestSPoAExperiments:
         ids=["exclusive-sharing", "default-roster"],
     )
     def test_exclusive_worst_ratio_is_one(self, policies):
-        rows = spoa_experiment(
+        rows = run_registered(
+            "spoa",
             policies=policies,
             m_values=(2, 5),
             k_values=(2, 3),
             n_random=3,
-            rng=0,
-        )
+            include_certificates=False,
+            include_sharing_bound=False,
+            seed=0,
+        ).rows
         by_name = {row.policy_name: row for row in rows}
         assert by_name["exclusive"].worst_ratio == pytest.approx(1.0, abs=1e-8)
         assert 1.0 < by_name["sharing"].worst_ratio <= 2.0
         assert all(row.worst_ratio >= 1.0 - 1e-9 for row in rows)
 
-    def test_theorem6_certificates(self):
-        certificates = theorem6_certificates(k=3)
-        assert certificates["exclusive"] == pytest.approx(1.0, abs=1e-9)
-        for name, ratio in certificates.items():
-            if name != "exclusive":
-                assert ratio > 1.0, name
+    def test_theorem6_certificates(self, quick_spoa):
+        certificates = quick_spoa.rows_of_type(CertificateRow)
+        assert len(certificates) == len(default_policy_roster())
+        for row in certificates:
+            assert row.k == 3
+            if row.policy_name == "exclusive":
+                assert row.ratio == pytest.approx(1.0, abs=1e-9)
+            else:
+                assert row.ratio > 1.0, row.policy_name
 
-    def test_sharing_upper_bound_check(self):
-        ratio = sharing_spoa_upper_bound_check(
-            k_values=(2, 3), m_values=(2, 5), n_random=5, rng=0
-        )
-        assert 1.0 < ratio <= 2.0
+    def test_sharing_upper_bound_check(self, quick_spoa):
+        (row,) = quick_spoa.rows_of_type(SharingBoundRow)
+        assert 1.0 < row.max_ratio <= 2.0
 
 
 class TestESSExperiment:
     def test_all_instances_are_ess(self):
-        rows = ess_experiment(m_values=(3,), k_values=(2, 3), n_random_mutants=5, rng=0)
+        rows = run_registered(
+            "ess", m_values=(3,), k_values=(2, 3), n_random_mutants=5, seed=0
+        ).rows
         assert rows
         for row in rows:
             assert row.is_ess
@@ -176,7 +201,9 @@ class TestSweeps:
 
 class TestReportingHelpers:
     def test_rows_to_table(self):
-        rows = observation1_experiment(m_values=(5,), k_values=(2,), n_random=0, rng=0)
+        rows = run_registered(
+            "observation1", m_values=(5,), k_values=(2,), n_random=0, seed=0
+        ).rows
         table = rows_to_table(rows)
         assert "family" in table.splitlines()[0]
         assert len(table.splitlines()) == len(rows) + 2

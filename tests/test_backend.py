@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import repro.backend.registry as registry
+from oracles import enumerated_capacity_coverage, enumerated_capacity_gradient
 from repro.backend import (
     Backend,
     BackendNotAvailableError,
@@ -41,7 +42,6 @@ from repro.batch import (
     PaddedValues,
     capacity_coverage_batch,
     capacity_coverage_gradient_batch,
-    capacity_payoff_batch,
     replicator_batch,
     sigma_star_batch,
 )
@@ -50,7 +50,6 @@ from repro.core.policies import SharingPolicy
 from repro.core.values import SiteValues
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.runner import run_experiment
-from repro.extensions.capacity import capacity_coverage, capacity_coverage_gradient
 from repro.simulation.engine import DispersalSimulator
 from repro.core.strategy import Strategy
 from repro.utils.sampling import (
@@ -88,7 +87,7 @@ class TestRegistry:
 
     def test_unavailable_backends_report_reasons(self):
         failures = backend_failures()
-        for name in ("array_api_strict", "torch", "cupy"):
+        for name in ("array_api_strict", "torch"):
             assert name in available_backends() or name in failures
 
     def test_register_backend_and_overwrite_guard(self):
@@ -270,7 +269,7 @@ class TestSamplingBackendPath:
 
 
 class TestCapacityBatch:
-    """The batched capacity kernels match the scalar extension elementwise."""
+    """The batched capacity kernels match enumeration oracles elementwise."""
 
     @pytest.fixture
     def capacity_batch(self, rng):
@@ -282,13 +281,15 @@ class TestCapacityBatch:
         return padded, instances, ks, states
 
     @pytest.mark.parametrize("requirement", [1, 2, 3])
-    def test_coverage_matches_scalar(self, capacity_batch, requirement):
+    def test_coverage_matches_enumeration(self, capacity_batch, requirement):
         padded, instances, ks, states = capacity_batch
         covered = capacity_coverage_batch(padded, states, ks, requirement)
         assert covered.shape == (len(instances),)
         for row, (values, k) in enumerate(zip(instances, ks)):
             m = values.m
-            exact = capacity_coverage(values, states[row, :m], int(k), requirement)
+            exact = enumerated_capacity_coverage(
+                values.as_array(), states[row, :m], int(k), requirement
+            )
             assert covered[row] == pytest.approx(exact, abs=1e-12)
 
     def test_per_row_requirements(self, capacity_batch, rng):
@@ -297,8 +298,8 @@ class TestCapacityBatch:
         covered = capacity_coverage_batch(padded, states, ks, requirements)
         for row, (values, k) in enumerate(zip(instances, ks)):
             m = values.m
-            exact = capacity_coverage(
-                values, states[row, :m], int(k), requirements[row, :m]
+            exact = enumerated_capacity_coverage(
+                values.as_array(), states[row, :m], int(k), requirements[row, :m]
             )
             assert covered[row] == pytest.approx(exact, abs=1e-12)
 
@@ -311,19 +312,18 @@ class TestCapacityBatch:
             plain = coverage_batch(padded, states, int(k))[row, 0]
             assert covered[row] == pytest.approx(plain, abs=1e-10)
 
-    def test_gradient_matches_scalar(self, capacity_batch):
+    def test_gradient_matches_enumeration(self, capacity_batch):
         padded, instances, ks, states = capacity_batch
         grad = capacity_coverage_gradient_batch(padded, states, ks, 2)
         assert grad.shape == padded.values.shape
         for row, (values, k) in enumerate(zip(instances, ks)):
             m = values.m
-            exact = capacity_coverage_gradient(values, states[row, :m], int(k), 2)
+            exact = enumerated_capacity_gradient(values.as_array(), states[row, :m], int(k), 2)
             np.testing.assert_allclose(grad[row, :m], exact, atol=1e-12)
             assert np.all(grad[row, m:] == 0.0)
 
-    def test_alias_and_validation(self, capacity_batch):
+    def test_validation(self, capacity_batch):
         padded, _, ks, states = capacity_batch
-        assert capacity_payoff_batch is capacity_coverage_batch
         with pytest.raises(ValueError, match=">= 1"):
             capacity_coverage_batch(padded, states, ks, 0)
         # Requirements are counts: 1.5 is refused, not truncated to 1.

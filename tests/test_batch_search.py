@@ -6,9 +6,9 @@ The core contracts:
   :mod:`repro.search.simulator` formulas on ragged batches with mixed
   per-row ``k``, including rows whose expected discovery time is infinite;
 * infinite rows are produced by where-masking — no floating-point warnings;
-* the geometric and lockstep simulation methods agree with each other and
-  with the closed forms in distribution; censored trials report
-  ``max_rounds + 1``;
+* the simulator's geometric inversion agrees in distribution with the
+  closed forms and with :func:`oracles.lockstep_search_rounds`, which plays
+  every round explicitly; censored trials report ``max_rounds + 1``;
 * ``k <= 0`` rosters fail with a clear validation error.
 
 The whole module runs once per available array backend through the autouse
@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from conftest import backend_params
+from oracles import lockstep_search_rounds
 from repro.backend import use_backend
 from stat_helpers import assert_two_sample_z_within, assert_z_within
 from repro.batch.search import (
@@ -153,20 +154,17 @@ class TestSimulation:
     def test_round_one_rate_matches_closed_form(self, rng, method):
         problems, _, ks, priors, matrix = ragged_search_batch(rng, count=4)
         n_trials = 3_000
-        batch = simulate_search_batch(
-            priors, matrix, ks, n_trials, max_rounds=100, rng=3, method=method
-        )
+        if method == "geometric":
+            batch = simulate_search_batch(priors, matrix, ks, n_trials, max_rounds=100, rng=3)
+            rates = batch.round_one_success_rates
+        else:
+            rounds = lockstep_search_rounds(priors, matrix, ks, n_trials, 100, 3)
+            rates = (rounds == 1).mean(axis=1)
         expected = success_probability_batch(priors, matrix, ks)
         # Under the null the round-one count is Binomial(n, p): SEM-aware
         # z-test instead of an ad-hoc absolute tolerance.
         sems = np.sqrt(np.maximum(expected * (1 - expected), 1e-12) / n_trials)
-        assert_z_within(
-            batch.round_one_success_rates,
-            expected,
-            sems,
-            SIGMAS,
-            context=f"round-one rate ({method})",
-        )
+        assert_z_within(rates, expected, sems, SIGMAS, context=f"round-one rate ({method})")
 
     def test_methods_agree_in_distribution(self):
         problem = BayesianSearchProblem.uniform(5)
@@ -174,45 +172,61 @@ class TestSimulation:
         priors = problem.prior[None, :]
         matrix = strategy.as_array()[None, :]
         n_trials = 4_000
-        geometric = simulate_search_batch(
-            priors, matrix, 2, n_trials, max_rounds=300, rng=0, method="geometric"
-        )
-        lockstep = simulate_search_batch(
-            priors, matrix, 2, n_trials, max_rounds=300, rng=1, method="lockstep"
-        )
+        geometric = simulate_search_batch(priors, matrix, 2, n_trials, max_rounds=300, rng=0)
+        lockstep = lockstep_search_rounds(priors, matrix, 2, n_trials, 300, 1)[0]
         assert geometric.censored_counts[0] == 0
-        assert lockstep.censored_counts[0] == 0
+        assert np.all(lockstep <= 300)
         expected = expected_discovery_time_batch(priors, matrix, 2)[0]
-        # Exact-vs-empirical and method-vs-method in sampling units: the SEM
-        # of each uncensored mean replaces the old 10% relative tolerance.
+        # Exact-vs-empirical and simulator-vs-oracle in sampling units: the
+        # SEM of each uncensored mean replaces the old 10% relative tolerance.
+        means = [geometric.mean_rounds_when_found[0], lockstep.mean()]
         sems = [
-            float(np.std(batch.rounds[0], ddof=1) / np.sqrt(n_trials))
-            for batch in (geometric, lockstep)
+            float(np.std(rounds, ddof=1) / np.sqrt(n_trials))
+            for rounds in (geometric.rounds[0], lockstep)
         ]
-        for batch, sem in zip((geometric, lockstep), sems):
-            assert_z_within(
-                batch.mean_rounds_when_found[0],
-                expected,
-                sem,
-                SIGMAS,
-                context=f"mean rounds ({batch.method})",
-            )
+        for name, mean, sem in zip(("geometric", "lockstep"), means, sems):
+            assert_z_within(mean, expected, sem, SIGMAS, context=f"mean rounds ({name})")
         assert_two_sample_z_within(
-            geometric.mean_rounds_when_found[0],
-            sems[0],
-            lockstep.mean_rounds_when_found[0],
-            sems[1],
-            SIGMAS,
+            means[0], sems[0], means[1], sems[1], SIGMAS,
             context="geometric vs lockstep mean rounds",
         )
 
+    def test_ragged_batch_agrees_with_lockstep_oracle(self, rng):
+        # Ragged box counts, mixed k and greedy rows that can never reach
+        # some boxes (censored trials): per row, the success rate and the
+        # mean round of the found trials agree with the round-by-round oracle.
+        _, _, ks, priors, matrix = ragged_search_batch(rng, count=6)
+        n_trials, max_rounds = 2_000, 1_000
+        batch = simulate_search_batch(priors, matrix, ks, n_trials, max_rounds=max_rounds, rng=7)
+        oracle = lockstep_search_rounds(priors, matrix, ks, n_trials, max_rounds, 8)
+        assert np.any(batch.censored_counts > 0)
+        for name, rounds in (("geometric", batch.rounds), ("lockstep", oracle)):
+            assert np.all((rounds >= 1) & (rounds <= max_rounds + 1)), name
+        found = [rounds <= max_rounds for rounds in (batch.rounds, oracle)]
+        rates = [mask.mean(axis=1) for mask in found]
+        rate_sems = [np.sqrt(rate * (1 - rate) / n_trials) for rate in rates]
+        assert_two_sample_z_within(
+            rates[0], rate_sems[0], rates[1], rate_sems[1], SIGMAS,
+            context="success rate, geometric vs lockstep",
+        )
+        means, mean_sems = [], []
+        for rounds, mask in zip((batch.rounds, oracle), found):
+            kept = [row[hit] for row, hit in zip(rounds, mask)]
+            means.append(np.array([row.mean() for row in kept]))
+            mean_sems.append(np.array([row.std(ddof=1) / np.sqrt(row.size) for row in kept]))
+        np.testing.assert_array_equal(means[0], batch.mean_rounds_when_found)
+        assert_two_sample_z_within(
+            means[0], mean_sems[0], means[1], mean_sems[1], SIGMAS,
+            context="mean found round, geometric vs lockstep",
+        )
+
     def test_lockstep_early_exit_when_treasure_is_certain(self):
-        # One box: every search ends in round one, so the loop exits after it.
+        # One box: every search ends in round one, so the oracle's loop exits
+        # after it, and the simulator agrees.
         priors = np.array([[1.0]])
         strategies = np.array([[1.0]])
-        batch = simulate_search_batch(
-            priors, strategies, 2, 100, max_rounds=10_000, rng=0, method="lockstep"
-        )
+        assert np.all(lockstep_search_rounds(priors, strategies, 2, 100, 10_000, 0) == 1)
+        batch = simulate_search_batch(priors, strategies, 2, 100, max_rounds=10_000, rng=0)
         assert np.all(batch.rounds == 1)
         assert batch.success_rates[0] == 1.0
 
@@ -220,12 +234,13 @@ class TestSimulation:
         # Row 0 can never find its treasure when it hides in box 1.
         priors = np.array([[0.5, 0.5], [0.5, 0.5]])
         strategies = np.array([[1.0, 0.0], [0.5, 0.5]])
-        batch = simulate_search_batch(
-            priors, strategies, [1, 2], 2_000, max_rounds=3, rng=4, method="lockstep"
-        )
+        batch = simulate_search_batch(priors, strategies, [1, 2], 2_000, max_rounds=3, rng=4)
+        oracle = lockstep_search_rounds(priors, strategies, [1, 2], 2_000, 3, 4)
+        for rounds in (batch.rounds, oracle):
+            assert np.mean(rounds[0] <= 3) == pytest.approx(0.5, abs=0.05)
+            assert rounds.max() == 4  # max_rounds + 1 = censored marker
+            assert np.all(rounds >= 1)
         assert batch.success_rates[0] == pytest.approx(0.5, abs=0.05)
-        assert batch.rounds.max() == 4  # max_rounds + 1 = censored marker
-        assert np.all(batch.rounds >= 1)
         # The explicit censored-count field mirrors the rounds marker exactly.
         np.testing.assert_array_equal(
             batch.censored_counts, (batch.rounds > batch.max_rounds).sum(axis=1)
@@ -272,18 +287,17 @@ class TestSimulation:
     def test_nothing_found_reports_nan_mean_rounds(self):
         priors = np.array([[1.0, 0.0]])
         strategies = np.array([[0.0, 1.0]])  # searches only the impossible box
-        batch = simulate_search_batch(
-            priors, strategies, 2, 50, max_rounds=5, rng=0, method="geometric"
-        )
+        batch = simulate_search_batch(priors, strategies, 2, 50, max_rounds=5, rng=0)
         assert batch.success_rates[0] == 0.0
         assert np.isnan(batch.mean_rounds_when_found[0])
         assert np.all(batch.rounds[0] == 6)
 
-    def test_method_validation(self):
-        with pytest.raises(ValueError, match="method"):
-            simulate_search_batch(
-                np.array([[1.0]]), np.array([[1.0]]), 1, 5, method="replay"
-            )
+    def test_trial_and_round_counts_are_validated(self):
+        one = np.array([[1.0]])
+        with pytest.raises(ValueError, match="n_trials"):
+            simulate_search_batch(one, one, 1, 0)
+        with pytest.raises(ValueError, match="max_rounds"):
+            simulate_search_batch(one, one, 1, 5, max_rounds=0)
 
 
 class TestStaging:

@@ -8,7 +8,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.analysis.observation1 import build_observation1_spec, observation1_task
@@ -17,7 +16,6 @@ from repro.cli import main
 from repro.experiments import (
     ExperimentSpec,
     build_experiment,
-    coerce_seed,
     experiment_names,
     get_experiment,
     register_experiment,
@@ -143,13 +141,6 @@ class TestRunner:
                 envinfo.os, "sched_getaffinity", lambda pid: {0, 2, 5}
             )
             assert resolve_workers(-1) == 3
-
-    def test_coerce_seed(self):
-        assert coerce_seed(None) == 0
-        assert coerce_seed(17) == 17
-        gen_a = np.random.default_rng(3)
-        gen_b = np.random.default_rng(3)
-        assert coerce_seed(gen_a) == coerce_seed(gen_b)
 
     def test_rows_are_flattened_in_grid_order(self):
         result = run_experiment(_small_spec())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.figure1 import figure1_data
+from repro.analysis.figure1 import assemble_figure1_panels
 from repro.core.coverage import coverage
 from repro.core.ess import ess_report, is_symmetric_nash
 from repro.core.ifd import ideal_free_distribution
@@ -17,6 +17,7 @@ from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.core.welfare import welfare_optimal_strategy
 from repro.dynamics import replicator_dynamics
+from repro.experiments import run_registered
 from repro.mechanism import optimal_grant_design
 from repro.search import BayesianSearchProblem, sigma_star_strategy, single_round_success_probability
 from repro.simulation import simulate_dispersal
@@ -82,7 +83,14 @@ class TestPaperStoryEndToEnd:
 class TestFigure1ConsistencyWithCoreTheorems:
     def test_figure1_panel_agrees_with_spoa_and_welfare(self):
         values = SiteValues.two_sites(0.4)
-        panel = figure1_data(values, 2, c_grid=np.linspace(-0.4, 0.5, 10), welfare_grid_points=501)
+        result = run_registered(
+            "figure1",
+            second_values=(0.4,),
+            c_grid=np.linspace(-0.4, 0.5, 10),
+            k=2,
+            welfare_grid_points=501,
+        )
+        (panel,) = assemble_figure1_panels(result.rows).values()
         # ESS coverage at each grid point equals optimal coverage divided by the SPoA ratio.
         for c, ess_cover in zip(panel.c_grid, panel.ess_coverage):
             instance = spoa_instance(values, 2, TwoLevelPolicy(float(c)))
