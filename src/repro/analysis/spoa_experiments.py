@@ -187,17 +187,23 @@ def spoa_task(params: Mapping[str, Any], rng: np.random.Generator):
     return _TASK_KINDS[str(params["kind"])](params, rng)
 
 
+_GRIDS = {  # the full grid and the quick preset, in the order of ``options`` below
+    False: ((2, 5, 10), (2, 3, 5), 10, (2, 3, 5, 8), (2, 5, 10, 25), 25),
+    True: ((2, 5), (2, 3), 3, (2, 3), (2, 5), 5),
+}
+
+
 @register_experiment("spoa", "SPoA experiments: Corollary 5, Theorem 6, sharing bound")
 def build_spoa_spec(
     *,
     policies: Sequence[CongestionPolicy] | None = None,
-    m_values: Sequence[int] = (2, 5, 10),
-    k_values: Sequence[int] = (2, 3, 5),
-    n_random: int = 10,
+    m_values: Sequence[int] | None = None,
+    k_values: Sequence[int] | None = None,
+    n_random: int | None = None,
     certificate_k: int = 3,
-    sharing_k_values: Sequence[int] = (2, 3, 5, 8),
-    sharing_m_values: Sequence[int] = (2, 5, 10, 25),
-    sharing_n_random: int = 25,
+    sharing_k_values: Sequence[int] | None = None,
+    sharing_m_values: Sequence[int] | None = None,
+    sharing_n_random: int | None = None,
     include_certificates: bool = True,
     include_sharing_bound: bool = True,
     quick: bool = False,
@@ -206,14 +212,17 @@ def build_spoa_spec(
     """Spec builder of the ``spoa`` experiment.
 
     One ``worst-case`` task per policy, one ``certificate`` task per policy
-    (Theorem 6) and one ``sharing-bound`` task; ``quick=True`` shrinks every
-    grid to the CLI's fast preset.
+    (Theorem 6) and one ``sharing-bound`` task.  A grid option left at
+    ``None`` takes the full grid of :data:`_GRIDS`, or with ``quick=True``
+    the CLI's fast preset; an option passed explicitly wins over either.
     """
     if policies is None:
         policies = default_policy_roster()
-    if quick:
-        m_values, k_values, n_random = (2, 5), (2, 3), 3
-        sharing_k_values, sharing_m_values, sharing_n_random = (2, 3), (2, 5), 5
+    options = (m_values, k_values, n_random, sharing_k_values, sharing_m_values, sharing_n_random)
+    m_values, k_values, n_random, sharing_k_values, sharing_m_values, sharing_n_random = (
+        preset if given is None else given
+        for preset, given in zip(_GRIDS[bool(quick)], options)
+    )
     grid: list[dict[str, Any]] = [
         {
             "kind": "worst-case",

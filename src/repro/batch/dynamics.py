@@ -1,11 +1,9 @@
 """Unified batched dynamics engine: one stepping loop for every update rule.
 
-Before this module, each dynamics flavour (discrete/Euler replicator, logit,
-smoothed best response, resident-vs-mutant invasion) carried its own copy of
-the same loop: evaluate the payoff kernel, apply an update, measure the L1
-step, record at strides, stop on tolerance or iteration cap.  The
-:class:`DynamicsEngine` hoists that loop out once and evolves a whole
-``(B, M)`` population of game states simultaneously:
+The loop (evaluate the payoff kernel, apply an update, measure the L1 step,
+record at strides, stop on tolerance or iteration cap) is written once: the
+:class:`DynamicsEngine` evolves a whole ``(B, M)`` population of game states
+simultaneously:
 
 * **pluggable rules** — an :class:`UpdateRule` maps ``(states, t)`` to new
   states; the bundled rules cover the replicator variants, logit response,
@@ -25,10 +23,11 @@ step, record at strides, stop on tolerance or iteration cap.  The
   back into exactly the per-row trajectories the scalar loops used to build.
 
 The stepping math is pure Array-API code on the backend resolved at engine
-construction (:mod:`repro.backend`).  On NumPy the engine steps only the
-active row subset and scatters back in place; the evaluator, values, masks
-and rule constants are restricted to that subset once per change of it
-(:meth:`DynamicsEngine.restrict`), not once per step.  On every other
+construction (:mod:`repro.backend`).  On NumPy the engine steps a compact
+working array of the active rows and writes it back to the full batch only
+when a row finishes, on record steps and at exit; the evaluator, values,
+masks and rule constants are restricted to that subset once per change of
+it (:meth:`DynamicsEngine.restrict`), not once per step.  On every other
 backend the run is *device-resident*:
 all constants (padded values, masks, the evaluator's congestion
 coefficients, rule-specific shifts) are staged once at construction under an
@@ -120,13 +119,13 @@ class UpdateRule(abc.ABC):
         """
 
     @abc.abstractmethod
-    def step(self, states: Any, t: int) -> tuple[Any, Any | None]:
+    def step(self, states: Any, t: int, record: bool = True) -> tuple[Any, Any | None]:
         """Advance the states of the stepped rows one iteration.
 
         ``states`` are already sliced to the rows of the last
         :meth:`restrict`.  Returns the new states plus, for rules that track
-        it, the mean payoff of the *pre-update* states (used for strided
-        payoff recording) — ``None`` otherwise.
+        it and on ``record`` steps, the mean payoff of the *pre-update*
+        states (used for strided payoff recording) — ``None`` otherwise.
         """
 
     def finished(self, states: Any) -> Any | None:
@@ -153,10 +152,10 @@ class PayoffRule(UpdateRule):
     #: Whether the engine should keep a mean-payoff history for this rule.
     records_payoffs: bool = False
 
-    def step(self, states: Any, t: int) -> tuple[Any, Any | None]:
+    def step(self, states: Any, t: int, record: bool = True) -> tuple[Any, Any | None]:
         xp = self.engine.xp
         nu = self.engine.site_values(states)
-        payoffs = xp.sum(states * nu, axis=1) if self.records_payoffs else None
+        payoffs = xp.sum(states * nu, axis=1) if self.records_payoffs and record else None
         return self.respond(states, nu, t), payoffs
 
     def final_payoffs(self, states: Any) -> Any | None:
@@ -196,9 +195,8 @@ class DiscreteReplicatorRule(PayoffRule):
 
     def respond(self, states: Any, nu: Any, t: int) -> Any:
         xp = self.engine.xp
-        fitness = nu + self.stepped_shift
-        denominator = xp.sum(states * fitness, axis=1, keepdims=True)
-        return states * fitness / denominator
+        weighted = states * (nu + self.stepped_shift)
+        return weighted / xp.sum(weighted, axis=1, keepdims=True)
 
 
 class EulerReplicatorRule(PayoffRule):
@@ -332,7 +330,7 @@ class InvasionRule(UpdateRule):
             self.engine.rows_of(a, rows) for a in (self.resident, self.mutant, self.scale)
         )
 
-    def step(self, states: Any, t: int) -> tuple[Any, Any | None]:
+    def step(self, states: Any, t: int, record: bool = True) -> tuple[Any, Any | None]:
         xp = self.engine.xp
         share = states[:, 0]
         resident, mutant = self.stepped_resident, self.stepped_mutant
@@ -507,6 +505,7 @@ class DynamicsEngine:
             self.values_dev = self.padded.values_for(self.backend)
             self.mask_dev = self.padded.mask_for(self.backend)
             self.fmask_dev = self.padded.fmask_for(self.backend)
+            self._weights = self.values_dev * self.fmask_dev  # nu = g(q) * weights
             self.sizes_dev = from_numpy(
                 self.backend, self.sizes, dtype=self.backend.int_dtype
             )
@@ -514,6 +513,7 @@ class DynamicsEngine:
             #: land on the default device, not the engine's).
             self.neg_inf_dev = self.device(np.asarray(-np.inf))
             self.zero_dev = self.device(np.asarray(0.0))
+            self.one_dev = self.device(np.asarray(1.0))
             #: ``g_b(q)`` of every row, by the IFD solver's evaluator.
             self._congestion = bernstein_evaluator(self.tables, self.ks - 1, self.backend)
             self.rule = rule
@@ -544,8 +544,7 @@ class DynamicsEngine:
         no per-row constant outside its rows.  The NumPy loop calls this only
         when its active row set shrinks.
         """
-        self.stepped_values = self.rows_of(self.values_dev, rows)
-        self.stepped_fmask = self.rows_of(self.fmask_dev, rows)
+        self._stepped_weights = self.rows_of(self._weights, rows)
         self.stepped_mask = self.rows_of(self.mask_dev, rows)
         self._stepped_congestion = self._congestion.restrict(rows)
         self.rule.restrict(rows)
@@ -558,8 +557,10 @@ class DynamicsEngine:
         the last :meth:`restrict`; the result stays on the backend (rules
         consume it in place).
         """
-        factor, _ = self._stepped_congestion(self.xp.clip(states, 0.0, 1.0), slope=False)
-        return self.stepped_values * factor * self.stepped_fmask
+        factor, _ = self._stepped_congestion(
+            self.xp.minimum(self.xp.maximum(states, self.zero_dev), self.one_dev), slope=False
+        )
+        return factor * self._stepped_weights
 
     def initial_states(self) -> Any:
         """Per-row uniform distributions (zero on padding columns), backend-resident."""
@@ -595,8 +596,10 @@ class DynamicsEngine:
         return self._run_device(states)
 
     def _run_host(self, states: Any) -> DynamicsBatchResult:
-        """NumPy path: step only the active row subset, scatter back in place.
+        """NumPy path: step a compact working array of the active rows.
 
+        ``work`` holds the active rows' states; it is written back to
+        ``states`` when a row finishes, on record steps and at loop exit.
         Control flow (masks, counters) is host NumPy like the data, so there
         is nothing to transfer.  A row's arithmetic does not depend on the
         subset it steps in (see :func:`~repro.batch.ifd.bernstein_evaluator`).
@@ -611,33 +614,28 @@ class DynamicsEngine:
         records = [np.array(to_numpy(states), copy=True)]
         payoff_records: list[np.ndarray] = []
         current_payoffs = np.zeros(batch)
+        work = states
 
         for t in range(1, self.max_iter + 1):
-            sub = take_rows(be, states, active)
-            new_sub, payoffs = self.rule.step(sub, t)
-            change = to_numpy(xp.sum(xp.abs(new_sub - sub), axis=1))
-            scatter_rows(be, states, active, new_sub)
-            payoffs_host = None if payoffs is None else to_numpy(payoffs)
-            halted = self.rule.finished(new_sub)
-            halted_host = None if halted is None else to_numpy(halted)
-
             recording = t % self.record_every == 0
-            if recording and payoffs_host is not None:
-                current_payoffs[active] = payoffs_host
-
-            done = (
-                np.zeros(active.size, dtype=bool)
-                if self.tol is None
-                else change <= self.tol
-            )
-            if halted_host is not None:
-                done |= halted_host
-            if done.any():
-                finished_rows = active[done]
-                converged[finished_rows] = True
-                iterations[finished_rows] = t
+            new, payoffs = self.rule.step(work, t, recording)
+            change = xp.abs(new - work).sum(axis=1)  # NumPy: the method skips a dispatch
+            work = new
+            halted = self.rule.finished(work)
+            done = np.zeros(active.size, dtype=bool) if self.tol is None else change <= self.tol
+            if halted is not None:
+                done |= to_numpy(halted)
+            if payoffs is not None:
+                current_payoffs[active] = to_numpy(payoffs)
+            finishing = bool(done.any())
+            if recording or finishing:
+                scatter_rows(be, states, active, work)
+            if finishing:
+                converged[active[done]] = True
+                iterations[active[done]] = t
                 active = active[~done]
                 if active.size:
+                    work = take_rows(be, work, np.flatnonzero(~done))
                     self.restrict(active)
 
             if recording:
@@ -646,6 +644,8 @@ class DynamicsEngine:
                 payoff_records.append(current_payoffs.copy())
             if active.size == 0:
                 break
+        if active.size:
+            scatter_rows(be, states, active, work)
 
         self.restrict(None)
         final = self.rule.final_payoffs(states)
@@ -655,9 +655,7 @@ class DynamicsEngine:
             iterations=iterations,
             record_times=np.asarray(record_times, dtype=np.int64),
             records=np.asarray(records),
-            payoff_records=np.asarray(payoff_records).reshape(
-                len(payoff_records), batch
-            ),
+            payoff_records=np.asarray(payoff_records).reshape(len(payoff_records), batch),
             final_payoffs=None if final is None else to_numpy(final),
             sizes=self.sizes,
             rule_name=self.rule.name,

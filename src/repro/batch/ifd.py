@@ -25,18 +25,22 @@ its sorted breakpoints.  Every other row runs under a fixed budget:
   :data:`DE_CASTELJAU_MAX_DEGREE`, log-space binomial laws above.  Neither
   expands ``g`` in the power basis, whose alternating coefficients lose all
   precision past ``k ~ 30``;
-* the outer solve bisects the equilibrium payoff for :data:`OUTER_STEPS`
-  steps.  At each candidate ``v`` every site gets *checked* bounds
+* the outer solve narrows a bracket on the equilibrium payoff by 4-way
+  multisection, :data:`OUTER_STEPS` steps of two bits: three candidates per
+  row, solved as three stacked copies of the rows (rows past
+  :data:`DE_CASTELJAU_MAX_DEGREE` bisect for :data:`BISECTION_STEPS` steps,
+  so their ``O(k)`` pmf tensor does not triple).  At each candidate ``v``
+  every site gets *checked* bounds
   ``lower <= q(v) <= upper``: bounds only ever move to points whose
   residual was evaluated, the search between them is Newton's method
   started from the end it cannot overshoot from, and a final pair of
   probes straddles the Newton point.  Because ``q(v)`` is monotone, the
   bounds kept at the bracket ends ``v_lo``/``v_hi`` bound every site at any
-  ``v`` in between and seed the next step;
-* a step moves ``v_lo`` only when the lower bounds already carry mass one,
-  and ``v_hi`` only when the upper bounds carry less, so the bracket always
-  holds the equilibrium whatever the Newton steps did.  A step that cannot
-  tell yet stays at its ``v`` and keeps refining;
+  ``v`` in between and seed every candidate of the next step;
+* ``v_lo`` moves to the largest candidate whose lower bounds already carry
+  mass one, ``v_hi`` to the smallest whose upper bounds carry less, so the
+  bracket always holds the equilibrium whatever the Newton steps did.  A
+  row that cannot tell any candidate's side yet keeps them and refines;
 * both bracket ends are re-solved once at the end, and the strategy is the
   convex combination of their site vectors with mass exactly one, so every
   support site pays within the bracket (plus the bounds' slack) with no
@@ -81,10 +85,11 @@ from repro.utils.validation import check_counts
 
 __all__ = ["IFDBatch", "WaterFilling", "bernstein_evaluator", "ifd_batch", "water_filling_batch"]
 
-#: Outer steps on the equilibrium payoff.  Bisection alone shrinks the
-#: bracket to ``2**-46`` of its width (the rounding floor of the residuals)
-#: in 46 steps; the rest absorb steps that had to refine their bounds.
-OUTER_STEPS = 56
+#: Outer multisection steps on the equilibrium payoff.  At two bits a step,
+#: 23 shrink the bracket to ``2**-46`` of its width (the rounding floor of
+#: the residuals); the rest absorb steps that had to refine their bounds.
+OUTER_STEPS = 28
+BISECTION_STEPS = 56  #: Outer steps of the log-space rows, which bisect (46 bits + slack).
 #: Newton steps per site and outer step, between the two paired evaluations.
 INNER_STEPS = 1
 #: Newton steps of the final re-solve at both ends of the bracket.
@@ -120,6 +125,8 @@ class WaterFilling:
     closed_form:
         ``(R,)`` whether the row was resolved in closed form (``k = 1``,
         ``k = 2`` or a constant congestion table) rather than by the iteration.
+    outer_steps:
+        Outer steps the iteration ran (0 without iterative rows).
     """
 
     probabilities: np.ndarray
@@ -127,6 +134,7 @@ class WaterFilling:
     support_sizes: np.ndarray
     converged: np.ndarray
     closed_form: np.ndarray
+    outer_steps: int
 
 
 def _row_sum(x, xp):
@@ -204,14 +212,18 @@ def _de_casteljau(coeffs: np.ndarray, degrees: np.ndarray, be: Backend):
         ]
         b_top = xp.permute_dims(take_rows(be, by_row, rows), (1, 0, 2))[: top + 1]
         n = take_rows(be, n_all, rows)
+        widths = {}  # b_top copied out to each width evaluated, with its differences
 
         def evaluate(q, slope=True):
-            b = b_top
+            if q.shape[1] not in widths:
+                b = xp.asarray(xp.broadcast_to(b_top, (top + 1, *q.shape)), copy=True)
+                widths[q.shape[1]] = b, b[1:] - b[:-1]
+            b, d = widths[q.shape[1]]
             for active in schedule:
-                step = b[:-1] + q * (b[1:] - b[:-1])
+                step = b[:-1] + q * d
                 b = step if active is None else xp.where(active, step, b[:-1])
-            b0, delta = b[0], b[1] - b[0]
-            return b0 + q * delta, (n * delta if slope else None)
+                d = b[1:] - b[:-1]
+            return b[0] + q * d[0], (n * d[0] if slope else None)
 
         return evaluate
 
@@ -371,120 +383,141 @@ def water_filling_batch(
         p, bound = from_numpy(be, p, dtype=fdt), from_numpy(be, np.abs(v), dtype=fdt)
         settle(rows, *stage(rows), p, bound)
 
-    def solved():
+    def solved(steps):
         values = np.ldexp(out_values, exponent)
-        return WaterFilling(probabilities, values, support_sizes, converged, closed)
+        return WaterFilling(probabilities, values, support_sizes, converged, closed, steps)
 
     rows = np.flatnonzero(~closed)
     if rows.size == 0:
-        return solved()
+        return solved(0)
 
     sub_degrees = degrees[rows]
     sub_tables = tables_host[rows][:, : int(sub_degrees.max()) + 1]
-    g_and_slope = bernstein_evaluator(sub_tables, sub_degrees, be)
+    evaluator = bernstein_evaluator(sub_tables, sub_degrees, be)
 
     F, D, mask_dev = stage(rows)
-    maskf = xp.astype(mask_dev, fdt)
     g_one = from_numpy(be, sub_tables[np.arange(rows.size), sub_degrees], dtype=fdt)
     zero = xp.asarray(0.0, dtype=fdt)
     neg_inf = xp.asarray(-np.inf, dtype=fdt)
     pos_inf = xp.asarray(np.inf, dtype=fdt)
 
-    solo = F - D  # payoff of a site nobody else visits
-    crowded = F * g_one[:, None] - D  # payoff of a site every player visits
-    F2, D2 = xp.concat([F, F], axis=1), xp.concat([D, D], axis=1)
+    def stacked(copies):
+        """``(site_bounds, idle, full)`` on ``copies`` stacked copies of the rows
+        (copy ``c`` of row ``b`` is row ``c R + b``, with the arithmetic of ``b``)."""
+        index = None if copies == 1 else np.tile(np.arange(rows.size), copies)
+        f, d, mask, g1 = (take_rows(be, a, index) for a in (F, D, mask_dev, g_one))
+        g_and_slope = evaluator.restrict(index)
+        solo, crowded = f - d, f * g1[:, None] - d  # payoff when nobody else / everybody visits
+        f2, d2 = xp.concat([f, f], axis=1), xp.concat([d, d], axis=1)
 
-    def evaluate(q):
-        """The triple ``(q, payoff, F g'(q))`` at ``(R, M)`` or paired ``(R, 2M)`` points."""
-        f, d = (F, D) if q.shape[1] == m else (F2, D2)
-        g, slope = g_and_slope(q)
-        point = xp.empty((3, *q.shape), dtype=fdt)
-        point[0], point[1], point[2] = q, f * g - d, f * slope
-        return point
+        def evaluate(q):
+            """The triple ``(q, payoff, F g'(q))`` at ``(R, M)`` or paired ``(R, 2M)`` points."""
+            fq, dq = (f, d) if q.shape[1] == m else (f2, d2)
+            g, slope = g_and_slope(q)
+            point = xp.empty((3, *q.shape), dtype=fdt)
+            point[0], point[1], point[2] = q, fq * g - dq, fq * slope
+            return point
 
-    # A site bound is such a triple; every site starts from the
-    # trivial bounds q = 0 and q = 1, evaluated once here.
-    ends = evaluate(xp.concat([xp.zeros_like(F), maskf], axis=1))
-    idle, full = ends[:, :, :m], ends[:, :, m:]
+        # A site bound is such a triple; every site starts from the
+        # trivial bounds q = 0 and q = 1, evaluated once here.
+        ends = evaluate(xp.concat([xp.zeros_like(f), xp.astype(mask, fdt)], axis=1))
+        idle, full = ends[:, :, :m], ends[:, :, m:]
 
-    def site_bounds(v, low, high, steps):
-        """Checked bounds ``lower <= q(v) <= upper`` on every site.
+        def site_bounds(v, low, high, steps):
+            """Checked bounds ``lower <= q(v) <= upper`` on every site.
 
-        ``low``/``high`` must already be checked bounds at ``v`` (bounds at a
-        larger, resp. smaller, ``v`` are).  Newton's method runs from the end
-        it cannot overshoot from (the lower one where ``g`` bends upwards, the
-        upper one where it bends down; the other end, then the midpoint, when
-        that step leaves the bounds), and a final pair of probes straddles its
-        last point, twice its last step away but never closer than the
-        rounding noise of a residual, nor further than halfway to a bound (so
-        the bounds shrink even when Newton's method makes no progress).
-        Bounds only ever move to evaluated points, so they hold whatever the
-        Newton steps do.
-        """
-        v_col = v[:, None]
-        active = mask_dev & (solo > v_col)
-        saturated = active & (crowded >= v_col)
-        a, b = low[0], high[0]
-        from_a = a - (low[1] - v_col) / low[2]
-        from_b = b - (high[1] - v_col) / high[2]
-        convex = high[2] >= low[2]
-        first = xp.where(convex, from_a, from_b)
-        second = xp.where(convex, from_b, from_a)
-        first_ok = (first >= a) & (first <= b)
-        second_ok = (second >= a) & (second <= b)
-        q = xp.where(first_ok, first, xp.where(second_ok, second, 0.5 * (a + b)))
-        from_low = first_ok == convex
-        step = xp.where(first_ok | second_ok, xp.abs(q - xp.where(from_low, a, b)), zero)
-        slope = xp.where(from_low, low[2], high[2])
-        for _ in range(steps):
-            point = evaluate(q)
-            above = point[1] > v_col  # q(v) lies above q
-            low, high = xp.where(above, point, low), xp.where(above, high, point)
-            a, b, slope = low[0], high[0], point[2]
-            newton = q - (point[1] - v_col) / slope
-            newton_ok = (newton >= a) & (newton <= b)
-            step = xp.where(newton_ok, xp.abs(newton - q), zero)
-            q = xp.where(newton_ok, newton, 0.5 * (a + b))
-        reach = 2.0 * step + ROUNDING_ATOL * (F + xp.abs(D + v_col)) / xp.abs(slope)
-        left = xp.maximum(q - reach, 0.5 * (a + q))
-        probes = evaluate(xp.concat([left, xp.minimum(q + reach, 0.5 * (q + b))], axis=1))
-        left, right = probes[:, :, :m], probes[:, :, m:]
-        low = xp.where(right[1] > v_col, right, xp.where(left[1] > v_col, left, low))
-        high = xp.where(left[1] <= v_col, left, xp.where(right[1] <= v_col, right, high))
-        lower = xp.where(saturated, full, xp.where(active, low, idle))
-        upper = xp.where(saturated, full, xp.where(active, high, idle))
-        return lower, upper
+            ``low``/``high`` must already be checked bounds at ``v`` (bounds
+            at a larger, resp. smaller, ``v`` are).  Newton's method runs
+            ``steps >= 1`` times from the end it cannot overshoot from (the
+            lower one where ``g`` bends up, the upper one where it bends down;
+            the other end, then the midpoint, when that step leaves the
+            bounds), and a final pair of probes straddles its last point,
+            twice its last step away but never closer than the rounding noise
+            of a residual, nor further than halfway to a bound (so the bounds
+            shrink even when Newton's method makes no progress).  Bounds only
+            ever move to evaluated points, so they hold whatever Newton does.
+            """
+            v_col = v[:, None]
+            active = mask & (solo > v_col)
+            saturated = active & (crowded >= v_col)
+            a, b = low[0], high[0]
+            from_a = a - (low[1] - v_col) / low[2]
+            from_b = b - (high[1] - v_col) / high[2]
+            convex = high[2] >= low[2]
+            first = xp.where(convex, from_a, from_b)
+            second = xp.where(convex, from_b, from_a)
+            first_ok = (first >= a) & (first <= b)
+            second_ok = (second >= a) & (second <= b)
+            q = xp.where(first_ok, first, xp.where(second_ok, second, 0.5 * (a + b)))
+            for _ in range(steps):
+                point = evaluate(q)
+                above = point[1] > v_col  # q(v) lies above q
+                low, high = xp.where(above, point, low), xp.where(above, high, point)
+                a, b, slope = low[0], high[0], point[2]
+                newton = q - (point[1] - v_col) / slope
+                newton_ok = (newton >= a) & (newton <= b)
+                step = xp.where(newton_ok, xp.abs(newton - q), zero)
+                q = xp.where(newton_ok, newton, 0.5 * (a + b))
+            reach = 2.0 * step + ROUNDING_ATOL * (f + xp.abs(d + v_col)) / xp.abs(slope)
+            left = xp.maximum(q - reach, 0.5 * (a + q))
+            probes = evaluate(xp.concat([left, xp.minimum(q + reach, 0.5 * (q + b))], axis=1))
+            left, right = probes[:, :, :m], probes[:, :, m:]
+            low = xp.where(right[1] > v_col, right, xp.where(left[1] > v_col, left, low))
+            high = xp.where(left[1] <= v_col, left, xp.where(right[1] <= v_col, right, high))
+            lower = xp.where(saturated, full, xp.where(active, low, idle))
+            upper = xp.where(saturated, full, xp.where(active, high, idle))
+            return lower, upper
+
+        return site_bounds, idle, full
 
     # The bracket [v_lo, v_hi] always holds the equilibrium payoff: at_lo are
     # checked upper bounds of q(v_lo) with mass >= 1, at_hi checked lower
     # bounds of q(v_hi) with mass < 1, and both bound q(v) at any v between.
-    # A step whose bounds straddle mass one cannot tell the side yet; it
-    # stays at its v and refines the bounds.
-    v_hi = xp.max(xp.where(mask_dev, solo, neg_inf), axis=1)
-    v_lo = xp.min(xp.where(mask_dev, crowded, pos_inf), axis=1)
-    at_hi, at_lo = idle, full
-    v = 0.5 * (v_lo + v_hi)
-    start_low, start_high = at_hi, at_lo
+    # Each step tries C candidates at the (C + 1)-section points of the
+    # bracket, candidate c on stacked copy c of the rows.  A candidate that
+    # comes back unchanged (its row told no side) refines its own bounds.
+    n = rows.size
+    log_space = int(sub_degrees.max()) > DE_CASTELJAU_MAX_DEGREE
+    sections, steps = (1, BISECTION_STEPS) if log_space else (3, OUTER_STEPS)
+    polish_bounds, at_hi, at_lo = stacked(1)
+    step_bounds, lower, upper = stacked(sections) if sections > 1 else (polish_bounds, at_hi, at_lo)
+    spacing = from_numpy(be, np.arange(1, sections + 1)[:, None] / (sections + 1), dtype=fdt)
+    v_hi = xp.max(xp.where(mask_dev, F - D, neg_inf), axis=1)
+    v_lo = xp.min(xp.where(mask_dev, F * g_one[:, None] - D, pos_inf), axis=1)
+    v = v_lo + spacing * (v_hi - v_lo)  # (C, R): candidate c of row b
+
+    def tiled(end):
+        return xp.concat([end] * sections, axis=1)
+
+    hold = from_numpy(be, np.zeros((n * sections, 1), dtype=bool))
     # Newton steps divide by slopes that may vanish; site_bounds discards
     # whatever they produce outside the bounds.
     with errstate_ignore(be):
-        for _ in range(OUTER_STEPS):
-            lower, upper = site_bounds(v, start_low, start_high, INNER_STEPS)
-            grow = _row_sum(lower[0], xp) >= 1.0
-            shrink = _row_sum(upper[0], xp) < 1.0
-            hold = ~(grow | shrink)
-            v_lo, at_lo = xp.where(grow, v, v_lo), xp.where(grow[:, None], upper, at_lo)
-            v_hi, at_hi = xp.where(shrink, v, v_hi), xp.where(shrink[:, None], lower, at_hi)
-            start_low = xp.where(hold[:, None], lower, at_hi)
-            start_high = xp.where(hold[:, None], upper, at_lo)
-            v = xp.where(hold, v, 0.5 * (v_lo + v_hi))
+        for _ in range(steps):
+            lower, upper = step_bounds(
+                xp.reshape(v, (-1,)), xp.where(hold, lower, tiled(at_hi)),
+                xp.where(hold, upper, tiled(at_lo)), INNER_STEPS,
+            )
+            # (C, R, 1) flags of ascending candidates: the largest growing one
+            # moves v_lo, the smallest shrinking one v_hi.
+            grow = xp.reshape(_row_sum(lower[0], xp) >= 1.0, (sections, n, 1))
+            shrink = xp.reshape(_row_sum(upper[0], xp) < 1.0, (sections, n, 1))
+            v_lo = xp.max(xp.where(grow[:, :, 0], v, v_lo), axis=0)  # v_lo <= v <= v_hi
+            v_hi = xp.min(xp.where(shrink[:, :, 0], v, v_hi), axis=0)
+            for j, i in zip(range(sections), reversed(range(sections))):
+                at_lo = xp.where(grow[j], upper[:, j * n : (j + 1) * n], at_lo)
+                at_hi = xp.where(shrink[i], lower[:, i * n : (i + 1) * n], at_hi)
+            # A row whose bracket did not move gets the same candidates back.
+            v, previous = v_lo + spacing * (v_hi - v_lo), v
+            hold = xp.reshape(v == previous, (-1, 1))
+        held = ~xp.any(grow | shrink, axis=0)
 
         # Re-solve both ends of the final bracket (an end set early keeps that
-        # step's looser bounds), unless the row is still refining one v.
-        sharp_lo = site_bounds(v_lo, at_hi, at_lo, POLISH_STEPS)[1][0]
-        sharp_hi = site_bounds(v_hi, at_hi, at_lo, POLISH_STEPS)[0][0]
-    q_lo = xp.where(hold[:, None], upper[0], sharp_lo)
-    q_hi = xp.where(hold[:, None], lower[0], sharp_hi)
+        # step's looser bounds), unless the row is still refining candidates.
+        sharp_lo = polish_bounds(v_lo, at_hi, at_lo, POLISH_STEPS)[1][0]
+        sharp_hi = polish_bounds(v_hi, at_hi, at_lo, POLISH_STEPS)[0][0]
+    q_lo = xp.where(held, upper[0, :n], sharp_lo)
+    q_hi = xp.where(held, lower[0, :n], sharp_hi)
     mass_lo, mass_hi = _row_sum(q_lo, xp), _row_sum(q_hi, xp)
 
     # Mass one exactly: mass_lo >= 1 > mass_hi, so t lies in [0, 1).
@@ -492,7 +525,7 @@ def water_filling_batch(
     p = q_lo + t[:, None] * (q_hi - q_lo)
 
     settle(rows, F, D, mask_dev, p, xp.maximum(xp.abs(v_lo), xp.abs(v_hi)))
-    return solved()
+    return solved(steps)
 
 
 def _linear_water_filling(s: np.ndarray, a: np.ndarray, mask: np.ndarray):

@@ -47,9 +47,9 @@ class IFDResult:
         Whether the strategy meets both IFD conditions (see
         :data:`repro.batch.ifd.CONVERGED_ATOL`).
     iterations:
-        Outer water-filling steps run (the fixed
-        :data:`repro.batch.ifd.OUTER_STEPS`; 0 for closed forms, which
-        include every ``k <= 2`` game).
+        Outer water-filling steps run (the fixed budget of
+        :attr:`repro.batch.ifd.WaterFilling.outer_steps`; 0 for closed forms,
+        which include every ``k <= 2`` game).
     """
 
     strategy: Strategy
@@ -109,7 +109,7 @@ def ideal_free_distribution(
       uniformly over the maximum-value sites.
     """
     # Imported here: repro.batch builds on repro.core at import time.
-    from repro.batch.ifd import OUTER_STEPS, water_filling_batch
+    from repro.batch.ifd import water_filling_batch
     from repro.batch.payoffs import congestion_table_batch
 
     k = check_positive_integer(k, "k")
@@ -127,7 +127,7 @@ def ideal_free_distribution(
         float(solved.values[0]),
         int(solved.support_sizes[0]),
         bool(solved.converged[0]),
-        0 if solved.closed_form[0] else OUTER_STEPS,
+        0 if solved.closed_form[0] else solved.outer_steps,
     )
 
 

@@ -39,7 +39,7 @@ import asyncio
 import bisect
 from typing import Any, Sequence
 
-from repro.backend import Backend
+from repro.backend import Backend, resolve_backend
 from repro.serving.cache import ResultCache
 from repro.serving.engine import group_requests
 from repro.serving.executor import KernelExecutor, create_executor
@@ -112,7 +112,7 @@ class ContinuousBatchScheduler:
         caching.
     backend:
         Array backend the batched kernels run on (name, handle, or ``None``
-        for the active default).
+        for the active default), resolved once here for every group.
     executor:
         A :class:`~repro.serving.executor.KernelExecutor`, a mode name
         (``"inline"`` / ``"thread"`` / ``"process"``), or ``None`` for
@@ -142,7 +142,7 @@ class ContinuousBatchScheduler:
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
         self.cache = cache
-        self.backend = backend
+        self.backend = resolve_backend(backend)
         self.executor = create_executor(executor)
         self.max_pending = int(max_pending)
         # Callers share a request's waiter list; a cancelled caller cancels only its own.

@@ -18,12 +18,16 @@ None of these shares code with the kernel it checks:
   visit/no-visit sequences — no binomial pmf in either;
 * :func:`lockstep_search_rounds` plays every round of a Bayesian search
   explicitly, where the batched simulator inverts the geometric law of the
-  discovery round.
+  discovery round;
+* :func:`replicator_loop` runs the discrete replicator one row at a time,
+  with its congestion factor summed term by term over the binomial law, where
+  the dynamics engine steps a shrinking batch on de Casteljau evaluations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -236,3 +240,56 @@ def lockstep_search_rounds(priors, strategies, k, n_trials: int, max_rounds: int
             rounds[row, active[found]] = round_index
             active = active[~found]
     return rounds
+
+
+def replicator_loop(values, k, policy, initial, *, max_iter: int, tol: float, record_every: int):
+    """The discrete replicator, row by row, laid out as the engine reports it.
+
+    Row ``b`` steps ``p <- p (nu + s) / sum(p (nu + s))`` with
+    ``nu = f E[C(1 + Bin(k_b - 1, p))]`` and the engine's fitness shift
+    ``s = max(0, -min(C) max f) + 1e-3 max f``, until the L1 step is at most
+    ``tol`` or after ``max_iter`` steps.  Returns a dict of the engine's
+    ``states``, ``iterations``, ``record_times``, ``records`` and
+    ``payoff_records``: a snapshot every ``record_every`` steps while any row
+    runs, a finished row frozen at its last state, and as each row's payoff
+    the one of its latest recorded step (zero before the first).
+    """
+    ks = np.broadcast_to(np.asarray(k, dtype=int), (len(values),))
+    rows = []
+    for f, n, p in zip(values, ks - 1, initial):
+        f, p = np.asarray(f, dtype=float), np.asarray(p, dtype=float)
+        table = np.asarray(policy.table(n + 1), dtype=float)
+        shift = max(0.0, -table.min() * f.max()) + 1e-3 * f.max()
+        states, payoffs = [p], [0.0]  # payoffs[t]: mean payoff before step t
+        for _ in range(max_iter):
+            law = [math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
+            nu = f * sum(c * term for c, term in zip(table, law))
+            weighted = p * (nu + shift)
+            new = weighted / weighted.sum()
+            payoffs.append(float(p @ nu))
+            states.append(new)
+            change, p = np.abs(new - p).sum(), new
+            if change <= tol:
+                break
+        rows.append((states, payoffs))
+    iterations = np.array([len(states) - 1 for states, _ in rows])
+    times = list(range(0, int(iterations.max()) + 1, record_every))
+    width = max(len(f) for f in values)
+
+    def at(t):
+        """Every row's state and latest recorded payoff after step ``t``."""
+        last = [min(t, len(states) - 1) for states, _ in rows]
+        state = [np.pad(s[i], (0, width - s[i].size)) for (s, _), i in zip(rows, last)]
+        paid = [payoffs[i // record_every * record_every] for (_, payoffs), i in zip(rows, last)]
+        return np.array(state), np.array(paid)
+
+    snapshots = [at(t) for t in times]
+    return {
+        "states": at(max_iter)[0],
+        "iterations": iterations,
+        "record_times": np.array(times),
+        "records": np.array([state for state, _ in snapshots]),
+        "payoff_records": np.reshape(
+            [paid for _, paid in snapshots[1:]], (len(times) - 1, len(rows))
+        ),
+    }

@@ -23,6 +23,7 @@ from repro.analysis.spoa_experiments import (
 from repro.core.policies import ExclusivePolicy, SharingPolicy
 from repro.core.values import SiteValues
 from repro.experiments import run_registered
+from repro.experiments.registry import build_experiment
 from repro.utils.io import read_csv
 
 # Small grids keep the harness tests fast while exercising every code path.
@@ -164,6 +165,17 @@ class TestSPoAExperiments:
     def test_sharing_upper_bound_check(self, quick_spoa):
         (row,) = quick_spoa.rows_of_type(SharingBoundRow)
         assert 1.0 < row.max_ratio <= 2.0
+
+    def test_explicit_grid_options_win_over_the_quick_preset(self):
+        spec = build_experiment("spoa", quick=True, m_values=(3,), n_random=50, sharing_n_random=7)
+        assert spec.metadata["m_values"] == (3,) and spec.metadata["n_random"] == 50
+        assert spec.metadata["k_values"] == (2, 3)  # left unset: the quick preset
+        worst_case = [task for task in spec.grid if task["kind"] == "worst-case"]
+        assert {(task["m_values"], task["n_random"]) for task in worst_case} == {((3,), 50)}
+        (sharing,) = [task for task in spec.grid if task["kind"] == "sharing-bound"]
+        assert (sharing["m_values"], sharing["n_random"]) == ((2, 5), 7)
+        full = build_experiment("spoa").metadata
+        assert (full["m_values"], full["k_values"], full["n_random"]) == ((2, 5, 10), (2, 3, 5), 10)
 
 
 class TestESSExperiment:

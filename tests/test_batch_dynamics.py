@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import backend_params
+from oracles import replicator_loop
 from repro.backend import from_numpy, resolve_backend, to_numpy, use_backend
 from repro.batch import (
     PaddedValues,
@@ -411,6 +412,48 @@ class TestConvergenceMasking:
         assert batch.converged.all()
         assert batch.record_times.max() <= batch.iterations.max()
         assert batch.iterations.max() <= 2
+
+
+class TestReplicatorLoopOracle:
+    """The engine's loop against a plain per-row replicator loop."""
+
+    @staticmethod
+    def compare(instances, ks, initial, **options):
+        padded = PaddedValues.from_instances(instances)
+        batch = replicator_batch(padded, ks, SharingPolicy(), initial=initial, **options)
+        values = [values.as_array() for values in instances]
+        rows = [row[: values.m] for row, values in zip(initial, instances)]
+        oracle = replicator_loop(values, ks, SharingPolicy(), rows, **options)
+        np.testing.assert_array_equal(batch.iterations, oracle["iterations"])
+        np.testing.assert_array_equal(batch.record_times, oracle["record_times"])
+        for name in ("states", "records", "payoff_records"):
+            np.testing.assert_allclose(getattr(batch, name), oracle[name], rtol=0, atol=1e-12)
+        return batch
+
+    @staticmethod
+    def mixed_batch():
+        rng = np.random.default_rng(31)
+        instances = [SiteValues.uniform(4), SiteValues.zipf(5), SiteValues.geometric(3)]
+        instances += [SiteValues.random(m, rng) for m in (6, 2, 4)]
+        ks = np.array([3, 4, 2, 5, 3, 6], dtype=np.int64)
+        initial = random_states(PaddedValues.from_instances(instances), rng)
+        initial[0, :4] = 0.25  # starts at its equilibrium: done after one step
+        return instances, ks, initial
+
+    @pytest.mark.parametrize("record_every", [1, 7, 100])
+    def test_rows_finishing_at_different_steps(self, record_every):
+        instances, ks, initial = self.mixed_batch()
+        batch = self.compare(
+            instances, ks, initial, max_iter=4_000, tol=1e-10, record_every=record_every
+        )
+        assert batch.converged.all() and len(set(batch.iterations.tolist())) >= 4
+
+    def test_capped_run_returns_the_last_step(self):
+        instances, ks, initial = self.mixed_batch()
+        batch = self.compare(instances, ks, initial, max_iter=37, tol=1e-10, record_every=10)
+        # Only the row at its equilibrium finishes; the others stop at step 37.
+        assert batch.converged.tolist() == [True] + [False] * 5
+        assert batch.iterations.tolist() == [1] + [37] * 5
 
 
 class TestRowSubsetStaging:

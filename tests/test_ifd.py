@@ -9,7 +9,9 @@ on the solver's strategy.
 from __future__ import annotations
 
 import json
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,9 @@ from repro.core.policies import (
     SharingPolicy,
     TwoLevelPolicy,
 )
+import repro.batch.ifd as water_filling
 from repro.batch.ifd import ifd_batch, water_filling_batch
+from repro.batch.payoffs import congestion_table_batch
 from repro.core.sigma_star import sigma_star
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
@@ -331,3 +335,119 @@ class TestUnitOfValue:
         np.testing.assert_array_equal(scaled.converged, base.converged)
         np.testing.assert_array_equal(scaled.support_sizes, base.support_sizes)
         np.testing.assert_array_equal(scaled.values, np.ldexp(base.values, power))
+
+
+REFERENCE = Path(__file__).parent / "data" / "water_filling_reference.json"
+REFERENCE_POLICIES = {
+    "sharing": SharingPolicy(),
+    "aggressive": AggressivePolicy(0.5),
+    "power-law": PowerLawPolicy(2.0),
+}
+
+
+def reference_batch():
+    """The reference rows (zipf, geometric and random values, M 2-32, k 3-24) as one batch."""
+    rows = json.loads(REFERENCE.read_text())["rows"]
+    width = max(len(row["values"]) for row in rows)
+    values = np.ones((len(rows), width))
+    mask = np.zeros((len(rows), width), dtype=bool)
+    for index, row in enumerate(rows):
+        values[index, : len(row["values"])] = row["values"]
+        mask[index, : len(row["values"])] = True
+    k = np.array([row["k"] for row in rows])
+    tables = np.stack([REFERENCE_POLICIES[row["policy"]].table(int(k.max())) for row in rows])
+    return rows, values, mask, k, tables
+
+
+class TestMultisection:
+    """The outer solve tries three payoffs per step on the de Casteljau rows."""
+
+    def test_rows_converge_to_the_reference_equilibria(self):
+        # The reference answers come from the earlier 56-step bisection.
+        rows, values, mask, k, tables = reference_batch()
+        assert {row["family"] for row in rows} == {"zipf", "geometric", "random"}
+        solved = water_filling_batch(values, None, k, tables, mask=mask)
+        assert bool(solved.converged.all())
+        for index, row in enumerate(rows):
+            m = len(row["values"])
+            np.testing.assert_allclose(
+                solved.probabilities[index, :m], row["probabilities"], rtol=0, atol=1e-12
+            )
+            assert solved.values[index] == pytest.approx(row["payoff"], rel=0, abs=1e-12)
+
+    def test_a_row_alone_equals_the_row_in_its_batch(self):
+        _, values, mask, k, tables = reference_batch()
+        batch = water_filling_batch(values, None, k, tables, mask=mask)
+        for index in range(values.shape[0]):
+            m = int(mask[index].sum())
+            alone = water_filling_batch(
+                values[index : index + 1, :m], None, k[index : index + 1], tables[index : index + 1]
+            )
+            np.testing.assert_array_equal(alone.probabilities[0], batch.probabilities[index, :m])
+            assert alone.converged[0] == batch.converged[index]
+            # The realised payoff sums the occupancy law to the batch's largest
+            # k (the documented exception), so it may differ in the last ulp.
+            assert alone.values[0] == pytest.approx(batch.values[index], rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "k, evaluations", [(9, 68), (2000, 123)], ids=["de-casteljau", "log-space"]
+    )
+    def test_evaluations_per_solve(self, monkeypatch, k, evaluations):
+        """Host-independent cost guard: ``g`` evaluations of one solve.
+
+        Three candidates per step need 28 outer steps of two evaluations
+        each, plus the trivial bounds of the rows and of their stacked
+        copies and the polish of both bracket ends (2 x 5).  The log-space
+        rows bisect for 56 steps: 1 + 2 x 56 + 10.
+        """
+        counts = []
+
+        class Counting:
+            def __init__(self, inner):
+                self.inner = inner
+                counts.append(0)
+
+            def restrict(self, rows):
+                staged = self.inner.restrict(rows)
+
+                def evaluate(q, slope=True):
+                    counts[-1] += 1
+                    return staged(q, slope)
+
+                return evaluate
+
+            def __call__(self, q, rows=None, slope=True):
+                return self.restrict(rows)(q, slope)
+
+        original = water_filling.bernstein_evaluator
+        monkeypatch.setattr(
+            water_filling, "bernstein_evaluator", lambda *args: Counting(original(*args))
+        )
+        values = np.stack([SiteValues.zipf(6).as_array(), SiteValues.geometric(6).as_array()])
+        ks = np.array([k, k])
+        policies = (SharingPolicy(), AggressivePolicy(0.5))
+        tables = np.concatenate([congestion_table_batch(policy, ks[:1] - 1) for policy in policies])
+        assert bool(water_filling_batch(values, None, ks, tables).converged.all())
+        assert counts == [evaluations]
+
+    def test_log_space_peak_memory(self):
+        """The log-space rows keep one candidate: the pmf tensor must not triple.
+
+        The peak sits in the final polish, whose paired probes build an
+        ``(R, 2M, k)`` binomial pmf tensor; the 56-step bisection peaked at
+        3.237 such tensors (numpy 2.4), three candidates per step would need
+        about three times that.
+        """
+        values = SiteValues.zipf(16).as_array()[None, :]
+        k = np.array([2000])
+        tables = congestion_table_batch(SharingPolicy(), k - 1)
+        water_filling_batch(values, None, k, tables)  # builds the cached pmf plans
+        tracemalloc.start()
+        try:
+            solved = water_filling_batch(values, None, k, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bool(solved.converged[0])
+        tensor = 2 * values.size * int(k[0]) * 8
+        assert peak <= 3.24 * tensor

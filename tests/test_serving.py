@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.backend import registry as backend_registry
 from repro.batch.ifd import ifd_batch
 from repro.core.ifd import ideal_free_distribution
 from repro.core.values import SiteValues
@@ -377,6 +378,28 @@ class TestCoalescer:
         answers, stats, direct = asyncio.run(run())
         assert answers == direct
         assert stats["batches"] == 1 and stats["largest_batch"] == 8
+
+    def test_backend_is_resolved_once_not_per_group(self, monkeypatch):
+        # Resolving the active backend reads REPRO_BACKEND/REPRO_DEVICE and
+        # loads the backend; the scheduler does it once, when it is built.
+        resolutions = []
+        default = backend_registry._default_backend
+        monkeypatch.setattr(
+            backend_registry, "_default_backend", lambda: resolutions.append(1) or default()
+        )
+
+        async def run():
+            scheduler = ContinuousBatchScheduler(max_batch=2, max_wait_ms=60_000.0)
+            built = len(resolutions)
+            requests = [SolveRequest(random_values(10 + i), k=3) for i in range(6)]
+            answers = await asyncio.gather(*(scheduler.submit(r) for r in requests))
+            await scheduler.close()
+            return built, answers, scheduler.stats(), requests
+
+        built, answers, stats, requests = asyncio.run(run())
+        assert stats["batches"] == 3
+        assert built == 1 and len(resolutions) == 1
+        assert answers == [evaluate_one(r) for r in requests]
 
     def test_max_batch_triggers_immediate_flush(self):
         async def run():
