@@ -1,10 +1,9 @@
 """Batched payoff kernel: ``nu``, best responses and exploitability for whole batches.
 
-The scalar payoff calculus of :mod:`repro.core.payoffs` evaluates one
-``(f, p, k)`` triple per call; dynamics sweeps re-enter it thousands of times
-per trajectory, so grids of trajectories are dominated by Python-call
-overhead.  The kernel here evaluates the same formulas for ``B`` game states
-at once:
+This is the one implementation of ``g(q) = E[C(1 + Binomial(k - 1, q))]``
+(Eq. 2): the scalar payoff calculus of :mod:`repro.core.payoffs` reaches it
+as a one-row view of :func:`occupancy_congestion_factor_batch`.  The kernel
+evaluates the formulas for ``B`` game states at once:
 
 * strategies are ``(B, M_max)`` matrices riding on a
   :class:`~repro.batch.padding.PaddedValues` value batch (ragged ``M``
@@ -23,8 +22,9 @@ Every kernel body is pure Array-API code on the backend resolved through
 strategy inputs produce backend-native ``nu`` outputs (the engine's hot
 path); host inputs produce host NumPy outputs.
 
-Every ``*_batch`` function agrees elementwise with its scalar counterpart
-(property-tested in ``tests/test_batch_dynamics.py``).
+Every kernel refuses a probability outside ``[0, 1]`` (NaN included), and
+every one is tested against brute-force enumeration of the opponents' site
+choices (``tests/test_batch_dynamics.py``).
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def occupancy_congestion_factor_batch(
         Congestion policy supplying ``C``.
     opponent_probabilities:
         ``(B, M)`` matrix; entry ``[b, x]`` is the probability that one
-        opponent of row ``b`` selects site ``x``.
+        opponent of row ``b`` selects site ``x``.  Entries outside
+        ``[0, 1]`` by more than ``1e-12`` (or NaN) are refused.
     n_opponents:
         Number of independent opponents per row (scalar or ``(B,)``).
     tables:
@@ -127,6 +128,8 @@ def occupancy_congestion_factor_batch(
     q = asarray_float(be, opponent_probabilities)
     if q.ndim != 2:
         raise ValueError("opponent_probabilities must be a 2-D (B, M) matrix")
+    if not bool(be.xp.all((q >= -1e-12) & (q <= 1 + 1e-12))):
+        raise ValueError("opponent probabilities must lie in [0, 1]")
     n = check_counts(n_opponents, "n_opponents", minimum=0, size=q.shape[0])
     tables = congestion_table_batch(policy, n) if tables is None else ensure_numpy(tables)
     if tables.shape[1] <= n.max():

@@ -37,7 +37,6 @@ __all__ = lazy_exports(__name__, {
     "expected_payoff": ".payoffs",
     "payoff_against_groups": ".payoffs",
     "mixture_payoff": ".payoffs",
-    "mixture_payoff_expanded": ".payoffs",
     "best_response_value": ".payoffs",
     "best_response_sites": ".payoffs",
     "exploitability": ".payoffs",

@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.ifd import IFDResult, ideal_free_distribution
-from repro.core.payoffs import best_response_sites, exploitability, site_values
+from repro.core.payoffs import site_values
 from repro.core.policies import CongestionPolicy
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
@@ -61,14 +61,13 @@ def verify_symmetric_equilibrium(
 ) -> EquilibriumReport:
     """Check whether ``strategy`` is a symmetric Nash equilibrium of the game."""
     k = check_positive_integer(k, "k")
-    f = values_array(values)
-    gap = exploitability(f, strategy, k, policy)
-    nu = site_values(f, strategy, k, policy)
+    nu = site_values(values, strategy, k, policy)
     payoff = float(np.dot(strategy.as_array(), nu))
+    gap = float(nu.max() - payoff)
     return EquilibriumReport(
-        is_equilibrium=bool(gap <= atol),
-        exploitability=float(gap),
-        best_response_sites=tuple(int(i) for i in best_response_sites(f, strategy, k, policy)),
+        is_equilibrium=gap <= atol,
+        exploitability=gap,
+        best_response_sites=tuple(int(i) for i in np.nonzero(nu >= nu.max() - 1e-10)[0]),
         support_size=strategy.support_size,
         equilibrium_payoff=payoff,
     )

@@ -30,9 +30,9 @@ import numpy as np
 
 from repro.core.payoffs import (
     expected_payoff,
+    exploitability,
     mixture_payoff,
     payoff_against_groups,
-    site_values,
 )
 from repro.core.policies import CongestionPolicy
 from repro.core.strategy import Strategy
@@ -92,11 +92,7 @@ def is_symmetric_nash(
     atol: float = 1e-8,
 ) -> bool:
     """``True`` when no unilateral deviation from the symmetric profile is profitable."""
-    k = check_positive_integer(k, "k")
-    f = values_array(values)
-    nu = site_values(f, strategy, k, policy)
-    own = float(np.dot(strategy.as_array(), nu))
-    return bool(nu.max() <= own + atol)
+    return exploitability(values, strategy, k, policy) <= atol
 
 
 def ess_conditions_against(
@@ -148,24 +144,28 @@ def invasion_barrier(
     Scans a grid of mutant proportions ``eps`` and returns the largest prefix
     of the grid on which ``U[resident] > U[mutant]`` strictly.  Returns ``0``
     when the resident is invadable at arbitrarily small mutant shares and
-    ``1`` when it resists for every tested proportion.
+    ``1`` when it resists for every tested proportion.  The ``U`` of Eq. (3)
+    are read off the site values against the mixed opponent
+    ``(1 - eps) resident + eps mutant``, for the whole grid in one
+    :func:`~repro.batch.payoffs.occupancy_congestion_factor_batch` call.
     """
+    # Imported here: repro.batch builds on repro.core at import time.
+    from repro.batch.payoffs import occupancy_congestion_factor_batch
+
     k = check_positive_integer(k, "k")
     f = values_array(values)
     if epsilon_grid is None:
         epsilon_grid = np.concatenate(
             [np.logspace(-6, -1, 16), np.linspace(0.15, 0.99, 18)]
         )
-    barrier = 0.0
-    for eps in np.sort(np.asarray(epsilon_grid, dtype=float)):
-        eps = check_probability(float(eps), "epsilon")
-        resident_payoff = mixture_payoff(f, resident, resident, mutant, eps, k, policy)
-        mutant_payoff = mixture_payoff(f, mutant, resident, mutant, eps, k, policy)
-        if resident_payoff > mutant_payoff:
-            barrier = eps
-        else:
-            break
-    return float(barrier)
+    eps = np.sort([check_probability(e, "epsilon") for e in np.ravel(epsilon_grid)])
+    if eps.size == 0:
+        return 0.0
+    sigma, pi = resident.as_array(), mutant.as_array()
+    mixed = (1.0 - eps)[:, None] * sigma + eps[:, None] * pi  # (E, M) opponents
+    nu = f * occupancy_congestion_factor_batch(policy, mixed, k - 1)
+    prefix = int(np.logical_and.accumulate(nu @ sigma > nu @ pi).sum())
+    return float(eps[prefix - 1]) if prefix else 0.0
 
 
 def ess_report(

@@ -12,8 +12,10 @@ This module implements the payoff calculus of Sections 1.1-1.4 of the paper:
   opponents drawn from an infinite population with a fraction ``eps`` of
   mutants (Eq. 3).
 
-Everything is computed exactly (binomial/convolution expansions), vectorised
-over sites.
+Everything is exact and vectorised over sites.  Every payoff but the
+multi-group one reaches ``g(q) = E[C(1 + Binomial(k - 1, q))]`` through
+:func:`occupancy_congestion_factor`, a one-row view of the batch kernel;
+:func:`payoff_against_groups` convolves the groups' binomial laws.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from repro.core.policies import CongestionPolicy
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.utils.coercion import strategy_array, values_array
-from repro.utils.numerics import binomial_coefficients, binomial_pmf_matrix
-from repro.utils.validation import check_positive_integer, check_probability
+from repro.utils.numerics import binomial_pmf_tensor
+from repro.utils.validation import check_positive_integer
 
 __all__ = [
     "occupancy_congestion_factor",
@@ -35,7 +37,6 @@ __all__ = [
     "expected_payoff",
     "payoff_against_groups",
     "mixture_payoff",
-    "mixture_payoff_expanded",
     "best_response_value",
     "best_response_sites",
     "exploitability",
@@ -48,6 +49,10 @@ def occupancy_congestion_factor(
     n_opponents: int,
 ) -> np.ndarray:
     """Expected congestion factor ``E[C(1 + Binomial(n_opponents, q))]`` per site.
+
+    A one-row view of
+    :func:`~repro.batch.payoffs.occupancy_congestion_factor_batch`; callers
+    with many profiles stack them into one batch call instead.
 
     Parameters
     ----------
@@ -63,14 +68,11 @@ def occupancy_congestion_factor(
     numpy.ndarray
         One value per site; multiplying by ``f(x)`` yields ``nu(x)``.
     """
+    # Imported here: repro.batch builds on repro.core at import time.
+    from repro.batch.payoffs import occupancy_congestion_factor_batch
+
     q = np.asarray(opponent_probabilities, dtype=float)
-    if n_opponents < 0:
-        raise ValueError("n_opponents must be non-negative")
-    if n_opponents == 0:
-        return np.full(q.shape, float(policy.congestion(1)))
-    pmf = binomial_pmf_matrix(n_opponents, q)  # (M, n_opponents + 1)
-    c_table = policy.table(n_opponents + 1)  # C(1), ..., C(n_opponents + 1)
-    return pmf @ c_table
+    return occupancy_congestion_factor_batch(policy, q[None], n_opponents)[0]
 
 
 def site_values(
@@ -144,7 +146,7 @@ def payoff_against_groups(
         q = strategy_array(strategy)
         if q.shape != f.shape:
             raise ValueError("every group strategy must cover the same number of sites")
-        pmf = binomial_pmf_matrix(count, q)  # (M, count + 1)
+        pmf = binomial_pmf_tensor(count, q[None])[0]  # (M, count + 1)
         new = np.zeros((f.size, occupancy.shape[1] + count), dtype=float)
         # Convolve, site by site, but vectorised over sites for each shift.
         for j in range(pmf.shape[1]):
@@ -173,42 +175,7 @@ def mixture_payoff(
     mutants equals the payoff against ``k - 1`` opponents that each play the
     mixed strategy ``(1 - eps) * resident + eps * mutant``.
     """
-    epsilon = check_probability(epsilon, "epsilon")
-    k = check_positive_integer(k, "k")
-    mixed = resident.mix(mutant, epsilon)
-    return expected_payoff(values, focal, mixed, k, policy)
-
-
-def mixture_payoff_expanded(
-    values: SiteValues | np.ndarray,
-    focal: Strategy | np.ndarray,
-    resident: Strategy,
-    mutant: Strategy,
-    epsilon: float,
-    k: int,
-    policy: CongestionPolicy,
-) -> float:
-    """Literal evaluation of Eq. (3): binomial mixture over opponent compositions.
-
-    ``U = sum_l C(k-1, l) (1-eps)^l eps^(k-1-l) E(focal; resident^l, mutant^(k-1-l))``.
-
-    This is mathematically identical to :func:`mixture_payoff`; both are kept
-    so tests can cross-validate the two derivations.
-    """
-    epsilon = check_probability(epsilon, "epsilon")
-    k = check_positive_integer(k, "k")
-    n = k - 1
-    coeffs = binomial_coefficients(n)
-    total = 0.0
-    for ell in range(n + 1):
-        weight = coeffs[ell] * (1.0 - epsilon) ** ell * epsilon ** (n - ell)
-        if weight == 0.0:
-            continue
-        payoff = payoff_against_groups(
-            values, focal, [(resident, ell), (mutant, n - ell)], policy
-        )
-        total += weight * payoff
-    return float(total)
+    return expected_payoff(values, focal, resident.mix(mutant, epsilon), k, policy)
 
 
 def best_response_value(

@@ -13,6 +13,9 @@ This module computes that strategy.
 For two sites the problem is one-dimensional and solved by dense grid search
 with local refinement; the general case uses multi-start projected gradient
 ascent (welfare is generally non-concave, so several restarts are used).
+Both evaluate whole stacks of profiles — a grid, or a point with its ``M``
+finite-difference neighbours — in one
+:func:`~repro.batch.payoffs.occupancy_congestion_factor_batch` call.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.coverage import coverage
-from repro.core.payoffs import occupancy_congestion_factor, site_values
+from repro.core.payoffs import site_values
 from repro.core.policies import CongestionPolicy
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
@@ -67,11 +70,15 @@ def expected_welfare(
     return k * individual_payoff(values, strategy, k, policy)
 
 
-def _welfare_of_vector(
-    f: np.ndarray, p: np.ndarray, k: int, policy: CongestionPolicy
-) -> float:
-    nu = site_values(f, p, k, policy)
-    return float(k * np.dot(p, nu))
+def _welfare_rows(
+    f: np.ndarray, profiles: np.ndarray, k: int, policy: CongestionPolicy
+) -> np.ndarray:
+    """Welfare ``k * sum_x p(x) nu_p(x)`` of every row of an ``(R, M)`` profile stack."""
+    # Imported here: repro.batch builds on repro.core at import time.
+    from repro.batch.payoffs import occupancy_congestion_factor_batch
+
+    factors = occupancy_congestion_factor_batch(policy, profiles, k - 1)
+    return k * np.sum(profiles * f * factors, axis=1)
 
 
 def _two_site_grid_search(
@@ -79,20 +86,12 @@ def _two_site_grid_search(
 ) -> np.ndarray:
     """Dense 1-D grid search (with refinement) for ``M = 2`` instances."""
     def welfare_of_p1(p1: np.ndarray) -> np.ndarray:
-        # Every grid point's (p1, 1 - p1) profile in one array pass.
-        profiles = np.stack([p1, 1.0 - p1], axis=1)
-        factors = occupancy_congestion_factor(policy, profiles.ravel(), k - 1)
-        return k * np.sum(profiles * f * factors.reshape(profiles.shape), axis=1)
+        return _welfare_rows(f, np.stack([p1, 1.0 - p1], axis=1), k, policy)
 
     grid = np.linspace(0.0, 1.0, grid_points)
-    values_on_grid = welfare_of_p1(grid)
-    best = int(np.argmax(values_on_grid))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid_points - 1)]
-    fine = np.linspace(lo, hi, grid_points)
-    fine_values = welfare_of_p1(fine)
-    best_fine = int(np.argmax(fine_values))
-    p1 = float(fine[best_fine])
+    best = int(np.argmax(welfare_of_p1(grid)))
+    fine = np.linspace(grid[max(best - 1, 0)], grid[min(best + 1, grid_points - 1)], grid_points)
+    p1 = float(fine[int(np.argmax(welfare_of_p1(fine)))])
     return np.array([p1, 1.0 - p1])
 
 
@@ -118,6 +117,9 @@ def welfare_optimal_strategy(
     restarts, max_iter, step_size:
         Parameters of the multi-start projected gradient ascent used for
         ``M > 2`` (welfare is not concave in general, hence the restarts).
+        Each step evaluates the proposal and its ``M`` forward-difference
+        neighbours in one kernel call, which also gives the next step's
+        gradient.
     rng:
         Seed / generator for the random restarts.
     """
@@ -126,44 +128,35 @@ def welfare_optimal_strategy(
     policy.validate(k)
     m = f.size
 
-    if m == 1:
-        strategy = Strategy.point_mass(1, 0)
-        welfare = _welfare_of_vector(f, strategy.as_array(), k, policy)
-        return WelfareOptimum(strategy, welfare, welfare / k, coverage(f, strategy, k), "trivial")
-
-    if m == 2:
-        p = _two_site_grid_search(f, k, policy, grid_points)
+    if m <= 2:
+        p = np.ones(1) if m == 1 else _two_site_grid_search(f, k, policy, grid_points)
         strategy = Strategy(p)
-        welfare = _welfare_of_vector(f, p, k, policy)
-        return WelfareOptimum(
-            strategy, welfare, welfare / k, coverage(f, strategy, k), "grid-search"
-        )
+        welfare = float(_welfare_rows(f, p[None], k, policy)[0])
+        method = "trivial" if m == 1 else "grid-search"
+        return WelfareOptimum(strategy, welfare, welfare / k, coverage(f, strategy, k), method)
 
     generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     candidates: list[np.ndarray] = [np.full(m, 1.0 / m), f / f.sum()]
     candidates.extend(generator.dirichlet(np.ones(m)) for _ in range(restarts))
 
-    def numeric_gradient(p: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        base = _welfare_of_vector(f, p, k, policy)
-        grad = np.empty(m)
-        for i in range(m):
-            bumped = p.copy()
-            bumped[i] += h
-            grad[i] = (_welfare_of_vector(f, bumped / bumped.sum(), k, policy) - base) / h
-        return grad
+    def welfare_and_gradient(p: np.ndarray, h: float = 1e-6) -> tuple[float, np.ndarray]:
+        # Row 0 is p, row 1 + i is p with h added to site i, renormalised.
+        bumped = p + h * np.eye(m)
+        rows = np.vstack([p, bumped / bumped.sum(axis=1, keepdims=True)])
+        welfare = _welfare_rows(f, rows, k, policy)
+        return float(welfare[0]), (welfare[1:] - welfare[0]) / h
 
     best_vec: np.ndarray | None = None
     best_welfare = -np.inf
     for start in candidates:
         p = start.copy()
-        current = _welfare_of_vector(f, p, k, policy)
+        current, grad = welfare_and_gradient(p)
         for _ in range(max_iter):
-            grad = numeric_gradient(p)
             proposal = simplex_projection(p + step_size * grad)
-            value = _welfare_of_vector(f, proposal, k, policy)
+            value, proposal_grad = welfare_and_gradient(proposal)
             if value <= current + 1e-14:
                 break
-            p, current = proposal, value
+            p, current, grad = proposal, value, proposal_grad
         if current > best_welfare:
             best_welfare, best_vec = current, p
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.batch.ifd import water_filling_batch
 from repro.batch.payoffs import congestion_table_batch
-from repro.core.payoffs import occupancy_congestion_factor
+from repro.core.payoffs import site_values
 from repro.core.policies import CongestionPolicy
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
@@ -59,11 +59,8 @@ def cost_adjusted_site_values(
     policy: CongestionPolicy,
 ) -> np.ndarray:
     """Net site values ``nu_p(x) = f(x) * g(p(x)) - d(x)`` of the extended game."""
-    k = check_positive_integer(k, "k")
     f = values_array(values)
-    d = check_site_parameters(costs, "costs", (f.size,))
-    p = strategy.as_array() if isinstance(strategy, Strategy) else np.asarray(strategy, dtype=float)
-    return f * occupancy_congestion_factor(policy, p, k - 1) - d
+    return site_values(f, strategy, k, policy) - check_site_parameters(costs, "costs", (f.size,))
 
 
 def cost_adjusted_ifd(

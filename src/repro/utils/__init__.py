@@ -28,7 +28,6 @@ __all__ = lazy_exports(__name__, {
     "stacked_cdfs": ".sampling",
     "strategy_cdf": ".sampling",
     "assert_shape": ".numerics",
-    "binomial_pmf_matrix": ".numerics",
     "clip_probability": ".numerics",
     "is_non_increasing": ".numerics",
     "safe_power": ".numerics",

@@ -18,7 +18,6 @@ from repro.utils.validation import check_counts
 __all__ = [
     "assert_shape",
     "BinomialPmfPlan",
-    "binomial_pmf_matrix",
     "binomial_pmf_tensor",
     "clip_probability",
     "is_non_increasing",
@@ -26,7 +25,6 @@ __all__ = [
     "safe_power",
     "simplex_projection",
     "log_factorial",
-    "binomial_coefficients",
 ]
 
 #: Default absolute tolerance used by verification helpers across the library.
@@ -110,15 +108,6 @@ def log_factorial(n: int) -> np.ndarray:
     return np.array([math.lgamma(i + 1.0) for i in range(n + 1)], dtype=float)
 
 
-def binomial_coefficients(n: int) -> np.ndarray:
-    """Return the row ``[C(n, 0), ..., C(n, n)]`` of Pascal's triangle as floats."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    lf = log_factorial(n)
-    j = np.arange(n + 1)
-    return np.exp(lf[n] - lf[j] - lf[n - j])
-
-
 #: Finite stand-in for ``log 0``: ``0 * LOG_ZERO == 0`` and ``exp`` of any
 #: multiple of it underflows to exactly ``0``.
 LOG_ZERO = -1e300
@@ -130,47 +119,6 @@ def _log_binomial_terms(xp, p, log_coeffs, jf, restf):
     log_p = xp.where(p > 0, xp.log(xp.where(p > 0, p, one)), log_zero)
     log_q = xp.where(p < 1, xp.log1p(-xp.where(p < 1, p, zero)), log_zero)
     return log_coeffs + jf * log_p[..., None] + restf * log_q[..., None]
-
-
-def binomial_pmf_matrix(n: int, probs: np.ndarray) -> np.ndarray:
-    """Binomial probability mass functions for many success probabilities at once.
-
-    Parameters
-    ----------
-    n:
-        Number of trials (``n >= 0``).
-    probs:
-        1-D array of success probabilities, one per "site".
-
-    Returns
-    -------
-    numpy.ndarray
-        Array of shape ``(len(probs), n + 1)``; entry ``[i, j]`` is
-        ``P[Binomial(n, probs[i]) = j]``.
-
-    Notes
-    -----
-    Every term is computed in log space and exponentiated once, so no
-    intermediate overflows (``C(n, j)`` alone exceeds the float range for
-    ``n > 1029``); fully vectorised over sites.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("probs must be a 1-D array")
-    if np.any((p < -1e-12) | (p > 1 + 1e-12)):
-        raise ValueError("probs must lie in [0, 1]")
-    p = np.clip(p, 0.0, 1.0)
-    if n == 0:
-        return np.ones((p.size, 1), dtype=float)
-
-    j = np.arange(n + 1)
-    lf = log_factorial(n)
-    terms = _log_binomial_terms(np, p, lf[n] - lf[j] - lf[n - j], j, n - j)
-    pmf = np.exp(terms)
-    # A row sum can only deviate from 1 by floating error; renormalise.
-    return pmf / pmf.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -274,11 +222,13 @@ def binomial_pmf_tensor(
 
     Notes
     -----
-    This is the batch counterpart of :func:`binomial_pmf_matrix`: every term
-    is summed in log space and exponentiated once (overflow-free for any
-    ``n``), rows are never looped over in Python, and the body is pure
-    Array-API code.  Without a plan the call builds one and takes the plan
-    path, so the two paths agree bit for bit.
+    This is the package's one binomial law (a single law is the one-row
+    call ``binomial_pmf_tensor(n, q[None])[0]``): every term is summed in
+    log space and exponentiated once (overflow-free for any ``n``, where
+    ``C(n, j)`` alone exceeds the float range past ``n = 1029``), rows are
+    never looped over in Python, and the body is pure Array-API code.
+    Without a plan the call builds one and takes the plan path, so the two
+    paths agree bit for bit.
     """
     from repro.backend import asarray_float, is_native, resolve_backend, to_numpy
 

@@ -19,9 +19,15 @@ None of these shares code with the kernel it checks:
 * :func:`lockstep_search_rounds` plays every round of a Bayesian search
   explicitly, where the batched simulator inverts the geometric law of the
   discovery round;
+* :func:`binomial_law` writes out ``C(n, j) p^j (1 - p)^(n - j)`` term by
+  term with exact integer coefficients, where the kernels sum in log space;
+* :func:`mixture_payoff_expanded` evaluates Eq. (3) literally, as a binomial
+  mixture over the resident/mutant make-up of the opponents, where
+  :func:`repro.core.payoffs.mixture_payoff` plays one mixed opponent;
 * :func:`replicator_loop` runs the discrete replicator one row at a time,
-  with its congestion factor summed term by term over the binomial law, where
-  the dynamics engine steps a shrinking batch on de Casteljau evaluations.
+  with its congestion factor summed term by term over :func:`binomial_law`,
+  where the dynamics engine steps a shrinking batch on de Casteljau
+  evaluations.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import pytest
 
 from repro.core.coverage import coverage, coverage_gradient
 from repro.core.optimal_coverage import CoverageOptimum
+from repro.core.payoffs import payoff_against_groups
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.utils.coercion import values_array
@@ -73,6 +80,26 @@ def brute_force_site_payoffs(values, costs, strategy, k, policy):
     occupancy = (choices[:, :, None] == np.arange(f.size)).sum(axis=1)
     rewards = f * policy.table(k)[occupancy] - np.asarray(costs, dtype=float)
     return weights @ rewards
+
+
+def binomial_law(n: int, p) -> np.ndarray:
+    """``P[Binomial(n, p) = j]`` for ``j = 0 .. n`` along the first axis, term by term."""
+    p = np.asarray(p, dtype=float)
+    return np.array([math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)])
+
+
+def mixture_payoff_expanded(values, focal, resident, mutant, epsilon, k: int, policy) -> float:
+    """Eq. (3) literally: ``U = sum_l C(k-1, l) (1-eps)^l eps^(k-1-l)
+    E(focal; resident^l, mutant^(k-1-l))``, one opponent make-up at a time."""
+    n = k - 1
+    total = 0.0
+    for ell in range(n + 1):
+        weight = math.comb(n, ell) * (1.0 - epsilon) ** ell * epsilon ** (n - ell)
+        if weight == 0.0:
+            continue
+        payoff = payoff_against_groups(values, focal, [(resident, ell), (mutant, n - ell)], policy)
+        total += weight * payoff
+    return float(total)
 
 
 def assert_oracle_ifd(values, costs, strategy, k, policy) -> float:
@@ -262,8 +289,7 @@ def replicator_loop(values, k, policy, initial, *, max_iter: int, tol: float, re
         shift = max(0.0, -table.min() * f.max()) + 1e-3 * f.max()
         states, payoffs = [p], [0.0]  # payoffs[t]: mean payoff before step t
         for _ in range(max_iter):
-            law = [math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
-            nu = f * sum(c * term for c, term in zip(table, law))
+            nu = f * sum(c * term for c, term in zip(table, binomial_law(n, p)))
             weighted = p * (nu + shift)
             new = weighted / weighted.sum()
             payoffs.append(float(p @ nu))

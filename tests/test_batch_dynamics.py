@@ -4,7 +4,10 @@ The core contract: every batched dynamics rule agrees **elementwise** with the
 scalar wrappers of :mod:`repro.dynamics` — including ragged site counts, mixed
 per-row player counts, rows that start at their equilibrium, and non-trivial
 ``record_every`` strides — and rows that converge are frozen (never updated
-again) while the rest of the batch keeps stepping.
+again) while the rest of the batch keeps stepping.  The payoff kernels and
+the binomial law are checked against the independent oracles of
+``tests/oracles.py`` (enumeration, term-by-term sums), since the scalar
+payoff calculus is a view of the same kernel.
 
 The whole module runs once per available array backend (numpy always;
 ``array_api_strict`` when installed, skip-marked otherwise) through the
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import backend_params
-from oracles import replicator_loop
+from oracles import binomial_law, brute_force_site_payoffs, replicator_loop
 from repro.backend import from_numpy, resolve_backend, to_numpy, use_backend
 from repro.batch import (
     PaddedValues,
@@ -38,13 +41,7 @@ from repro.batch import (
 from repro.batch.dynamics import DynamicsEngine
 from repro.batch.ifd import DE_CASTELJAU_MAX_DEGREE, bernstein_evaluator
 from repro.batch.payoffs import as_k_vector
-from repro.core.payoffs import (
-    best_response_value,
-    exploitability,
-    expected_payoff,
-    occupancy_congestion_factor,
-    site_values,
-)
+from repro.core.payoffs import site_values
 from repro.core.policies import (
     AggressivePolicy,
     ExclusivePolicy,
@@ -61,7 +58,7 @@ from repro.dynamics import (
     logit_dynamics,
     replicator_dynamics,
 )
-from repro.utils.numerics import binomial_pmf_matrix, binomial_pmf_tensor
+from repro.utils.numerics import binomial_pmf_tensor
 
 POLICIES = [ExclusivePolicy(), SharingPolicy(), TwoLevelPolicy(-0.2)]
 
@@ -88,14 +85,14 @@ def random_states(padded: PaddedValues, rng: np.random.Generator) -> np.ndarray:
 
 
 class TestBinomialPmfTensor:
-    def test_matches_matrix_version_per_row(self, ragged_batch):
+    def test_matches_term_by_term_law_per_row(self, ragged_batch):
         padded, _, ks = ragged_batch
         rng = np.random.default_rng(3)
         probs = rng.random(padded.values.shape)
         tensor = binomial_pmf_tensor(ks - 1, probs)
         for row, k in enumerate(ks):
             n = int(k) - 1
-            expected = binomial_pmf_matrix(n, probs[row])
+            expected = binomial_law(n, probs[row]).T
             np.testing.assert_allclose(tensor[row, :, : n + 1], expected, atol=1e-14)
             assert np.all(tensor[row, :, n + 1 :] == 0.0)
 
@@ -167,15 +164,20 @@ class TestBernsteinEvaluator:
             np.testing.assert_array_equal(to_numpy(only_g), g[rows])
 
 
+def enumerated_nu(values, state, k, policy):
+    """``nu`` of one row by enumerating its ``k - 1`` opponents' site choices."""
+    return brute_force_site_payoffs(values, 0.0, state, int(k), policy)
+
+
 class TestBatchedPayoffKernel:
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_site_values_match_scalar(self, ragged_batch, policy):
+    def test_site_values_match_enumeration(self, ragged_batch, policy):
         padded, instances, ks = ragged_batch
         states = random_states(padded, np.random.default_rng(11))
         nu = site_values_batch(padded, states, ks, policy)
         for row, (values, k) in enumerate(zip(instances, ks)):
             m = values.m
-            expected = site_values(values, states[row, :m], int(k), policy)
+            expected = enumerated_nu(values.as_array(), states[row, :m], k, policy)
             np.testing.assert_allclose(nu[row, :m], expected, atol=1e-12)
             assert np.all(nu[row, m:] == 0.0)
 
@@ -185,28 +187,28 @@ class TestBatchedPayoffKernel:
         np.testing.assert_allclose(tables[1], [1.0, 0.5, 1 / 3, 0.25])
         np.testing.assert_allclose(tables[2], [1.0, 0.0, 0.0, 0.0])
 
-    def test_occupancy_factor_matches_scalar(self, ragged_batch):
+    def test_occupancy_factor_matches_enumeration(self, ragged_batch):
         padded, instances, ks = ragged_batch
         policy = SharingPolicy()
         states = random_states(padded, np.random.default_rng(13))
         factor = occupancy_congestion_factor_batch(policy, states, ks - 1)
-        for row, (values, k) in enumerate(zip(instances, ks)):
-            expected = occupancy_congestion_factor(policy, states[row], int(k) - 1)
+        for row, k in enumerate(ks):
+            expected = enumerated_nu(np.ones(padded.width), states[row], k, policy)
             np.testing.assert_allclose(factor[row], expected, atol=1e-12)
 
     @pytest.mark.parametrize("policy", POLICIES + [AggressivePolicy(0.7)])
-    def test_exploitability_and_best_response_match_scalar(self, ragged_batch, policy):
+    def test_exploitability_and_best_response_match_enumeration(self, ragged_batch, policy):
         padded, instances, ks = ragged_batch
         states = random_states(padded, np.random.default_rng(17))
         gaps = exploitability_batch(padded, states, ks, policy)
         best = best_response_value_batch(padded, states, ks, policy)
         for row, (values, k) in enumerate(zip(instances, ks)):
             m = values.m
-            strategy = Strategy(states[row, :m])
-            assert np.isclose(gaps[row], exploitability(values, strategy, int(k), policy), atol=1e-12)
-            assert np.isclose(best[row], best_response_value(values, strategy, int(k), policy), atol=1e-12)
+            nu = enumerated_nu(values.as_array(), states[row, :m], k, policy)
+            assert np.isclose(gaps[row], nu.max() - states[row, :m] @ nu, atol=1e-12)
+            assert np.isclose(best[row], nu.max(), atol=1e-12)
 
-    def test_expected_payoff_matches_scalar(self, ragged_batch):
+    def test_expected_payoff_matches_enumeration(self, ragged_batch):
         padded, instances, ks = ragged_batch
         policy = SharingPolicy()
         rng = np.random.default_rng(19)
@@ -215,10 +217,8 @@ class TestBatchedPayoffKernel:
         payoffs = expected_payoff_batch(padded, focal, opponents, ks, policy)
         for row, (values, k) in enumerate(zip(instances, ks)):
             m = values.m
-            expected = expected_payoff(
-                values, focal[row, :m], opponents[row, :m], int(k), policy
-            )
-            assert np.isclose(payoffs[row], expected, atol=1e-12)
+            nu = enumerated_nu(values.as_array(), opponents[row, :m], k, policy)
+            assert np.isclose(payoffs[row], focal[row, :m] @ nu, atol=1e-12)
 
     def test_masked_best_response_beats_padding_zeros(self):
         # Aggressive payoffs are all negative away from singleton occupancy;
@@ -227,8 +227,34 @@ class TestBatchedPayoffKernel:
         states = np.array([[0.5, 0.5, 0.0], [0.4, 0.3, 0.3]])
         policy = AggressivePolicy(2.0)
         best = best_response_value_batch(padded, states, [3, 3], policy)
-        scalar0 = best_response_value([1.0, 0.9], states[0, :2], 3, policy)
-        assert np.isclose(best[0], scalar0, atol=1e-12)
+        enumerated0 = enumerated_nu(np.array([1.0, 0.9]), states[0, :2], 3, policy).max()
+        assert enumerated0 < 0.0
+        assert np.isclose(best[0], enumerated0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
+    def test_out_of_range_strategies_are_refused(self, bad):
+        # A probability outside [0, 1] must be refused, never clipped into range.
+        values = np.array([[1.0, 0.5]])
+        states = np.array([[bad, 0.5]])
+        policy = SharingPolicy()
+        calls = {
+            "site_values": lambda: site_values(values[0], states[0], 3, policy),
+            "occupancy_congestion_factor_batch": lambda: occupancy_congestion_factor_batch(
+                policy, states, 2
+            ),
+            "site_values_batch": lambda: site_values_batch(values, states, 3, policy),
+            "expected_payoff_batch": lambda: expected_payoff_batch(
+                values, np.array([[0.5, 0.5]]), states, 3, policy
+            ),
+            "best_response_value_batch": lambda: best_response_value_batch(
+                values, states, 3, policy
+            ),
+            "exploitability_batch": lambda: exploitability_batch(values, states, 3, policy),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                call()
+                pytest.fail(f"{name} accepted p = {bad}")
 
     def test_shape_validation(self, ragged_batch):
         padded, _, ks = ragged_batch

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mixture_payoff_expanded
 from repro.core.payoffs import (
     best_response_sites,
     best_response_value,
     exploitability,
     expected_payoff,
     mixture_payoff,
-    mixture_payoff_expanded,
     occupancy_congestion_factor,
     payoff_against_groups,
     site_values,
@@ -199,3 +199,49 @@ class TestBestResponse:
         result = sigma_star(small_values, 3)
         gap = exploitability(small_values, result.strategy, 3, ExclusivePolicy())
         assert gap == pytest.approx(0.0, abs=1e-10)
+
+
+class TestOneKernelCallPerAudit:
+    """Audits over many profiles stack them into one batch-kernel call.
+
+    A batch-of-one call through the scalar view costs about twice a plain
+    array pass, so a loop of views would make these audits several times
+    slower; the call counts pin the stacking on any host.
+    """
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        import repro.batch.payoffs as batch_payoffs
+
+        calls: list[int] = []
+        kernel = batch_payoffs.occupancy_congestion_factor_batch
+
+        def counted(policy, opponent_probabilities, n_opponents, **kwargs):
+            calls.append(np.shape(opponent_probabilities)[0])
+            return kernel(policy, opponent_probabilities, n_opponents, **kwargs)
+
+        monkeypatch.setattr(batch_payoffs, "occupancy_congestion_factor_batch", counted)
+        return calls
+
+    def test_invasion_barrier_is_one_call(self, small_values, kernel_calls):
+        from repro.core.ess import invasion_barrier
+        from repro.core.sigma_star import sigma_star
+
+        star = sigma_star(small_values, 3).strategy
+        kernel_calls.clear()
+        assert invasion_barrier(small_values, star, Strategy.uniform(4), 3, ExclusivePolicy()) > 0
+        assert kernel_calls == [34]  # the whole default epsilon grid
+
+    def test_projected_gradient_step_is_one_call(self, small_values, kernel_calls):
+        from repro.core.welfare import welfare_optimal_strategy
+
+        # Two starts (uniform, value-proportional), one step each: every
+        # evaluation is a point with its M finite-difference neighbours.
+        welfare_optimal_strategy(small_values, 3, SharingPolicy(), restarts=0, max_iter=1)
+        assert kernel_calls == [5] * 4
+
+    def test_verify_symmetric_equilibrium_is_one_call(self, small_values, kernel_calls):
+        from repro.core.equilibrium import verify_symmetric_equilibrium
+
+        verify_symmetric_equilibrium(small_values, Strategy.uniform(4), 3, SharingPolicy())
+        assert kernel_calls == [1]

@@ -10,8 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.utils.numerics import (
     assert_shape,
-    binomial_coefficients,
-    binomial_pmf_matrix,
+    binomial_pmf_tensor,
     clip_probability,
     is_non_increasing,
     log_factorial,
@@ -96,51 +95,57 @@ class TestFactorialsAndBinomials:
         with pytest.raises(ValueError):
             log_factorial(-1)
 
-    def test_binomial_coefficients_row(self):
-        np.testing.assert_allclose(binomial_coefficients(5), [1, 5, 10, 10, 5, 1])
 
-    def test_binomial_coefficients_zero(self):
-        np.testing.assert_allclose(binomial_coefficients(0), [1.0])
-
-    @given(n=st.integers(min_value=0, max_value=40))
-    @settings(max_examples=20, deadline=None)
-    def test_binomial_coefficients_sum(self, n):
-        assert binomial_coefficients(n).sum() == pytest.approx(2.0**n, rel=1e-10)
+def binomial_pmf_row(n: int, probs) -> np.ndarray:
+    """One binomial law per entry of ``probs``: the one-row tensor call, ``(M, n + 1)``."""
+    return binomial_pmf_tensor(n, np.asarray(probs, dtype=float)[None])[0]
 
 
-class TestBinomialPmfMatrix:
+class TestBinomialPmfOneRow:
     def test_rows_sum_to_one(self):
-        pmf = binomial_pmf_matrix(7, np.linspace(0, 1, 9))
+        pmf = binomial_pmf_row(7, np.linspace(0, 1, 9))
         np.testing.assert_allclose(pmf.sum(axis=1), 1.0)
 
     def test_matches_scipy(self):
         from scipy.stats import binom
 
         probs = np.array([0.0, 0.1, 0.5, 0.93, 1.0])
-        pmf = binomial_pmf_matrix(6, probs)
+        pmf = binomial_pmf_row(6, probs)
         expected = np.vstack([binom.pmf(np.arange(7), 6, p) for p in probs])
         np.testing.assert_allclose(pmf, expected, atol=1e-12)
 
     def test_zero_trials(self):
-        pmf = binomial_pmf_matrix(0, np.array([0.3, 0.7]))
+        pmf = binomial_pmf_row(0, np.array([0.3, 0.7]))
         np.testing.assert_allclose(pmf, [[1.0], [1.0]])
 
     def test_degenerate_probabilities(self):
-        pmf = binomial_pmf_matrix(4, np.array([0.0, 1.0]))
+        pmf = binomial_pmf_row(4, np.array([0.0, 1.0]))
         assert pmf[0, 0] == pytest.approx(1.0)
         assert pmf[1, 4] == pytest.approx(1.0)
 
     def test_rejects_negative_trials(self):
         with pytest.raises(ValueError):
-            binomial_pmf_matrix(-1, np.array([0.5]))
+            binomial_pmf_row(-1, np.array([0.5]))
 
     def test_rejects_out_of_range_probs(self):
         with pytest.raises(ValueError):
-            binomial_pmf_matrix(3, np.array([1.5]))
+            binomial_pmf_row(3, np.array([1.5]))
 
-    def test_rejects_2d_probs(self):
+    def test_rejects_non_matrix_probs(self):
         with pytest.raises(ValueError):
-            binomial_pmf_matrix(3, np.zeros((2, 2)))
+            binomial_pmf_tensor(3, np.zeros(2))
+        with pytest.raises(ValueError):
+            binomial_pmf_tensor(3, np.zeros((1, 2, 2)))
+
+    def test_large_n_without_overflow(self):
+        # C(n, j) alone overflows a double past n = 1029; the law must not.
+        n = 5000
+        probs = np.array([0.0, 1e-3, 0.3, 0.999, 1.0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            pmf = binomial_pmf_row(n, probs)
+        assert np.all(np.isfinite(pmf)) and np.all(pmf >= 0.0)
+        np.testing.assert_allclose(pmf.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(pmf @ np.arange(n + 1), n * probs, rtol=1e-9, atol=1e-9)
 
     @given(
         n=st.integers(min_value=1, max_value=15),
@@ -148,7 +153,7 @@ class TestBinomialPmfMatrix:
     )
     @settings(max_examples=40, deadline=None)
     def test_mean_matches_np(self, n, p):
-        pmf = binomial_pmf_matrix(n, np.array([p]))[0]
+        pmf = binomial_pmf_row(n, np.array([p]))[0]
         mean = float(np.dot(np.arange(n + 1), pmf))
         assert mean == pytest.approx(n * p, abs=1e-9)
 
