@@ -22,7 +22,8 @@ Every kernel body is pure Array-API code on the backend resolved through
 strategy inputs produce backend-native ``nu`` outputs (the engine's hot
 path); host inputs produce host NumPy outputs.
 
-Every kernel refuses a probability outside ``[0, 1]`` (NaN included), and
+Every kernel refuses a probability outside ``[0, 1]`` (NaN included), focal
+strategies too (:func:`~repro.utils.validation.check_unit_interval`), and
 every one is tested against brute-force enumeration of the opponents' site
 choices (``tests/test_batch_dynamics.py``).
 """
@@ -45,7 +46,7 @@ from repro.backend import (
 from repro.batch.padding import PaddedValues
 from repro.batch.solvers import as_padded
 from repro.core.policies import CongestionPolicy
-from repro.utils.validation import check_counts
+from repro.utils.validation import check_counts, check_unit_interval
 
 __all__ = [
     "as_k_vector",
@@ -128,8 +129,7 @@ def occupancy_congestion_factor_batch(
     q = asarray_float(be, opponent_probabilities)
     if q.ndim != 2:
         raise ValueError("opponent_probabilities must be a 2-D (B, M) matrix")
-    if not bool(be.xp.all((q >= -1e-12) & (q <= 1 + 1e-12))):
-        raise ValueError("opponent probabilities must lie in [0, 1]")
+    check_unit_interval(q, "opponent probabilities", xp=be.xp)
     n = check_counts(n_opponents, "n_opponents", minimum=0, size=q.shape[0])
     tables = congestion_table_batch(policy, n) if tables is None else ensure_numpy(tables)
     if tables.shape[1] <= n.max():
@@ -183,7 +183,7 @@ def expected_payoff_batch(
     be = resolve_backend(backend)
     xp = be.xp
     native = is_native(be, focal)
-    rho = asarray_float(be, focal)
+    rho = check_unit_interval(asarray_float(be, focal), "focal strategies", xp=xp)
     nu = site_values_batch(values, asarray_float(be, opponents), k, policy, backend=be)
     if tuple(rho.shape) != tuple(nu.shape):
         raise ValueError("focal strategies must match the padded batch shape")

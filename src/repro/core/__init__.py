@@ -35,7 +35,6 @@ __all__ = lazy_exports(__name__, {
     # payoffs
     "site_values": ".payoffs",
     "expected_payoff": ".payoffs",
-    "payoff_against_groups": ".payoffs",
     "mixture_payoff": ".payoffs",
     "best_response_value": ".payoffs",
     "best_response_sites": ".payoffs",

@@ -10,7 +10,13 @@ Two equivalent tools are provided:
 
 * the *characterisation* check (Broom & Rychtar): for each mutant ``pi`` there
   must exist an index ``m_pi`` with equal payoffs for every mixed-opponent
-  composition below ``m_pi`` and a strict advantage at ``m_pi``;
+  composition below ``m_pi`` and a strict advantage at ``m_pi``.
+  :func:`ess_report` stacks its mutants into one ``(B, M)`` matrix and gets
+  every mutant's gap at every composition from one pass over the
+  compositions, each contracting a resident binomial law and a stacked
+  mutant law against the congestion table (``2k`` laws per audit, whatever
+  the number of mutants); :func:`ess_conditions_against` is its one-mutant
+  view;
 * the *invasion-barrier* check: the payoff difference
   ``U[sigma; (1-eps) sigma + eps pi] - U[pi; (1-eps) sigma + eps pi]`` must be
   positive for all sufficiently small ``eps``.
@@ -28,16 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.payoffs import (
-    expected_payoff,
-    exploitability,
-    mixture_payoff,
-    payoff_against_groups,
-)
+from repro.core.payoffs import expected_payoff, exploitability
 from repro.core.policies import CongestionPolicy
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
-from repro.utils.coercion import values_array
+from repro.utils.coercion import strategy_array, values_array
+from repro.utils.numerics import binomial_pmf_tensor
 from repro.utils.validation import check_positive_integer, check_probability
 
 __all__ = [
@@ -95,6 +97,45 @@ def is_symmetric_nash(
     return exploitability(values, strategy, k, policy) <= atol
 
 
+def _payoff_gaps(
+    f: np.ndarray,
+    sigma: np.ndarray,
+    mutants: np.ndarray,
+    k: int,
+    policy: CongestionPolicy,
+) -> np.ndarray:
+    """The ``(B, k)`` resident-minus-mutant payoff gaps of a ``(B, M)`` mutant stack.
+
+    ``D[b, l] = E(sigma; sigma^(k-1-l), pi_b^l) - E(pi_b; sigma^(k-1-l), pi_b^l)``.
+    A focal player at site ``x`` meets ``Bin(k-1-l, sigma_x) + Bin(l, pi_bx)``
+    co-visitors, so its congestion factor ``h_l(x)`` contracts the two
+    binomial laws against the Hankel table ``H[i, j] = C(1 + i + j)``.  Each
+    ``l`` builds one resident law and one stacked mutant law: ``2k`` laws
+    whatever ``B``, and ``O(B M k)`` memory.
+    """
+    if sigma.shape != f.shape or mutants.shape[1:] != f.shape:
+        raise ValueError("resident, mutants and values must cover the same number of sites")
+    table = np.concatenate([policy.table(k), np.zeros(k - 1)])
+    hankel = table[np.add.outer(np.arange(k), np.arange(k))]  # zero past C(k), never read
+    gaps = np.empty((mutants.shape[0], k))
+    for ell in range(k):
+        n = k - 1 - ell
+        resident_side = binomial_pmf_tensor(n, sigma[None])[0] @ hankel[: n + 1, : ell + 1]
+        nu = f * np.vecdot(binomial_pmf_tensor(ell, mutants), resident_side)  # (B, M)
+        gaps[:, ell] = np.vecdot(nu, sigma) - np.vecdot(mutants, nu)
+    return gaps
+
+
+def _first_decisive(gaps: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``gaps``: whether its first entry beyond ``atol`` is positive, and that index.
+
+    A row with no entry beyond ``atol`` (a payoff-equivalent mutant) is not
+    resisted.
+    """
+    first = np.argmax(np.abs(gaps) > atol, axis=1)
+    return np.take_along_axis(gaps, first[:, None], axis=1)[:, 0] > atol, first
+
+
 def ess_conditions_against(
     values: SiteValues | np.ndarray,
     resident: Strategy,
@@ -109,25 +150,14 @@ def ess_conditions_against(
     For ``l = 0 .. k-1`` compute the payoff difference between the resident and
     the mutant when facing ``l`` mutant co-players and ``k - 1 - l`` resident
     co-players.  The resident resists the mutant when the first non-zero
-    difference (scanning ``l`` upwards) is strictly positive.
+    difference (scanning ``l`` upwards) is strictly positive.  A one-mutant
+    view of the stacked audit of :func:`ess_report`.
     """
     k = check_positive_integer(k, "k")
     f = values_array(values)
-    diffs = np.empty(k, dtype=float)
-    for ell in range(k):
-        groups = [(resident, k - 1 - ell), (mutant, ell)]
-        resident_payoff = payoff_against_groups(f, resident, groups, policy)
-        mutant_payoff = payoff_against_groups(f, mutant, groups, policy)
-        diffs[ell] = resident_payoff - mutant_payoff
-
-    for ell in range(k):
-        if diffs[ell] > atol:
-            return ESSComparison(True, ell, diffs)
-        if diffs[ell] < -atol:
-            return ESSComparison(False, None, diffs)
-    # All payoffs equal for every composition: the mutant is payoff-equivalent
-    # (this can only happen for mutant == resident up to numerical noise).
-    return ESSComparison(False, None, diffs)
+    diffs = _payoff_gaps(f, strategy_array(resident), strategy_array(mutant)[None], k, policy)[0]
+    resists, first = _first_decisive(diffs[None], atol)
+    return ESSComparison(bool(resists[0]), int(first[0]) if resists[0] else None, diffs)
 
 
 def invasion_barrier(
@@ -197,46 +227,22 @@ def ess_report(
         mutants.extend(resident.perturbed(generator, scale=s) for s in (0.01, 0.1, 0.5))
         mutants.extend(Strategy.random(m, generator) for _ in range(n_random_mutants))
 
-    n_resisted = 0
-    worst_margin = np.inf
-    failures: list[int] = []
-    for index, mutant in enumerate(mutants):
-        if mutant.total_variation(resident) <= 1e-10:
-            # Identical to the resident: not a mutant.
-            n_resisted += 1
-            continue
-        comparison = ess_conditions_against(f, resident, mutant, k, policy, atol=atol)
-        if comparison.resists:
-            n_resisted += 1
-            assert comparison.m_index is not None
-            worst_margin = min(worst_margin, float(comparison.payoff_differences[comparison.m_index]))
-        else:
-            failures.append(index)
-
-    if not np.isfinite(worst_margin):
-        worst_margin = 0.0
+    # A mutant identical to the resident is not a mutant: it counts as resisted.
+    live = [i for i, mutant in enumerate(mutants) if mutant.total_variation(resident) > 1e-10]
+    worst_margin, failures = 0.0, []
+    if live:
+        stack = np.stack([strategy_array(mutants[i]) for i in live])
+        gaps = _payoff_gaps(f, strategy_array(resident), stack, k, policy)
+        resists, first = _first_decisive(gaps, atol)
+        failures = [i for i, ok in zip(live, resists) if not ok]
+        if resists.any():
+            worst_margin = float(gaps[resists, first[resists]].min())
     return ESSReport(
         is_ess=len(failures) == 0,
         n_mutants=len(mutants),
-        n_resisted=n_resisted,
-        worst_margin=float(worst_margin),
+        n_resisted=len(mutants) - len(failures),
+        worst_margin=worst_margin,
         failures=tuple(failures),
-    )
-
-
-def resident_vs_mutant_payoffs(
-    values: SiteValues | np.ndarray,
-    resident: Strategy,
-    mutant: Strategy,
-    epsilon: float,
-    k: int,
-    policy: CongestionPolicy,
-) -> tuple[float, float]:
-    """Convenience: ``(U[resident; mix], U[mutant; mix])`` for a mutant share ``epsilon``."""
-    f = values_array(values)
-    return (
-        mixture_payoff(f, resident, resident, mutant, epsilon, k, policy),
-        mixture_payoff(f, mutant, resident, mutant, epsilon, k, policy),
     )
 
 

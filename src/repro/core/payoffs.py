@@ -4,23 +4,21 @@ This module implements the payoff calculus of Sections 1.1-1.4 of the paper:
 
 * ``nu_p(x)`` — the *value* of site ``x`` against ``k - 1`` opponents playing
   ``p`` (Eq. 2): the expected reward of a focal player that commits to ``x``.
-* ``E(rho; sigma^l, pi^(k-l-1))`` — the expected payoff of a focal player
-  playing ``rho`` against ``l`` opponents playing ``sigma`` and ``k - l - 1``
-  opponents playing ``pi`` (the multi-population payoff of the ESS
-  characterisation, Section 1.4).
+* ``E(rho; sigma^(k-1))`` — the expected payoff of a focal player playing
+  ``rho`` against ``k - 1`` opponents playing ``sigma``.
 * ``U[rho; (1 - eps) sigma + eps pi]`` — the payoff against ``k - 1``
   opponents drawn from an infinite population with a fraction ``eps`` of
   mutants (Eq. 3).
 
-Everything is exact and vectorised over sites.  Every payoff but the
-multi-group one reaches ``g(q) = E[C(1 + Binomial(k - 1, q))]`` through
-:func:`occupancy_congestion_factor`, a one-row view of the batch kernel;
-:func:`payoff_against_groups` convolves the groups' binomial laws.
+Everything is exact and vectorised over sites.  Every payoff reaches
+``g(q) = E[C(1 + Binomial(k - 1, q))]`` through
+:func:`occupancy_congestion_factor`, a one-row view of the batch kernel, and
+this module builds no binomial law of its own.  The two-population payoffs
+``E(rho; sigma^(k-1-l), pi^l)`` of the ESS characterisation (Section 1.4)
+live with their only user, :mod:`repro.core.ess`.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -28,14 +26,12 @@ from repro.core.policies import CongestionPolicy
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
 from repro.utils.coercion import strategy_array, values_array
-from repro.utils.numerics import binomial_pmf_tensor
-from repro.utils.validation import check_positive_integer
+from repro.utils.validation import check_positive_integer, check_unit_interval
 
 __all__ = [
     "occupancy_congestion_factor",
     "site_values",
     "expected_payoff",
-    "payoff_against_groups",
     "mixture_payoff",
     "best_response_value",
     "best_response_sites",
@@ -105,58 +101,15 @@ def expected_payoff(
     """Expected payoff ``E(focal; opponents^(k-1))`` of a focal mixed strategy.
 
     The focal player draws its site from ``focal`` and each of the ``k - 1``
-    opponents independently from ``opponents``.
+    opponents independently from ``opponents``.  A focal entry outside
+    ``[0, 1]`` (NaN included) is refused, as in
+    :func:`~repro.batch.payoffs.expected_payoff_batch`.
     """
-    rho = strategy_array(focal)
+    rho = check_unit_interval(strategy_array(focal), "focal strategy")
     nu = site_values(values, opponents, k, policy)
     if rho.shape != nu.shape:
         raise ValueError("focal strategy and values must cover the same number of sites")
     return float(np.dot(rho, nu))
-
-
-def payoff_against_groups(
-    values: SiteValues | np.ndarray,
-    focal: Strategy | np.ndarray,
-    groups: Sequence[tuple[Strategy | np.ndarray, int]],
-    policy: CongestionPolicy,
-) -> float:
-    """Expected payoff ``E(focal; sigma_1^{n_1}, sigma_2^{n_2}, ...)``.
-
-    ``groups`` is a sequence of ``(strategy, count)`` pairs describing the
-    opponents.  The number of co-visitors at a site is the sum of independent
-    binomials, whose distribution is computed by convolving the per-group
-    binomial laws.  With a single group this reduces to
-    :func:`expected_payoff`; with two groups it is the
-    ``E(rho; sigma^l, pi^(k-l-1))`` payoff of the ESS characterisation.
-    """
-    f = values_array(values)
-    rho = strategy_array(focal)
-    if f.shape != rho.shape:
-        raise ValueError("focal strategy and values must cover the same number of sites")
-
-    total_opponents = 0
-    # occupancy_dist[x, j] = P[j opponents at site x]; start from "zero opponents".
-    occupancy = np.ones((f.size, 1), dtype=float)
-    for strategy, count in groups:
-        count = int(count)
-        if count < 0:
-            raise ValueError("group sizes must be non-negative")
-        if count == 0:
-            continue
-        q = strategy_array(strategy)
-        if q.shape != f.shape:
-            raise ValueError("every group strategy must cover the same number of sites")
-        pmf = binomial_pmf_tensor(count, q[None])[0]  # (M, count + 1)
-        new = np.zeros((f.size, occupancy.shape[1] + count), dtype=float)
-        # Convolve, site by site, but vectorised over sites for each shift.
-        for j in range(pmf.shape[1]):
-            new[:, j : j + occupancy.shape[1]] += pmf[:, j : j + 1] * occupancy
-        occupancy = new
-        total_opponents += count
-
-    c_table = policy.table(total_opponents + 1)
-    factors = occupancy @ c_table  # E[C(1 + #co-visitors)] per site
-    return float(np.dot(rho, f * factors))
 
 
 def mixture_payoff(

@@ -27,8 +27,6 @@ __all__ = lazy_exports(__name__, {
     "inverse_cdf_sample_stacked": ".sampling",
     "stacked_cdfs": ".sampling",
     "strategy_cdf": ".sampling",
-    "assert_shape": ".numerics",
-    "clip_probability": ".numerics",
     "is_non_increasing": ".numerics",
     "safe_power": ".numerics",
     "simplex_projection": ".numerics",

@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.utils.validation import check_counts
 
 __all__ = [
-    "assert_shape",
     "BinomialPmfPlan",
     "binomial_pmf_tensor",
-    "clip_probability",
     "is_non_increasing",
     "make_binomial_pmf_plan",
     "safe_power",
@@ -29,39 +27,6 @@ __all__ = [
 
 #: Default absolute tolerance used by verification helpers across the library.
 DEFAULT_ATOL = 1e-9
-
-
-def assert_shape(array: np.ndarray, shape: tuple[int, ...], name: str = "array") -> None:
-    """Raise ``ValueError`` if ``array`` does not have exactly ``shape``.
-
-    Parameters
-    ----------
-    array:
-        Array to check.
-    shape:
-        Expected shape.  Use ``-1`` for a dimension whose size is not checked.
-    name:
-        Name used in the error message.
-    """
-    if array.ndim != len(shape):
-        raise ValueError(
-            f"{name} must have {len(shape)} dimensions, got {array.ndim}"
-        )
-    for axis, (actual, expected) in enumerate(zip(array.shape, shape)):
-        if expected != -1 and actual != expected:
-            raise ValueError(
-                f"{name} has size {actual} along axis {axis}, expected {expected}"
-            )
-
-
-def clip_probability(p: np.ndarray | float, eps: float = 0.0) -> np.ndarray | float:
-    """Clip probabilities into ``[eps, 1 - eps]`` (and always into ``[0, 1]``).
-
-    Useful before taking logarithms or powers of ``1 - p``.
-    """
-    lo = max(0.0, eps)
-    hi = min(1.0, 1.0 - eps) if eps > 0 else 1.0
-    return np.clip(p, lo, hi)
 
 
 def is_non_increasing(values: Sequence[float] | np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
@@ -280,17 +245,3 @@ def simplex_projection(v: np.ndarray) -> np.ndarray:
     if total <= 0:
         return np.full_like(vec, 1.0 / vec.size)
     return out / total
-
-
-def weighted_average(values: Iterable[float], weights: Iterable[float]) -> float:
-    """Weighted average with validation; weights must be non-negative and not all zero."""
-    v = np.asarray(list(values), dtype=float)
-    w = np.asarray(list(weights), dtype=float)
-    if v.shape != w.shape:
-        raise ValueError("values and weights must have identical shapes")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    total = w.sum()
-    if total == 0:
-        raise ValueError("weights must not all be zero")
-    return float(np.dot(v, w) / total)

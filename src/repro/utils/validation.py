@@ -7,7 +7,9 @@ The batch layer's input rules live here and nowhere else, as three
 primitives: :func:`check_counts` (player counts, round counts, coverage
 targets, row sizes), :func:`check_probability_rows` (strategies, priors,
 visit distributions, targets) and :func:`check_site_parameters` (costs,
-requirements, depletion).  One integer rule holds everywhere, including the
+requirements, depletion).  The payoff kernels' focal and opponent
+strategies, which may live on any backend, go through
+:func:`check_unit_interval`.  One integer rule holds everywhere, including the
 scalar :func:`check_integer`: bools are refused, and a float passes only when
 it is exactly an int64 — nothing is rounded.
 """
@@ -27,6 +29,7 @@ __all__ = [
     "check_probability_rows",
     "check_site_parameters",
     "check_probability",
+    "check_unit_interval",
     "check_probability_vector",
     "check_value_vector",
     "check_in_range",
@@ -259,6 +262,17 @@ def check_probability(value: Any, name: str) -> float:
     if out < 0.0 or out > 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {out}")
     return out
+
+
+def check_unit_interval(array: Any, name: str, *, xp: Any = np) -> Any:
+    """Return ``array`` after refusing any entry outside ``[0, 1]`` by more than ``1e-12``.
+
+    NaN is refused too.  ``xp`` is the array's namespace, so a
+    backend-native array is checked where it lives.
+    """
+    if not bool(xp.all((array >= -1e-12) & (array <= 1 + 1e-12))):
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return array
 
 
 def check_in_range(

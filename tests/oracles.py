@@ -21,9 +21,15 @@ None of these shares code with the kernel it checks:
   discovery round;
 * :func:`binomial_law` writes out ``C(n, j) p^j (1 - p)^(n - j)`` term by
   term with exact integer coefficients, where the kernels sum in log space;
-* :func:`mixture_payoff_expanded` evaluates Eq. (3) literally, as a binomial
-  mixture over the resident/mutant make-up of the opponents, where
-  :func:`repro.core.payoffs.mixture_payoff` plays one mixed opponent;
+* :func:`payoff_against_groups` convolves the opponent groups' binomial
+  laws one shift at a time, and :func:`mixture_payoff_expanded` evaluates
+  Eq. (3) literally on it, as a binomial mixture over the resident/mutant
+  make-up of the opponents, where :func:`repro.core.payoffs.mixture_payoff`
+  plays one mixed opponent;
+* :func:`enumerated_payoff_gaps` averages the resident-minus-mutant payoff
+  gap of the ESS characterisation over every one of the ``M ** (k - 1)``
+  opponent site choices — no binomial law — where
+  :mod:`repro.core.ess` contracts a resident and a stacked mutant law;
 * :func:`replicator_loop` runs the discrete replicator one row at a time,
   with its congestion factor summed term by term over :func:`binomial_law`,
   where the dynamics engine steps a shrinking batch on de Casteljau
@@ -34,17 +40,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from repro.core.coverage import coverage, coverage_gradient
 from repro.core.optimal_coverage import CoverageOptimum
-from repro.core.payoffs import payoff_against_groups
+from repro.core.policies import CongestionPolicy
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
-from repro.utils.coercion import values_array
-from repro.utils.numerics import safe_power, simplex_projection
+from repro.utils.coercion import strategy_array, values_array
+from repro.utils.numerics import binomial_pmf_tensor, safe_power, simplex_projection
 from repro.utils.validation import check_positive_integer
 
 #: Payoff tolerance of the IFD checks.
@@ -86,6 +93,70 @@ def binomial_law(n: int, p) -> np.ndarray:
     """``P[Binomial(n, p) = j]`` for ``j = 0 .. n`` along the first axis, term by term."""
     p = np.asarray(p, dtype=float)
     return np.array([math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)])
+
+
+def payoff_against_groups(
+    values: SiteValues | np.ndarray,
+    focal: Strategy | np.ndarray,
+    groups: Sequence[tuple[Strategy | np.ndarray, int]],
+    policy: CongestionPolicy,
+) -> float:
+    """Expected payoff ``E(focal; sigma_1^{n_1}, sigma_2^{n_2}, ...)``.
+
+    ``groups`` is a sequence of ``(strategy, count)`` pairs describing the
+    opponents.  The number of co-visitors at a site is the sum of independent
+    binomials, whose distribution is computed by convolving the per-group
+    binomial laws.  With a single group this reduces to
+    :func:`expected_payoff`; with two groups it is the
+    ``E(rho; sigma^l, pi^(k-l-1))`` payoff of the ESS characterisation.
+    """
+    f = values_array(values)
+    rho = strategy_array(focal)
+    if f.shape != rho.shape:
+        raise ValueError("focal strategy and values must cover the same number of sites")
+
+    total_opponents = 0
+    # occupancy_dist[x, j] = P[j opponents at site x]; start from "zero opponents".
+    occupancy = np.ones((f.size, 1), dtype=float)
+    for strategy, count in groups:
+        count = int(count)
+        if count < 0:
+            raise ValueError("group sizes must be non-negative")
+        if count == 0:
+            continue
+        q = strategy_array(strategy)
+        if q.shape != f.shape:
+            raise ValueError("every group strategy must cover the same number of sites")
+        pmf = binomial_pmf_tensor(count, q[None])[0]  # (M, count + 1)
+        new = np.zeros((f.size, occupancy.shape[1] + count), dtype=float)
+        # Convolve, site by site, but vectorised over sites for each shift.
+        for j in range(pmf.shape[1]):
+            new[:, j : j + occupancy.shape[1]] += pmf[:, j : j + 1] * occupancy
+        occupancy = new
+        total_opponents += count
+
+    c_table = policy.table(total_opponents + 1)
+    factors = occupancy @ c_table  # E[C(1 + #co-visitors)] per site
+    return float(np.dot(rho, f * factors))
+
+
+def enumerated_payoff_gaps(values, resident, mutant, k: int, policy) -> np.ndarray:
+    """``E(resident; resident^(k-1-l), mutant^l) - E(mutant; resident^(k-1-l), mutant^l)``
+    for ``l = 0 .. k-1``, averaged over every one of the ``M ** (k - 1)``
+    opponent site choices: the first ``k - 1 - l`` opponents play
+    ``resident``, the other ``l`` play ``mutant``."""
+    f = np.asarray(values, dtype=float)
+    sigma = np.asarray(resident, dtype=float)
+    pi = np.asarray(mutant, dtype=float)
+    choices = _profiles(f.size, k - 1)
+    occupancy = (choices[:, :, None] == np.arange(f.size)).sum(axis=1)
+    rewards = f * policy.table(k)[occupancy]  # (profiles, M): focal reward per site
+    gaps = []
+    for ell in range(k):
+        laws = np.array([sigma] * (k - 1 - ell) + [pi] * ell).reshape(k - 1, f.size)
+        weights = np.prod(laws[np.arange(k - 1), choices], axis=1)
+        gaps.append((sigma - pi) @ (weights @ rewards))
+    return np.array(gaps)
 
 
 def mixture_payoff_expanded(values, focal, resident, mutant, epsilon, k: int, policy) -> float:

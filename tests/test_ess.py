@@ -7,16 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.ess as ess_module
+from oracles import enumerated_payoff_gaps
 from repro.core.ess import (
     equilibrium_payoff,
     ess_conditions_against,
     ess_report,
     invasion_barrier,
     is_symmetric_nash,
-    resident_vs_mutant_payoffs,
 )
 from repro.core.ifd import ideal_free_distribution
-from repro.core.policies import ConstantPolicy, ExclusivePolicy, SharingPolicy
+from repro.core.payoffs import mixture_payoff
+from repro.core.policies import (
+    AggressivePolicy,
+    ConstantPolicy,
+    ExclusivePolicy,
+    PowerLawPolicy,
+    SharingPolicy,
+    TwoLevelPolicy,
+)
 from repro.core.sigma_star import sigma_star
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
@@ -97,6 +106,72 @@ class TestESSCharacterisation:
         assert not comparison.resists
 
 
+GAP_POLICIES = {
+    "exclusive": ExclusivePolicy(),
+    "sharing": SharingPolicy(),
+    "two-level": TwoLevelPolicy(0.3),
+    "power-law": PowerLawPolicy(2.0),
+    "aggressive": AggressivePolicy(0.5),
+}
+
+
+class TestPayoffGapsMatchEnumeration:
+    """Every ``D[b, l]`` of the stacked audit against the enumerated opponent profiles."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("policy", GAP_POLICIES.values(), ids=GAP_POLICIES.keys())
+    def test_gaps_match_enumeration(self, policy, m, k):
+        rng = np.random.default_rng(100 * m + k)
+        f = np.sort(rng.uniform(0.1, 1.0, m))[::-1]
+        sigma = rng.dirichlet(np.ones(m))
+        if m > 2:
+            sigma[-1] = 0.0  # a resident with a proper support
+            sigma /= sigma.sum()
+        support = sigma > 0
+        mutants = np.stack(
+            [
+                rng.dirichlet(np.ones(m)),
+                np.eye(m)[-1],  # a point mass
+                support / support.sum(),  # supported inside the resident's support
+                sigma,  # equal to the resident on its support
+            ]
+        )
+        gaps = ess_module._payoff_gaps(f, sigma, mutants, k, policy)
+        assert gaps.shape == (len(mutants), k)
+        for row, mutant in zip(gaps, mutants):
+            np.testing.assert_allclose(
+                row, enumerated_payoff_gaps(f, sigma, mutant, k, policy), rtol=0, atol=1e-12
+            )
+        assert np.all(gaps[-1] == 0.0)
+
+
+class TestPmfBuildsPerAudit:
+    def test_laws_per_audit_do_not_grow_with_mutants(self, monkeypatch):
+        # One resident law and one stacked mutant law per composition, however
+        # many mutants: at most 2k binomial laws per audit.
+        calls = []
+        build = ess_module.binomial_pmf_tensor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ess_module, "binomial_pmf_tensor", counted)
+        rng = np.random.default_rng(3)
+        values = SiteValues.random(6, rng)
+        k = 8
+        star = sigma_star(values, k).strategy
+        counts = {}
+        for n_mutants in (10, 60):
+            mutants = [Strategy.random(6, rng) for _ in range(n_mutants)]
+            calls.clear()
+            assert ess_report(values, star, k, ExclusivePolicy(), mutants=mutants).is_ess
+            counts[n_mutants] = len(calls)
+        assert 0 < counts[10] <= 2 * k
+        assert counts[60] == counts[10]
+
+
 class TestInvasionBarrier:
     def test_positive_barrier_for_sigma_star(self, small_values):
         k = 3
@@ -117,9 +192,8 @@ class TestInvasionBarrier:
         k = 3
         star = sigma_star(small_values, k).strategy
         mutant = Strategy.proportional(small_values.as_array())
-        res, mut = resident_vs_mutant_payoffs(
-            small_values, star, mutant, 0.01, k, ExclusivePolicy()
-        )
+        res = mixture_payoff(small_values, star, star, mutant, 0.01, k, ExclusivePolicy())
+        mut = mixture_payoff(small_values, mutant, star, mutant, 0.01, k, ExclusivePolicy())
         assert res > mut
 
 

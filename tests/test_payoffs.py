@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mixture_payoff_expanded
+from oracles import mixture_payoff_expanded, payoff_against_groups
+from repro.batch.payoffs import expected_payoff_batch
+from repro.core.ess import equilibrium_payoff
 from repro.core.payoffs import (
     best_response_sites,
     best_response_value,
@@ -15,7 +17,6 @@ from repro.core.payoffs import (
     expected_payoff,
     mixture_payoff,
     occupancy_congestion_factor,
-    payoff_against_groups,
     site_values,
 )
 from repro.core.policies import (
@@ -130,6 +131,27 @@ class TestExpectedPayoff:
             payoff_against_groups(
                 small_values, Strategy.uniform(4), [(Strategy.uniform(4), -1)], SharingPolicy()
             )
+
+
+    @pytest.mark.parametrize("bad", [[1.5, -0.5], [np.nan, 0.5]], ids=["out-of-range", "nan"])
+    def test_out_of_range_focal_is_refused(self, bad):
+        # The focal strategy gets the opponents' [0, 1] check: no payoff for it.
+        values, focal, opponents = np.array([1.0, 0.5]), np.array(bad), np.array([0.5, 0.5])
+        policy = SharingPolicy()
+        calls = {
+            "expected_payoff": lambda: expected_payoff(values, focal, opponents, 3, policy),
+            "expected_payoff_batch": lambda: expected_payoff_batch(
+                values[None], focal[None], opponents[None], 3, policy
+            ),
+            "mixture_payoff": lambda: mixture_payoff(
+                values, focal, Strategy(opponents), Strategy.uniform(2), 0.1, 3, policy
+            ),
+            "equilibrium_payoff": lambda: equilibrium_payoff(values, focal, 3, policy),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                call()
+                pytest.fail(f"{name} accepted focal = {bad}")
 
 
 class TestMixturePayoff:

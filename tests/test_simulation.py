@@ -97,14 +97,12 @@ class TestEngineAgainstExactFormulas:
 
     def test_profile_simulation_payoffs_match_group_formula(self, small_values):
         # Player 0 plays sigma_star, players 1-2 play uniform: check player 0's
-        # mean payoff against the exact multi-group formula.
+        # mean payoff against the exact payoff E(sigma_star; uniform^2).
         star = sigma_star(small_values, 3).strategy
         uniform = Strategy.uniform(4)
         policy = ExclusivePolicy()
         result = simulate_profile(small_values, [star, uniform, uniform], policy, N_TRIALS, rng=8)
-        from repro.core.payoffs import payoff_against_groups
-
-        exact = payoff_against_groups(small_values, star, [(uniform, 2)], policy)
+        exact = expected_payoff(small_values, star, uniform, 3, policy)
         sem = result.player_payoff_sems[0]
         assert abs(result.player_payoff_means[0] - exact) < SIGMAS * max(sem, 1e-9)
 

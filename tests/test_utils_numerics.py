@@ -9,45 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.utils.numerics import (
-    assert_shape,
     binomial_pmf_tensor,
-    clip_probability,
     is_non_increasing,
     log_factorial,
     safe_power,
     simplex_projection,
-    weighted_average,
 )
-
-
-class TestAssertShape:
-    def test_accepts_matching_shape(self):
-        assert_shape(np.zeros((3, 4)), (3, 4))
-
-    def test_wildcard_dimension(self):
-        assert_shape(np.zeros((3, 7)), (3, -1))
-
-    def test_rejects_wrong_ndim(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            assert_shape(np.zeros(3), (3, 1))
-
-    def test_rejects_wrong_size(self):
-        with pytest.raises(ValueError, match="axis"):
-            assert_shape(np.zeros((3, 4)), (3, 5), name="mat")
-
-
-class TestClipProbability:
-    def test_clips_into_unit_interval(self):
-        assert clip_probability(1.5) == 1.0
-        assert clip_probability(-0.5) == 0.0
-
-    def test_eps_margin(self):
-        assert clip_probability(0.0, eps=1e-3) == pytest.approx(1e-3)
-        assert clip_probability(1.0, eps=1e-3) == pytest.approx(1.0 - 1e-3)
-
-    def test_array_input(self):
-        out = clip_probability(np.array([-1.0, 0.5, 2.0]))
-        np.testing.assert_allclose(out, [0.0, 0.5, 1.0])
 
 
 class TestIsNonIncreasing:
@@ -195,23 +162,6 @@ class TestSimplexProjection:
         candidates = rng.dirichlet(np.ones(4), size=2000)
         best = candidates[np.argmin(((candidates - v) ** 2).sum(axis=1))]
         assert np.linalg.norm(projected - v) <= np.linalg.norm(best - v) + 1e-6
-
-
-class TestWeightedAverage:
-    def test_basic(self):
-        assert weighted_average([1.0, 3.0], [1.0, 1.0]) == pytest.approx(2.0)
-
-    def test_rejects_zero_weights(self):
-        with pytest.raises(ValueError):
-            weighted_average([1.0], [0.0])
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            weighted_average([1.0, 2.0], [0.5, -0.5])
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_average([1.0, 2.0], [1.0])
 
 
 class TestPlanMemo:
