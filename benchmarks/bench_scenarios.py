@@ -1,4 +1,4 @@
-"""Smoke benchmark: batched scenario kernels vs scalar loops, as a JSON artifact.
+"""Smoke benchmark: batched scenario kernels vs looped calls, as a JSON artifact.
 
 Runs without pytest (plain script, stdlib + NumPy only) so CI can execute it
 as a standalone job::
@@ -8,14 +8,17 @@ as a standalone job::
 Four comparisons are timed, one per batched scenario family of
 :mod:`repro.batch.scenarios`:
 
-* ``cost_adjusted_ifd_batch`` vs a loop of scalar ``cost_adjusted_ifd`` calls
-  (ragged instances, mixed per-row ``k``, per-row cost vectors);
-* ``two_group_competition_batch`` vs a loop of scalar
-  ``two_group_competition`` calls over a mixed policy-pair roster;
+* ``cost_adjusted_ifd_batch`` vs a loop of its one-row calls (ragged
+  instances, mixed per-row ``k``, per-row cost vectors);
+* ``two_group_competition_batch`` vs a loop of its one-row calls over a mixed
+  policy-pair roster;
 * ``repeated_dispersal_batch`` (adaptive ``sigma_star`` schedule) vs a loop
-  of scalar ``expected_repeated_dispersal`` calls;
+  of its one-row calls;
 * ``best_two_level_batch`` vs a loop of scalar ``best_two_level_policy``
   calls over the same ``C_c`` grid.
+
+The scenario kernels have no scalar front: a caller with one instance makes
+the one-row call on ``f[None, :]``, which is what the loops time.
 
 Each comparison includes a correctness spot check (the artifact can never
 report a fast wrong answer).  The script exits non-zero when any family's
@@ -39,6 +42,7 @@ from repro.batch import (
     PaddedValues,
     best_two_level_batch,
     cost_adjusted_ifd_batch,
+    cost_adjusted_site_values_batch,
     repeated_dispersal_batch,
     two_group_competition_batch,
 )
@@ -46,12 +50,6 @@ from repro.core.ifd import verify_ifd
 from repro.core.policies import AggressivePolicy, ExclusivePolicy, SharingPolicy
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
-from repro.extensions import (
-    cost_adjusted_ifd,
-    expected_repeated_dispersal,
-    two_group_competition,
-)
-from repro.extensions.repeated import adaptive_sigma_star_schedule
 from repro.mechanism import best_two_level_policy
 
 SEED = 20180503
@@ -106,22 +104,24 @@ def bench_travel_costs(rng, repeats: int) -> dict:
     batched = best_of(lambda: cost_adjusted_ifd_batch(padded, costs, ks, policy), repeats)
     looped = best_of(
         lambda: [
-            cost_adjusted_ifd(values, costs[i, : values.m], int(ks[i]), policy)
+            cost_adjusted_ifd_batch(
+                values.as_array()[None, :], costs[i, : values.m], int(ks[i]), policy
+            )
             for i, values in enumerate(instances)
         ],
         max(1, repeats // 2),
     )
 
+    # Each spot-checked row must meet the IFD conditions of its own game:
+    # equal net values on the support, none higher off it.
     batch = cost_adjusted_ifd_batch(padded, costs, ks, policy)
+    nu = cost_adjusted_site_values_batch(padded, costs, batch.probabilities, ks, policy)
     for index in (0, len(instances) // 2, len(instances) - 1):
-        scalar = cost_adjusted_ifd(
-            instances[index], costs[index, : instances[index].m], int(ks[index]), policy
-        )
-        np.testing.assert_allclose(
-            batch.probabilities[index, : instances[index].m],
-            scalar.strategy.as_array(),
-            atol=1e-5,
-        )
+        m = instances[index].m
+        support = batch.probabilities[index, :m] > 1e-9
+        net = nu[index, :m]
+        assert np.ptp(net[support]) < 1e-6, (index, net)
+        assert net.max() <= batch.values[index] + 1e-6, (index, net)
 
     return {
         "grid": {"instances": len(instances), "m_range": list(TC_M_RANGE), "k_choices": list(TC_K_CHOICES)},
@@ -146,14 +146,13 @@ def bench_group_competition(rng, repeats: int) -> dict:
     )
     looped = best_of(
         lambda: [
-            two_group_competition(values, first, second, GC_K)
+            two_group_competition_batch(values.as_array()[None, :], first, second, GC_K)
             for values, (first, second) in zip(instances, matchups)
         ],
         max(1, repeats // 2),
     )
 
-    # The scalar function is a one-row view of the batch kernel, so the spot
-    # check asks each wave to be an IFD of its own game instead: the first
+    # The spot check asks each wave to be an IFD of its own game: the first
     # on the values, the second on the expected leftovers.
     batch = two_group_competition_batch(padded, firsts, seconds, GC_K)
     for index in (0, GC_N_MATCHUPS // 2, GC_N_MATCHUPS - 1):
@@ -185,31 +184,27 @@ def bench_repeated(rng, repeats: int) -> dict:
         lambda: repeated_dispersal_batch(padded, ks, depletion=depletions, **options),
         repeats,
     )
+    def one_row(i: int):
+        return repeated_dispersal_batch(
+            instances[i].as_array()[None, :], int(ks[i]), depletion=depletions[i], **options
+        )
+
     looped = best_of(
-        lambda: [
-            expected_repeated_dispersal(
-                values,
-                int(ks[i]),
-                adaptive_sigma_star_schedule(int(ks[i])),
-                rounds=RD_ROUNDS,
-                depletion=float(depletions[i]),
-            )
-            for i, values in enumerate(instances)
-        ],
-        max(1, repeats // 2),
+        lambda: [one_row(i) for i in range(len(instances))], max(1, repeats // 2)
     )
 
+    # Every horizon conserves value, and a row of the batch equals the same
+    # instance solved alone.
     batch = repeated_dispersal_batch(padded, ks, depletion=depletions, **options)
+    totals = np.where(padded.mask, padded.values, 0.0).sum(axis=1)
+    np.testing.assert_allclose(
+        batch.cumulative_consumption + batch.remaining_values, totals, rtol=1e-9
+    )
     for index in (0, RD_N_HORIZONS // 2, RD_N_HORIZONS - 1):
-        scalar = expected_repeated_dispersal(
-            instances[index],
-            int(ks[index]),
-            adaptive_sigma_star_schedule(int(ks[index])),
-            rounds=RD_ROUNDS,
-            depletion=float(depletions[index]),
-        )
         np.testing.assert_allclose(
-            batch.per_round_consumption[index], scalar.per_round_consumption, atol=1e-9
+            batch.per_round_consumption[index],
+            one_row(index).per_round_consumption[0],
+            atol=1e-9,
         )
 
     return {
@@ -288,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     report = {
-        "benchmark": "batched scenario kernels vs scalar loops",
+        "benchmark": "batched scenario kernels vs looped calls",
         "environment": environment_metadata(),
         "min_speedup_required": args.min_speedup,
         "families": families,

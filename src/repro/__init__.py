@@ -10,8 +10,9 @@ each of the ``l`` players that landed on site ``x``.  The package provides
   the general IFD solver, ESS machinery and the symmetric price of anarchy;
 * batched instance solvers (:mod:`repro.batch`): whole ``(instances x
   k-grid)`` grids — ``sigma_star``, coverage optima, IFDs, SPoA, the
-  Section-5 scenario extensions and the Theorems 4-6 mechanism sweeps
-  (:mod:`repro.batch.scenarios`) — in a handful of tensor passes over
+  Section-5 scenario extensions (:mod:`repro.batch.scenarios`,
+  :mod:`repro.batch.extensions`; their one implementation) and the
+  Theorems 4-6 mechanism sweeps — in a handful of tensor passes over
   padded ragged batches, expressed as pure Array-API kernels against the
   pluggable backend layer of :mod:`repro.backend` (``numpy`` default;
   ``array_api_strict`` / ``torch`` auto-detected, selected via

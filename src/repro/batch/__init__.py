@@ -28,8 +28,8 @@ This subpackage solves entire grids in a handful of NumPy passes:
 * :mod:`repro.batch.extensions` — batched kernels for the model extensions
   (capacity-constrained coverage and its exact gradient over ``(B, M)``
   profile batches);
-* :mod:`repro.batch.scenarios` — batched kernels for the Section-5 scenario
-  extensions: cost-adjusted IFDs with per-row cost vectors, two-group
+* :mod:`repro.batch.scenarios` — the one implementation of the Section-5
+  scenario extensions: cost-adjusted IFDs with per-row cost vectors, two-group
   competition over ``(B,)`` policy-pair rosters, and repeated dispersal with
   depletion;
 * :mod:`repro.batch.mechanism` — batched mechanism design: the Theorems 4-6
@@ -59,9 +59,9 @@ variable, or the CLI's ``--backend`` flag.  Public results always come back
 as host NumPy arrays; intermediates between kernels stay backend-native.
 
 The closed-form kernels are the one implementation of their formulas: the
-scalar ``sigma_star``, ``optimal_coverage``, ``spoa_instance``,
-``capacity_coverage`` and ``two_group_competition`` are batch-of-one views
-of them.  The batch layer is what the experiment runner of
+scalar ``sigma_star``, ``optimal_coverage`` and ``spoa_instance`` are
+batch-of-one views of them, and the scenario kernels have no scalar front (a
+single instance is the one-row call on ``f[None, :]``).  The batch layer is what the experiment runner of
 :mod:`repro.experiments` builds on.
 """
 

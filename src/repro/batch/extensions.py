@@ -1,14 +1,18 @@
 """Batched kernels for the model extensions: capacity-constrained coverage.
 
-First batched entry point of the :mod:`repro.extensions` layer.
-:func:`capacity_coverage_batch` evaluates the capacity-constrained coverage
-for a whole ``(B, M)`` batch of strategy profiles in one pass through the
-shared :func:`~repro.utils.numerics.binomial_pmf_tensor` — with per-row
-player counts and per-row (or shared) visitor requirements — and
+The paper's coverage assumes a single visitor consumes the full value of a
+site (Section 5.1 lists relaxing this as future work).  Here each visitor
+consumes at most ``1 / r(x)`` of site ``x``, so site ``x`` needs ``r(x)``
+visitors to be fully exploited, and ``r == 1`` recovers the paper's
+coverage.  :func:`capacity_coverage_batch` evaluates this coverage for a
+whole ``(B, M)`` batch of strategy profiles in one pass through the shared
+:func:`~repro.utils.numerics.binomial_pmf_tensor` — with per-row player
+counts and per-row (or shared) visitor requirements — and
 :func:`capacity_coverage_gradient_batch` returns the exact gradient for every
-row, the building block of a future batched projected-gradient ascent.
-:func:`repro.extensions.capacity.capacity_coverage` and its gradient are
-one-row views of the two.
+row.  The objective is concave in each ``p(x)``, so projected gradient
+ascent on the gradient kernel finds its optimum (``tests/oracles.py`` runs
+that ascent row-batched); there is no closed form in general.  A single
+profile is the one-row call on ``f[None, :]``.
 
 Like every batch kernel, the bodies are pure Array-API code on the backend
 resolved through :mod:`repro.backend`, and results come back as host NumPy
@@ -70,8 +74,7 @@ def capacity_coverage_batch(
     """Capacity-constrained coverage for a whole batch of symmetric profiles.
 
     ``CapCover_b = sum_x f_b(x) * E[min(1, N_x / r_b(x))]`` with
-    ``N_x ~ Binomial(k_b, p_b(x))`` — the batched
-    :func:`repro.extensions.capacity.capacity_coverage`.
+    ``N_x ~ Binomial(k_b, p_b(x))``.
 
     Parameters
     ----------

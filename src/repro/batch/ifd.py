@@ -62,9 +62,8 @@ tables included) nor on its padding.  The one exception is an iterative row
 and the width of the log-space sums.  Closed-form rows never depend on it.
 :func:`ifd_batch`, :func:`repro.batch.mechanism.compare_policies_batch` (one
 call per policy roster, grant-design rows included),
-:func:`repro.batch.scenarios.cost_adjusted_ifd_batch`,
-:func:`repro.core.ifd.ideal_free_distribution` and
-:func:`repro.extensions.travel_costs.cost_adjusted_ifd` are all thin callers.
+:func:`repro.batch.scenarios.cost_adjusted_ifd_batch` and
+:func:`repro.core.ifd.ideal_free_distribution` are all thin callers.
 """
 
 from __future__ import annotations

@@ -1,22 +1,21 @@
 """Batched kernels for the Section-5 scenario extensions.
 
-This module evaluates the Section-5 scenario models of
-:mod:`repro.extensions` (travel costs, two-group competition, repeated
-dispersal) for whole instance batches at once:
+This module is the one implementation of the Section-5 scenario models
+(travel costs, two-group competition, repeated dispersal); each kernel
+solves whole instance batches at once, and a single instance is the
+one-row call on ``f[None, :]``:
 
 * :func:`cost_adjusted_ifd_batch` — the water-filling equilibrium of the
   travel-cost game for ``B`` instances with per-row cost vectors and per-row
-  player counts (the batch counterpart of
-  :func:`repro.extensions.travel_costs.cost_adjusted_ifd`);
+  player counts;
 * :func:`two_group_competition_batch` — both waves of the sequential
   two-group competition vectorised over a ``(B,)`` roster of policy pairs,
-  reusing :func:`~repro.batch.ifd.ifd_batch` for the equilibria of each wave
-  (:func:`repro.extensions.group_competition.two_group_competition` is its
-  one-row view);
+  reusing :func:`~repro.batch.ifd.ifd_batch` for the equilibria of each wave;
 * :func:`repeated_dispersal_batch` — a ``T``-step depletion loop over
   ``(B, M)`` expected-value tensors under the constant and adaptive
-  ``sigma_star`` schedules, with the per-round visit probabilities taken from
-  :func:`~repro.utils.numerics.binomial_pmf_tensor`.
+  ``sigma_star`` schedules.
+
+Capacity-constrained coverage lives in :mod:`repro.batch.extensions`.
 
 The mechanism-design sweeps (Theorems 4-6) live in :mod:`repro.batch.mechanism`.
 
@@ -29,14 +28,14 @@ sorted, **per-site inputs (costs) align with the sorted site order** — cost
 ``costs[b, j]`` belongs to the ``j``-th most valuable site of row ``b``.
 
 ``tests/test_batch_scenarios.py`` checks every kernel against an independent
-oracle or the scalar expected-track recursion, including under
-``array_api_strict``.
+oracle of ``tests/oracles.py`` (brute-force IFD conditions, the one-row
+expected-track recursion), including under ``array_api_strict``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,17 +55,11 @@ from repro.batch.payoffs import (
 )
 from repro.batch.solvers import as_padded, sigma_star_batch
 from repro.core.policies import CongestionPolicy
-from repro.core.strategy import Strategy
-from repro.utils.memo import cached_binomial_pmf_plan
-from repro.utils.numerics import binomial_pmf_tensor
 from repro.utils.validation import (
     check_positive_integer,
     check_probability_rows,
     check_site_parameters,
 )
-
-if TYPE_CHECKING:
-    from repro.extensions.group_competition import GroupCompetitionResult
 
 __all__ = [
     "CostAdjustedIFDBatch",
@@ -157,9 +150,7 @@ def cost_adjusted_site_values_batch(
 ) -> np.ndarray:
     """Batched net site values ``nu_p(x) = f(x) * g(p(x)) - d(x)``.
 
-    The batch counterpart of
-    :func:`repro.extensions.travel_costs.cost_adjusted_site_values`: one
-    ``(B, M_max)`` pass for the whole batch, with per-row player counts.
+    One ``(B, M_max)`` pass for the whole batch, with per-row player counts.
     Padding columns come back exactly zero.
 
     Returns
@@ -190,9 +181,9 @@ def cost_adjusted_ifd_batch(
     """Cost-adjusted symmetric equilibrium for a whole instance batch.
 
     One :func:`~repro.batch.ifd.water_filling_batch` call with per-row costs
-    and player counts — the same solver as the scalar
-    :func:`repro.extensions.travel_costs.cost_adjusted_ifd`, so each row
-    equals the scalar answer for that row.
+    and player counts.  Players must pick some site (no staying-home
+    option), so the equilibrium net payoff may be negative when every site
+    is expensive.
 
     Parameters
     ----------
@@ -287,23 +278,6 @@ class TwoGroupCompetitionBatch:
         total = self.first_consumption + self.second_consumption
         return np.where(total > 0, self.first_consumption / np.where(total > 0, total, 1.0), np.nan)
 
-    def result(self, index: int) -> GroupCompetitionResult:
-        """Hydrate row ``index`` into the scalar :class:`GroupCompetitionResult`."""
-        # Imported here: the experiment registry loads this module for every
-        # sweep, and sweeps need nothing of repro.extensions.
-        from repro.extensions.group_competition import GroupCompetitionResult
-
-        size = int(self.padded.sizes[index])
-        return GroupCompetitionResult(
-            first_consumption=float(self.first_consumption[index]),
-            second_consumption=float(self.second_consumption[index]),
-            first_strategy=Strategy(self.first_strategies[index, :size]),
-            second_strategy=Strategy(self.second_strategies[index, :size]),
-            first_individual_payoff=float(self.first_individual_payoffs[index]),
-            second_individual_payoff=float(self.second_individual_payoffs[index]),
-            leftover_value=float(self.leftover_values[index]),
-        )
-
 
 def _policy_roster(
     policies: CongestionPolicy | Sequence[CongestionPolicy], batch_size: int, name: str
@@ -363,10 +337,14 @@ def two_group_competition_batch(
 ) -> TwoGroupCompetitionBatch:
     """Sequential two-group competition for a whole batch of matchups.
 
-    The batch counterpart of
-    :func:`repro.extensions.group_competition.two_group_competition`: row
-    ``b`` plays ``first_policies[b]`` against ``second_policies[b]`` on
-    instance ``b`` with group sizes ``k_first[b]`` / ``k_second[b]``.  Both
+    The patch set is exploited in two waves: the first group disperses at
+    the symmetric equilibrium (IFD) of its own congestion rule and removes
+    the value of every patch it visits; the second group then disperses at
+    the IFD of its own rule over the expected leftovers
+    ``f(x) * (1 - P[first group visits x])``.  Row ``b`` plays
+    ``first_policies[b]`` against ``second_policies[b]`` on instance ``b``
+    with group sizes ``k_first[b]`` / ``k_second[b]``; a raw ``(B, M)``
+    matrix is answered in its own site order.  Both
     waves are solved through :func:`~repro.batch.ifd.ifd_batch` (rows are
     grouped by policy object, so a roster built from a handful of policies
     costs a handful of batched solves, not ``B`` scalar ones), and the
@@ -388,8 +366,7 @@ def two_group_competition_batch(
     Returns
     -------
     TwoGroupCompetitionBatch
-        One row per matchup; :meth:`TwoGroupCompetitionBatch.result` hydrates
-        a row.
+        One row per matchup.
     """
     be = resolve_backend(backend)
     padded = as_padded(values)
@@ -479,9 +456,9 @@ class RepeatedDispersalBatch:
 def _sigma_star_rows(remaining: np.ndarray, padded: PaddedValues, ks: np.ndarray, be: Backend, floor: float) -> np.ndarray:
     """Per-row ``sigma_star`` on the current expected remaining values.
 
-    Mirrors :func:`repro.extensions.repeated.adaptive_sigma_star_schedule`
-    for every row at once: clamp to ``floor`` and solve the closed form,
-    which answers each row in its own site order.  Mixed per-row ``k`` is
+    Clamps to ``floor`` (sites depleted to numerically zero leave the
+    support) and solves the closed form, which answers each row in its own
+    site order.  Mixed per-row ``k`` is
     handled by solving the distinct player counts as one
     ``sigma_star_batch`` grid and gathering each row's column.
     """
@@ -504,16 +481,15 @@ def repeated_dispersal_batch(
 ) -> RepeatedDispersalBatch:
     """Expected ``T``-round depletion dynamics for a whole instance batch.
 
-    Evolves the deterministic *expected* remaining-value tensor that the
-    scalar simulator's schedules condition on (see
-    :func:`repro.extensions.repeated.expected_repeated_dispersal`): per round,
-    every patch is visited with probability ``1 - P[Binomial(k_b, p) = 0]``
-    (taken from the zeroth column of
-    :func:`~repro.utils.numerics.binomial_pmf_tensor`), consumed values are
-    accumulated and remaining values decay by the per-row ``depletion``
-    factor.  Because consumption is linear in the remaining values and round
-    choices are independent, this expected track is exact — it equals the
-    ``n_trials -> inf`` limit of the Monte-Carlo simulator.
+    The one-shot game is played for ``T`` rounds over the same patches, and
+    a visited patch keeps the ``depletion`` fraction of its value.  Players
+    cannot condition on the realised outcomes of others, so the schedule
+    sees only the deterministic *expected* remaining values.  Per round,
+    every patch is visited with probability ``1 - (1 - p)**k_b``, consumed
+    values are accumulated and remaining values decay by the per-row
+    ``depletion`` factor.  Because consumption is linear in the remaining
+    values and round choices are independent, this expected track is exact
+    — it equals the ``n_trials -> inf`` limit of simulating the rounds.
 
     Parameters
     ----------
@@ -534,17 +510,16 @@ def repeated_dispersal_batch(
         schedule; ``None`` solves ``sigma_star`` on the initial values once
         and holds it fixed.
     floor:
-        Clamp applied to depleted values before the adaptive re-solve,
-        matching the scalar schedule's default.
+        Clamp applied to depleted values before the adaptive re-solve.
     backend:
         Array backend the per-round kernels run on.
 
     Returns
     -------
     RepeatedDispersalBatch
-        Elementwise equal to looping the scalar expected-track recursion
-        (property-tested, including the ``depletion == 0`` full-consumption
-        case).
+        Elementwise equal to the one-row expected-track recursion of
+        ``tests/oracles.py`` (property-tested, including the
+        ``depletion == 0`` full-consumption case).
     """
     be = resolve_backend(backend)
     xp = be.xp
@@ -569,6 +544,7 @@ def repeated_dispersal_batch(
         raise ValueError("strategies is only meaningful with schedule='constant'")
 
     fmask = padded.fmask_for(be)
+    ksf = from_numpy(be, ks.astype(float), dtype=fdt)[:, None]
     # ``depletion`` is the fraction that survives a visit, so a visited
     # patch's value is consumed at rate (1 - depletion).
     consumed_fraction = from_numpy(be, 1.0 - depletion_vec, dtype=fdt)
@@ -583,12 +559,7 @@ def repeated_dispersal_batch(
             probabilities = fixed
         last_probabilities = probabilities
         p_dev = from_numpy(be, probabilities, dtype=fdt)
-        # One memoized plan serves every round: (ks, B, backend) are loop
-        # invariants, only the probabilities change.
-        pmf = binomial_pmf_tensor(
-            ks, p_dev, backend=be, plan=cached_binomial_pmf_plan(ks, backend=be)
-        )
-        visit = (1.0 - pmf[:, :, 0]) * fmask
+        visit = (1.0 - (1.0 - p_dev) ** ksf) * fmask
         consumed = xp.sum(remaining * visit, axis=1) * consumed_fraction
         per_round[:, round_index] = to_numpy(consumed)
         remaining = remaining * (1.0 - visit * consumed_fraction[:, None])

@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.utils.validation import check_counts
+from repro.utils.validation import check_counts, check_unit_interval
 
 __all__ = [
     "BinomialPmfPlan",
@@ -206,8 +206,7 @@ def binomial_pmf_tensor(
 
     if plan is None:
         trials = check_counts(n, "n", minimum=0, size=P.shape[0])
-        if bool(xp.any((P < -1e-12) | (P > 1 + 1e-12))):
-            raise ValueError("probs must lie in [0, 1]")
+        check_unit_interval(P, "probs", xp=xp)
         plan = make_binomial_pmf_plan(trials, backend=be)
 
     P = xp.clip(P, 0.0, 1.0)

@@ -16,6 +16,14 @@ None of these shares code with the kernel it checks:
   coverage over every pure profile, and :func:`enumerated_capacity_gradient`
   differentiates each site's visit-count law term by term over all ``2 ** k``
   visit/no-visit sequences — no binomial pmf in either;
+  :func:`maximize_capacity_coverage` is projected gradient ascent on the
+  batch capacity kernels, whose optimum the tests hold against ``sigma_star``
+  and fixed baselines;
+* :func:`expected_repeated_dispersal` runs the expected track of repeated
+  dispersal one instance and one round at a time under a callable schedule,
+  where :func:`repro.batch.scenarios.repeated_dispersal_batch` steps a
+  batch under a named one, and :func:`simulate_repeated_dispersal` plays the
+  same rounds with sampled visits (its ``n_trials -> inf`` limit);
 * :func:`lockstep_search_rounds` plays every round of a Bayesian search
   explicitly, where the batched simulator inverts the geometric law of the
   discovery round;
@@ -45,6 +53,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from repro.batch.extensions import capacity_coverage_batch, capacity_coverage_gradient_batch
 from repro.core.coverage import coverage, coverage_gradient
 from repro.core.optimal_coverage import CoverageOptimum
 from repro.core.policies import CongestionPolicy
@@ -309,6 +318,81 @@ def enumerated_capacity_gradient(values, strategy, k: int, requirements) -> np.n
             )
             gradient[x] += derivative * min(1.0, sum(sequence) / r[x])
     return f * gradient
+
+
+def maximize_capacity_coverage(
+    values, k: int, requirements, *, max_iter: int = 5_000, tol: float = 1e-12
+):
+    """Maximise the capacity-constrained coverage of every row by projected gradient ascent.
+
+    ``values`` is a ``(B, M)`` matrix (or one ``(M,)`` row) and
+    ``requirements`` anything :func:`capacity_coverage_batch` takes.  Every
+    step makes one :func:`capacity_coverage_gradient_batch` call for all rows,
+    with each row's step ``1 / (k**2 max f)``; a row stops moving once its
+    objective changes by at most ``tol`` (relative).  The objective is concave
+    in each ``p(x)``, so each row reaches its global optimum.  Returns the
+    ``(B, M)`` strategies and their ``(B,)`` coverages.
+    """
+    f = np.atleast_2d(values_array(values))
+    step = 1.0 / np.maximum(k * k * f.max(axis=1, keepdims=True), 1e-12)
+    p = np.full(f.shape, 1.0 / f.shape[1])
+    previous = capacity_coverage_batch(f, p, k, requirements)
+    running = np.ones(f.shape[0], dtype=bool)
+    for _ in range(max_iter):
+        grad = capacity_coverage_gradient_batch(f, p, k, requirements)
+        moved = np.apply_along_axis(simplex_projection, 1, p + step * grad)
+        p = np.where(running[:, None], moved, p)
+        current = capacity_coverage_batch(f, p, k, requirements)
+        running &= np.abs(current - previous) > tol * np.maximum(1.0, np.abs(current))
+        previous = current
+        if not running.any():
+            break
+    return p, previous
+
+
+def expected_repeated_dispersal(values, k: int, schedule, *, rounds: int, depletion: float):
+    """The expected track of ``rounds`` of dispersal with depletion, one round at a time.
+
+    ``schedule(round_index, expected_remaining)`` returns the round's
+    strategy.  Each site is visited with probability ``1 - (1 - p(x))**k``,
+    the group consumes ``(1 - depletion)`` of each visited site's remaining
+    value, and the site keeps the rest.  Returns the ``(rounds,)`` expected
+    consumption per round and the ``(M,)`` expected remaining values.
+    """
+    remaining = values_array(values).copy()
+    per_round = np.zeros(rounds)
+    for round_index in range(rounds):
+        visit = 1.0 - (1.0 - strategy_array(schedule(round_index, remaining))) ** k
+        per_round[round_index] = remaining @ visit * (1.0 - depletion)
+        remaining = remaining * (1.0 - visit * (1.0 - depletion))
+    return per_round, remaining
+
+
+def simulate_repeated_dispersal(
+    values, k: int, schedule, *, rounds: int, depletion: float, n_trials: int, rng
+):
+    """Monte-Carlo repeated dispersal: ``n_trials`` realised horizons.
+
+    Every round the ``k`` players of every trial sample sites; a visited
+    site yields ``(1 - depletion)`` of its realised remaining value and keeps
+    the rest.  The schedule sees the *expected* remaining values (the players
+    cannot condition on what others found), so all trials share the round's
+    strategy.  Returns the ``(rounds,)`` mean consumption per round and the
+    mean total value left.
+    """
+    generator = np.random.default_rng(rng)
+    f = values_array(values)
+    remaining = np.tile(f, (n_trials, 1))
+    expected = f.copy()
+    per_round = np.zeros(rounds)
+    for round_index in range(rounds):
+        p = strategy_array(schedule(round_index, expected))
+        choices = generator.choice(f.size, size=(n_trials, k), p=p)
+        visited = (choices[:, :, None] == np.arange(f.size)).any(axis=1)
+        per_round[round_index] = (remaining * visited).sum(axis=1).mean() * (1.0 - depletion)
+        remaining = np.where(visited, remaining * depletion, remaining)
+        expected = expected * (1.0 - (1.0 - (1.0 - p) ** k) * (1.0 - depletion))
+    return per_round, float(remaining.sum(axis=1).mean())
 
 
 def lockstep_search_rounds(priors, strategies, k, n_trials: int, max_rounds: int, rng) -> np.ndarray:

@@ -49,7 +49,6 @@ from repro.core.policies import (
 from repro.core.sigma_star import sigma_star
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
-from repro.extensions.capacity import capacity_coverage
 from repro.search.coverage_times import expected_coverage_time, partial_coverage_time
 
 K_GRID = (1, 2, 3, 5, 11)
@@ -502,6 +501,8 @@ _VALUES = SiteValues.zipf(3)
 _VISITS = np.array([0.5, 0.3, 0.2])
 
 #: Scalar front and batch kernel of each count argument, as functions of the count.
+#: Capacity coverage has no scalar front: its pair is the one-row call with a
+#: per-site requirement vector and the batch call with a scalar requirement.
 COUNT_FRONTS = {
     "sigma_star k": (
         lambda bad: sigma_star(_VALUES, bad),
@@ -516,7 +517,9 @@ COUNT_FRONTS = {
         lambda bad: partial_coverage_time_batch([_VISITS], 2, bad),
     ),
     "capacity_coverage requirements": (
-        lambda bad: capacity_coverage(_VALUES, Strategy.uniform(3), 2, bad),
+        lambda bad: capacity_coverage_batch(
+            _VALUES.as_array()[None, :], np.full((1, 3), 1 / 3), 2, np.full(3, bad)
+        ),
         lambda bad: capacity_coverage_batch([_VALUES], np.full((1, 3), 1 / 3), 2, bad),
     ),
 }

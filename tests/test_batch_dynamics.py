@@ -114,6 +114,12 @@ class TestBinomialPmfTensor:
         with pytest.raises(ValueError):
             binomial_pmf_tensor(2, np.array([[1.5]]))
 
+    def test_rejects_nan_probabilities(self):
+        # A NaN entry used to pass the range check and come back as an
+        # all-zero "law".
+        with pytest.raises(ValueError, match=r"probs must lie in \[0, 1\]"):
+            binomial_pmf_tensor(2, np.array([[np.nan, 0.5]]))
+
 
 class TestBernsteinEvaluator:
     """The shared ``g``/``g'`` evaluator of the IFD solver and the dynamics engine."""

@@ -49,6 +49,7 @@ from repro.batch import (
 from repro.batch.ifd import DE_CASTELJAU_MAX_DEGREE, ifd_batch, water_filling_batch
 from repro.batch.mechanism import best_two_level_batch, compare_policies_batch
 from repro.batch.payoffs import congestion_table_batch
+from repro.batch.scenarios import repeated_dispersal_batch, two_group_competition_batch
 from repro.batch.solvers import coverage_batch, sigma_star_batch
 from repro.core.optimal_coverage import optimal_coverage
 from repro.core.policies import (
@@ -383,6 +384,53 @@ class TestSitePermutation:
             k_grid,
         )
         np.testing.assert_allclose(permuted, covered, rtol=1e-12, atol=0)
+
+    def test_two_group_competition_is_equivariant(self, rng):
+        (values, _, mask), (values_p, _, _), order = permuted_rows(rng, self.M_VALUES, False)
+        ks = np.resize([2, 3, 7], self.M_VALUES.size)
+        pool = (ExclusivePolicy(), SharingPolicy(), AggressivePolicy(0.5))
+        firsts = [pool[r % 3] for r in range(ks.size)]
+        seconds = [(SharingPolicy(), PowerLawPolicy(2.0))[r % 2] for r in range(ks.size)]
+        solved, permuted = (
+            two_group_competition_batch(
+                PaddedValues(np.where(mask, rows, 1.0), self.M_VALUES),
+                firsts, seconds, ks, ks[::-1],
+            )
+            for rows in (values, values_p)
+        )
+        rows = np.arange(ks.size)[:, None]
+        for field in ("first_strategies", "second_strategies"):
+            np.testing.assert_allclose(
+                getattr(permuted, field), getattr(solved, field)[rows, order], rtol=0, atol=1e-12
+            )
+        for field in (
+            "first_consumption", "second_consumption", "leftover_values",
+            "first_individual_payoffs", "second_individual_payoffs",
+        ):
+            np.testing.assert_allclose(
+                getattr(permuted, field), getattr(solved, field), rtol=1e-12, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("schedule", ["constant", "adaptive"])
+    def test_repeated_dispersal_is_equivariant(self, rng, schedule):
+        (values, _, mask), (values_p, _, _), order = permuted_rows(rng, self.M_VALUES, False)
+        ks = np.resize([1, 2, 7, 40], self.M_VALUES.size)
+        depletion = rng.uniform(0.0, 0.9, ks.size)
+        solved, permuted = (
+            repeated_dispersal_batch(
+                PaddedValues(np.where(mask, rows, 1.0), self.M_VALUES),
+                ks, rounds=4, depletion=depletion, schedule=schedule,
+            )
+            for rows in (values, values_p)
+        )
+        rows = np.arange(ks.size)[:, None]
+        np.testing.assert_allclose(
+            permuted.final_strategies, solved.final_strategies[rows, order], rtol=0, atol=1e-12
+        )
+        for field in ("per_round_consumption", "cumulative_consumption", "remaining_values"):
+            np.testing.assert_allclose(
+                getattr(permuted, field), getattr(solved, field), rtol=1e-12, atol=1e-12
+            )
 
 
 class TestOneSolvePerMechanismCell:

@@ -1,11 +1,12 @@
 """Property tests for the batched scenario kernels of ``repro.batch.scenarios``.
 
 The contract: every scenario kernel agrees **elementwise** with a reference
-that does not run it — the scalar code of :mod:`repro.extensions` /
+that does not run it — the scalar code of
 :mod:`repro.mechanism.policy_design` where that is a separate implementation,
-and otherwise the brute-force oracles of :mod:`oracles` (each two-group
-competition wave meets the IFD conditions of its own game; ``sigma_star``
-schedules come from the water-filling coverage optimum).  The grids include
+and otherwise the oracles of :mod:`oracles` (every cost-adjusted row and each
+two-group competition wave meets the brute-force IFD conditions of its own
+game; repeated dispersal follows the one-row expected-track recursion, its
+``sigma_star`` schedules taken from the water-filling coverage optimum).  The grids include
 ragged site counts, mixed per-row player counts, per-row cost vectors and
 depletion factors, and the reduction-to-core cases (``d == 0`` costs,
 ``k = 1`` rows, constant congestion tables).
@@ -21,7 +22,13 @@ import numpy as np
 import pytest
 
 from conftest import backend_params
-from oracles import assert_oracle_ifd, enumerated_visits, maximize_coverage_waterfilling
+from oracles import (
+    assert_oracle_ifd,
+    brute_force_site_payoffs,
+    enumerated_visits,
+    expected_repeated_dispersal,
+    maximize_coverage_waterfilling,
+)
 from repro.backend import use_backend
 from repro.batch import (
     PaddedValues,
@@ -41,14 +48,7 @@ from repro.core.policies import (
     SharingPolicy,
     TwoLevelPolicy,
 )
-from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
-from repro.extensions import (
-    cost_adjusted_ifd,
-    cost_adjusted_site_values,
-    expected_repeated_dispersal,
-)
-from repro.extensions.repeated import constant_schedule
 from repro.mechanism import best_two_level_policy, compare_policies
 
 POLICIES = [SharingPolicy(), ExclusivePolicy(), TwoLevelPolicy(-0.2)]
@@ -98,20 +98,16 @@ class TestAsCostsBatch:
 
 class TestCostAdjustedIFDBatch:
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
-    def test_matches_scalar_rows(self, ragged_batch, policy):
+    def test_rows_meet_the_oracle_ifd_conditions(self, ragged_batch, policy):
         padded, instances, ks = ragged_batch
         costs = random_costs(padded, np.random.default_rng(11))
         batch = cost_adjusted_ifd_batch(padded, costs, ks, policy)
+        assert bool(batch.converged.all())
         for index, (values, k) in enumerate(zip(instances, ks)):
-            scalar = cost_adjusted_ifd(values, costs[index, : values.m], int(k), policy)
-            np.testing.assert_allclose(
-                batch.probabilities[index, : values.m],
-                scalar.strategy.as_array(),
-                atol=2e-6,
-            )
-            np.testing.assert_allclose(batch.values[index], scalar.value, atol=2e-6)
-            assert int(batch.support_sizes[index]) == scalar.support_size
-            assert bool(batch.converged[index]) == scalar.converged
+            p = batch.probabilities[index, : values.m]
+            payoff = assert_oracle_ifd(values.as_array(), costs[index, : values.m], p, int(k), policy)
+            np.testing.assert_allclose(batch.values[index], payoff, atol=2e-6)
+            assert int(batch.support_sizes[index]) == int(np.count_nonzero(p > 1e-12))
             assert np.all(batch.probabilities[index, values.m :] == 0.0)
 
     def test_zero_costs_reduce_to_core_ifd(self, ragged_batch):
@@ -137,29 +133,39 @@ class TestCostAdjustedIFDBatch:
             np.testing.assert_allclose(batch.probabilities[index, best], 1.0)
             np.testing.assert_allclose(batch.values[index], net[best], atol=1e-12)
 
-    def test_constant_policy_rows_match_scalar_closed_form(self, ragged_batch):
+    def test_constant_policy_rows_concentrate_on_the_best_net_sites(self, ragged_batch):
         padded, instances, ks = ragged_batch
         costs = random_costs(padded, np.random.default_rng(7))
         batch = cost_adjusted_ifd_batch(padded, costs, ks, ConstantPolicy())
         for index, (values, k) in enumerate(zip(instances, ks)):
-            scalar = cost_adjusted_ifd(values, costs[index, : values.m], int(k), ConstantPolicy())
+            # Net payoffs ignore congestion, so the equilibrium spreads its
+            # mass evenly over the argmax set of f - d.
+            net = values.as_array() - costs[index, : values.m]
+            best = net == net.max()
             np.testing.assert_allclose(
-                batch.probabilities[index, : values.m],
-                scalar.strategy.as_array(),
-                atol=1e-12,
+                batch.probabilities[index, : values.m], best / best.sum(), atol=1e-12
             )
-            assert int(batch.support_sizes[index]) == scalar.support_size
+            assert int(batch.support_sizes[index]) == int(best.sum())
+            assert_oracle_ifd(
+                values.as_array(),
+                costs[index, : values.m],
+                batch.probabilities[index, : values.m],
+                int(k),
+                ConstantPolicy(),
+            )
 
     def test_aggressive_policy_supports_negative_values(self):
         values = SiteValues.from_values([1.0, 0.9, 0.8])
         padded = PaddedValues.from_instances([values])
         costs = np.array([[0.9, 0.9, 0.9]])
         batch = cost_adjusted_ifd_batch(padded, costs, 4, AggressivePolicy(0.5))
-        scalar = cost_adjusted_ifd(values, costs[0], 4, AggressivePolicy(0.5))
-        np.testing.assert_allclose(batch.probabilities[0], scalar.strategy.as_array(), atol=2e-6)
-        np.testing.assert_allclose(batch.values[0], scalar.value, atol=2e-6)
+        payoff = assert_oracle_ifd(
+            values.as_array(), costs[0], batch.probabilities[0], 4, AggressivePolicy(0.5)
+        )
+        assert payoff < 0
+        np.testing.assert_allclose(batch.values[0], payoff, atol=2e-6)
 
-    def test_site_values_batch_matches_scalar(self, ragged_batch):
+    def test_site_values_batch_matches_brute_force(self, ragged_batch):
         padded, instances, ks = ragged_batch
         rng = np.random.default_rng(3)
         costs = random_costs(padded, rng)
@@ -168,10 +174,10 @@ class TestCostAdjustedIFDBatch:
         policy = SharingPolicy()
         nu = cost_adjusted_site_values_batch(padded, costs, states, ks, policy)
         for index, (values, k) in enumerate(zip(instances, ks)):
-            expected = cost_adjusted_site_values(
-                values,
+            expected = brute_force_site_payoffs(
+                values.as_array(),
                 costs[index, : values.m],
-                Strategy(states[index, : values.m]),
+                states[index, : values.m],
                 int(k),
                 policy,
             )
@@ -249,10 +255,9 @@ class TestRepeatedDispersalBatch:
                 def scalar_schedule(_round, current, k=int(k)):
                     return maximize_coverage_waterfilling(np.maximum(current, 1e-9), k).strategy
             else:
-                scalar_schedule = constant_schedule(
-                    maximize_coverage_waterfilling(values, int(k)).strategy
-                )
-            scalar = expected_repeated_dispersal(
+                star = maximize_coverage_waterfilling(values, int(k)).strategy
+                scalar_schedule = lambda _round, _current, star=star: star  # noqa: E731
+            per_round, remaining = expected_repeated_dispersal(
                 values,
                 int(k),
                 scalar_schedule,
@@ -260,13 +265,13 @@ class TestRepeatedDispersalBatch:
                 depletion=float(depletions[index]),
             )
             np.testing.assert_allclose(
-                batch.per_round_consumption[index], scalar.per_round_consumption, atol=1e-9
+                batch.per_round_consumption[index], per_round, atol=1e-9
             )
             np.testing.assert_allclose(
-                batch.cumulative_consumption[index], scalar.cumulative_consumption, atol=1e-9
+                batch.cumulative_consumption[index], per_round.sum(), atol=1e-9
             )
             np.testing.assert_allclose(
-                batch.remaining_values[index], scalar.remaining_value, atol=1e-9
+                batch.remaining_values[index], remaining.sum(), atol=1e-9
             )
 
     def test_full_consumption_depletes_visited_sites(self, small_values):
@@ -291,15 +296,15 @@ class TestRepeatedDispersalBatch:
             padded, ks, rounds=3, depletion=0.2, schedule="constant", strategies=states
         )
         for index, (values, k) in enumerate(zip(instances, ks)):
-            scalar = expected_repeated_dispersal(
+            per_round, _ = expected_repeated_dispersal(
                 values,
                 int(k),
-                constant_schedule(Strategy(states[index, : values.m])),
+                lambda _round, _current, p=states[index, : values.m]: p,
                 rounds=3,
                 depletion=0.2,
             )
             np.testing.assert_allclose(
-                batch.per_round_consumption[index], scalar.per_round_consumption, atol=1e-9
+                batch.per_round_consumption[index], per_round, atol=1e-9
             )
 
     def test_rejects_bad_arguments(self, small_values):

@@ -32,10 +32,10 @@ from repro.core.policies import (
 import repro.batch.ifd as water_filling
 from repro.batch.ifd import ifd_batch, water_filling_batch
 from repro.batch.payoffs import congestion_table_batch
+from repro.batch.scenarios import cost_adjusted_ifd_batch
 from repro.core.sigma_star import sigma_star
 from repro.core.strategy import Strategy
 from repro.core.values import SiteValues
-from repro.extensions.travel_costs import cost_adjusted_ifd
 from repro.serving import SolveRequest, evaluate_one, parse_request
 
 ORACLE_POLICIES = [
@@ -218,9 +218,9 @@ class TestBruteForceOracle:
         for values in oracle_instances():
             costs = rng.uniform(0.0, 0.4, size=values.m)
             for k in range(1, 6):
-                result = cost_adjusted_ifd(values, costs, k, policy)
-                assert result.converged, (values, k)
-                assert_oracle_ifd(values.as_array(), costs, result.strategy.as_array(), k, policy)
+                result = cost_adjusted_ifd_batch(values.as_array()[None, :], costs, k, policy)
+                assert result.converged[0], (values, k)
+                assert_oracle_ifd(values.as_array(), costs, result.probabilities[0], k, policy)
 
     def test_near_saturated_two_level_counterexample(self):
         # A high-value site sits where g(q) = c + (1 - c)(1 - q)^7 is flat, so

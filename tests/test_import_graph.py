@@ -29,7 +29,6 @@ NOT_SERVED = (
     "repro.experiments",
     "repro.dynamics",
     "repro.simulation",
-    "repro.extensions",
     "repro.batch.dynamics",
     "repro.batch.simulation",
     "repro.batch.scenarios",
@@ -89,7 +88,7 @@ def test_lazy_exports_are_the_defining_modules_objects():
     defining = [m for name, m in sys.modules.items()
                 if name.startswith("repro.") and not hasattr(m, "__path__")]
     packages = _packages()
-    assert len(packages) == 13
+    assert len(packages) == 12
     for package in packages:
         for name in package.__all__:
             value = getattr(package, name)
