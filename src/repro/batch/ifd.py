@@ -519,8 +519,12 @@ def water_filling_batch(
     q_hi = xp.where(held, lower[0, :n], sharp_hi)
     mass_lo, mass_hi = _row_sum(q_lo, xp), _row_sum(q_hi, xp)
 
-    # Mass one exactly: mass_lo >= 1 > mass_hi, so t lies in [0, 1).
-    t = (mass_lo - 1.0) / (mass_lo - mass_hi)
+    # Mass one exactly: mass_lo >= 1 > mass_hi, so t lies in [0, 1).  A
+    # bracket that collapsed onto tied sites can leave both masses equal
+    # (both one); the lower end then is the answer, with no division by 0.
+    tied = mass_lo == mass_hi
+    gap = xp.where(tied, xp.ones_like(mass_lo), mass_lo - mass_hi)
+    t = xp.where(tied, xp.zeros_like(mass_lo), (mass_lo - 1.0) / gap)
     p = q_lo + t[:, None] * (q_hi - q_lo)
 
     settle(rows, F, D, mask_dev, p, xp.maximum(xp.abs(v_lo), xp.abs(v_hi)))

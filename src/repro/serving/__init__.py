@@ -28,10 +28,12 @@ Layers
 :mod:`repro.serving.engine`
     Grouping + batched evaluation; the bit-identity contract.
 :mod:`repro.serving.cache`
-    Bounded LRU result cache with hit/miss/eviction counters.
+    Bounded LRU cache of encoded response bodies, with hit/miss/eviction
+    and byte counters.
 :mod:`repro.serving.scheduler`
     Continuous-batching scheduler: adaptive accumulation, bounded admission,
-    single-flight dedup, queue-depth/latency histograms.
+    single-flight dedup, queue-depth/latency histograms; encodes each
+    computed answer once and refuses non-finite or unconverged ones.
 :mod:`repro.serving.executor`
     Kernel execution strategies: inline, thread pool, shared process pool.
 :mod:`repro.serving.http`
@@ -47,6 +49,7 @@ from repro.utils.lazy import lazy_exports
 __all__ = lazy_exports(__name__, {
     "ContinuousBatchScheduler": ".scheduler",
     "QueueFullError": ".scheduler",
+    "UnservableAnswerError": ".scheduler",
     "ResultCache": ".cache",
     "EquilibriumService": ".http",
     "RunningServer": ".http",

@@ -15,8 +15,11 @@ web framework) exposing the scheduler over six routes:
                              and latency histograms + host environment
 ==================  =======  ==================================================
 
-Bodies and responses are strict JSON (no ``NaN``/``Infinity``: a payload
-that cannot be encoded that way is answered ``500``).  Malformed requests
+Bodies and responses are strict JSON (no ``NaN``/``Infinity``).  A computed
+answer arrives from the scheduler as the bytes it encoded once, and is
+written as it is; a computed answer that holds a non-finite number or
+``converged: false`` is refused with ``422``.  A payload of the front's own
+that cannot be encoded strictly is answered ``500``.  Malformed requests
 get ``400`` with an ``{"error": ...}`` body; unknown routes ``404``.  A
 request or header line longer than the stream limit (64 KiB) is answered
 ``431``; a request whose headers and body do not arrive within
@@ -45,7 +48,11 @@ from typing import Any
 from repro.serving.cache import ResultCache
 from repro.serving.executor import create_executor
 from repro.serving.requests import parse_request
-from repro.serving.scheduler import ContinuousBatchScheduler, QueueFullError
+from repro.serving.scheduler import (
+    ContinuousBatchScheduler,
+    QueueFullError,
+    UnservableAnswerError,
+)
 from repro.utils.envinfo import environment_metadata
 
 __all__ = ["EquilibriumService", "start_server", "serve_forever"]
@@ -57,7 +64,7 @@ _REQUEST_TIMEOUT_S = 10.0
 _SHUTDOWN_GRACE_S = 2.0
 _POST_KINDS = ("solve", "sweep", "mechanism", "coverage-times")
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
-            408: "Request Timeout", 413: "Payload Too Large",
+            408: "Request Timeout", 413: "Payload Too Large", 422: "Unprocessable Content",
             431: "Request Header Fields Too Large", 500: "Internal Server Error",
             503: "Service Unavailable"}
 
@@ -135,8 +142,12 @@ class EquilibriumService:
     # ---------------------------------------------------------------- routing
     async def dispatch(
         self, method: str, path: str, body: bytes
-    ) -> tuple[int, dict, dict[str, str]]:
-        """Map one parsed HTTP request to ``(status, JSON payload, headers)``."""
+    ) -> tuple[int, dict | bytes, dict[str, str]]:
+        """Map one parsed HTTP request to ``(status, payload, headers)``.
+
+        The payload of a computed answer is its encoded response body; every
+        other payload is a dict that :meth:`_respond` encodes.
+        """
         path = path.split("?", 1)[0].rstrip("/") or "/"
         if method == "GET" and path == "/healthz":
             return 200, {"status": "ok"}, {}
@@ -165,6 +176,8 @@ class EquilibriumService:
                     "error": str(error),
                     "retry_after_s": retry_after,
                 }, {"Retry-After": str(retry_after)}
+            except UnservableAnswerError as error:
+                return 422, {"error": f"no valid answer for this request: {error}"}, {}
             except Exception as error:  # noqa: BLE001 - reported, not raised
                 return 500, {"error": f"{type(error).__name__}: {error}"}, {}
         return 404, {"error": f"no route for {method} {path}"}, {}
@@ -250,16 +263,20 @@ class EquilibriumService:
     async def _respond(
         writer: asyncio.StreamWriter,
         status: int,
-        payload: dict,
+        payload: dict | bytes,
         *,
         keep_alive: bool = False,
         extra_headers: dict[str, str] | None = None,
     ) -> None:
-        try:
-            body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        except (TypeError, ValueError) as error:
-            status, extra_headers = 500, None
-            body = json.dumps({"error": f"answer is not valid JSON: {error}"}).encode("utf-8")
+        """Write one response: a body already encoded as it is, a dict as strict JSON."""
+        if isinstance(payload, bytes):
+            body = payload
+        else:
+            try:
+                body = json.dumps(payload, allow_nan=False).encode("utf-8")
+            except (TypeError, ValueError) as error:
+                status, extra_headers = 500, None
+                body = json.dumps({"error": f"answer is not valid JSON: {error}"}).encode("utf-8")
         extras = "".join(
             f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()
         )

@@ -26,6 +26,11 @@ immediately when idle, accumulate only under pressure*:
   derived from the observed service rate, which the HTTP front maps to
   ``503`` + ``Retry-After``.  Queue-depth and latency histograms are kept
   for ``/stats``.
+* **Encode once.**  Each computed answer is encoded to its response body
+  where it settles (:func:`_encode_answer`); the cache, every single-flight
+  waiter and the HTTP writer share those bytes, so a hit is never encoded
+  again.  An answer holding a non-finite number or ``converged: false`` is
+  refused there (:exc:`UnservableAnswerError`, HTTP ``422``) and not cached.
 
 The bit-identity contract rests on grouping, packing and kernel dispatch
 being exactly :func:`~repro.serving.engine.evaluate_group` on canonical host
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import json
 from typing import Any, Sequence
 
 from repro.backend import Backend, resolve_backend
@@ -46,7 +52,7 @@ from repro.serving.executor import KernelExecutor, create_executor
 from repro.serving.requests import ServingRequest
 from repro.utils.memo import plan_memo
 
-__all__ = ["ContinuousBatchScheduler", "QueueFullError"]
+__all__ = ["ContinuousBatchScheduler", "QueueFullError", "UnservableAnswerError"]
 
 #: EWMA smoothing factor of the inter-arrival estimate (~ last 10 arrivals).
 _EWMA_ALPHA = 0.2
@@ -68,6 +74,31 @@ class QueueFullError(RuntimeError):
     def __init__(self, message: str, *, retry_after: float = 1.0) -> None:
         super().__init__(message)
         self.retry_after = max(0.0, float(retry_after))
+
+
+class UnservableAnswerError(ValueError):
+    """A computed answer the service refuses to send (HTTP ``422``).
+
+    Raised by :func:`_encode_answer` for an answer that holds a non-finite
+    number or reports ``converged: false``; every caller waiting on the
+    request receives it, and it is never cached.
+    """
+
+
+def _encode_answer(payload: dict) -> bytes:
+    """The response body of one computed answer: strict JSON, UTF-8.
+
+    Exactly ``json.dumps(payload, allow_nan=False).encode("utf-8")``.
+    Raises :exc:`UnservableAnswerError` when the answer holds a non-finite
+    number or ``"converged": false``; a payload that is not JSON-native
+    raises ``TypeError`` (a bug, answered ``500``).
+    """
+    if payload.get("converged") is False:
+        raise UnservableAnswerError("the equilibrium solver did not converge on this instance")
+    try:
+        return json.dumps(payload, allow_nan=False).encode("utf-8")
+    except ValueError as error:
+        raise UnservableAnswerError(f"the answer holds a non-finite number ({error})") from None
 
 
 class _Histogram:
@@ -168,13 +199,15 @@ class ContinuousBatchScheduler:
         self._latency_histogram = _Histogram((0.5, 1, 2, 5, 10, 25, 50, 100, 250, 1000))
 
     # ------------------------------------------------------------------ submit
-    async def submit(self, request: ServingRequest) -> dict:
-        """Answer ``request``, sharing work with every concurrent caller.
+    async def submit(self, request: ServingRequest) -> bytes:
+        """Answer ``request`` with its response body, sharing work with concurrent callers.
 
         Resolution order: cache hit -> in-flight duplicate (single flight)
         -> bounded pending queue (:exc:`QueueFullError` beyond
-        ``max_pending``) for the next dispatch.  The returned payload is a
-        JSON-native dict and must be treated as immutable.
+        ``max_pending``) for the next dispatch.  The answer is the strict
+        JSON encoding of :func:`~repro.serving.engine.evaluate_one`'s dict,
+        byte for byte; a non-finite or unconverged answer raises
+        :exc:`UnservableAnswerError` instead.
         """
         self._n_requests += 1
         key = request.cache_key
@@ -315,19 +348,32 @@ class ContinuousBatchScheduler:
         payload: dict | None = None,
         error: Exception | None = None,
     ) -> None:
+        """Encode the answer once and hand it to the cache and every waiter.
+
+        The encoded body is what the cache holds and what each caller's
+        :meth:`submit` returns.  A refused or unencodable answer settles
+        every waiter with the same error and leaves the cache untouched.
+        """
         self._inflight.pop(request.cache_key, None)
         self._latency_histogram.observe(
             (asyncio.get_running_loop().time() - enqueued) * 1000.0
         )
-        if error is None and self.cache is not None:
-            self.cache.put(request.cache_key, payload)
+        body = None
+        if error is None:
+            try:
+                body = _encode_answer(payload)
+            except (TypeError, ValueError) as refusal:
+                error = refusal
+            else:
+                if self.cache is not None:
+                    self.cache.put(request.cache_key, body)
         for future in waiters:
             if future.done():  # a cancelled caller
                 continue
             if error is not None:
                 future.set_exception(error)
             else:
-                future.set_result(payload)
+                future.set_result(body)
 
     # ---------------------------------------------------------------- backstop
     def _arm_backstop(self, loop: asyncio.AbstractEventLoop) -> None:

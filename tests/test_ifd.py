@@ -430,6 +430,35 @@ class TestMultisection:
         assert bool(water_filling_batch(values, None, ks, tables).converged.all())
         assert counts == [evaluations]
 
+    def test_all_tied_rows_converge_to_the_uniform_strategy(self):
+        """All-tied log-space rows can collapse the bracket onto equal masses.
+
+        The final convex combination used to divide by ``mass_lo - mass_hi``
+        there, and such a row came back NaN or -inf and unconverged.  The
+        first two rows are two such collapses; the rest are a seeded sample
+        of tied rows over M 2-64 and k 26-200, any scale, two policies.
+        """
+        rng = np.random.default_rng(26)
+        n = 24
+        m = np.concatenate([[30, 24], rng.integers(2, 65, n)])
+        k = np.concatenate([[40, 26], rng.integers(26, 201, n)])
+        scale = np.concatenate([[1.0, 4140491394483.2295], 10.0 ** rng.uniform(-12, 12, n)])
+        width = int(m.max())
+        values = np.broadcast_to(scale[:, None], (m.size, width)).copy()
+        mask = np.arange(width)[None, :] < m[:, None]
+        power_law = ((np.arange(m.size) % 2 == 0) | (np.arange(m.size) < 2))[:, None]
+        tables = np.where(
+            power_law,
+            congestion_table_batch(PowerLawPolicy(2.0), k - 1),
+            congestion_table_batch(SharingPolicy(), k - 1),
+        )
+        solved = water_filling_batch(values, None, k, tables, mask=mask)
+        assert bool(solved.converged.all())
+        assert np.isfinite(solved.probabilities).all() and np.isfinite(solved.values).all()
+        np.testing.assert_array_equal(solved.support_sizes, m)
+        for row in range(m.size):
+            np.testing.assert_allclose(solved.probabilities[row, : m[row]], 1.0 / m[row], rtol=1e-12)
+
     def test_log_space_peak_memory(self):
         """The log-space rows keep one candidate: the pmf tensor must not triple.
 

@@ -3,15 +3,18 @@
 The asyncio pieces run through ``asyncio.run`` inside synchronous tests, so
 the suite needs no async test plugin.  The bit-identity battery is the
 load-bearing part: a coalesced answer must equal the direct batch-of-one
-answer **exactly** (``==`` on the JSON payload, not ``allclose``), for every
-request family and also for requests deliberately co-batched with different
-instance sizes — see ``repro/serving/engine.py`` for why that holds.
+answer **exactly**, for every request family and also for requests
+deliberately co-batched with different instance sizes — see
+``repro/serving/engine.py`` for why that holds.  The engine's dicts compare
+with ``==``; what the scheduler serves compares byte for byte with the
+strict JSON encoding of the direct answer (:func:`direct_body`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
 import json
 import logging
 import multiprocessing
@@ -23,6 +26,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import urllib.request
 from pathlib import Path
 
@@ -38,11 +42,13 @@ from repro.serving import (
     CoverageTimeRequest,
     EquilibriumService,
     EXECUTOR_MODES,
+    KernelExecutor,
     MechanismRequest,
     QueueFullError,
     ResultCache,
     SolveRequest,
     SweepRequest,
+    UnservableAnswerError,
     create_executor,
     evaluate_group,
     evaluate_one,
@@ -78,10 +84,10 @@ OVERFLOWING_TOTALS = [
 ]
 
 
-def _post(path: str, payload: dict) -> bytes:
+def _post(path: str, payload: dict, *, close: bool = False) -> bytes:
     body = json.dumps(payload).encode()
-    head = f"POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {len(body)}\r\n\r\n"
-    return head.encode() + body
+    head = f"POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {len(body)}\r\n"
+    return (head + ("Connection: close\r\n" if close else "") + "\r\n").encode() + body
 
 
 def _read_response(rfile) -> tuple[bytes, dict[str, str], bytes] | None:
@@ -119,6 +125,11 @@ def _stream_solves(port: int, seed: int, statuses: list[bytes]) -> None:
 
 def random_values(m: int) -> np.ndarray:
     return SiteValues.random(m, np.random.default_rng(m)).as_array()
+
+
+def direct_body(request) -> bytes:
+    """The response body of the direct batch-of-one answer to ``request``."""
+    return json.dumps(evaluate_one(request), allow_nan=False).encode()
 
 
 # --------------------------------------------------------------------------
@@ -176,8 +187,8 @@ class TestResultCache:
     def test_hit_miss_counters(self):
         cache = ResultCache(4)
         assert cache.get("a") is None
-        cache.put("a", {"x": 1})
-        assert cache.get("a") == {"x": 1}
+        cache.put("a", b'{"x": 1}')
+        assert cache.get("a") == b'{"x": 1}'
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
@@ -185,19 +196,29 @@ class TestResultCache:
 
     def test_lru_eviction_order(self):
         cache = ResultCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a": "b" becomes least recent
-        cache.put("c", 3)
+        cache.put("a", b"1")
+        cache.put("b", b"2")
+        assert cache.get("a") == b"1"  # refresh "a": "b" becomes least recent
+        cache.put("c", b"3")
         assert "b" not in cache
-        assert cache.get("a") == 1 and cache.get("c") == 3
+        assert cache.get("a") == b"1" and cache.get("c") == b"3"
         assert cache.stats()["evictions"] == 1
 
     def test_clear(self):
         cache = ResultCache(2)
-        cache.put("a", 1)
+        cache.put("a", b"1")
         cache.clear()
         assert len(cache) == 0 and cache.get("a") is None
+        assert cache.stats()["bytes"] == 0
+
+    def test_bytes_counts_the_bodies_held(self):
+        cache = ResultCache(2)
+        cache.put("a", b"12345")
+        cache.put("b", b"123")
+        cache.put("a", b"1")  # a refresh replaces the old body
+        assert cache.stats()["bytes"] == 4
+        cache.put("c", b"1234567")  # evicts "b"
+        assert cache.stats()["bytes"] == 8 and "b" not in cache
 
 
 # --------------------------------------------------------------------------
@@ -289,6 +310,22 @@ def mixed_workload() -> list:
     ]
 
 
+def width_128_requests(n: int, seed: int = 128) -> list:
+    """The serve-light shapes: exclusive solves at k = 3 and 8 and k = 2..21
+    sweeps over 65-127 sites, some with tied values, in one width bucket."""
+    rng = np.random.default_rng(seed)
+    requests = []
+    for index in range(n):
+        values = rng.uniform(0.05, 10.0, int(rng.integers(65, 128)))
+        if index % 4 == 0:
+            values = np.round(values)  # ties
+        if index % 5 < 3:
+            requests.append(SolveRequest(values + 0.5, k=(3, 8)[index % 2]))
+        else:
+            requests.append(SweepRequest(values + 0.5, k_grid=tuple(range(2, 22))))
+    return requests
+
+
 class TestEngine:
     def test_coalesced_equals_direct_bitwise(self):
         requests = mixed_workload()
@@ -298,18 +335,7 @@ class TestEngine:
             assert one == many, f"request {index} differs between direct and coalesced"
 
     def test_coalesced_equals_direct_bitwise_at_width_128(self):
-        # The serve-light shapes: exclusive solves at k = 3 and 8 and k = 2..21
-        # sweeps over 65-127 sites, some with tied values, in one width bucket.
-        rng = np.random.default_rng(128)
-        requests = []
-        for index in range(64):
-            values = rng.uniform(0.05, 10.0, int(rng.integers(65, 128)))
-            if index % 4 == 0:
-                values = np.round(values)  # ties
-            if index % 5 < 3:
-                requests.append(SolveRequest(values + 0.5, k=(3, 8)[index % 2]))
-            else:
-                requests.append(SweepRequest(values + 0.5, k_grid=tuple(range(2, 22))))
+        requests = width_128_requests(64)
         assert {request.pad_width for request in requests} == {128}
         direct = [evaluate_one(request) for request in requests]
         assert evaluate_requests(requests) == direct
@@ -373,10 +399,10 @@ class TestCoalescer:
             requests = [SolveRequest(random_values(10 + i), k=3) for i in range(8)]
             answers = await asyncio.gather(*(scheduler.submit(r) for r in requests))
             await scheduler.close()
-            return answers, scheduler.stats(), [evaluate_one(r) for r in requests]
+            return answers, scheduler.stats(), requests
 
-        answers, stats, direct = asyncio.run(run())
-        assert answers == direct
+        answers, stats, requests = asyncio.run(run())
+        assert answers == [direct_body(r) for r in requests]
         assert stats["batches"] == 1 and stats["largest_batch"] == 8
 
     def test_backend_is_resolved_once_not_per_group(self, monkeypatch):
@@ -399,7 +425,7 @@ class TestCoalescer:
         built, answers, stats, requests = asyncio.run(run())
         assert stats["batches"] == 3
         assert built == 1 and len(resolutions) == 1
-        assert answers == [evaluate_one(r) for r in requests]
+        assert answers == [direct_body(r) for r in requests]
 
     def test_max_batch_triggers_immediate_flush(self):
         async def run():
@@ -464,7 +490,7 @@ class TestCoalescer:
             return results
 
         good_answer, bad_answer = asyncio.run(run())
-        assert isinstance(good_answer, dict)
+        assert isinstance(good_answer, bytes)
         assert isinstance(bad_answer, Exception)
 
 
@@ -522,7 +548,7 @@ class TestContinuousBatching:
             return answer, elapsed
 
         answer, elapsed = asyncio.run(run())
-        assert answer["kind"] == "solve"
+        assert json.loads(answer)["kind"] == "solve"
         assert elapsed < 1.0  # far below the 60 s backstop
 
     @pytest.mark.parametrize("mode", EXECUTOR_MODES)
@@ -530,7 +556,7 @@ class TestContinuousBatching:
         # idle -> burst -> idle -> burst: the adaptive batch sizes differ
         # between phases, the answers must not.
         requests = mixed_workload()
-        direct = [evaluate_one(request) for request in requests]
+        direct = [direct_body(request) for request in requests]
 
         async def run():
             scheduler = ContinuousBatchScheduler(
@@ -584,8 +610,8 @@ class TestContinuousBatching:
             return answer, redo
 
         answer, redo = asyncio.run(run())
-        assert answer == evaluate_one(SolveRequest(random_values(12), k=3))
-        assert redo == evaluate_one(SolveRequest(random_values(10), k=3))
+        assert answer == direct_body(SolveRequest(random_values(12), k=3))
+        assert redo == direct_body(SolveRequest(random_values(10), k=3))
 
     def test_queue_full_rejects_with_retry_after(self):
         async def run():
@@ -602,7 +628,7 @@ class TestContinuousBatching:
 
         results, stats = asyncio.run(run())
         rejected = [r for r in results if isinstance(r, QueueFullError)]
-        served = [r for r in results if isinstance(r, dict)]
+        served = [r for r in results if isinstance(r, bytes)]
         assert len(rejected) == 5 and len(served) == 3
         assert stats["rejected"] == 5
         for error in rejected:
@@ -625,13 +651,158 @@ class TestContinuousBatching:
 
         with caplog.at_level(logging.INFO, logger="repro.experiments.executors"):
             before, after = asyncio.run(asyncio.wait_for(run(), timeout=60.0))
-        assert before == evaluate_one(first)
-        assert after == evaluate_one(second)
+        assert before == direct_body(first)
+        assert after == direct_body(second)
         assert pool_forks(caplog) == [(2, "first use"), (2, "broken")]
 
     def test_invalid_executor_mode_rejected(self):
         with pytest.raises(ValueError):
             create_executor("fork-bomb")
+
+
+# --------------------------------------------------------------------------
+# encode once: the scheduler serves, caches and shares response bodies
+# --------------------------------------------------------------------------
+#: An aggressive k = 2 solve whose smallest value underflows once the row is
+#: scaled by its largest: the kernel answers NaN with ``converged: false``.
+UNSERVABLE_SOLVE = {"values": [8.7e-146, 3.9e283, 3.3e-237], "k": 2, "policy": "aggressive"}
+
+#: All-tied power-law solves whose water-filling bracket collapses onto two
+#: equal masses; both used to answer NaN or -inf.
+TIED_SOLVES = [
+    {"values": [1.0] * 30, "k": 40, "policy": "power-law"},
+    {"values": [4140491394483.2295] * 24, "k": 26, "policy": "power-law"},
+]
+
+
+class _AnswersWith(KernelExecutor):
+    """Answers every request of a group with a copy of one fixed payload."""
+
+    mode = "inline"
+
+    def __init__(self, payload: dict) -> None:
+        self.payload = payload
+
+    async def run(self, batch, *, backend=None):
+        return [dict(self.payload) for _ in batch]
+
+
+class TestEncodeOnce:
+    @pytest.mark.parametrize("mode", EXECUTOR_MODES)
+    def test_served_bodies_are_the_direct_answers_bytes_at_width_128(self, mode):
+        requests = width_128_requests(64)
+        direct = [direct_body(request) for request in requests]
+
+        async def run():
+            scheduler = ContinuousBatchScheduler(
+                max_batch=64, max_wait_ms=5.0, cache=ResultCache(128),
+                executor=create_executor(mode, max_workers=2),
+            )
+            served = await asyncio.gather(*(scheduler.submit(r) for r in requests))
+            cached = await asyncio.gather(*(scheduler.submit(r) for r in requests))
+            stats = scheduler.stats()
+            await scheduler.close()
+            return served, cached, stats
+
+        served, cached, stats = asyncio.run(run())
+        assert served == direct and cached == direct
+        assert stats["batches"] == 1 and stats["cache_hits"] == len(requests)
+        assert stats["cache"]["bytes"] == sum(map(len, direct))
+
+    def test_unservable_answer_is_one_shared_refusal_and_never_cached(self):
+        request = parse_request("solve", UNSERVABLE_SOLVE)
+        assert evaluate_one(request)["converged"] is False
+
+        async def run():
+            scheduler = ContinuousBatchScheduler(max_batch=8, cache=ResultCache(8))
+            together = [scheduler.submit(request) for _ in range(3)]
+            first = await asyncio.gather(*together, return_exceptions=True)
+            again = await asyncio.gather(scheduler.submit(request), return_exceptions=True)
+            stats = scheduler.stats()
+            await scheduler.close()
+            return first, again, stats
+
+        first, again, stats = asyncio.run(run())
+        assert all(isinstance(error, UnservableAnswerError) for error in first + again)
+        assert first[0] is first[1] is first[2]
+        assert "did not converge" in str(first[0])
+        assert stats["singleflight_hits"] == 2 and stats["solved"] == 2
+        assert stats["cache_hits"] == 0 and stats["cache"]["entries"] == 0
+
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [({"kind": "solve", "coverage": float("nan")}, "non-finite"),
+         ({"kind": "sweep", "coverages": [1.0, float("inf")]}, "non-finite"),
+         ({"kind": "solve", "coverage": 1.0, "converged": False}, "did not converge")],
+        ids=["nan", "inf", "unconverged"],
+    )
+    def test_non_finite_or_unconverged_answers_are_refused(self, payload, reason):
+        async def run():
+            scheduler = ContinuousBatchScheduler(
+                cache=ResultCache(8), executor=_AnswersWith(payload)
+            )
+            try:
+                with pytest.raises(UnservableAnswerError, match=reason):
+                    await scheduler.submit(SolveRequest(random_values(9), k=3))
+                return scheduler.stats()
+            finally:
+                await scheduler.close()
+
+        assert asyncio.run(run())["cache"]["entries"] == 0
+
+    def test_refusals_are_a_422_and_tied_solves_converge_over_http(self):
+        async def run():
+            async with await start_server("127.0.0.1", 0, max_wait_ms=1.0) as running:
+                refused = [
+                    await raw_exchange(running.port, _post("/solve", UNSERVABLE_SOLVE, close=True))
+                    for _ in range(2)
+                ]
+                tied = [
+                    await raw_exchange(running.port, _post("/solve", body, close=True))
+                    for body in TIED_SOLVES
+                ]
+                stats = await http_request(running.port, "GET", "/stats")
+                return refused, tied, stats[1]["coalescer"]
+
+        refused, tied, stats = asyncio.run(run())
+        for raw in refused:
+            assert raw.startswith(b"HTTP/1.1 422 Unprocessable Content\r\n")
+            assert "did not converge" in strict_json(raw)["error"]
+        assert stats["cache"]["entries"] == len(TIED_SOLVES) and stats["solved"] == 4
+        for raw, body in zip(tied, TIED_SOLVES):
+            assert raw.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert raw.partition(b"\r\n\r\n")[2] == direct_body(parse_request("solve", body))
+            assert strict_json(raw)["converged"] is True
+
+    def test_a_full_cache_of_serve_light_answers_holds_at_most_6_mib(self):
+        # The cache holds each answer as its response body (about 1.1 kB
+        # here); as dicts of boxed floats the same 4096 answers held 11.8 MiB.
+        requests = width_128_requests(4096, seed=4096)
+        for request in requests:
+            request.cache_key  # hashed before tracing: the keys belong to the requests
+
+        def fill(cache: ResultCache, batch: list) -> None:
+            async def run():
+                scheduler = ContinuousBatchScheduler(
+                    max_batch=64, max_pending=len(batch), cache=cache
+                )
+                await asyncio.gather(*(scheduler.submit(r) for r in batch))
+                await scheduler.close()
+
+            asyncio.run(run())
+
+        fill(ResultCache(64), requests[:64])  # fills the pmf-plan memo first
+        cache = ResultCache(len(requests))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fill(cache, requests)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == len(requests)
+        assert held <= 6 * 2**20, f"{held / 2**20:.1f} MiB held"
 
 
 # --------------------------------------------------------------------------
